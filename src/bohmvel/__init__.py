@@ -74,8 +74,6 @@ from .relativity import (
     verify_boost_covariance,
 )
 from .stats import (
-    ComparisonReport,
-    compare_measures,
     ks_critical_value,
     ks_distance,
     test_function_dictionary,

@@ -167,7 +167,6 @@ def _fit_eta(eta: np.ndarray, checkpoints: np.ndarray, fit_method: str):
 def estimate_asymptotic_velocity(
     traj: SampledTrajectory,
     checkpoints,
-    tol: float,
     fit_method: str = FIT_AFFINE,
 ) -> AsymptoticEstimate:
     """Limiting velocity of one trajectory from its checkpoint ladder."""
@@ -270,9 +269,6 @@ class VelocityDistribution:
     def total_mass(self) -> float:
         cont = float(np.trapezoid(self.density, self.v))
         return cont + self.atom_mass
-
-    def continuous_mass(self) -> float:
-        return float(np.trapezoid(self.density, self.v))
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -1,9 +1,11 @@
 """Configuration-driven experiment runner.
 
 Subcommands: run, covariance, counterexample, plotdata, validate-config.
-Configs are single JSON documents validated against the schema published
-in schema/experiment_config.schema.json; unknown keys are rejected
-outright (silent typos destroy physics runs).
+Configs are single JSON documents. Which keys exist, their types and their
+ranges are stated once, in the package's experiment_config.schema.json;
+the validator here walks that schema and adds only the rules that cross
+fields. Unknown keys and out-of-range values are rejected before any
+computation (silent typos destroy physics runs).
 
 Exit codes: 0 pass, 2 comparison failed, 3 regularity invalid (no verdict
 possible), 4 configuration error, 5 numerical failure. Structured JSON
@@ -17,8 +19,9 @@ the spawn-key scheme in the pipeline module.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import functools
 import json
+import operator
 import os
 import sys
 
@@ -33,14 +36,14 @@ from .asymptotics import (
     velocity_measure_at,
     verify_distribution_equality,
 )
-from .core import EnsembleRun, PoincareElement
+from .core import EmpiricalMeasure, EnsembleRun, PoincareElement, config_hash
 from .errors import (
     BohmvelError,
     ConfigurationError,
     NumericalFailureError,
     RegularityError,
 )
-from .guidance import check_equivariance
+from .guidance import check_equivariance, count_order_violations
 from .pipeline import PipelineParams, child_seed, run_guided_pipeline
 from .relativity import foliation_sweep, verify_boost_covariance
 from .stats import ks_critical_value, ks_distance
@@ -61,91 +64,83 @@ EXIT_NUMERICAL_FAILURE = 5
 ENV_OUT_DIR = "BOHMVEL_OUT_DIR"
 ENV_WORKERS = "BOHMVEL_WORKERS"
 
-SYSTEMS = ("free_schrodinger", "potential_schrodinger", "free_dirac")
-
 
 # ---------------------------------------------------------------------------
-# Config validation. The shape below mirrors the published JSON schema; a
-# node is (type, validator or nested dict). Unknown keys anywhere fail.
+# Config validation. The JSON schema shipped beside this module is the only
+# statement of which keys exist, their types and their ranges; _check walks
+# it (the draft-07 keywords the file uses), and validate_config adds only
+# the rules that cross fields or depend on the system.
+
+SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "experiment_config.schema.json")
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "number": (int, float), "integer": int, "null": type(None)}
+_BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"),
+           "exclusiveMaximum": (operator.lt, "<")}
+
+
+@functools.cache
+def config_schema() -> dict:
+    with open(SCHEMA_PATH) as fh:
+        return json.load(fh)
+
 
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigurationError(msg)
 
 
-def _validate_section(cfg: dict, allowed: dict, path: str) -> None:
-    _expect(isinstance(cfg, dict), f"{path} must be an object")
-    for key in cfg:
-        _expect(key in allowed, f"unknown key {path}.{key}")
+def _is_type(value, name: str) -> bool:
+    # A JSON bool is not a number; an integer is any number with no
+    # fractional part (draft-07), so 3.0 counts.
+    if isinstance(value, bool) and name in ("number", "integer"):
+        return False
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _check(value, schema: dict, path: str) -> None:
+    """Raise ConfigurationError naming ``path`` where ``value`` breaks ``schema``."""
+    if "type" in schema:
+        names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        _expect(any(_is_type(value, t) for t in names), f"{path} must be of type {' or '.join(names)}")
+    if "enum" in schema:
+        _expect(value in schema["enum"], f"{path} must be one of {schema['enum']}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            _expect(key in value, f"{path}.{key} is required")
+        for key, item in value.items():
+            _expect(key in props or schema.get("additionalProperties", True), f"unknown key {path}.{key}")
+            if key in props:
+                _check(item, props[key], f"{path}.{key}")
+    elif isinstance(value, list):
+        _expect(len(value) >= schema.get("minItems", 0), f"{path} needs at least {schema.get('minItems')} items")
+        for i, item in enumerate(value):
+            _check(item, schema.get("items", {}), f"{path}[{i}]")
+    elif _is_type(value, "number"):
+        for key, (holds, op) in _BOUNDS.items():
+            if key in schema:
+                _expect(holds(value, schema[key]), f"{path} must be {op} {schema[key]}")
 
 
 def validate_config(cfg: dict) -> dict:
-    """Validate and normalize an experiment config; returns the resolved dict."""
-    top = {
-        "system", "mass", "grid", "packets", "potential", "ensemble",
-        "time", "moller", "boosts", "project_positive_energy",
-        "thresholds", "seed", "out_dir",
-    }
-    _validate_section(cfg, {k: None for k in top}, "config")
-    _expect("system" in cfg, "config.system is required")
-    _expect(cfg["system"] in SYSTEMS, f"config.system must be one of {SYSTEMS}")
+    """Check an experiment config against the schema and the cross-field
+    rules; returns it unchanged (defaults are applied where read)."""
+    _check(cfg, config_schema(), "config")
     system = cfg["system"]
-
-    mass = float(cfg.get("mass", 1.0))
-    _expect(mass > 0, "config.mass must be positive")
-
-    _expect("grid" in cfg, "config.grid is required")
-    _validate_section(cfg["grid"], {"n_points": 0, "x_min": 0, "x_max": 0}, "config.grid")
-    grid = cfg["grid"]
-    _expect(all(k in grid for k in ("n_points", "x_min", "x_max")), "config.grid needs n_points, x_min, x_max")
-
-    _expect("packets" in cfg and isinstance(cfg["packets"], list) and cfg["packets"],
-            "config.packets must be a non-empty list")
-    for i, pk in enumerate(cfg["packets"]):
-        _validate_section(pk, {"x0": 0, "p0": 0, "sigma0": 0, "amplitude": 0}, f"config.packets[{i}]")
-        _expect(all(k in pk for k in ("x0", "p0", "sigma0")), f"config.packets[{i}] needs x0, p0, sigma0")
-        _expect(pk["sigma0"] > 0, f"config.packets[{i}].sigma0 must be positive")
-
     if system == "potential_schrodinger":
         _expect("potential" in cfg, "potential_schrodinger needs config.potential")
-        _validate_section(
-            cfg["potential"],
-            {"kind": 0, "height": 0, "width": 0, "center": 0, "strength": 0, "softening": 0},
-            "config.potential",
-        )
-        PotentialSpec.from_dict(cfg["potential"])
+        try:
+            PotentialSpec.from_dict(cfg["potential"])
+        except TypeError as exc:
+            raise ConfigurationError(f"config.potential: {exc}") from None
     else:
         _expect("potential" not in cfg, f"{system} takes no config.potential")
-
-    ens = cfg.get("ensemble", {})
-    _validate_section(ens, {"n_trajectories": 0, "rho_floor": 0, "dt_min": 0, "node_action": 0}, "config.ensemble")
-    _expect(int(ens.get("n_trajectories", 10_000)) >= 1, "need at least one trajectory")
-
-    _expect("time" in cfg, "config.time is required")
-    _validate_section(
-        cfg["time"],
-        {"t_max": 0, "dt": 0, "checkpoints": 0, "record_times": 0, "eta_tol": 0},
-        "config.time",
-    )
-    _expect(cfg["time"].get("t_max", 0) > 0, "config.time.t_max must be positive")
-
-    if "moller" in cfg:
-        _expect(system == "potential_schrodinger", "config.moller requires the potential system")
-        _validate_section(
-            cfg["moller"],
-            {"extraction_times": 0, "dt": 0, "residual_tol": 0, "interaction_radius": 0},
-            "config.moller",
-        )
-
-    if "boosts" in cfg:
-        _expect(system == "free_dirac", "config.boosts requires the free_dirac system")
-        for u in cfg["boosts"]:
-            _expect(abs(float(u)) < 1.0, f"boost speed {u} violates |u| < 1")
-
-    thr = cfg.get("thresholds", {})
-    _validate_section(thr, {"ks": 0, "w1": 0, "covariance_ks": 0, "equivariance_ks": 0}, "config.thresholds")
-
-    _expect(isinstance(cfg.get("seed", 0), int), "config.seed must be an integer")
+    _expect("moller" not in cfg or system == "potential_schrodinger",
+            "config.moller requires the potential system")
+    _expect("boosts" not in cfg or system == "free_dirac", "config.boosts requires the free_dirac system")
     return cfg
 
 
@@ -221,10 +216,6 @@ def _quantum_distribution(cfg: dict, psi, mass: float):
     return scattering_velocity_distribution(out, mass), artifacts
 
 
-def _config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -283,8 +274,6 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
             equivariance[f"{t:g}"] = check_equivariance(result.integration, snap, float(t))
     order_violations = None
     if psi.spec.dim == 1:
-        from .guidance import count_order_violations
-
         order_violations = count_order_violations(result.integration)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -338,7 +327,7 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
         ok = ok and all(v <= eq_threshold for v in equivariance.values())
     print(json.dumps({
         "out_dir": out_dir,
-        "config_hash": _config_hash(cfg),
+        "config_hash": config_hash(cfg),
         "ks": comparison["ks"],
         "w1": comparison["w1"],
         "fraction_converged": result.regularity.fraction_converged,
@@ -360,10 +349,8 @@ def cmd_covariance(cfg: dict, out_dir: str, seed: int | None, workers: int) -> i
     boosts = [float(u) for u in cfg.get("boosts", [0.0, 0.2, 0.4])]
     threshold = float(cfg.get("thresholds", {}).get("covariance_ks", 0.03))
 
-    from .pipeline import run_guided_pipeline as _run
-
     try:
-        base = _run(psi, PotentialSpec.none(), params)
+        base = run_guided_pipeline(psi, PotentialSpec.none(), params)
         if not base.regularity.verdict:
             raise RegularityError("base run failed the regularity verdict", base.regularity)
 
@@ -386,7 +373,7 @@ def cmd_covariance(cfg: dict, out_dir: str, seed: int | None, workers: int) -> i
         _write_json(
             os.path.join(out_dir, "covariance_report.json"),
             {
-                "config_hash": _config_hash(cfg),
+                "config_hash": config_hash(cfg),
                 "seed": seed,
                 "verdict": "invalid",
                 "reason": str(exc),
@@ -397,7 +384,7 @@ def cmd_covariance(cfg: dict, out_dir: str, seed: int | None, workers: int) -> i
 
     os.makedirs(out_dir, exist_ok=True)
     report = {
-        "config_hash": _config_hash(cfg),
+        "config_hash": config_hash(cfg),
         "seed": seed,
         "verdict": "valid",
         "projection": projection_info,
@@ -458,12 +445,13 @@ def cmd_counterexample(omega: float, n: int, dim: int, seed: int, out_dir: str) 
     }
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "counterexample_report.json"), payload)
+    verdict = bool(stationary and (fraction == 0.0 if omega != 0 else fraction == 1.0))
     print(json.dumps({
         "stationary": stationary,
         "fraction_converged": fraction,
-        "pass": bool(stationary and (fraction == 0.0 if omega != 0 else fraction == 1.0)),
+        "pass": verdict,
     }, sort_keys=True))
-    return EXIT_PASS
+    return EXIT_PASS if verdict else EXIT_COMPARISON_FAIL
 
 
 def cmd_plotdata(run_dir: str, out_dir: str | None) -> int:
@@ -476,8 +464,6 @@ def cmd_plotdata(run_dir: str, out_dir: str | None) -> int:
     if missing:
         raise ConfigurationError(f"run directory incomplete, missing: {', '.join(missing)}")
     os.makedirs(out_dir, exist_ok=True)
-    from .core import EmpiricalMeasure
-
     partial = []
     for name in sorted(os.listdir(run_dir)):
         if not name.endswith(".csv") or not (name.startswith("s_") or name.startswith("q_plus_samples")):
@@ -542,7 +528,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=None)
+    p_cov.add_argument("--workers", type=int, default=None)
 
     p_ce = sub.add_parser("counterexample", help="rotating-family stationarity dichotomy")
     p_ce.add_argument("--omega", type=float, default=1.0)
@@ -573,9 +559,9 @@ def main(argv=None) -> int:
         out = args.out or os.environ.get(ENV_OUT_DIR) or cfg.get("out_dir")
         if not out:
             raise ConfigurationError("no output directory (config.out_dir, --out, or env)")
-        workers = args.workers or int(os.environ.get(ENV_WORKERS, "1"))
         if args.command == "run":
             return cmd_run(cfg, out, args.seed)
+        workers = args.workers or int(os.environ.get(ENV_WORKERS, "1"))
         return cmd_covariance(cfg, out, args.seed, workers)
     except ConfigurationError as exc:
         print(_error_payload(exc), file=sys.stderr)

@@ -15,6 +15,7 @@ read-only across threads.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -35,6 +36,7 @@ __all__ = [
     "velocity_estimate_at",
     "save_trajectories_ndjson",
     "load_trajectories_ndjson",
+    "config_hash",
 ]
 
 
@@ -497,6 +499,12 @@ def load_trajectories_ndjson(path) -> list[SampledTrajectory]:
     return out
 
 
+def config_hash(config: dict) -> str:
+    """sha256 of the canonical (sorted, compact) JSON form of a config."""
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 @dataclass
 class EnsembleRun:
     """Full record of one experiment, reproducible from (config, seed)."""
@@ -508,12 +516,6 @@ class EnsembleRun:
     measures: dict[str, EmpiricalMeasure] = field(default_factory=dict)
     reports: dict = field(default_factory=dict)
 
-    def config_hash(self) -> str:
-        import hashlib
-
-        blob = json.dumps(self.config, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
     def save(self, out_dir) -> None:
         import os
 
@@ -524,7 +526,7 @@ class EnsembleRun:
         for name, measure in self.measures.items():
             measure.to_csv(os.path.join(out_dir, f"{name}.csv"))
         manifest = {
-            "config_hash": self.config_hash(),
+            "config_hash": config_hash(self.config),
             "seed": self.seed,
             "n_trajectories": len(self.trajectories),
             "measures": sorted(self.measures),

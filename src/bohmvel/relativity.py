@@ -75,9 +75,6 @@ class Reparameterization:
                 "reparameterization is not increasing; input is not a world line"
             )
 
-    def s_of_t(self, t) -> np.ndarray:
-        return np.interp(t, self.t_samples, self.s_samples)
-
     def t_of_s(self, s) -> np.ndarray:
         return np.interp(s, self.s_samples, self.t_samples)
 
@@ -175,7 +172,6 @@ def check_boost_velocity_consistency(
     g: PoincareElement,
     checkpoints,
     tol: float,
-    fit_tol: float = 0.05,
 ) -> tuple[bool, float]:
     """Does boosting commute with taking the limiting velocity?
 
@@ -191,7 +187,7 @@ def check_boost_velocity_consistency(
     u = float(u_vec[axis]) if nz.size else 0.0
     checkpoints = np.asarray(checkpoints, dtype=float)
 
-    est = estimate_asymptotic_velocity(traj, checkpoints, fit_tol)
+    est = estimate_asymptotic_velocity(traj, checkpoints)
     expected = transform_velocity(est.v_plus, g)
 
     boosted = boost_worldline(traj, u, axis)
@@ -205,7 +201,7 @@ def check_boost_velocity_consistency(
         - u * float(np.interp(checkpoints[-1], traj.times, blocks[:, 0, axis]))
     )
     s_check = s_last * checkpoints / checkpoints[-1]
-    est_boosted = estimate_asymptotic_velocity(boosted, s_check, fit_tol)
+    est_boosted = estimate_asymptotic_velocity(boosted, s_check)
 
     residual = float(np.linalg.norm(est_boosted.v_plus.v - expected.v))
     return residual <= tol, residual

@@ -9,7 +9,6 @@ two weighted atom sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,7 +17,6 @@ from .core import EmpiricalMeasure
 from .errors import InvalidInputError
 
 __all__ = [
-    "ComparisonReport",
     "ks_distance",
     "ks_two_sample_1d",
     "ks_vs_cdf_1d",
@@ -26,17 +24,12 @@ __all__ = [
     "ks_critical_value",
     "test_function_dictionary",
     "test_function_integrals",
-    "compare_measures",
     "DICTIONARY_VERSION",
-    "PROJECTION_SEED",
     "GRID_SLACK",
 ]
 
-# Versioned knobs shared by every experiment: the random-projection seed
-# for multi-d comparisons and the additive slack absorbing grid and
-# interpolation bias on top of the sampling-noise critical value.
-PROJECTION_SEED = 20260808
-N_PROJECTIONS = 8
+# Versioned knobs shared by every experiment: the additive slack absorbing
+# grid and interpolation bias on top of the sampling-noise critical value.
 GRID_SLACK = 0.005
 DICTIONARY_VERSION = 1
 
@@ -171,86 +164,3 @@ def test_function_integrals(
 ) -> np.ndarray:
     """Weighted sums integral(f d mu) for every f in the dictionary."""
     return np.asarray([float(measure.weights @ f(measure.samples)) for _, f in dictionary])
-
-
-@dataclass
-class ComparisonReport:
-    """Outcome of comparing two velocity measures."""
-
-    ks_per_axis: list[float]
-    ks_projections: list[float]
-    w1_per_axis: list[float]
-    n_a: int
-    n_b: int
-    threshold_ks: float
-    threshold_w1: float
-    passed: bool
-
-    @property
-    def ks_max(self) -> float:
-        vals = list(self.ks_per_axis) + list(self.ks_projections)
-        return max(vals)
-
-    @property
-    def w1_max(self) -> float:
-        return max(self.w1_per_axis)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["ks_max"] = self.ks_max
-        d["w1_max"] = self.w1_max
-        return d
-
-
-def compare_measures(
-    a: EmpiricalMeasure,
-    b: EmpiricalMeasure,
-    alpha: float = 0.01,
-    slack: float = GRID_SLACK,
-    threshold_ks: float | None = None,
-    threshold_w1: float | None = None,
-) -> ComparisonReport:
-    """Per-axis KS + W1 comparison, with seeded random projections for d > 1.
-
-    Default thresholds: the two-sample KS critical value at ``alpha`` plus
-    ``slack``; for W1, a CLT-scale bound 2.58 * sigma * sqrt(1/n_a + 1/n_b)
-    plus the same slack.
-    """
-    if a.dim != b.dim:
-        raise InvalidInputError("measures have different dimensions")
-    ks_axes = ks_distance(a, b)
-    w1_axes = [
-        wasserstein1_1d(
-            EmpiricalMeasure(a.samples[:, i], a.weights),
-            EmpiricalMeasure(b.samples[:, i], b.weights),
-        )
-        for i in range(a.dim)
-    ]
-    ks_proj: list[float] = []
-    if a.dim > 1:
-        rng = np.random.default_rng(PROJECTION_SEED)
-        for _ in range(N_PROJECTIONS):
-            direction = rng.normal(size=a.dim)
-            direction /= np.linalg.norm(direction)
-            ks_proj.append(
-                ks_two_sample_1d(a.samples @ direction, a.weights, b.samples @ direction, b.weights)
-            )
-    n_a, n_b = a.n_samples, b.n_samples
-    if threshold_ks is None:
-        threshold_ks = ks_critical_value(n_a, n_b, alpha) + slack
-    if threshold_w1 is None:
-        sigma = float(np.sqrt(np.max(np.var(b.samples, axis=0))))
-        threshold_w1 = 2.58 * sigma * math.sqrt(1.0 / n_a + 1.0 / n_b) + slack
-    passed = bool(
-        max(list(ks_axes) + ks_proj) <= threshold_ks and max(w1_axes) <= threshold_w1
-    )
-    return ComparisonReport(
-        ks_per_axis=[float(x) for x in ks_axes],
-        ks_projections=[float(x) for x in ks_proj],
-        w1_per_axis=[float(x) for x in w1_axes],
-        n_a=n_a,
-        n_b=n_b,
-        threshold_ks=float(threshold_ks),
-        threshold_w1=float(threshold_w1),
-        passed=passed,
-    )

@@ -132,9 +132,6 @@ class GridSpec:
     def momentum_axis(self, i: int) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points[i], d=self.dx[i])
 
-    def momentum_axes(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.momentum_axis(i) for i in range(self.dim))
-
     @property
     def momentum_cell_volume(self) -> float:
         return float(np.prod([2.0 * np.pi / (n * d) for n, d in zip(self.n_points, self.dx)]))
@@ -198,14 +195,6 @@ class GridWavefunction:
         return replace(
             self, amplitudes=amps, t=self.t if t is None else float(t)
         )
-
-    def boundary_amplitude_ratio(self) -> float:
-        """Max |psi| on the outermost grid faces relative to the global max."""
-        amps = self.amplitudes
-        peak = float(np.max(np.abs(amps)))
-        if peak == 0.0:
-            return 0.0
-        return self._boundary_amplitude() / peak
 
     def _boundary_amplitude(self) -> float:
         amps = self.amplitudes
@@ -508,12 +497,6 @@ def evolve_schrodinger(
         return psi.with_amplitudes(psi.amplitudes.copy())
     prop = SplitStepPropagator(psi.spec, psi.mass, potential, dt)
     return prop.advance(psi, n_steps)
-
-
-def _dirac_mode_data(spec: GridSpec, mass: float) -> tuple[np.ndarray, np.ndarray]:
-    p = spec.momentum_axis(0)
-    energy = np.sqrt(p**2 + mass**2)
-    return p, energy
 
 
 def _dirac_apply_exp(amps_hat: np.ndarray, p: np.ndarray, mass: float, t: float) -> np.ndarray:

@@ -37,7 +37,7 @@ def straight(v, c=0.0, dim=1):
 
 class TestAsymptoticVelocity:
     def test_affine_fit_exact_on_lines(self):
-        est = estimate_asymptotic_velocity(straight(3.0, c=2.0), CHECKPOINTS, 0.05)
+        est = estimate_asymptotic_velocity(straight(3.0, c=2.0), CHECKPOINTS)
         assert est.v_plus.v[0] == pytest.approx(3.0, abs=1e-12)
         assert est.convergence_residual < 1e-12
 
@@ -45,12 +45,12 @@ class TestAsymptoticVelocity:
         t = np.concatenate([[0.0], np.geomspace(0.5, 160.0, 500)])
         x = free_gaussian_trajectory(1.0, t)
         traj = SampledTrajectory(t, x[:, None], 1, 1)
-        est = estimate_asymptotic_velocity(traj, CHECKPOINTS, 0.05)
+        est = estimate_asymptotic_velocity(traj, CHECKPOINTS)
         # v_plus = x0 / (2 m sigma0^2) = 0.5; the affine-in-1/t fit sees the
         # residual 1/t^2 curvature, so recovery is at the few-per-mille level.
         assert est.v_plus.v[0] == pytest.approx(0.5, abs=5e-3)
         assert est.convergence_residual < 5e-3
-        long = estimate_asymptotic_velocity(traj, 4.0 * CHECKPOINTS, 0.05)
+        long = estimate_asymptotic_velocity(traj, 4.0 * CHECKPOINTS)
         assert abs(long.v_plus.v[0] - 0.5) < abs(est.v_plus.v[0] - 0.5)
 
     def test_rotating_trajectory_never_converges(self):
@@ -60,23 +60,21 @@ class TestAsymptoticVelocity:
         t = np.array([0.0, 10.0, 20.0, 40.0])
         pts = np.stack([np.cos(omega * t) * t, np.sin(omega * t) * t, np.zeros_like(t)], axis=1)
         traj = SampledTrajectory(t, pts, 1, 3)
-        est = estimate_asymptotic_velocity(traj, CHECKPOINTS, 0.1)
+        est = estimate_asymptotic_velocity(traj, CHECKPOINTS)
         assert est.convergence_residual > 0.5
         assert not est.converged(0.5)
         assert not est.converged(0.1)
 
     def test_last_point_mode(self):
-        est = estimate_asymptotic_velocity(
-            straight(1.2, c=4.0), CHECKPOINTS, 0.5, fit_method=FIT_LAST_POINT
-        )
+        est = estimate_asymptotic_velocity(straight(1.2, c=4.0), CHECKPOINTS, fit_method=FIT_LAST_POINT)
         # eta(40) = 1.2 + 4/40
         assert est.v_plus.v[0] == pytest.approx(1.3, abs=1e-12)
 
     def test_checkpoint_preconditions(self):
         with pytest.raises(InvalidInputError):
-            estimate_asymptotic_velocity(straight(1.0), [10.0, 20.0], 0.05)
+            estimate_asymptotic_velocity(straight(1.0), [10.0, 20.0])
         with pytest.raises(InvalidInputError):
-            estimate_asymptotic_velocity(straight(1.0), [10.0, 20.0, 30.0], 0.05)
+            estimate_asymptotic_velocity(straight(1.0), [10.0, 20.0, 30.0])
 
 
 class TestAsymptoticMeasure:

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +9,79 @@ from bohmvel.cli import (
     EXIT_COMPARISON_FAIL,
     EXIT_CONFIG_ERROR,
     EXIT_PASS,
+    config_schema,
     main,
     validate_config,
 )
 from bohmvel.errors import ConfigurationError
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
+
+
+def shipped_config(name):
+    return json.loads((CONFIG_DIR / name).read_text())
+
+
+def mutated(base, path, value):
+    """A copy of ``base`` with the value at ``path`` (keys and list
+    indices) replaced; missing objects on the way are created."""
+    cfg = copy.deepcopy(base)
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+# Mutations of configs/free_gaussian.json that the schema rejects.
+DRIFT_CASES = {
+    "dt_zero": (("time", "dt"), 0.0),
+    "dt_negative": (("time", "dt"), -0.05),
+    "dt_min_negative": (("ensemble", "dt_min"), -1e-4),
+    "eta_tol_zero": (("time", "eta_tol"), 0.0),
+    "ks_threshold_negative": (("thresholds", "ks"), -0.02),
+    "sigma0_string": (("packets", 0, "sigma0"), "1"),
+    "t_max_string": (("time", "t_max"), "40"),
+    "n_points_8": (("grid", "n_points"), 8),
+    "two_checkpoints": (("time", "checkpoints"), [20.0, 40.0]),
+    "n_trajectories_fractional": (("ensemble", "n_trajectories"), 1.5),
+    "out_dir_integer": (("out_dir",), 7),
+    "projection_flag_string": (("project_positive_energy",), "yes"),
+}
+
+# Type and range edges, both ways, for the cross-check against jsonschema.
+EDGE_CASES = {
+    "mass_bool": ("free_gaussian.json", ("mass",), True, False),
+    "seed_bool": ("free_gaussian.json", ("seed",), False, False),
+    "n_trajectories_integral_float": ("free_gaussian.json", ("ensemble", "n_trajectories"), 1000.0, True),
+    "mass_integer": ("free_gaussian.json", ("mass",), 2, True),
+    "interaction_radius_null": ("barrier_scattering.json", ("moller", "interaction_radius"), None, True),
+    "interaction_radius_string": ("barrier_scattering.json", ("moller", "interaction_radius"), "8", False),
+    "node_action_unknown": ("free_gaussian.json", ("ensemble", "node_action"), "skip", False),
+    "boost_luminal": ("dirac_covariance.json", ("boosts", 1), 1.0, False),
+    "boost_negative_luminal": ("dirac_covariance.json", ("boosts", 1), -1.0, False),
+    "record_time_zero": ("free_gaussian.json", ("time", "record_times", 0), 0.0, True),
+    "record_time_negative": ("free_gaussian.json", ("time", "record_times", 0), -1.0, False),
+    "packets_empty": ("free_gaussian.json", ("packets",), [], False),
+}
+
+
+def drift_config(case):
+    return mutated(shipped_config("free_gaussian.json"), *DRIFT_CASES[case])
+
+
+def edge_config(case):
+    name, path, value, _ = EDGE_CASES[case]
+    return mutated(shipped_config(name), path, value)
+
+
+def is_valid(cfg):
+    try:
+        validate_config(cfg)
+    except ConfigurationError:
+        return False
+    return True
 
 
 def small_free_config(out_dir, n=600, seed=11):
@@ -55,7 +126,7 @@ class TestValidation:
         cfg["system"] = "free_dirac"
         cfg["packets"][0]["p0"] = 0.75
         cfg["boosts"] = [0.2, 1.0]
-        with pytest.raises(ConfigurationError, match="boost speed"):
+        with pytest.raises(ConfigurationError, match=r"config\.boosts\[1\] must be < 1"):
             validate_config(cfg)
 
     def test_potential_only_for_potential_system(self):
@@ -72,6 +143,105 @@ class TestValidation:
 
     def test_missing_config_file(self):
         assert main(["validate-config", "--config", "/nonexistent.json"]) == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
+    def test_schema_range_and_type_rejected(self, case):
+        with pytest.raises(ConfigurationError, match=r"^config\."):
+            validate_config(drift_config(case))
+
+    @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
+    def test_drift_case_exits_4_with_json_error(self, case, tmp_path, capsys):
+        cfg = drift_config(case)
+        if case != "out_dir_integer":
+            cfg["out_dir"] = str(tmp_path / "run")
+        path = write_config(tmp_path, cfg)
+        code = main(["run", "--config", path])
+        assert code == EXIT_CONFIG_ERROR
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["type"] == "ConfigurationError"
+        assert not (tmp_path / "run").exists()
+
+    def test_error_names_the_path(self):
+        with pytest.raises(ConfigurationError, match=r"config\.packets\[0\]\.sigma0 must be of type number"):
+            validate_config(drift_config("sigma0_string"))
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_configs_validate(self, path):
+        cfg = json.loads(path.read_text())
+        assert validate_config(cfg) is cfg
+
+    def test_validation_leaves_config_untouched(self):
+        cfg = shipped_config("free_gaussian.json")
+        before = json.dumps(cfg, sort_keys=True)
+        validate_config(cfg)
+        assert json.dumps(cfg, sort_keys=True) == before
+
+    def test_incomplete_potential_is_config_error(self):
+        cfg = shipped_config("barrier_scattering.json")
+        del cfg["potential"]["height"]
+        with pytest.raises(ConfigurationError, match="config.potential"):
+            validate_config(cfg)
+
+    def test_moller_only_for_potential_system(self):
+        cfg = small_free_config("x")
+        cfg["moller"] = {"dt": 0.01}
+        with pytest.raises(ConfigurationError, match="config.moller"):
+            validate_config(cfg)
+
+    def test_boosts_only_for_dirac(self):
+        cfg = small_free_config("x")
+        cfg["boosts"] = [0.2]
+        with pytest.raises(ConfigurationError, match="config.boosts"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_type_and_range_edges(self, case):
+        assert is_valid(edge_config(case)) is EDGE_CASES[case][3]
+
+    def test_schema_uses_only_supported_keywords(self):
+        supported = {
+            "type", "enum", "required", "properties", "additionalProperties",
+            "items", "minItems", "minimum", "exclusiveMinimum", "exclusiveMaximum",
+            "title", "description", "default", "$schema",
+        }
+
+        def walk(node):
+            assert set(node) <= supported, set(node) - supported
+            assert node.get("additionalProperties", False) is False
+            for sub in node.get("properties", {}).values():
+                walk(sub)
+            if "items" in node:
+                walk(node["items"])
+
+        walk(config_schema())
+
+
+class TestSchemaAgreement:
+    """The in-repo validator and the jsonschema reference agree."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = config_schema()
+        jsonschema.Draft7Validator.check_schema(schema)
+        return jsonschema.Draft7Validator(schema)
+
+    @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
+    def test_drift_cases(self, reference, case):
+        cfg = drift_config(case)
+        assert not reference.is_valid(cfg)
+        assert not is_valid(cfg)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_cases(self, reference, case):
+        cfg = edge_config(case)
+        assert is_valid(cfg) == reference.is_valid(cfg)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_configs(self, reference, path):
+        cfg = json.loads(path.read_text())
+        assert reference.is_valid(cfg)
+        assert is_valid(cfg)
 
 
 class TestRunCommand:
@@ -123,6 +293,17 @@ class TestCounterexampleCommand:
         report = json.loads((out / "counterexample_report.json").read_text())
         assert report["fraction_converged"] == 0.0
         assert report["stationary"] is True
+
+    def test_failed_verdict_exits_2(self, tmp_path, capsys):
+        # In 3D the rotating family's instantaneous measure is not
+        # stationary, so the printed verdict fails.
+        out = tmp_path / "ce3"
+        code = main([
+            "counterexample", "--dim", "3", "--n", "10000", "--seed", "0", "--out", str(out),
+        ])
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert summary["pass"] is False
+        assert code == EXIT_COMPARISON_FAIL
 
     def test_degenerate_control(self, tmp_path):
         out = tmp_path / "ce0"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from bohmvel.core import EmpiricalMeasure
 from bohmvel.errors import InvalidInputError
 from bohmvel.stats import (
-    compare_measures,
     ks_critical_value,
     ks_distance,
     ks_two_sample_1d,
@@ -152,24 +151,6 @@ class TestCompareMeasures:
         )
         d_mix = ks_distance(a, mix)[0]
         assert d_mix <= max(ks_distance(a, b)[0], ks_distance(a, c)[0]) + 1e-12
-
-    def test_report_fields_and_projections(self):
-        rng = np.random.default_rng(31)
-        a = EmpiricalMeasure.from_samples(rng.normal(size=(500, 2)))
-        b = EmpiricalMeasure.from_samples(rng.normal(size=(500, 2)))
-        rep = compare_measures(a, b)
-        assert rep.passed
-        assert len(rep.ks_per_axis) == 2
-        assert len(rep.ks_projections) == 8
-        assert rep.to_dict()["ks_max"] >= 0
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(32)
-        a = EmpiricalMeasure.from_samples(rng.normal(size=(200, 2)))
-        b = EmpiricalMeasure.from_samples(rng.normal(size=(200, 2)))
-        r1 = compare_measures(a, b)
-        r2 = compare_measures(a, b)
-        assert r1 == r2
 
 
 def test_critical_value_shapes():
