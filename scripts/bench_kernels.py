@@ -1,0 +1,205 @@
+"""Per-call timings of the guidance and propagation kernels.
+
+Times, in fresh single-threaded worker processes:
+
+- ``FieldSnapshot.evaluate`` at 10^4 points drawn from |psi|^2, on a
+  snapshot of configs/free_gaussian.json (Schrodinger) and of
+  configs/dirac_covariance.json (Dirac);
+- ``FieldSnapshot`` construction for both states;
+- ``DiracPropagator.advance`` by half an RK4 step (dt/2), the call the
+  Dirac ensemble integration repeats.
+
+Usage:
+
+    python scripts/bench_kernels.py
+    python scripts/bench_kernels.py --tree before=OLD/src --tree after=src
+
+Each ``--tree label=path`` names a source directory holding the bohmvel
+package (default: this checkout's src). Every round starts one worker per
+tree, alternating which tree goes first, and each worker times several
+blocks of calls per kernel. The result file records the median and
+quartiles of the per-call time over all blocks, the ratio of medians of
+the last tree to the first, a sha256 of each snapshot's evaluate output
+(equal digests mean bitwise-equal results), and the host: nproc, CPU,
+Python and numpy versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+N_POINTS = 10_000
+# Worker processes per tree, and timed blocks per kernel in each worker.
+ROUNDS = 10
+BLOCKS = 5
+# Calls per timed block; each block takes roughly 0.05-0.2 s.
+CALLS = {
+    "evaluate_schrodinger": 50,
+    "evaluate_dirac": 50,
+    "snapshot_schrodinger": 50,
+    "snapshot_dirac": 100,
+    "dirac_advance": 200,
+}
+SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def _states():
+    from bohmvel.wavefunction import (
+        DiracPropagator,
+        GridSpec,
+        PotentialSpec,
+        SplitStepPropagator,
+        project_positive_energy,
+        superposed_gaussians,
+    )
+
+    def build(name, kind):
+        with open(os.path.join(REPO, "configs", name)) as fh:
+            cfg = json.load(fh)
+        g = cfg["grid"]
+        spec = GridSpec.line(g["n_points"], g["x_min"], g["x_max"])
+        psi = superposed_gaussians(spec, cfg["mass"], cfg["packets"], kind=kind)
+        return psi, cfg["time"]["dt"]
+
+    schrodinger, dt = build("free_gaussian.json", "schrodinger")
+    schrodinger = SplitStepPropagator(
+        schrodinger.spec, schrodinger.mass, PotentialSpec.none(), dt
+    ).advance(schrodinger, 20)
+    dirac, dt_dirac = build("dirac_covariance.json", "dirac")
+    dirac, _ = project_positive_energy(dirac)
+    prop = DiracPropagator(dirac.spec, dirac.mass)
+    return schrodinger, prop.advance(dirac, 1.0), prop, 0.5 * dt_dirac
+
+
+def _source_digest(package_dir: str) -> str:
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(package_dir)):
+        if name.endswith((".py", ".json")):
+            h.update(name.encode())
+            with open(os.path.join(package_dir, name), "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()
+
+
+def worker() -> dict:
+    """Time every kernel of the importable bohmvel; print-ready dict."""
+    import bohmvel
+    from bohmvel.guidance import FieldSnapshot, sample_initial
+
+    schrodinger, dirac, prop, half_step = _states()
+    kernels, digests = {}, {}
+    for label, psi in (("schrodinger", schrodinger), ("dirac", dirac)):
+        snap = FieldSnapshot(psi)
+        points = sample_initial(psi, N_POINTS, 0)
+        h = hashlib.sha256()
+        for arr in snap.evaluate(points, 1e-12):
+            h.update(arr.tobytes())
+        digests[label] = h.hexdigest()
+        kernels[f"evaluate_{label}"] = lambda snap=snap, points=points: snap.evaluate(points, 1e-12)
+        kernels[f"snapshot_{label}"] = lambda psi=psi: FieldSnapshot(psi)
+    kernels["dirac_advance"] = lambda: prop.advance(dirac, half_step)
+
+    times = {}
+    for name, fn in kernels.items():
+        fn()
+        calls = CALLS[name]
+        per_call = []
+        for _ in range(BLOCKS):
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            per_call.append((time.perf_counter() - t0) / calls * 1e3)
+        times[name] = per_call
+    return {
+        "source_sha256": _source_digest(os.path.dirname(bohmvel.__file__)),
+        "evaluate_sha256": digests,
+        "per_call_ms": times,
+    }
+
+
+def _quantiles(xs: list[float]) -> dict:
+    xs = sorted(xs)
+
+    def q(p):
+        pos = p * (len(xs) - 1)
+        lo = int(pos)
+        hi = min(lo + 1, len(xs) - 1)
+        return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
+
+    return {"median": q(0.5), "q1": q(0.25), "q3": q(0.75), "samples": len(xs)}
+
+
+def _host() -> dict:
+    import numpy
+
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": cpu,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "threads_per_worker": 1,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", action="append", default=None, metavar="LABEL=SRC",
+                        help="source directory holding the bohmvel package (repeatable)")
+    parser.add_argument("--out", default=os.path.join(REPO, "BENCH_kernels.json"))
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        print(json.dumps(worker()))
+        return 0
+
+    trees = [t.split("=", 1) for t in (args.tree or [f"current={os.path.join(REPO, 'src')}"])]
+    runs: dict[str, list[dict]] = {label: [] for label, _ in trees}
+    for r in range(ROUNDS):
+        for label, src in trees if r % 2 == 0 else trees[::-1]:
+            env = {**os.environ, **SINGLE_THREAD, "PYTHONPATH": os.path.abspath(src)}
+            out = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--worker"],
+                env=env, check=True, capture_output=True, text=True,
+            )
+            runs[label].append(json.loads(out.stdout))
+            print(f"round {r + 1}/{ROUNDS} {label} done", file=sys.stderr)
+
+    result = {"host": _host(), "points": N_POINTS, "rounds": ROUNDS, "blocks": BLOCKS,
+              "calls_per_block": CALLS, "unit": "ms per call", "trees": {}}
+    for label, recs in runs.items():
+        result["trees"][label] = {
+            "source_sha256": recs[0]["source_sha256"],
+            "evaluate_sha256": recs[0]["evaluate_sha256"],
+            "kernels": {
+                name: _quantiles([x for rec in recs for x in rec["per_call_ms"][name]])
+                for name in CALLS
+            },
+        }
+    if len(trees) > 1:
+        first, last = result["trees"][trees[0][0]], result["trees"][trees[-1][0]]
+        result[f"ratio_{trees[-1][0]}_over_{trees[0][0]}"] = {
+            name: last["kernels"][name]["median"] / first["kernels"][name]["median"] for name in CALLS
+        }
+    with open(args.out, "w") as fh:
+        json.dump(result, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(json.dumps({k: v for k, v in result.items() if k.startswith("ratio")} or result["trees"], indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

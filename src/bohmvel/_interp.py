@@ -4,11 +4,24 @@ Shared by the guiding-field evaluation (real densities and currents) and
 the momentum-space boost transport (complex amplitudes). The grid is
 treated as periodic, matching the spectral representation; callers are
 responsible for keeping queries away from wrap-around artifacts.
+
+``cubic_interp_grid`` interpolates several grids on one lattice at the
+same points (rho and every current of a field snapshot), so it builds the
+stencil once and applies it to each grid. Per axis it takes the base index
+floor(pos), the four Catmull-Rom weights (Keys, IEEE TASSP 29, 1981) and a
+single ``base % n``. Each grid is padded with periodic ghost cells, one
+before and two after every axis, so the 4^d stencil offsets become
+constant shifts of one flat index into the padded grid and no further
+wrap is needed. Every grid is accumulated as ``zeros + w * v`` over the
+offsets in ``itertools.product`` order, with the weight products formed
+axis by axis; the result is bitwise equal to wrapping each offset with
+``% n`` separately, also for points outside the box.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -40,29 +53,34 @@ def cubic_interp_uniform(values: np.ndarray, x0: float, dx: float, xq: np.ndarra
     return out
 
 
-def cubic_interp_grid(values: np.ndarray, x_min, dx, points: np.ndarray) -> np.ndarray:
-    """Tensor-product cubic interpolation of a d-dim grid at scattered points.
+def cubic_interp_grid(grids, x_min, dx, points: np.ndarray) -> list[np.ndarray]:
+    """Tensor-product cubic interpolation of d-dim grids at scattered points.
 
-    values: array with the grid shape; points: (k, d). Returns (k,).
+    grids: sequence of arrays sharing one grid shape; points: (k, d).
+    Returns one (k,) array per grid, in the order of ``grids``.
     """
-    values = np.asarray(values)
+    grids = [np.asarray(g) for g in grids]
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    dim = points.shape[1]
-    shape = values.shape
-    bases, weight_sets = [], []
+    k, dim = points.shape
+    shape = grids[0].shape
+    padded = [np.pad(g, [(1, 2)] * dim, mode="wrap").reshape(-1) for g in grids]
+    padded_shape = tuple(n + 3 for n in shape)
+    strides = [math.prod(padded_shape[ax + 1:]) for ax in range(dim)]
+    weight_sets = []
     for ax in range(dim):
         pos = (points[:, ax] - x_min[ax]) / dx[ax]
         base = np.floor(pos).astype(np.int64)
-        bases.append(base)
         weight_sets.append(_catmull_rom_weights(pos - base))
-    out = np.zeros(points.shape[0], dtype=values.dtype)
-    flat = values.reshape(-1)
-    strides = np.cumprod((1,) + shape[::-1][:-1])[::-1]
-    for offsets in itertools.product((-1, 0, 1, 2), repeat=dim):
-        idx = np.zeros(points.shape[0], dtype=np.int64)
-        w = np.ones(points.shape[0])
-        for ax, off in enumerate(offsets):
-            idx += ((bases[ax] + off) % shape[ax]) * strides[ax]
-            w = w * weight_sets[ax][(-1, 0, 1, 2).index(off)]
-        out = out + w * flat[idx]
-    return out
+        # corner: flat padded index of the ghost cell before each base cell.
+        term = (base % shape[ax]) * strides[ax]
+        corner = term if ax == 0 else corner + term
+    outs = [np.zeros(k, dtype=g.dtype) for g in grids]
+    for offsets in itertools.product(range(4), repeat=dim):
+        shift = sum(o * s for o, s in zip(offsets, strides))
+        w = weight_sets[0][offsets[0]]
+        for ax in range(1, dim):
+            w = w * weight_sets[ax][offsets[ax]]
+        for out, flat in zip(outs, padded):
+            # flat[shift:][corner] is flat[corner + shift] without the add.
+            out += w * flat[shift:][corner]
+    return outs

@@ -40,6 +40,7 @@ from .core import EmpiricalMeasure, EnsembleRun, PoincareElement, config_hash
 from .errors import (
     BohmvelError,
     ConfigurationError,
+    InvalidInputError,
     NumericalFailureError,
     RegularityError,
 )
@@ -141,6 +142,10 @@ def validate_config(cfg: dict) -> dict:
     _expect("moller" not in cfg or system == "potential_schrodinger",
             "config.moller requires the potential system")
     _expect("boosts" not in cfg or system == "free_dirac", "config.boosts requires the free_dirac system")
+    try:
+        _pipeline_params(cfg, 0)
+    except InvalidInputError as exc:
+        raise ConfigurationError(f"config.time.checkpoints: {exc}") from None
     return cfg
 
 

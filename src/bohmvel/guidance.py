@@ -47,6 +47,7 @@ from .wavefunction import (
     GridWavefunction,
     PotentialSpec,
     SplitStepPropagator,
+    _check_health,
 )
 
 __all__ = [
@@ -114,15 +115,14 @@ class FieldSnapshot:
         """
         points = np.atleast_2d(points)
         spec = self.spec
-        in_box = np.ones(points.shape[0], dtype=bool)
+        rho, *currents = cubic_interp_grid([self.rho, *self.currents], spec.x_min, spec.dx, points)
+        ok = rho >= rho_floor
         for ax in range(spec.dim):
-            in_box &= (points[:, ax] >= spec.x_min[ax]) & (points[:, ax] < spec.x_max[ax])
-        rho = cubic_interp_grid(self.rho, spec.x_min, spec.dx, points)
-        ok = in_box & (rho >= rho_floor)
+            ok &= (points[:, ax] >= spec.x_min[ax]) & (points[:, ax] < spec.x_max[ax])
         vel = np.zeros_like(points)
         safe_rho = np.where(rho > 0, rho, 1.0)
-        for ax, j in enumerate(self.currents):
-            vel[:, ax] = cubic_interp_grid(j, spec.x_min, spec.dx, points) / safe_rho
+        for ax, j in enumerate(currents):
+            vel[:, ax] = j / safe_rho
         if self.kind == KIND_DIRAC:
             ok &= np.abs(vel[:, 0]) < 1.0
         vel[~ok] = 0.0
@@ -194,7 +194,7 @@ def sample_initial(psi0: GridWavefunction, n: int, seed: int) -> np.ndarray:
     while n_kept < n:
         batch = max(4 * (n - n_kept), 1024)
         pts = lo + (hi - lo) * rng.random((batch, spec.dim))
-        vals = cubic_interp_grid(rho, spec.x_min, spec.dx, pts)
+        (vals,) = cubic_interp_grid([rho], spec.x_min, spec.dx, pts)
         keep = rng.random(batch) * bound < vals
         accepted.append(pts[keep])
         n_drawn += batch
@@ -292,7 +292,15 @@ def _make_stepper(psi0: GridWavefunction, potential: PotentialSpec):
         if not potential.is_none:
             raise InvalidInputError("Dirac evolution here is free; potential must be none")
         prop = DiracPropagator(psi0.spec, psi0.mass)
-        return lambda psi, h: prop.advance(psi, h)
+
+        # The exact operator is periodic too: guard every state the
+        # ensemble sees, as the split-step propagator does.
+        def dirac_step(psi, h):
+            out = prop.advance(psi, h)
+            _check_health(out)
+            return out
+
+        return dirac_step
     cache: dict[float, SplitStepPropagator] = {}
 
     def step(psi, h):

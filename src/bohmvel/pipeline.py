@@ -18,10 +18,11 @@ import numpy as np
 from .asymptotics import (
     FIT_AFFINE,
     RegularityReport,
+    _validate_checkpoints,
     estimate_asymptotic_measure,
 )
 from .core import EmpiricalMeasure
-from .errors import RegularityError
+from .errors import InvalidInputError, RegularityError
 from .guidance import (
     FAILED_WEIGHT_LIMIT,
     IntegrationResult,
@@ -41,7 +42,9 @@ def child_seed(root_seed: int, *key: int) -> np.random.SeedSequence:
 @dataclass(frozen=True)
 class PipelineParams:
     """Knobs of one ensemble run; record times default to a ladder under
-    t_max and checkpoints to the geometric tail {t/4, t/2, t}."""
+    t_max and checkpoints to the geometric tail {t/4, t/2, t}. Checkpoints
+    must form a valid extrapolation ladder ending at or before t_max; they
+    are added to the record times."""
 
     n_trajectories: int = 10_000
     t_max: float = 40.0
@@ -60,6 +63,14 @@ class PipelineParams:
         if self.checkpoints is None:
             object.__setattr__(
                 self, "checkpoints", (self.t_max / 4.0, self.t_max / 2.0, self.t_max)
+            )
+        # The ladder is checked before any work: the extrapolation would
+        # reject it only after the whole integration, and a checkpoint past
+        # t_max would stretch the integration beyond it.
+        _validate_checkpoints(np.asarray(self.checkpoints, dtype=float), self.fit_method)
+        if self.checkpoints[-1] > self.t_max:
+            raise InvalidInputError(
+                f"last checkpoint {self.checkpoints[-1]:g} lies beyond t_max {self.t_max:g}"
             )
         if self.record_times is None:
             ladder = sorted({0.0, self.t_max / 8.0, *self.checkpoints})

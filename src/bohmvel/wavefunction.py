@@ -499,29 +499,43 @@ def evolve_schrodinger(
     return prop.advance(psi, n_steps)
 
 
-def _dirac_apply_exp(amps_hat: np.ndarray, p: np.ndarray, mass: float, t: float) -> np.ndarray:
-    """exp(-i H(p) t) applied per mode: cos(Et) - i sin(Et)/E * H(p)."""
+def _dirac_step_factors(p: np.ndarray, mass: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode cos(Et) and sin(Et)/E of exp(-i H(p) t)."""
     energy = np.sqrt(p**2 + mass**2)
     c = np.cos(energy * t)
     # sin(Et)/E with the E -> 0 limit t (only reachable for m = 0, p = 0).
     with np.errstate(invalid="ignore", divide="ignore"):
         s = np.where(energy > 0, np.sin(energy * t) / np.where(energy > 0, energy, 1.0), t)
+    return c, s
+
+
+def _dirac_apply_exp(
+    amps_hat: np.ndarray, p: np.ndarray, mass: float, c: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """exp(-i H(p) t) applied per mode: cos(Et) - i sin(Et)/E * H(p)."""
     upper = c * amps_hat[0] - 1j * s * (mass * amps_hat[0] + p * amps_hat[1])
     lower = c * amps_hat[1] - 1j * s * (p * amps_hat[0] - mass * amps_hat[1])
     return np.stack([upper, lower])
 
 
 class DiracPropagator:
-    """Exact free 1+1D Dirac evolution in momentum space."""
+    """Exact free 1+1D Dirac evolution in momentum space.
+
+    The step factors depend only on the advance time, which an ensemble
+    integration repeats every half step, so they are cached per time.
+    """
 
     def __init__(self, spec: GridSpec, mass: float):
         self.spec = spec
         self.mass = float(mass)
         self.p = spec.momentum_axis(0)
+        self._factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def advance(self, psi: GridWavefunction, t_advance: float) -> GridWavefunction:
+        if t_advance not in self._factors:
+            self._factors[t_advance] = _dirac_step_factors(self.p, self.mass, t_advance)
         amps_hat = np.fft.fft(psi.amplitudes, axis=1)
-        amps_hat = _dirac_apply_exp(amps_hat, self.p, self.mass, t_advance)
+        amps_hat = _dirac_apply_exp(amps_hat, self.p, self.mass, *self._factors[t_advance])
         amps = np.fft.ifft(amps_hat, axis=1)
         return psi.with_amplitudes(amps, t=psi.t + t_advance)
 

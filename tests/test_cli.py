@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,32 @@ class TestValidation:
                 walk(node["items"])
 
         walk(config_schema())
+
+
+class TestCheckpointLadder:
+    """A bad checkpoint ladder is a config error before any integration."""
+
+    @pytest.mark.parametrize(
+        "checkpoints, t_max, match",
+        [([10.0, 20.0, 30.0], 40.0, "factor >= 4"), ([20.0, 40.0, 80.0], 40.0, "beyond t_max")],
+        ids=["factor_3", "beyond_t_max"],
+    )
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_exits_4_fast(self, command, checkpoints, t_max, match, tmp_path, capsys):
+        cfg = shipped_config("free_gaussian.json")
+        cfg["time"]["checkpoints"] = checkpoints
+        cfg["time"]["t_max"] = t_max
+        cfg["out_dir"] = str(tmp_path / "run")
+        path = write_config(tmp_path, cfg)
+        start = time.perf_counter()
+        code = main([command, "--config", path])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG_ERROR
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "ConfigurationError"
+        assert err["message"].startswith("config.time.checkpoints: ")
+        assert match in err["message"]
+        assert not (tmp_path / "run").exists()
 
 
 class TestSchemaAgreement:

@@ -1,9 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 
-from bohmvel.errors import RegularityError
+from bohmvel.errors import InvalidInputError, NumericalFailureError, RegularityError
 from bohmvel.pipeline import PipelineParams, child_seed, run_guided_pipeline
-from bohmvel.wavefunction import GridSpec, PotentialSpec, gaussian_packet
+from bohmvel.wavefunction import (
+    GridSpec,
+    PotentialSpec,
+    gaussian_packet,
+    project_positive_energy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +28,15 @@ def test_default_ladders():
 def test_explicit_record_times_gain_checkpoints():
     p = PipelineParams(t_max=40.0, record_times=(0.0, 5.0), checkpoints=(10.0, 20.0, 40.0))
     assert set((10.0, 20.0, 40.0)) <= set(p.record_times)
+
+
+@pytest.mark.parametrize(
+    "checkpoints, match",
+    [((10.0, 20.0, 30.0), "factor >= 4"), ((20.0, 40.0, 80.0), "beyond t_max"), ((20.0, 10.0, 40.0), "increasing")],
+)
+def test_bad_checkpoint_ladder_rejected_at_construction(checkpoints, match):
+    with pytest.raises(InvalidInputError, match=match):
+        PipelineParams(t_max=40.0, checkpoints=checkpoints)
 
 
 def test_child_seed_scheme_is_stable():
@@ -50,3 +66,17 @@ def test_run_key_changes_draws_only(packet):
     again = run_guided_pipeline(packet, PotentialSpec.none(), params)
     assert not np.array_equal(r0.s_plus.samples, r1.s_plus.samples)
     np.testing.assert_array_equal(r0.s_plus.samples, again.s_plus.samples)
+
+
+def test_dirac_wraparound_fails_fast():
+    # A fast spinor packet on a small periodic grid reaches the boundary
+    # near t = 25: the Dirac stepper's health check ends the run there,
+    # instead of guiding trajectories through the wrapped-around field.
+    spec = GridSpec.line(256, -32.0, 32.0)
+    psi, _ = project_positive_energy(gaussian_packet(spec, 1.0, 0.0, 3.0, 1.0, kind="dirac"))
+    params = PipelineParams(n_trajectories=200, t_max=40.0, seed=1)
+    start = time.perf_counter()
+    with pytest.raises(NumericalFailureError, match="grid boundary") as info:
+        run_guided_pipeline(psi, PotentialSpec.none(), params)
+    assert time.perf_counter() - start < 10.0
+    assert 20.0 < info.value.diagnostics["t"] < 30.0
