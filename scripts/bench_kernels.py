@@ -1,4 +1,4 @@
-"""Per-call timings of the guidance and propagation kernels.
+"""Per-call timings of the guidance, propagation, boost and CSV kernels.
 
 Times, in fresh single-threaded worker processes:
 
@@ -7,7 +7,11 @@ Times, in fresh single-threaded worker processes:
   configs/dirac_covariance.json (Dirac);
 - ``FieldSnapshot`` construction for both states;
 - ``DiracPropagator.advance`` by half an RK4 step (dt/2), the call the
-  Dirac ensemble integration repeats.
+  Dirac ensemble integration repeats;
+- ``EmpiricalMeasure.to_csv`` of a 10^5-row measure into a temporary
+  directory, the size of ``q_plus_samples.csv`` in ``bohmvel run``;
+- ``boost_dirac_state`` at u = 0.4 on the initial state of
+  configs/dirac_covariance.json, as ``bohmvel covariance`` boosts it.
 
 Usage:
 
@@ -19,8 +23,9 @@ package (default: this checkout's src). Every round starts one worker per
 tree, alternating which tree goes first, and each worker times several
 blocks of calls per kernel. The result file records the median and
 quartiles of the per-call time over all blocks, the ratio of medians of
-the last tree to the first, a sha256 of each snapshot's evaluate output
-(equal digests mean bitwise-equal results), and the host: nproc, CPU,
+the last tree to the first, a sha256 of each kernel's output where there
+is one (the evaluate arrays, the CSV bytes, the boosted amplitudes; equal
+digests mean bitwise-equal results), and the host: nproc, CPU,
 Python and numpy versions.
 """
 
@@ -33,10 +38,13 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N_POINTS = 10_000
+CSV_ROWS = 100_000
+BOOST_U = 0.4
 # Worker processes per tree, and timed blocks per kernel in each worker.
 ROUNDS = 10
 BLOCKS = 5
@@ -47,6 +55,8 @@ CALLS = {
     "snapshot_schrodinger": 50,
     "snapshot_dirac": 100,
     "dirac_advance": 200,
+    "measure_to_csv": 1,
+    "boost_dirac_state": 100,
 }
 SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -76,7 +86,7 @@ def _states():
     dirac, dt_dirac = build("dirac_covariance.json", "dirac")
     dirac, _ = project_positive_energy(dirac)
     prop = DiracPropagator(dirac.spec, dirac.mass)
-    return schrodinger, prop.advance(dirac, 1.0), prop, 0.5 * dt_dirac
+    return schrodinger, dirac, prop.advance(dirac, 1.0), prop, 0.5 * dt_dirac
 
 
 def _source_digest(package_dir: str) -> str:
@@ -89,38 +99,55 @@ def _source_digest(package_dir: str) -> str:
     return h.hexdigest()
 
 
+def _sha256(*chunks: bytes) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
 def worker() -> dict:
     """Time every kernel of the importable bohmvel; print-ready dict."""
-    import bohmvel
-    from bohmvel.guidance import FieldSnapshot, sample_initial
+    import numpy as np
 
-    schrodinger, dirac, prop, half_step = _states()
+    import bohmvel
+    from bohmvel.core import EmpiricalMeasure
+    from bohmvel.guidance import FieldSnapshot, sample_initial
+    from bohmvel.relativity import boost_dirac_state
+
+    schrodinger, dirac0, dirac, prop, half_step = _states()
     kernels, digests = {}, {}
     for label, psi in (("schrodinger", schrodinger), ("dirac", dirac)):
         snap = FieldSnapshot(psi)
         points = sample_initial(psi, N_POINTS, 0)
-        h = hashlib.sha256()
-        for arr in snap.evaluate(points, 1e-12):
-            h.update(arr.tobytes())
-        digests[label] = h.hexdigest()
+        digests[f"evaluate_{label}"] = _sha256(*(a.tobytes() for a in snap.evaluate(points, 1e-12)))
         kernels[f"evaluate_{label}"] = lambda snap=snap, points=points: snap.evaluate(points, 1e-12)
         kernels[f"snapshot_{label}"] = lambda psi=psi: FieldSnapshot(psi)
     kernels["dirac_advance"] = lambda: prop.advance(dirac, half_step)
 
+    measure = EmpiricalMeasure.from_samples(np.random.default_rng(0).standard_normal(CSV_ROWS))
+    kernels["boost_dirac_state"] = lambda: boost_dirac_state(dirac0, BOOST_U)
+    digests["boost_dirac_state"] = _sha256(kernels["boost_dirac_state"]().amplitudes.tobytes())
+
     times = {}
-    for name, fn in kernels.items():
-        fn()
-        calls = CALLS[name]
-        per_call = []
-        for _ in range(BLOCKS):
-            t0 = time.perf_counter()
-            for _ in range(calls):
-                fn()
-            per_call.append((time.perf_counter() - t0) / calls * 1e3)
-        times[name] = per_call
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = os.path.join(tmp, "measure.csv")
+        kernels["measure_to_csv"] = lambda: measure.to_csv(csv_path)
+        for name, fn in kernels.items():
+            fn()
+            calls = CALLS[name]
+            per_call = []
+            for _ in range(BLOCKS):
+                t0 = time.perf_counter()
+                for _ in range(calls):
+                    fn()
+                per_call.append((time.perf_counter() - t0) / calls * 1e3)
+            times[name] = per_call
+        with open(csv_path, "rb") as fh:
+            digests["measure_to_csv"] = _sha256(fh.read())
     return {
         "source_sha256": _source_digest(os.path.dirname(bohmvel.__file__)),
-        "evaluate_sha256": digests,
+        "output_sha256": digests,
         "per_call_ms": times,
     }
 
@@ -178,12 +205,13 @@ def main(argv=None) -> int:
             runs[label].append(json.loads(out.stdout))
             print(f"round {r + 1}/{ROUNDS} {label} done", file=sys.stderr)
 
-    result = {"host": _host(), "points": N_POINTS, "rounds": ROUNDS, "blocks": BLOCKS,
-              "calls_per_block": CALLS, "unit": "ms per call", "trees": {}}
+    result = {"host": _host(), "points": N_POINTS, "csv_rows": CSV_ROWS, "boost_u": BOOST_U,
+              "rounds": ROUNDS, "blocks": BLOCKS, "calls_per_block": CALLS,
+              "unit": "ms per call", "trees": {}}
     for label, recs in runs.items():
         result["trees"][label] = {
             "source_sha256": recs[0]["source_sha256"],
-            "evaluate_sha256": recs[0]["evaluate_sha256"],
+            "output_sha256": recs[0]["output_sha256"],
             "kernels": {
                 name: _quantiles([x for rec in recs for x in rec["per_call_ms"][name]])
                 for name in CALLS

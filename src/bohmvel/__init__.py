@@ -9,7 +9,6 @@ Natural units hbar = c = 1 throughout.
 """
 
 from .core import (
-    Configuration,
     EmpiricalMeasure,
     EnsembleRun,
     PoincareElement,
@@ -17,7 +16,6 @@ from .core import (
     VelocityPoint,
     WorldLineFlag,
     validate_worldline,
-    velocity_estimate_at,
 )
 from .errors import (
     BohmvelError,

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-__all__ = ["cubic_interp_uniform", "cubic_interp_grid"]
+__all__ = ["cubic_interp_grid"]
 
 
 def _catmull_rom_weights(theta: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -37,20 +37,6 @@ def _catmull_rom_weights(theta: np.ndarray) -> tuple[np.ndarray, ...]:
     w_p1 = 0.5 * (t + 4.0 * t2 - 3.0 * t3)
     w_p2 = 0.5 * (-t2 + t3)
     return w_m1, w_0, w_p1, w_p2
-
-
-def cubic_interp_uniform(values: np.ndarray, x0: float, dx: float, xq: np.ndarray) -> np.ndarray:
-    """Cubic interpolation of samples on the uniform periodic grid x0 + i dx."""
-    values = np.asarray(values)
-    n = values.shape[-1]
-    pos = (np.asarray(xq, dtype=float) - x0) / dx
-    base = np.floor(pos).astype(np.int64)
-    theta = pos - base
-    weights = _catmull_rom_weights(theta)
-    out = np.zeros(np.broadcast_shapes(values.shape[:-1] + pos.shape), dtype=values.dtype)
-    for off, w in zip((-1, 0, 1, 2), weights):
-        out = out + w * values[..., (base + off) % n]
-    return out
 
 
 def cubic_interp_grid(grids, x_min, dx, points: np.ndarray) -> list[np.ndarray]:

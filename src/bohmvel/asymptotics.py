@@ -67,6 +67,14 @@ _TAIL_CHECKPOINTS = 2
 REGULARITY_FRACTION = 0.999
 HARD_FAILURE_FRACTION = 0.5
 
+# Distribution comparison: KS level of the default threshold, the cap on
+# the quantum-side sample count, and the ball around v = 0 whose ensemble
+# mass must match the quantum point mass within the tolerance.
+_KS_ALPHA = 0.01
+_N_Q_MAX = 200_000
+_ATOM_RADIUS = 1e-3
+_ATOM_TOLERANCE = 0.01
+
 
 @dataclass(frozen=True)
 class AsymptoticEstimate:
@@ -336,38 +344,35 @@ def dirac_velocity_distribution(psi: GridWavefunction) -> VelocityDistribution:
 def verify_distribution_equality(
     s_measure: EmpiricalMeasure,
     q_dist: VelocityDistribution,
-    n_q: int | None = None,
     seed: int = 0,
     ks_threshold: float | None = None,
     w1_threshold: float | None = None,
-    alpha: float = 0.01,
-    atom_tolerance: float = 0.01,
-    atom_radius: float = 1e-3,
 ) -> dict:
     """Measure-to-measure test of the trajectory ensemble against the
     quantum velocity distribution, via the latter's sampler.
 
-    Point masses at v = 0 are compared by mass within ``atom_tolerance``
-    (the ensemble-side mass is read off a small ball of ``atom_radius``).
+    The quantum side draws 10 samples per ensemble sample, at most
+    ``_N_Q_MAX``. Point masses at v = 0 are compared by mass within
+    ``_ATOM_TOLERANCE`` (the ensemble-side mass is read off the ball of
+    radius ``_ATOM_RADIUS``).
     """
     if s_measure.dim != 1:
         raise InvalidInputError("distribution comparison is 1D")
     n_s = s_measure.n_samples
-    if n_q is None:
-        n_q = min(10 * n_s, 200_000)
+    n_q = min(10 * n_s, _N_Q_MAX)
     q_measure = q_dist.as_measure(n_q, np.random.SeedSequence(entropy=seed, spawn_key=(17,)))
     ks = ks_two_sample_1d(
         s_measure.samples[:, 0], s_measure.weights, q_measure.samples[:, 0], q_measure.weights
     )
     w1 = wasserstein1_1d(s_measure, q_measure)
     if ks_threshold is None:
-        ks_threshold = ks_critical_value(n_s, n_q, alpha) + GRID_SLACK
+        ks_threshold = ks_critical_value(n_s, n_q, _KS_ALPHA) + GRID_SLACK
     if w1_threshold is None:
         sigma = float(np.std(q_measure.samples))
         w1_threshold = 2.58 * sigma * np.sqrt(1.0 / n_s + 1.0 / n_q) + GRID_SLACK
-    atom_s = float(s_measure.weights[np.abs(s_measure.samples[:, 0]) <= atom_radius].sum())
+    atom_s = float(s_measure.weights[np.abs(s_measure.samples[:, 0]) <= _ATOM_RADIUS].sum())
     atom_q = q_dist.atom_mass
-    atoms_match = abs(atom_s - atom_q) <= atom_tolerance if atom_q > 0 else True
+    atoms_match = abs(atom_s - atom_q) <= _ATOM_TOLERANCE if atom_q > 0 else True
     passed = bool(ks <= ks_threshold and w1 <= w1_threshold and atoms_match)
     return {
         "ks": float(ks),
@@ -385,35 +390,32 @@ def verify_distribution_equality(
 def weak_convergence_residuals(
     trajs,
     t_list,
-    reference: EmpiricalMeasure | None = None,
     checkpoints=None,
     tol: float = 0.05,
-    dim: int | None = None,
 ) -> dict:
     """Residuals |int f dS_t - int f dS_ref| for the fixed test-function
     dictionary, per function and per time.
 
-    The reference is, in order of preference: the given measure, the
-    ensemble's extrapolated asymptotic measure (when ``checkpoints`` are
-    supplied and enough trajectories converge), or the instantaneous
-    measure at the last listed time (flagged in the output, useful for
-    non-regular families where no asymptotic measure exists).
+    The reference is the ensemble's extrapolated asymptotic measure when
+    ``checkpoints`` are supplied and enough trajectories converge, and
+    otherwise the instantaneous measure at the last listed time (flagged
+    in the output, useful for non-regular families where no asymptotic
+    measure exists).
     """
     t_list = np.asarray(t_list, dtype=float)
     if t_list.size < 3:
         raise InvalidInputError("need at least 3 monitoring times")
-    reference_kind = "given"
+    reference = None
+    if checkpoints is not None:
+        try:
+            reference, _ = estimate_asymptotic_measure(trajs, checkpoints, tol)
+            reference_kind = "asymptotic_estimate"
+        except RegularityError:
+            pass
     if reference is None:
-        if checkpoints is not None:
-            try:
-                reference, _ = estimate_asymptotic_measure(trajs, checkpoints, tol)
-                reference_kind = "asymptotic_estimate"
-            except RegularityError:
-                reference = None
-        if reference is None:
-            reference = velocity_measure_at(trajs, float(t_list[-1]))
-            reference_kind = "final_time"
-    dictionary = test_function_dictionary(reference.dim if dim is None else dim)
+        reference = velocity_measure_at(trajs, float(t_list[-1]))
+        reference_kind = "final_time"
+    dictionary = test_function_dictionary(reference.dim)
     ref_vals = test_function_integrals(reference, dictionary)
     rows = []
     for t in t_list:

@@ -36,7 +36,7 @@ from .asymptotics import (
     velocity_measure_at,
     verify_distribution_equality,
 )
-from .core import EmpiricalMeasure, EnsembleRun, PoincareElement, config_hash
+from .core import EmpiricalMeasure, EnsembleRun, PoincareElement, _write_float_csv, config_hash
 from .errors import (
     BohmvelError,
     ConfigurationError,
@@ -227,22 +227,6 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_density_csv(path: str, xs, ys, names=("v", "density")) -> None:
-    # Trapezoid normalization: integral of the density over this grid is
-    # the continuous mass (see the measures docs).
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
-
-
-def _write_curve_csv(path: str, rows: list[dict], fields: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(row[f])) for f in fields) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 
@@ -301,30 +285,25 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
 
     n_q = comparison["n_q"]
     q_dist.as_measure(n_q, child_seed(seed, 0, 1)).to_csv(os.path.join(out_dir, "q_plus_samples.csv"))
-    _write_density_csv(os.path.join(out_dir, "q_plus_density.csv"), q_dist.v, q_dist.density)
+    # Trapezoid normalization: integral of the density over this grid is
+    # the continuous mass (see the measures docs).
+    _write_float_csv(
+        os.path.join(out_dir, "q_plus_density.csv"), ["v", "density"], [q_dist.v, q_dist.density]
+    )
     for t in result.integration.times:
         if t > 0:
             velocity_measure_at(result.integration, float(t)).to_csv(
                 os.path.join(out_dir, f"s_t_{t:g}.csv")
             )
     if out_density is not None:
-        _write_density_csv(
-            os.path.join(out_dir, "out_momentum_density.csv"),
-            out_density[0],
-            out_density[1],
-            names=("p", "density"),
+        _write_float_csv(
+            os.path.join(out_dir, "out_momentum_density.csv"), ["p", "density"], out_density
         )
     if "moller_residual_curve" in q_artifacts:
-        _write_curve_csv(
+        _write_float_csv(
             os.path.join(out_dir, "moller_residuals.csv"),
-            [
-                {"T": t, "residual": r}
-                for t, r in zip(
-                    q_artifacts["moller_extraction_times"][1:],
-                    q_artifacts["moller_residual_curve"],
-                )
-            ],
             ["T", "residual"],
+            [q_artifacts["moller_extraction_times"][1:], q_artifacts["moller_residual_curve"]],
         )
 
     ok = comparison["pass"] and result.regularity.verdict
@@ -479,17 +458,17 @@ def cmd_plotdata(run_dir: str, out_dir: str | None) -> int:
         stem = name[:-4]
         values = measure.samples[:, 0]
         order = np.argsort(values, kind="mergesort")
-        cdf_rows = [
-            {"v": v, "cdf": c}
-            for v, c in zip(values[order], np.cumsum(measure.weights[order]))
-        ]
-        _write_curve_csv(os.path.join(out_dir, f"{stem}_cdf.csv"), cdf_rows, ["v", "cdf"])
+        _write_float_csv(
+            os.path.join(out_dir, f"{stem}_cdf.csv"),
+            ["v", "cdf"],
+            [values[order], np.cumsum(measure.weights[order])],
+        )
         hist, edges = np.histogram(values, bins=101, weights=measure.weights)
-        hist_rows = [
-            {"left": edges[i], "right": edges[i + 1], "mass": hist[i]}
-            for i in range(hist.size)
-        ]
-        _write_curve_csv(os.path.join(out_dir, f"{stem}_hist.csv"), hist_rows, ["left", "right", "mass"])
+        _write_float_csv(
+            os.path.join(out_dir, f"{stem}_hist.csv"),
+            ["left", "right", "mass"],
+            [edges[:-1], edges[1:], hist],
+        )
     expected_extras = ["q_plus_density.csv"]
     cfg_path = os.path.join(run_dir, "config.json")
     if os.path.exists(cfg_path):

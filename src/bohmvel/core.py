@@ -25,7 +25,6 @@ import numpy as np
 from .errors import DomainError, InvalidInputError
 
 __all__ = [
-    "Configuration",
     "SampledTrajectory",
     "WorldLineFlag",
     "VelocityPoint",
@@ -33,9 +32,7 @@ __all__ = [
     "PoincareElement",
     "EnsembleRun",
     "validate_worldline",
-    "velocity_estimate_at",
     "save_trajectories_ndjson",
-    "load_trajectories_ndjson",
     "config_hash",
 ]
 
@@ -45,36 +42,6 @@ def _finite_array(x, name: str, dtype=float) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A single point in N-particle configuration space."""
-
-    coords: np.ndarray
-    n_particles: int
-    dim: int
-
-    def __post_init__(self):
-        coords = _finite_array(self.coords, "coords")
-        if self.n_particles < 1 or self.dim not in (1, 2, 3):
-            raise InvalidInputError("need n_particles >= 1 and dim in {1,2,3}")
-        if coords.shape != (self.n_particles * self.dim,):
-            raise InvalidInputError(
-                f"coords has shape {coords.shape}, expected ({self.n_particles * self.dim},)"
-            )
-        object.__setattr__(self, "coords", coords)
-        self.coords.setflags(write=False)
-
-    def particle(self, i: int) -> np.ndarray:
-        return self.coords[i * self.dim : (i + 1) * self.dim]
-
-    def to_dict(self) -> dict:
-        return {"coords": self.coords.tolist(), "n": self.n_particles, "d": self.dim}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Configuration":
-        return cls(np.asarray(d["coords"], dtype=float), int(d["n"]), int(d["d"]))
 
 
 @dataclass(frozen=True)
@@ -128,9 +95,6 @@ class SampledTrajectory:
         w = (t - t0) / (t1 - t0)
         return (1.0 - w) * self.points[idx - 1] + w * self.points[idx]
 
-    def configuration(self, i: int) -> Configuration:
-        return Configuration(self.points[i].copy(), self.n_particles, self.dim)
-
     def to_record(self) -> dict:
         return {
             "times": self.times.tolist(),
@@ -138,15 +102,6 @@ class SampledTrajectory:
             "n": self.n_particles,
             "d": self.dim,
         }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "SampledTrajectory":
-        return cls(
-            np.asarray(rec["times"], dtype=float),
-            np.asarray(rec["points"], dtype=float),
-            int(rec["n"]),
-            int(rec["d"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -160,13 +115,6 @@ class WorldLineFlag:
 
     is_worldline: bool
     max_speed_observed: float
-
-    def to_dict(self) -> dict:
-        return {"is_worldline": self.is_worldline, "max_speed_observed": self.max_speed_observed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorldLineFlag":
-        return cls(bool(d["is_worldline"]), float(d["max_speed_observed"]))
 
 
 @dataclass(frozen=True)
@@ -183,15 +131,27 @@ class VelocityPoint:
     def particle(self, i: int, dim: int) -> np.ndarray:
         return self.v[i * dim : (i + 1) * dim]
 
-    def to_dict(self) -> dict:
-        return {"v": self.v.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VelocityPoint":
-        return cls(np.asarray(d["v"], dtype=float))
-
 
 _WEIGHT_TOL = 1e-12
+
+# Rows formatted per write: one tolist() of a whole 10^5-row table would
+# hold every value as a Python float at once.
+_CSV_CHUNK = 8192
+
+
+def _write_float_csv(path, header, columns) -> None:
+    """Write columns side by side as CSV, each value as ``repr(float)``.
+
+    ``columns`` are sequences of equal length, 1D or 2D (a 2D array gives
+    one CSV column per array column).
+    """
+    n_rows = len(columns[0])
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _CSV_CHUNK):
+            chunk = np.column_stack([c[start : start + _CSV_CHUNK] for c in columns])
+            rows = chunk.astype(float, copy=False).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 @dataclass(frozen=True)
@@ -250,18 +210,9 @@ class EmpiricalMeasure:
         """Pushforward through a map acting on (n, D) sample blocks."""
         return EmpiricalMeasure(np.asarray(f(self.samples), dtype=float), self.weights.copy())
 
-    def axis(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.samples[:, i], self.weights
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.samples
-
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            header = ",".join(f"v{i}" for i in range(self.dim)) + ",weight\n"
-            fh.write(header)
-            for row, w in zip(self.samples, self.weights):
-                fh.write(",".join(repr(float(x)) for x in row) + f",{float(w)!r}\n")
+        header = [f"v{i}" for i in range(self.dim)] + ["weight"]
+        _write_float_csv(path, header, [self.samples, self.weights])
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalMeasure":
@@ -396,23 +347,6 @@ class PoincareElement:
         rot = uu @ vv
         return cls(u, rot, float(a[0]), a[1:])
 
-    def to_dict(self) -> dict:
-        return {
-            "boost_velocity": self.boost_velocity.tolist(),
-            "rotation": self.rotation.tolist(),
-            "time_shift": self.time_shift,
-            "space_shift": self.space_shift.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PoincareElement":
-        return cls(
-            np.asarray(d["boost_velocity"], dtype=float),
-            np.asarray(d["rotation"], dtype=float),
-            float(d.get("time_shift", 0.0)),
-            np.asarray(d.get("space_shift", np.zeros(len(d["boost_velocity"]))), dtype=float),
-        )
-
     def label(self) -> str:
         parts = []
         if np.any(self.boost_velocity != 0):
@@ -424,35 +358,21 @@ class PoincareElement:
         return "+".join(parts) if parts else "id"
 
 
-def default_worldline_eps(times: np.ndarray) -> float:
-    """Default tolerance for the causal check, relative to the time span.
-
-    The checked quantity (t-s)^2 - |dk|^2 has units of time^2, so the
-    tolerance scales with span^2 (floored at 1 to keep short fixtures
-    meaningful).
-    """
-    span = float(times[-1] - times[0])
-    return 1e-9 * max(1.0, span) ** 2
-
-
-def validate_worldline(
-    traj: SampledTrajectory,
-    eps: float | None = None,
-    mode: str = "exact",
-) -> WorldLineFlag:
+def validate_worldline(traj: SampledTrajectory, mode: str = "exact") -> WorldLineFlag:
     """Check the causal condition (t-s)^2 - |k_i(t)-k_i(s)|^2 >= -eps.
 
     mode="exact" tests all O(n^2) sample pairs per particle; mode="fast"
     tests adjacent pairs only (sufficient for convex speed profiles and
     cheap for long records). Both report the max adjacent-pair speed.
+    The checked quantity has units of time^2, so eps scales with the
+    squared time span (floored at 1 to keep short fixtures meaningful).
     """
     if mode not in ("exact", "fast"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     times = traj.times
     if times.size < 2:
         raise InvalidInputError("need at least 2 samples")
-    if eps is None:
-        eps = default_worldline_eps(times)
+    eps = 1e-9 * max(1.0, float(times[-1] - times[0])) ** 2
 
     blocks = traj.points.reshape(times.size, traj.n_particles, traj.dim)
     dt_adj = np.diff(times)[:, None]
@@ -476,27 +396,10 @@ def validate_worldline(
     return WorldLineFlag(ok, max_speed)
 
 
-def velocity_estimate_at(traj: SampledTrajectory, t: float) -> VelocityPoint:
-    """Finite-time asymptotic-velocity estimate k(t)/t, for t > 0."""
-    if t <= 0:
-        raise DomainError("velocity estimate k(t)/t requires t > 0")
-    return VelocityPoint(traj.position_at(t) / t)
-
-
 def save_trajectories_ndjson(trajs: Iterable[SampledTrajectory], path) -> None:
     with open(path, "w") as fh:
         for traj in trajs:
             fh.write(json.dumps(traj.to_record(), sort_keys=True) + "\n")
-
-
-def load_trajectories_ndjson(path) -> list[SampledTrajectory]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(SampledTrajectory.from_record(json.loads(line)))
-    return out
 
 
 def config_hash(config: dict) -> str:
@@ -535,29 +438,6 @@ class EnsembleRun:
         }
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
-
-    @classmethod
-    def load(cls, out_dir) -> "EnsembleRun":
-        import os
-
-        with open(os.path.join(out_dir, "config.json")) as fh:
-            config = json.load(fh)
-        with open(os.path.join(out_dir, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        trajs = load_trajectories_ndjson(os.path.join(out_dir, "trajectories.ndjson"))
-        measures = {
-            name: EmpiricalMeasure.from_csv(os.path.join(out_dir, f"{name}.csv"))
-            for name in manifest["measures"]
-        }
-        return cls(
-            config=config,
-            seed=manifest["seed"],
-            trajectories=trajs,
-            diagnostics=manifest.get("diagnostics", {}),
-            measures=measures,
-            reports=manifest.get("reports", {}),
-        )
-
 
 def _jsonable(obj):
     if isinstance(obj, dict):

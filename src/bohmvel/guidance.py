@@ -13,7 +13,8 @@ world lines.
 
 Near wave-function nodes the field is stiff and the ODE may locally lose
 accuracy; the integrator reacts per NodePolicy (shrink the step towards
-dt_min, then freeze the step, or abort the trajectory). Aborted
+dt_min, then freeze the step, or abort the trajectory). A trajectory
+whose step leaves the grid box is aborted at once. Aborted
 trajectories are excluded downstream with their weight recorded; the run
 is considered valid only while that weight stays below 0.1%.
 
@@ -86,6 +87,14 @@ class NodePolicy:
             raise InvalidInputError(f"unknown node action {self.action!r}")
 
 
+def _in_box(spec, points: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``points`` inside the grid box [x_min, x_max)."""
+    inside = np.ones(points.shape[0], dtype=bool)
+    for ax in range(spec.dim):
+        inside &= (points[:, ax] >= spec.x_min[ax]) & (points[:, ax] < spec.x_max[ax])
+    return inside
+
+
 class FieldSnapshot:
     """rho and j grids of one wavefunction snapshot, with interpolation."""
 
@@ -117,8 +126,7 @@ class FieldSnapshot:
         spec = self.spec
         rho, *currents = cubic_interp_grid([self.rho, *self.currents], spec.x_min, spec.dx, points)
         ok = rho >= rho_floor
-        for ax in range(spec.dim):
-            ok &= (points[:, ax] >= spec.x_min[ax]) & (points[:, ax] < spec.x_max[ax])
+        ok &= _in_box(spec, points)
         vel = np.zeros_like(points)
         safe_rho = np.where(rho > 0, rho, 1.0)
         for ax, j in enumerate(currents):
@@ -376,13 +384,20 @@ def integrate_ensemble(
 
 
 def _rk4_block(x, snap_a, snap_b, snap_c, h, policy, diag):
-    """One vectorized RK4 step; flagged trajectories go to the slow path."""
+    """One vectorized RK4 step; flagged trajectories go to the slow path.
+
+    A trajectory with a stage point outside the grid box fails at once: it
+    has left the domain, and no smaller step can bring the stage back.
+    """
     live = ~diag.failed
     xl = x[live]
     k1, r1, ok1 = snap_a.evaluate(xl, policy.rho_floor)
-    k2, r2, ok2 = snap_b.evaluate(xl + 0.5 * h * k1, policy.rho_floor)
-    k3, r3, ok3 = snap_b.evaluate(xl + 0.5 * h * k2, policy.rho_floor)
-    k4, r4, ok4 = snap_c.evaluate(xl + h * k3, policy.rho_floor)
+    stage2 = xl + 0.5 * h * k1
+    k2, r2, ok2 = snap_b.evaluate(stage2, policy.rho_floor)
+    stage3 = xl + 0.5 * h * k2
+    k3, r3, ok3 = snap_b.evaluate(stage3, policy.rho_floor)
+    stage4 = xl + h * k3
+    k4, r4, ok4 = snap_c.evaluate(stage4, policy.rho_floor)
     ok = ok1 & ok2 & ok3 & ok4
     diag.accepted_evaluations += int(ok1.sum() + ok2.sum() + ok3.sum() + ok4.sum())
     diag.rejected_evaluations += int((~ok1).sum() + (~ok2).sum() + (~ok3).sum() + (~ok4).sum())
@@ -396,11 +411,18 @@ def _rk4_block(x, snap_a, snap_b, snap_c, h, policy, diag):
 
     if not np.all(ok):
         bad_local = np.flatnonzero(~ok)
-        bad_idx = live_idx[bad_local]
-        field = _TimeBlendField([snap_a, snap_b, snap_c])
-        x_new[bad_local] = _slow_path(
-            xl[bad_local], bad_idx, snap_a.t, h, field, policy, diag
-        )
+        inside = np.ones(bad_local.size, dtype=bool)
+        for stage in (xl, stage2, stage3, stage4):
+            inside &= _in_box(snap_a.spec, stage[bad_local])
+        left = bad_local[~inside]
+        diag.failed[live_idx[left]] = True
+        x_new[left] = xl[left]
+        bad_local = bad_local[inside]
+        if bad_local.size:
+            field = _TimeBlendField([snap_a, snap_b, snap_c])
+            x_new[bad_local] = _slow_path(
+                xl[bad_local], live_idx[bad_local], snap_a.t, h, field, policy, diag
+            )
     x = x.copy()
     x[live_idx] = x_new
     return x
@@ -445,19 +467,14 @@ def _slow_path(x_bad, idx, t0, h, field, policy, diag):
     return out
 
 
-def check_equivariance(result, psi_t: GridWavefunction, t: float) -> float:
+def check_equivariance(result: IntegrationResult, psi_t: GridWavefunction, t: float) -> float:
     """Max-over-axes KS distance between ensemble positions at t and |psi_t|^2.
 
-    ``result`` may be an IntegrationResult or a list of trajectories. The
-    contract for a valid run is a value at the KS critical scale for the
-    ensemble size plus grid-resolution slack.
+    Failed trajectories are left out. The contract for a valid run is a
+    value at the KS critical scale for the ensemble size plus
+    grid-resolution slack.
     """
-    if hasattr(result, "positions_at"):
-        pts = result.positions_at(t)
-        failed = result.diagnostics.failed
-        pts = pts[~failed]
-    else:
-        pts = np.stack([traj.position_at(t) for traj in result])
+    pts = result.positions_at(t)[~result.diagnostics.failed]
     if abs(psi_t.t - t) > 1e-9:
         raise InvalidInputError(f"psi_t is at t={psi_t.t}, expected {t}")
     weights = np.full(pts.shape[0], 1.0 / pts.shape[0])

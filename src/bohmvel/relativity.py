@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._interp import cubic_interp_uniform
+from ._interp import cubic_interp_grid
 from .core import PoincareElement, SampledTrajectory, VelocityPoint
 from .errors import ConfigurationError, InvalidInputError, RegularityError
 from .pipeline import PipelineParams, PipelineResult, run_guided_pipeline
@@ -103,14 +103,13 @@ def boost_worldline(
     traj: SampledTrajectory,
     u: float,
     axis: int = 0,
-    n_uniform: int | None = None,
 ) -> SampledTrajectory:
     """Image of a sampled world line under a boost of velocity u.
 
-    The output time grid is a uniform backbone over the reachable s-range
-    augmented with the images of the input sample times, so polyline
-    kinks survive exactly and a reverse boost returns the input to
-    floating-point accuracy. The ends of the s-range not reachable from
+    The output time grid is a uniform backbone of twice the input sample
+    count over the reachable s-range, augmented with the images of the
+    input sample times, so polyline kinks survive exactly and a reverse
+    boost returns the input to floating-point accuracy. The ends of the s-range not reachable from
     every particle's sampled span are trimmed.
     """
     if not -1.0 < u < 1.0:
@@ -128,9 +127,7 @@ def boost_worldline(
     s_hi = min(r.s_samples[-1] for r in reparams)
     if not s_hi > s_lo:
         raise InvalidInputError("boosted sample ranges of the particles do not overlap")
-    if n_uniform is None:
-        n_uniform = 2 * times.size
-    nodes = np.linspace(s_lo, s_hi, n_uniform)
+    nodes = np.linspace(s_lo, s_hi, 2 * times.size)
     for r in reparams:
         inside = r.s_samples[(r.s_samples >= s_lo) & (r.s_samples <= s_hi)]
         nodes = np.concatenate([nodes, inside])
@@ -254,7 +251,9 @@ def boost_dirac_state(psi: GridWavefunction, u: float) -> GridWavefunction:
     energy_new = np.sqrt(p_sorted**2 + m**2)
     p_src = gamma * (p_sorted + u * energy_new)
     energy_src = np.sqrt(p_src**2 + m**2)
-    vals = cubic_interp_uniform(smooth, p_sorted[0], float(p_sorted[1] - p_sorted[0]), p_src)
+    (vals,) = cubic_interp_grid(
+        [smooth], (p_sorted[0],), (float(p_sorted[1] - p_sorted[0]),), p_src[:, None]
+    )
     vals = np.where((p_src >= p_sorted[0]) & (p_src <= p_sorted[-1]), vals, 0.0)
     amp_new_sorted = np.sqrt(energy_src / energy_new) * vals * np.exp(-1j * p_src * x_ref)
 

@@ -76,23 +76,13 @@ def ks_vs_cdf_1d(
     return float(max(np.max(np.abs(emp_after - target)), np.max(np.abs(emp_before - target))))
 
 
-def ks_distance(a: EmpiricalMeasure, b) -> np.ndarray:
-    """Per-axis KS distance; ``b`` is a measure or a per-axis CDF callable.
-
-    In CDF mode ``b`` must accept (values, axis) and return CDF values.
-    """
-    if isinstance(b, EmpiricalMeasure):
-        if a.dim != b.dim:
-            raise InvalidInputError("measures have different dimensions")
-        return np.asarray(
-            [
-                ks_two_sample_1d(a.samples[:, i], a.weights, b.samples[:, i], b.weights)
-                for i in range(a.dim)
-            ]
-        )
+def ks_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> np.ndarray:
+    """Per-axis two-sample KS distance between two measures."""
+    if a.dim != b.dim:
+        raise InvalidInputError("measures have different dimensions")
     return np.asarray(
         [
-            ks_vs_cdf_1d(a.samples[:, i], a.weights, lambda x, i=i: b(x, i))
+            ks_two_sample_1d(a.samples[:, i], a.weights, b.samples[:, i], b.weights)
             for i in range(a.dim)
         ]
     )

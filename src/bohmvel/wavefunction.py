@@ -22,8 +22,6 @@ when amplitude reaches the edge.
 
 from __future__ import annotations
 
-import json
-import struct
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -52,8 +50,6 @@ __all__ = [
     "positive_energy_spinor",
     "momentum_density",
     "outgoing_asymptote",
-    "save_wavefunction",
-    "load_wavefunction",
 ]
 
 KIND_SCHRODINGER = "schrodinger"
@@ -138,13 +134,6 @@ class GridSpec:
 
     def meshgrid(self) -> list[np.ndarray]:
         return np.meshgrid(*self.axes(), indexing="ij")
-
-    def to_dict(self) -> dict:
-        return {"n_points": list(self.n_points), "x_min": list(self.x_min), "x_max": list(self.x_max)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(tuple(d["n_points"]), tuple(d["x_min"]), tuple(d["x_max"]))
 
 
 @dataclass(frozen=True)
@@ -620,7 +609,6 @@ def outgoing_asymptote(
     extraction_times: Sequence[float],
     dt: float = 0.01,
     interaction_radius: float | None = None,
-    interaction_center: float = 0.0,
     residual_tol: float = 1e-3,
 ) -> OutgoingAsymptote:
     """Free outgoing asymptote via iterates exp(+i H0 T) exp(-i H T) psi0.
@@ -662,7 +650,7 @@ def outgoing_asymptote(
     )
     bound_weight = 0.0
     if interaction_radius > 0:
-        bound_weight = psi.interaction_region_weight(interaction_radius, interaction_center)
+        bound_weight = psi.interaction_region_weight(interaction_radius)
     raw = np.fft.fftshift(np.abs(iterates[-1]) ** 2)
     raw_mass = float(np.sum(raw) * dp)
     density = raw * ((1.0 - bound_weight) / raw_mass)
@@ -682,44 +670,3 @@ def outgoing_asymptote(
         )
     return result
 
-
-_MAGIC = b"BVWF"
-_FORMAT_VERSION = 1
-
-
-def save_wavefunction(psi: GridWavefunction, path) -> None:
-    """Versioned binary snapshot: header JSON + interleaved complex payload."""
-    header = {
-        "kind": psi.kind,
-        "mass": psi.mass,
-        "t": psi.t,
-        "spec": psi.spec.to_dict(),
-        "shape": list(psi.amplitudes.shape),
-        "separable": psi.separable,
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _FORMAT_VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(psi.amplitudes, dtype=np.complex128).tobytes())
-
-
-def load_wavefunction(path) -> GridWavefunction:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise InvalidInputError(f"{path} is not a wavefunction snapshot")
-        version, hlen = struct.unpack("<II", fh.read(8))
-        if version != _FORMAT_VERSION:
-            raise InvalidInputError(f"unsupported snapshot version {version}")
-        header = json.loads(fh.read(hlen).decode())
-        payload = fh.read()
-    amps = np.frombuffer(payload, dtype=np.complex128).reshape(header["shape"]).copy()
-    return GridWavefunction(
-        GridSpec.from_dict(header["spec"]),
-        amps,
-        float(header["t"]),
-        header["kind"],
-        float(header["mass"]),
-        bool(header.get("separable", False)),
-    )

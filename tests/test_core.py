@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -5,20 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bohmvel.asymptotics import velocity_measure_at
 from bohmvel.core import (
-    Configuration,
     EmpiricalMeasure,
     EnsembleRun,
     PoincareElement,
     SampledTrajectory,
-    VelocityPoint,
-    WorldLineFlag,
-    load_trajectories_ndjson,
     save_trajectories_ndjson,
     validate_worldline,
-    velocity_estimate_at,
 )
-from bohmvel.errors import DomainError, InvalidInputError
+from bohmvel.errors import InvalidInputError
 
 from oracles import free_gaussian_trajectory
 
@@ -63,29 +60,34 @@ class TestValidateWorldline:
         assert validate_worldline(SampledTrajectory(t, pts, 1, 1)).is_worldline
 
 
+def velocity_estimate(traj, t):
+    """k(t)/t of one trajectory, through the ensemble measure at time t."""
+    return velocity_measure_at([traj], t).samples[0]
+
+
 class TestVelocityEstimate:
     def test_constant_trajectory(self):
         t = np.linspace(0.0, 20.0, 41)
         traj = SampledTrajectory(t, np.full((41, 1), 3.0), 1, 1)
-        assert velocity_estimate_at(traj, 10.0).v[0] == pytest.approx(0.3)
+        assert velocity_estimate(traj, 10.0)[0] == pytest.approx(0.3)
 
     def test_straight_line(self):
-        assert velocity_estimate_at(line_traj(0.7), 4.0).v[0] == pytest.approx(0.7)
+        assert velocity_estimate(line_traj(0.7), 4.0)[0] == pytest.approx(0.7)
 
     def test_free_gaussian_path(self):
         t = np.linspace(0.5, 25.0, 500)
         x = free_gaussian_trajectory(1.0, t)
         traj = SampledTrajectory(t, x[:, None], 1, 1)
         # k(20)/20 = sqrt(101)/20, up to polyline interpolation error
-        assert velocity_estimate_at(traj, 20.0).v[0] == pytest.approx(
+        assert velocity_estimate(traj, 20.0)[0] == pytest.approx(
             np.sqrt(101.0) / 20.0, abs=1e-8
         )
 
     def test_requires_positive_time(self):
-        with pytest.raises(DomainError):
-            velocity_estimate_at(line_traj(0.5), 0.0)
-        with pytest.raises(DomainError):
-            velocity_estimate_at(line_traj(0.5), 11.0)
+        with pytest.raises(InvalidInputError, match="t > 0"):
+            velocity_estimate(line_traj(0.5), 0.0)
+        with pytest.raises(InvalidInputError, match="outside the recorded time range"):
+            velocity_estimate(line_traj(0.5), 11.0)
 
 
 @given(
@@ -99,11 +101,24 @@ def test_velocity_estimate_positive_homogeneity(lam, v, t):
     base = SampledTrajectory(times, (v * times + 0.3)[:, None], 1, 1)
     scaled = SampledTrajectory(times, lam * base.points, 1, 1)
     np.testing.assert_allclose(
-        velocity_estimate_at(scaled, t).v,
-        lam * velocity_estimate_at(base, t).v,
+        velocity_estimate(scaled, t),
+        lam * velocity_estimate(base, t),
         rtol=1e-12,
         atol=1e-12,
     )
+
+
+def read_ndjson(path) -> list[dict]:
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
+def assert_record_matches(rec: dict, traj: SampledTrajectory) -> None:
+    """The NDJSON record holds the trajectory's floats exactly."""
+    assert set(rec) == {"times", "points", "n", "d"}
+    np.testing.assert_array_equal(np.asarray(rec["times"], dtype=float), traj.times)
+    np.testing.assert_array_equal(np.asarray(rec["points"], dtype=float), traj.points)
+    assert (rec["n"], rec["d"]) == (traj.n_particles, traj.dim)
 
 
 class TestSerialization:
@@ -120,12 +135,10 @@ class TestSerialization:
         ]
         path = tmp_path / "trajs.ndjson"
         save_trajectories_ndjson(trajs, path)
-        loaded = load_trajectories_ndjson(path)
-        assert len(loaded) == 4
-        for a, b in zip(trajs, loaded):
-            np.testing.assert_array_equal(a.times, b.times)
-            np.testing.assert_array_equal(a.points, b.points)
-            assert (a.n_particles, a.dim) == (b.n_particles, b.dim)
+        records = read_ndjson(path)
+        assert len(records) == 4
+        for traj, rec in zip(trajs, records):
+            assert_record_matches(rec, traj)
 
     def test_ndjson_record_schema(self):
         traj = line_traj(0.5)
@@ -142,19 +155,6 @@ class TestSerialization:
         np.testing.assert_array_equal(m.samples, back.samples)
         np.testing.assert_array_equal(m.weights, back.weights)
 
-    def test_simple_dict_roundtrips(self):
-        c = Configuration(np.array([1.0, 2.0, 3.0]), 1, 3)
-        c2 = Configuration.from_dict(c.to_dict())
-        np.testing.assert_array_equal(c2.coords, c.coords)
-        assert (c2.n_particles, c2.dim) == (c.n_particles, c.dim)
-        v = VelocityPoint(np.array([0.1, -0.2]))
-        np.testing.assert_array_equal(VelocityPoint.from_dict(v.to_dict()).v, v.v)
-        f = WorldLineFlag(True, 0.4)
-        assert WorldLineFlag.from_dict(f.to_dict()) == f
-        g = PoincareElement.boost(0.3, 1, 3)
-        g2 = PoincareElement.from_dict(g.to_dict())
-        np.testing.assert_allclose(g2.lorentz_matrix(), g.lorentz_matrix(), atol=1e-15)
-
     def test_ensemble_run_roundtrip(self, tmp_path):
         run = EnsembleRun(
             config={"system": "free_schrodinger", "seed": 7},
@@ -163,14 +163,23 @@ class TestSerialization:
             diagnostics={"failed_weight": 0.0},
             measures={"s_plus": EmpiricalMeasure.from_samples(np.array([0.1, 0.2, 0.3]))},
         )
-        run.save(tmp_path / "run")
-        back = EnsembleRun.load(tmp_path / "run")
-        assert back.seed == 7
-        assert back.config == run.config
-        assert len(back.trajectories) == 2
-        np.testing.assert_array_equal(
-            back.measures["s_plus"].samples, run.measures["s_plus"].samples
-        )
+        out = tmp_path / "run"
+        run.save(out)
+        with open(out / "config.json") as fh:
+            assert json.load(fh) == run.config
+        with open(out / "manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["seed"] == 7
+        assert manifest["n_trajectories"] == 2
+        assert manifest["measures"] == ["s_plus"]
+        assert manifest["diagnostics"] == {"failed_weight": 0.0}
+        records = read_ndjson(out / "trajectories.ndjson")
+        assert len(records) == 2
+        for traj, rec in zip(run.trajectories, records):
+            assert_record_matches(rec, traj)
+        back = EmpiricalMeasure.from_csv(out / "s_plus.csv")
+        np.testing.assert_array_equal(back.samples, run.measures["s_plus"].samples)
+        np.testing.assert_array_equal(back.weights, run.measures["s_plus"].weights)
 
 
 class TestEmpiricalMeasure:
@@ -227,6 +236,15 @@ def test_ndjson_roundtrip_property(tmp_path_factory, n_nodes, n_cols, seed):
     traj = SampledTrajectory(times, rng.normal(size=(n_nodes, n_cols)), 1, n_cols)
     path = tmp_path_factory.mktemp("ndjson") / "t.ndjson"
     save_trajectories_ndjson([traj], path)
-    back = load_trajectories_ndjson(path)[0]
-    np.testing.assert_array_equal(back.times, traj.times)
-    np.testing.assert_array_equal(back.points, traj.points)
+    (rec,) = read_ndjson(path)
+    assert_record_matches(rec, traj)
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["_interp", "asymptotics", "core", "guidance", "pipeline", "relativity", "stats", "wavefunction"],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"bohmvel.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

@@ -1,12 +1,21 @@
-"""The shared-stencil interpolation and the cached Dirac step factors are
-bitwise equal to the per-field and per-call formulas they replace."""
+"""The shared kernels are bitwise equal to the code paths they replace:
+the shared-stencil interpolation against the per-field loop and the old
+1D path of the momentum-space boost, the cached Dirac step factors against
+the per-call formula, and the one float-CSV writer against the per-row
+loops that each table had."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bohmvel import relativity
 from bohmvel._interp import cubic_interp_grid
+from bohmvel.cli import _build_state, cmd_plotdata, load_config
+from bohmvel.core import _CSV_CHUNK, EmpiricalMeasure, _write_float_csv
+from bohmvel.errors import ConfigurationError
 from bohmvel.guidance import FieldSnapshot, sample_initial
 from bohmvel.wavefunction import (
     KIND_DIRAC,
@@ -160,3 +169,151 @@ def test_cached_dirac_step_matches_uncached_formula():
         assert got.t == psi.t + t
         assert np.array_equal(got.amplitudes, want)
     assert sorted(prop._factors) == [0.025, 0.7]
+
+
+def reference_interp_uniform(values, x0, dx, xq):
+    """The former 1D path of the boost: cubic interpolation on the uniform
+    periodic grid x0 + i dx, wrapping every offset with ``% n``."""
+    values = np.asarray(values)
+    n = values.shape[-1]
+    pos = (np.asarray(xq, dtype=float) - x0) / dx
+    base = np.floor(pos).astype(np.int64)
+    theta = pos - base
+    weights = reference_weights(theta)
+    out = np.zeros(np.broadcast_shapes(values.shape[:-1] + pos.shape), dtype=values.dtype)
+    for off, w in zip((-1, 0, 1, 2), weights):
+        out = out + w * values[..., (base + off) % n]
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 64, 2048])
+def test_grid_path_matches_uniform_reference_on_complex_lines(n):
+    rng = np.random.default_rng(n)
+    x0, dx = -3.0, 0.1
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    xq = box_points(rng, (x0,), (dx,), (n,))[:, 0]
+    (got,) = cubic_interp_grid([values], (x0,), (dx,), xq[:, None])
+    want = reference_interp_uniform(values, x0, dx, xq)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def covariance_state():
+    config = Path(__file__).resolve().parent.parent / "configs" / "dirac_covariance.json"
+    psi, _ = _build_state(load_config(str(config)))
+    return psi
+
+
+@pytest.mark.parametrize("u", [-0.9, -0.4, -0.2, 0.2, 0.4, 0.9])
+def test_boost_interpolation_matches_uniform_reference(covariance_state, monkeypatch, u):
+    """The interpolation inside ``boost_dirac_state``, on its real inputs."""
+    calls = []
+
+    def recording(grids, x_min, dx, points):
+        out = cubic_interp_grid(grids, x_min, dx, points)
+        calls.append((grids[0], x_min[0], dx[0], points[:, 0], out[0]))
+        return out
+
+    monkeypatch.setattr(relativity, "cubic_interp_grid", recording)
+    try:
+        relativity.boost_dirac_state(covariance_state, u)
+    except ConfigurationError:
+        pass  # the grid cannot hold the boosted support; checked after interpolating
+    ((smooth, p0, dp, p_src, got),) = calls
+    assert got.tobytes() == reference_interp_uniform(smooth, p0, dp, p_src).tobytes()
+
+
+def reference_measure_csv(measure, path):
+    """The former row loop of ``EmpiricalMeasure.to_csv``."""
+    with open(path, "w") as fh:
+        header = ",".join(f"v{i}" for i in range(measure.dim)) + ",weight\n"
+        fh.write(header)
+        for row, w in zip(measure.samples, measure.weights):
+            fh.write(",".join(repr(float(x)) for x in row) + f",{float(w)!r}\n")
+
+
+def reference_density_csv(path, xs, ys, names=("v", "density")):
+    """The former row loop of the density CSVs of ``bohmvel run``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for x, y in zip(xs, ys):
+            fh.write(f"{float(x)!r},{float(y)!r}\n")
+
+
+def reference_curve_csv(path, rows, fields):
+    """The former row loop of the dict-row tables (residual curve, plot data)."""
+    with open(path, "w") as fh:
+        fh.write(",".join(fields) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(row[f])) for f in fields) + "\n")
+
+
+def special_values(rng, shape):
+    """Floats of every magnitude plus -0.0, a subnormal and 1e300."""
+    vals = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    flat = vals.reshape(-1)
+    flat[:3] = (-0.0, 5e-324, 1e300)
+    return vals
+
+
+@pytest.mark.parametrize("n", [5, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 3])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_measure_csv_matches_row_loop(tmp_path, dim, n):
+    rng = np.random.default_rng(10 * n + dim)
+    weights = rng.random(n)
+    weights[0] = 0.0
+    measure = EmpiricalMeasure.from_samples(special_values(rng, (n, dim)), weights)
+    measure.to_csv(tmp_path / "new.csv")
+    reference_measure_csv(measure, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("names", [("v", "density"), ("p", "density")])
+def test_density_csv_matches_row_loop(tmp_path, names):
+    rng = np.random.default_rng(5)
+    xs = np.linspace(-20.0, 20.0, 4096)
+    ys = special_values(rng, xs.shape)
+    _write_float_csv(tmp_path / "new.csv", list(names), [xs, ys])
+    reference_density_csv(tmp_path / "old.csv", xs, ys, names)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_residual_curve_csv_matches_row_loop(tmp_path):
+    # bohmvel run keeps the extraction times and residuals as JSON lists.
+    times = [20.0, 30.0, 40.0, 60.0]
+    residuals = [0.5, -0.0, 5e-324]
+    _write_float_csv(tmp_path / "new.csv", ["T", "residual"], [times[1:], residuals])
+    rows = [{"T": t, "residual": r} for t, r in zip(times[1:], residuals)]
+    reference_curve_csv(tmp_path / "old.csv", rows, ["T", "residual"])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_plotdata_tables_match_row_loops(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    run_dir, out_dir, ref_dir = tmp_path / "run", tmp_path / "new", tmp_path / "old"
+    run_dir.mkdir()
+    ref_dir.mkdir()
+    (run_dir / "manifest.json").write_text(json.dumps({"seed": 0}))
+    for stem, n in (("s_plus", 3 * _CSV_CHUNK // 2), ("s_t_5", 7)):
+        EmpiricalMeasure.from_samples(special_values(rng, (n, 1)), rng.random(n)).to_csv(
+            run_dir / f"{stem}.csv"
+        )
+    assert cmd_plotdata(str(run_dir), str(out_dir)) == 0
+    capsys.readouterr()
+    for stem in ("s_plus", "s_t_5"):
+        measure = EmpiricalMeasure.from_csv(run_dir / f"{stem}.csv")
+        values = measure.samples[:, 0]
+        order = np.argsort(values, kind="mergesort")
+        cdf_rows = [
+            {"v": v, "cdf": c} for v, c in zip(values[order], np.cumsum(measure.weights[order]))
+        ]
+        reference_curve_csv(ref_dir / f"{stem}_cdf.csv", cdf_rows, ["v", "cdf"])
+        hist, edges = np.histogram(values, bins=101, weights=measure.weights)
+        hist_rows = [
+            {"left": edges[i], "right": edges[i + 1], "mass": hist[i]} for i in range(hist.size)
+        ]
+        reference_curve_csv(ref_dir / f"{stem}_hist.csv", hist_rows, ["left", "right", "mass"])
+        for table in ("cdf", "hist"):
+            name = f"{stem}_{table}.csv"
+            assert (out_dir / name).read_bytes() == (ref_dir / name).read_bytes()

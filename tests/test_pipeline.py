@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bohmvel.errors import InvalidInputError, NumericalFailureError, RegularityError
+from bohmvel.guidance import NodePolicy, integrate_ensemble
 from bohmvel.pipeline import PipelineParams, child_seed, run_guided_pipeline
 from bohmvel.wavefunction import (
     GridSpec,
@@ -80,3 +81,26 @@ def test_dirac_wraparound_fails_fast():
         run_guided_pipeline(psi, PotentialSpec.none(), params)
     assert time.perf_counter() - start < 10.0
     assert 20.0 < info.value.diagnostics["t"] < 30.0
+
+
+def test_box_exit_fails_fast():
+    # The second start sits just inside the right edge of the box and the
+    # field carries it out on the first step. The packet stays far from the
+    # edges, so no health check trips; the near-zero density floor keeps the
+    # edge point from being rejected as a near-node instead.
+    spec = GridSpec.line(256, -16.0, 16.0)
+    psi = gaussian_packet(spec, 1.0, 0.0, 1.0, 1.0)
+    starts = np.array([[0.0], [15.99]])
+    start = time.perf_counter()
+    res = integrate_ensemble(
+        psi, PotentialSpec.none(), starts, np.linspace(0.0, 2.0, 5),
+        NodePolicy(rho_floor=1e-300), dt=0.05,
+    )
+    assert time.perf_counter() - start < 5.0
+    diag = res.diagnostics
+    np.testing.assert_array_equal(diag.failed, [False, True])
+    assert diag.failed_weight == 0.5
+    assert diag.shrink_events.sum() == 0 and diag.frozen_steps.sum() == 0
+    # The failed trajectory keeps the last position it reached in the box.
+    assert np.all(res.positions[1, :, 0] == 15.99)
+    assert res.positions[0, -1, 0] > 1.0

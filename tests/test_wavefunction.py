@@ -13,13 +13,11 @@ from bohmvel.wavefunction import (
     evolve_dirac,
     evolve_schrodinger,
     gaussian_packet,
-    load_wavefunction,
     momentum_amplitudes,
     momentum_density,
     outgoing_asymptote,
     positive_energy_spinor,
     project_positive_energy,
-    save_wavefunction,
     superposed_gaussians,
 )
 
@@ -259,26 +257,6 @@ class TestSuperposition:
         # Mirror symmetry is exact; the p = 0 bin keeps each side just shy of 1/2.
         assert plus == pytest.approx(minus, abs=1e-9)
         assert plus == pytest.approx(0.5, abs=5e-4)
-
-
-class TestSnapshotIO:
-    def test_roundtrip(self, tmp_path, line_grid):
-        psi, _ = project_positive_energy(
-            gaussian_packet(line_grid, 1.0, 0.0, 0.75, 1.0, kind="dirac")
-        )
-        path = tmp_path / "state.bvwf"
-        save_wavefunction(psi, path)
-        back = load_wavefunction(path)
-        assert back.kind == psi.kind
-        assert back.mass == psi.mass
-        assert back.t == psi.t
-        np.testing.assert_array_equal(back.amplitudes, psi.amplitudes)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a snapshot")
-        with pytest.raises(InvalidInputError):
-            load_wavefunction(path)
 
 
 def test_momentum_amplitude_parseval(base_packet):
