@@ -6,6 +6,13 @@ Times, in fresh single-threaded worker processes:
   snapshot of configs/free_gaussian.json (Schrodinger) and of
   configs/dirac_covariance.json (Dirac);
 - ``FieldSnapshot`` construction for both states;
+- ``stencil_build``: the periodic ghost cells of a Dirac snapshot's rho
+  and current grids, as ``_interp.CubicStencil`` builds them once per
+  snapshot (on a tree without it: the ``np.pad`` of both grids that every
+  interpolation call used to make);
+- ``rk4_step``: one ``guidance._rk4_block`` at 10^4 points on three
+  Dirac snapshots half a step apart, the step the covariance pipelines
+  repeat;
 - ``DiracPropagator.advance`` by half an RK4 step (dt/2), the call the
   Dirac ensemble integration repeats;
 - ``EmpiricalMeasure.to_csv`` of a 10^5-row measure into a temporary
@@ -22,18 +29,24 @@ Each ``--tree label=path`` names a source directory holding the bohmvel
 package (default: this checkout's src). Every round starts one worker per
 tree, alternating which tree goes first, and each worker times several
 blocks of calls per kernel. The result file records the median and
-quartiles of the per-call time over all blocks, the ratio of medians of
-the last tree to the first, a sha256 of each kernel's output where there
-is one (the evaluate arrays, the CSV bytes, the boosted amplitudes; equal
-digests mean bitwise-equal results), and the host: nproc, CPU,
-Python and numpy versions.
+quartiles of the per-call time over all blocks, a sha256 of each kernel's
+output where there is one (the evaluate arrays, the CSV bytes, the
+boosted amplitudes, the RK4 positions; equal digests mean bitwise-equal
+results), and the host: nproc, CPU, Python and numpy versions. With two
+or more trees it also records, per kernel, the ratio of the last tree to
+the first within each round (each tree's median block in that round) and
+the median and quartiles of those per-round ratios: host speed drifts
+between rounds, and a paired ratio cancels what the two workers of one
+round share.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
+import math
 import os
 import platform
 import subprocess
@@ -55,6 +68,8 @@ CALLS = {
     "snapshot_schrodinger": 50,
     "snapshot_dirac": 100,
     "dirac_advance": 200,
+    "stencil_build": 200,
+    "rk4_step": 20,
     "measure_to_csv": 1,
     "boost_dirac_state": 100,
 }
@@ -111,8 +126,9 @@ def worker() -> dict:
     import numpy as np
 
     import bohmvel
+    from bohmvel import _interp
     from bohmvel.core import EmpiricalMeasure
-    from bohmvel.guidance import FieldSnapshot, sample_initial
+    from bohmvel.guidance import EnsembleDiagnostics, FieldSnapshot, NodePolicy, _rk4_block, sample_initial
     from bohmvel.relativity import boost_dirac_state
 
     schrodinger, dirac0, dirac, prop, half_step = _states()
@@ -124,6 +140,33 @@ def worker() -> dict:
         kernels[f"evaluate_{label}"] = lambda snap=snap, points=points: snap.evaluate(points, 1e-12)
         kernels[f"snapshot_{label}"] = lambda psi=psi: FieldSnapshot(psi)
     kernels["dirac_advance"] = lambda: prop.advance(dirac, half_step)
+
+    dirac_snap = FieldSnapshot(dirac)
+    grids = [dirac_snap.rho, *dirac_snap.currents]
+    spec = dirac.spec
+    if hasattr(_interp, "CubicStencil"):
+        kernels["stencil_build"] = lambda: _interp.CubicStencil(grids, spec.x_min, spec.dx)
+    else:
+        kernels["stencil_build"] = lambda: [np.pad(g, [(1, 2)], mode="wrap") for g in grids]
+
+    mid = prop.advance(dirac, half_step)
+    snaps = [dirac_snap, FieldSnapshot(mid), FieldSnapshot(prop.advance(mid, half_step))]
+    dirac_points = sample_initial(dirac, N_POINTS, 0)
+    policy = NodePolicy()
+    # Newer trees pass the run's slow-path budget as a last argument.
+    budget = (math.inf,) if len(inspect.signature(_rk4_block).parameters) == 8 else ()
+
+    def rk4_step():
+        diag = EnsembleDiagnostics(
+            min_rho=np.full(N_POINTS, np.inf),
+            shrink_events=np.zeros(N_POINTS, dtype=np.int64),
+            frozen_steps=np.zeros(N_POINTS, dtype=np.int64),
+            failed=np.zeros(N_POINTS, dtype=bool),
+        )
+        return _rk4_block(dirac_points, *snaps, 2.0 * half_step, policy, diag, *budget)
+
+    kernels["rk4_step"] = rk4_step
+    digests["rk4_step"] = _sha256(rk4_step().tobytes())
 
     measure = EmpiricalMeasure.from_samples(np.random.default_rng(0).standard_normal(CSV_ROWS))
     kernels["boost_dirac_state"] = lambda: boost_dirac_state(dirac0, BOOST_U)
@@ -218,14 +261,19 @@ def main(argv=None) -> int:
             },
         }
     if len(trees) > 1:
-        first, last = result["trees"][trees[0][0]], result["trees"][trees[-1][0]]
-        result[f"ratio_{trees[-1][0]}_over_{trees[0][0]}"] = {
-            name: last["kernels"][name]["median"] / first["kernels"][name]["median"] for name in CALLS
+        first, last = runs[trees[0][0]], runs[trees[-1][0]]
+
+        def round_median(rec, name):
+            return _quantiles(rec["per_call_ms"][name])["median"]
+
+        result[f"paired_ratio_{trees[-1][0]}_over_{trees[0][0]}"] = {
+            name: _quantiles([round_median(b, name) / round_median(a, name) for a, b in zip(first, last)])
+            for name in CALLS
         }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(json.dumps({k: v for k, v in result.items() if k.startswith("ratio")} or result["trees"], indent=2))
+    print(json.dumps({k: v for k, v in result.items() if k.startswith("paired_ratio")} or result["trees"], indent=2))
     return 0
 
 

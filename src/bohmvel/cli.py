@@ -63,7 +63,6 @@ EXIT_CONFIG_ERROR = 4
 EXIT_NUMERICAL_FAILURE = 5
 
 ENV_OUT_DIR = "BOHMVEL_OUT_DIR"
-ENV_WORKERS = "BOHMVEL_WORKERS"
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +321,7 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
     return EXIT_PASS if ok else EXIT_COMPARISON_FAIL
 
 
-def cmd_covariance(cfg: dict, out_dir: str, seed: int | None, workers: int) -> int:
+def cmd_covariance(cfg: dict, out_dir: str, seed: int | None) -> int:
     if cfg["system"] != "free_dirac":
         raise ConfigurationError("covariance runs need system = free_dirac")
     seed = int(cfg.get("seed", 0)) if seed is None else seed
@@ -348,9 +347,7 @@ def cmd_covariance(cfg: dict, out_dir: str, seed: int | None, workers: int) -> i
             per_boost.append(rep)
 
         g_list = [PoincareElement.boost(u, 0, 1) for u in boosts]
-        sweep = foliation_sweep(
-            psi, g_list, params, workers=workers, ks_threshold=threshold, base=base
-        )
+        sweep = foliation_sweep(psi, g_list, params, ks_threshold=threshold, base=base)
     except RegularityError as exc:
         # No verdict is possible; record that explicitly before exiting.
         os.makedirs(out_dir, exist_ok=True)
@@ -512,7 +509,9 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-    p_cov.add_argument("--workers", type=int, default=None)
+    # Kept so existing command lines still parse; the sweep runs its
+    # pipelines one after another, since threads gain nothing under the GIL.
+    p_cov.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
 
     p_ce = sub.add_parser("counterexample", help="rotating-family stationarity dichotomy")
     p_ce.add_argument("--omega", type=float, default=1.0)
@@ -545,8 +544,7 @@ def main(argv=None) -> int:
             raise ConfigurationError("no output directory (config.out_dir, --out, or env)")
         if args.command == "run":
             return cmd_run(cfg, out, args.seed)
-        workers = args.workers or int(os.environ.get(ENV_WORKERS, "1"))
-        return cmd_covariance(cfg, out, args.seed, workers)
+        return cmd_covariance(cfg, out, args.seed)
     except ConfigurationError as exc:
         print(_error_payload(exc), file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -13,7 +13,9 @@ world lines.
 
 Near wave-function nodes the field is stiff and the ODE may locally lose
 accuracy; the integrator reacts per NodePolicy (shrink the step towards
-dt_min, then freeze the step, or abort the trajectory). A trajectory
+dt_min, then freeze the step, or abort the trajectory). That slow path
+may spend SLOW_PATH_EVALS_PER_STEP field evaluations per RK4 step of the
+run; a run that uses them up raises NumericalFailureError. A trajectory
 whose step leaves the grid box is aborted at once. Aborted
 trajectories are excluded downstream with their weight recorded; the run
 is considered valid only while that weight stays below 0.1%.
@@ -33,13 +35,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ._interp import cubic_interp_grid
+from ._interp import CubicStencil, cubic_interp_grid
 from .core import SampledTrajectory
 from .errors import (
     ConfigurationError,
     DomainError,
     InvalidInputError,
     NodeProximityError,
+    NumericalFailureError,
 )
 from .stats import ks_vs_cdf_1d
 from .wavefunction import (
@@ -65,6 +68,9 @@ __all__ = [
 ]
 
 FAILED_WEIGHT_LIMIT = 1e-3
+# Near-node slow-path field evaluations allowed per RK4 step of a run,
+# summed over all trajectories and spent anywhere in the run.
+SLOW_PATH_EVALS_PER_STEP = 32
 
 
 @dataclass(frozen=True)
@@ -87,11 +93,14 @@ class NodePolicy:
             raise InvalidInputError(f"unknown node action {self.action!r}")
 
 
-def _in_box(spec, points: np.ndarray) -> np.ndarray:
-    """Mask of the rows of ``points`` inside the grid box [x_min, x_max)."""
-    inside = np.ones(points.shape[0], dtype=bool)
+def _in_box(spec, points: np.ndarray, inside: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the rows of ``points`` inside the grid box [x_min, x_max),
+    ANDed in place into ``inside`` when given."""
+    if inside is None:
+        inside = np.ones(points.shape[0], dtype=bool)
     for ax in range(spec.dim):
-        inside &= (points[:, ax] >= spec.x_min[ax]) & (points[:, ax] < spec.x_max[ax])
+        inside &= points[:, ax] >= spec.x_min[ax]
+        inside &= points[:, ax] < spec.x_max[ax]
     return inside
 
 
@@ -114,6 +123,8 @@ class FieldSnapshot:
                 grad = np.fft.ifftn(1j * self.spec.momentum_axis(ax).reshape(shp) * amps_hat)
                 currents.append(np.imag(np.conj(psi.amplitudes) * grad) / psi.mass)
             self.currents = currents
+        # The grids never change, so their ghost cells are built once here.
+        self._stencil = CubicStencil([self.rho, *self.currents], self.spec.x_min, self.spec.dx)
 
     def evaluate(self, points: np.ndarray, rho_floor: float):
         """Velocity, density, and acceptance mask at scattered points.
@@ -124,16 +135,16 @@ class FieldSnapshot:
         """
         points = np.atleast_2d(points)
         spec = self.spec
-        rho, *currents = cubic_interp_grid([self.rho, *self.currents], spec.x_min, spec.dx, points)
-        ok = rho >= rho_floor
-        ok &= _in_box(spec, points)
-        vel = np.zeros_like(points)
+        rho, *currents = self._stencil.at(points)
+        ok = _in_box(spec, points, rho >= rho_floor)
+        vel = np.empty_like(points)
         safe_rho = np.where(rho > 0, rho, 1.0)
         for ax, j in enumerate(currents):
-            vel[:, ax] = j / safe_rho
+            np.divide(j, safe_rho, out=vel[:, ax])
         if self.kind == KIND_DIRAC:
             ok &= np.abs(vel[:, 0]) < 1.0
-        vel[~ok] = 0.0
+        if not ok.all():
+            vel[~ok] = 0.0
         return vel, rho, ok
 
 
@@ -226,6 +237,7 @@ class EnsembleDiagnostics:
     accepted_evaluations: int = 0
     rejected_evaluations: int = 0
     speed_violations_accepted: int = 0
+    slow_path_evaluations: int = 0
 
     @property
     def failed_weight(self) -> float:
@@ -361,12 +373,13 @@ def integrate_ensemble(
     if t_grid.size == 1:
         return IntegrationResult(t_grid, positions, diag, snapshots)
 
+    seg_lens = np.diff(t_grid)
+    n_subs = [max(1, int(np.ceil(seg_len / dt - 1e-12))) for seg_len in seg_lens]
+    slow_budget = SLOW_PATH_EVALS_PER_STEP * sum(n_subs)
     x = starts.copy()
     psi = psi0
     snap_now = FieldSnapshot(psi)
-    for seg in range(t_grid.size - 1):
-        seg_len = t_grid[seg + 1] - t_grid[seg]
-        n_sub = max(1, int(np.ceil(seg_len / dt - 1e-12)))
+    for seg, (seg_len, n_sub) in enumerate(zip(seg_lens, n_subs)):
         h = seg_len / n_sub
         for _ in range(n_sub):
             psi_mid = stepper(psi, 0.5 * h)
@@ -374,7 +387,7 @@ def integrate_ensemble(
             snap_mid = FieldSnapshot(psi_mid)
             snap_end = FieldSnapshot(psi_end)
             x = _rk4_block(
-                x, snap_now, snap_mid, snap_end, h, policy, diag
+                x, snap_now, snap_mid, snap_end, h, policy, diag, slow_budget
             )
             psi = psi_end
             snap_now = snap_end
@@ -383,28 +396,48 @@ def integrate_ensemble(
     return IntegrationResult(t_grid, positions, diag, snapshots)
 
 
-def _rk4_block(x, snap_a, snap_b, snap_c, h, policy, diag):
+def _rk4_block(x, snap_a, snap_b, snap_c, h, policy, diag, slow_budget):
     """One vectorized RK4 step; flagged trajectories go to the slow path.
 
     A trajectory with a stage point outside the grid box fails at once: it
     has left the domain, and no smaller step can bring the stage back.
+    While no trajectory has failed and every evaluation is accepted, the
+    step works on ``x`` directly and returns the new positions without
+    the live-subset bookkeeping; the results are the same.
     """
-    live = ~diag.failed
-    xl = x[live]
+    all_live = not diag.failed.any()
+    xl = x if all_live else x[~diag.failed]
     k1, r1, ok1 = snap_a.evaluate(xl, policy.rho_floor)
-    stage2 = xl + 0.5 * h * k1
+    stage2 = np.multiply(0.5 * h, k1)
+    stage2 += xl
     k2, r2, ok2 = snap_b.evaluate(stage2, policy.rho_floor)
-    stage3 = xl + 0.5 * h * k2
+    stage3 = np.multiply(0.5 * h, k2)
+    stage3 += xl
     k3, r3, ok3 = snap_b.evaluate(stage3, policy.rho_floor)
-    stage4 = xl + h * k3
+    stage4 = np.multiply(h, k3)
+    stage4 += xl
     k4, r4, ok4 = snap_c.evaluate(stage4, policy.rho_floor)
-    ok = ok1 & ok2 & ok3 & ok4
-    diag.accepted_evaluations += int(ok1.sum() + ok2.sum() + ok3.sum() + ok4.sum())
-    diag.rejected_evaluations += int((~ok1).sum() + (~ok2).sum() + (~ok3).sum() + (~ok4).sum())
+    masks = (ok1, ok2, ok3, ok4)
+    accepted = int(sum(np.count_nonzero(okk) for okk in masks))
+    diag.accepted_evaluations += accepted
+    diag.rejected_evaluations += 4 * xl.shape[0] - accepted
     if snap_a.kind == KIND_DIRAC:
-        for k, okk in ((k1, ok1), (k2, ok2), (k3, ok3), (k4, ok4)):
-            diag.speed_violations_accepted += int(np.sum(np.abs(k[okk, 0]) >= 1.0))
-    x_new = xl + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for k, okk in zip((k1, k2, k3, k4), masks):
+            diag.speed_violations_accepted += int(np.count_nonzero((np.abs(k[:, 0]) >= 1.0) & okk))
+    # xl + (h / 6) (k1 + 2 k2 + 2 k3 + k4), term by term in that order.
+    x_new = np.multiply(2.0, k2)
+    x_new += k1
+    k3 *= 2.0
+    x_new += k3
+    x_new += k4
+    x_new *= h / 6.0
+    x_new += xl
+    if all_live and accepted == 4 * xl.shape[0]:
+        np.minimum(diag.min_rho, r1, out=diag.min_rho)
+        return x_new
+
+    live = ~diag.failed
+    ok = ok1 & ok2 & ok3 & ok4
     live_idx = np.flatnonzero(live)
     mins = np.minimum(diag.min_rho[live_idx], r1)
     diag.min_rho[live_idx] = np.where(ok1, mins, diag.min_rho[live_idx])
@@ -421,15 +454,20 @@ def _rk4_block(x, snap_a, snap_b, snap_c, h, policy, diag):
         if bad_local.size:
             field = _TimeBlendField([snap_a, snap_b, snap_c])
             x_new[bad_local] = _slow_path(
-                xl[bad_local], live_idx[bad_local], snap_a.t, h, field, policy, diag
+                xl[bad_local], live_idx[bad_local], snap_a.t, h, field, policy, diag, slow_budget
             )
     x = x.copy()
     x[live_idx] = x_new
     return x
 
 
-def _slow_path(x_bad, idx, t0, h, field, policy, diag):
-    """Adaptive halving (to dt_min), then freeze or abort per policy."""
+def _slow_path(x_bad, idx, t0, h, field, policy, diag, budget):
+    """Adaptive halving (to dt_min), then freeze or abort per policy.
+
+    Raises NumericalFailureError once the run's slow-path evaluations
+    exceed ``budget``: trajectories that need the whole halving chain on
+    every step would otherwise take minutes per time unit.
+    """
     out = x_bad.copy()
     for row, traj_idx in enumerate(idx):
         if policy.action == "abort":
@@ -448,6 +486,18 @@ def _slow_path(x_bad, idx, t0, h, field, policy, diag):
             trial = pos.copy()
             clean = True
             for j in range(n_half):
+                if diag.slow_path_evaluations >= budget:
+                    raise NumericalFailureError(
+                        f"near-node slow path used {diag.slow_path_evaluations} of its "
+                        f"{budget} evaluations at t={t0:g}, with {idx.size} trajectories "
+                        "stuck in this step",
+                        {
+                            "slow_path_evaluations": diag.slow_path_evaluations,
+                            "t": t0,
+                            "stuck_trajectories": int(idx.size),
+                        },
+                    )
+                diag.slow_path_evaluations += 4
                 tau = t0 + j * sub_h
                 v1, _, o1 = field.evaluate(tau, trial, policy.rho_floor)
                 v2, _, o2 = field.evaluate(tau + 0.5 * sub_h, trial + 0.5 * sub_h * v1, policy.rho_floor)

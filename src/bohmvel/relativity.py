@@ -22,7 +22,6 @@ massive 1+1D little group is trivial, so no extra phase appears).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,7 +325,6 @@ def foliation_sweep(
     psi: GridWavefunction,
     g_list: list[PoincareElement],
     params: PipelineParams,
-    workers: int = 1,
     ks_threshold: float = 0.03,
     base: PipelineResult | None = None,
 ) -> dict:
@@ -335,12 +333,13 @@ def foliation_sweep(
 
     For each g the pipeline runs on the boosted state and the resulting
     measure is pushed through g^{-1}; foliation independence predicts all
-    pairwise KS distances at sampling-noise scale.
+    pairwise KS distances at sampling-noise scale. The pipelines run one
+    after another.
     """
     labels = [FoliationLabel(g).name for g in g_list]
 
-    def one(idx_g):
-        idx, g = idx_g
+    measures, reports = [], []
+    for idx, g in enumerate(g_list):
         u = _boost_speed_of(g)
         if u == 0.0:
             res = base if base is not None else run_guided_pipeline(
@@ -355,16 +354,8 @@ def foliation_sweep(
                 f"foliation {labels[idx]} failed the regularity verdict", res.regularity
             )
         g_inv = g.inverse()
-        return res.s_plus.transport(lambda s: transform_velocity_block(s, g_inv)), res.regularity
-
-    items = list(enumerate(g_list))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, items))
-    else:
-        outcomes = [one(it) for it in items]
-    measures = [m for m, _ in outcomes]
-    reports = [r.to_dict() for _, r in outcomes]
+        measures.append(res.s_plus.transport(lambda s: transform_velocity_block(s, g_inv)))
+        reports.append(res.regularity.to_dict())
 
     n = len(measures)
     matrix = np.zeros((n, n))

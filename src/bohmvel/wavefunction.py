@@ -152,7 +152,9 @@ class GridWavefunction:
     separable: bool = False
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        # A private copy: freezing it leaves the caller's array writable,
+        # and no view the caller holds can change the state or its norm.
+        amps = np.array(self.amplitudes, dtype=complex)
         if self.kind == KIND_SCHRODINGER:
             if amps.shape != self.spec.shape:
                 raise InvalidInputError("scalar amplitude shape must match grid")
@@ -167,12 +169,15 @@ class GridWavefunction:
             raise InvalidInputError("mass must be nonnegative")
         object.__setattr__(self, "amplitudes", amps)
         self.amplitudes.setflags(write=False)
-        n = self.norm()
+        # The amplitudes are private and read-only, so the norm is computed
+        # once, here.
+        n = float(np.sqrt(np.sum(np.abs(amps) ** 2) * self.spec.cell_volume))
+        object.__setattr__(self, "_norm", n)
         if abs(n - 1.0) > NORM_TOL:
             raise InvalidInputError(f"wavefunction norm {n} deviates from 1 beyond {NORM_TOL}")
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2) * self.spec.cell_volume))
+        return self._norm
 
     def density(self) -> np.ndarray:
         """Position density rho(x); spinor components are summed."""

@@ -393,6 +393,19 @@ class TestFailureExitCodes:
 
         assert main(["run", "--config", path]) == EXIT_NUMERICAL_FAILURE
 
+    def test_slow_path_budget_exit_5(self, tmp_path, capsys):
+        # A density floor that a quarter of the starts sit below: the
+        # near-node slow path runs out of its budget and the run exits 5.
+        cfg = small_free_config(tmp_path / "stuck", n=200)
+        cfg["ensemble"]["rho_floor"] = 0.2
+        path = write_config(tmp_path, cfg)
+        from bohmvel.cli import EXIT_NUMERICAL_FAILURE
+
+        assert main(["run", "--config", path]) == EXIT_NUMERICAL_FAILURE
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "NumericalFailureError"
+        assert "slow path" in error["message"]
+
     def test_regularity_invalid_exit_3_and_report(self, tmp_path):
         # Aborting every trajectory invalidates the run: exit 3 and a
         # covariance report carrying the "invalid" verdict.

@@ -1,27 +1,31 @@
 """The shared kernels are bitwise equal to the code paths they replace:
-the shared-stencil interpolation against the per-field loop and the old
-1D path of the momentum-space boost, the cached Dirac step factors against
+the padded-once stencil against the per-field loop and the old 1D path of
+the momentum-space boost, the lean RK4 block against the one it replaced,
+the cached norm against its formula, the cached Dirac step factors against
 the per-call formula, and the one float-CSV writer against the per-row
 loops that each table had."""
 
+import dataclasses
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bohmvel import relativity
-from bohmvel._interp import cubic_interp_grid
+from bohmvel import guidance, relativity
+from bohmvel._interp import CubicStencil, cubic_interp_grid
 from bohmvel.cli import _build_state, cmd_plotdata, load_config
 from bohmvel.core import _CSV_CHUNK, EmpiricalMeasure, _write_float_csv
 from bohmvel.errors import ConfigurationError
-from bohmvel.guidance import FieldSnapshot, sample_initial
+from bohmvel.guidance import EnsembleDiagnostics, FieldSnapshot, NodePolicy, sample_initial
 from bohmvel.wavefunction import (
     KIND_DIRAC,
     DiracPropagator,
     GridSpec,
     PotentialSpec,
+    SplitStepPropagator,
     evolve_schrodinger,
     gaussian_packet,
     project_positive_energy,
@@ -171,6 +175,167 @@ def test_cached_dirac_step_matches_uncached_formula():
     assert sorted(prop._factors) == [0.025, 0.7]
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [(64,), (48,), (16, 32), (12, 5), (8, 4, 16), (6, 8, 5)],
+    ids=lambda s: "x".join(map(str, s)),
+)
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_stencil_matches_per_field_loop(shape, dtype):
+    """Power-of-two axes wrap with a mask, other sizes with a modulo; both
+    match ``% n`` on every offset, and a stencil gives the same bytes on
+    every call."""
+    rng = np.random.default_rng(sum(shape))
+    dim = len(shape)
+    x_min = tuple(-2.0 + 0.75 * ax for ax in range(dim))
+    dx = tuple(0.1 * (ax + 2) for ax in range(dim))
+    grids = [rng.standard_normal(shape).astype(dtype) for _ in range(3)]
+    if dtype is complex:
+        grids = [g + 1j * rng.standard_normal(shape) for g in grids]
+    kept = [g.copy() for g in grids]
+    stencil = CubicStencil(grids, x_min, dx)
+    points = box_points(rng, x_min, dx, shape)
+    for _ in range(2):
+        outs = stencil.at(points)
+        assert len(outs) == len(grids)
+        for grid, out in zip(grids, outs):
+            ref = reference_interp(grid, x_min, dx, points)
+            assert out.dtype == ref.dtype
+            assert out.tobytes() == ref.tobytes()
+    for grid, old in zip(grids, kept):
+        assert grid.tobytes() == old.tobytes()
+
+
+def reference_rk4_block(x, snap_a, snap_b, snap_c, h, policy, diag):
+    """``guidance._rk4_block`` before the all-live fast path."""
+    live = ~diag.failed
+    xl = x[live]
+    k1, r1, ok1 = snap_a.evaluate(xl, policy.rho_floor)
+    stage2 = xl + 0.5 * h * k1
+    k2, r2, ok2 = snap_b.evaluate(stage2, policy.rho_floor)
+    stage3 = xl + 0.5 * h * k2
+    k3, r3, ok3 = snap_b.evaluate(stage3, policy.rho_floor)
+    stage4 = xl + h * k3
+    k4, r4, ok4 = snap_c.evaluate(stage4, policy.rho_floor)
+    ok = ok1 & ok2 & ok3 & ok4
+    diag.accepted_evaluations += int(ok1.sum() + ok2.sum() + ok3.sum() + ok4.sum())
+    diag.rejected_evaluations += int((~ok1).sum() + (~ok2).sum() + (~ok3).sum() + (~ok4).sum())
+    if snap_a.kind == KIND_DIRAC:
+        for k, okk in ((k1, ok1), (k2, ok2), (k3, ok3), (k4, ok4)):
+            diag.speed_violations_accepted += int(np.sum(np.abs(k[okk, 0]) >= 1.0))
+    x_new = xl + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    live_idx = np.flatnonzero(live)
+    mins = np.minimum(diag.min_rho[live_idx], r1)
+    diag.min_rho[live_idx] = np.where(ok1, mins, diag.min_rho[live_idx])
+
+    if not np.all(ok):
+        bad_local = np.flatnonzero(~ok)
+        inside = np.ones(bad_local.size, dtype=bool)
+        for stage in (xl, stage2, stage3, stage4):
+            inside &= guidance._in_box(snap_a.spec, stage[bad_local])
+        left = bad_local[~inside]
+        diag.failed[live_idx[left]] = True
+        x_new[left] = xl[left]
+        bad_local = bad_local[inside]
+        if bad_local.size:
+            field = guidance._TimeBlendField([snap_a, snap_b, snap_c])
+            x_new[bad_local] = guidance._slow_path(
+                xl[bad_local], live_idx[bad_local], snap_a.t, h, field, policy, diag, math.inf
+            )
+    x = x.copy()
+    x[live_idx] = x_new
+    return x
+
+
+def _fresh_diagnostics(n, failed=()):
+    diag = EnsembleDiagnostics(
+        min_rho=np.full(n, np.inf),
+        shrink_events=np.zeros(n, dtype=np.int64),
+        frozen_steps=np.zeros(n, dtype=np.int64),
+        failed=np.zeros(n, dtype=bool),
+    )
+    diag.failed[list(failed)] = True
+    return diag
+
+
+def _rk4_case(name):
+    """(psi, points, policy, failed indices) of one RK4 block."""
+    if name in ("all_live", "one_failed", "rho_floor"):
+        psi = _schrodinger_state()
+    elif name.startswith("dirac"):
+        psi = _dirac_state()
+    else:  # box_exit: a packet moving right, one point at the right edge
+        psi = gaussian_packet(GridSpec.line(256, -16.0, 16.0), 1.0, 0.0, 1.0, 1.0)
+    points = sample_initial(psi, 2000, 5)
+    policy = NodePolicy()
+    failed = ()
+    if name in ("one_failed", "dirac_one_failed"):
+        failed = (17,)
+    elif name == "box_exit":
+        points = np.concatenate([points, [[15.99]]])
+        policy = NodePolicy(rho_floor=1e-300)
+    elif name == "rho_floor":
+        # One point far in the tail, below the floor: shrink, then freeze.
+        points = np.concatenate([points[:100], [[-58.0]], points[100:]])
+        policy = NodePolicy(rho_floor=1e-8, dt_min=0.01)
+    return psi, points, policy, failed
+
+
+@pytest.mark.parametrize(
+    "name", ["all_live", "dirac_all_live", "one_failed", "dirac_one_failed", "box_exit", "rho_floor"]
+)
+def test_rk4_block_matches_reference(name):
+    psi, points, policy, failed = _rk4_case(name)
+    h = 0.05
+    if psi.kind == KIND_DIRAC:
+        prop = DiracPropagator(psi.spec, psi.mass)
+        mid = prop.advance(psi, 0.5 * h)
+        end = prop.advance(mid, 0.5 * h)
+    else:
+        prop = SplitStepPropagator(psi.spec, psi.mass, PotentialSpec.none(), 0.5 * h)
+        mid = prop.advance(psi, 1)
+        end = prop.advance(mid, 1)
+    snaps = [FieldSnapshot(s) for s in (psi, mid, end)]
+    x = points.copy()
+    diag = _fresh_diagnostics(len(points), failed)
+    diag_ref = _fresh_diagnostics(len(points), failed)
+    got = guidance._rk4_block(x, *snaps, h, policy, diag, math.inf)
+    want = reference_rk4_block(points, *snaps, h, policy, diag_ref)
+    assert got is not x and x.tobytes() == points.tobytes()
+    assert got.tobytes() == want.tobytes()
+    for f in dataclasses.fields(EnsembleDiagnostics):
+        a, b = getattr(diag, f.name), getattr(diag_ref, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+    # Each case drives the branch it is named after.
+    if name.endswith("all_live"):
+        assert diag.rejected_evaluations == 0 and not diag.failed.any()
+    elif name == "box_exit":
+        assert diag.failed.tolist() == [False] * (len(points) - 1) + [True]
+    elif name == "rho_floor":
+        assert diag.shrink_events[100] > 0 and diag.frozen_steps[100] == 1
+        assert not diag.failed.any()
+
+
+def _two_dim_state():
+    spec = GridSpec((64, 32), (-16.0, -12.0), (16.0, 12.0))
+    return gaussian_packet(spec, 1.0, [0.5, -0.25], [0.3, 0.0], [1.0, 0.8])
+
+
+@pytest.mark.parametrize(
+    "make_state", [_schrodinger_state, _dirac_state, _two_dim_state], ids=["schrodinger", "dirac", "2d"]
+)
+def test_cached_norm_matches_formula(make_state):
+    psi = make_state()
+    for state in (psi, psi.with_amplitudes(psi.amplitudes * np.exp(0.3j), t=psi.t + 1.0)):
+        want = float(np.sqrt(np.sum(np.abs(state.amplitudes) ** 2) * state.spec.cell_volume))
+        assert type(state.norm()) is float
+        assert state.norm() == want
+
+
 def reference_interp_uniform(values, x0, dx, xq):
     """The former 1D path of the boost: cubic interpolation on the uniform
     periodic grid x0 + i dx, wrapping every offset with ``% n``."""
@@ -317,3 +482,17 @@ def test_plotdata_tables_match_row_loops(tmp_path, capsys):
         for table in ("cdf", "hist"):
             name = f"{stem}_{table}.csv"
             assert (out_dir / name).read_bytes() == (ref_dir / name).read_bytes()
+
+
+def test_state_owns_its_amplitudes():
+    """A state copies the amplitudes it is given: the caller's array stays
+    writable, and writing through it changes neither the state nor its
+    cached norm."""
+    psi = _schrodinger_state()
+    given = np.array(psi.amplitudes)
+    view = given[:]
+    state = psi.with_amplitudes(given)
+    assert given.flags.writeable and not state.amplitudes.flags.writeable
+    view *= 2.0
+    assert state.amplitudes.tobytes() == psi.amplitudes.tobytes()
+    assert state.norm() == psi.norm()

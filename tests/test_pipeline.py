@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bohmvel.errors import InvalidInputError, NumericalFailureError, RegularityError
-from bohmvel.guidance import NodePolicy, integrate_ensemble
+from bohmvel.guidance import SLOW_PATH_EVALS_PER_STEP, NodePolicy, integrate_ensemble
 from bohmvel.pipeline import PipelineParams, child_seed, run_guided_pipeline
 from bohmvel.wavefunction import (
     GridSpec,
@@ -104,3 +104,22 @@ def test_box_exit_fails_fast():
     # The failed trajectory keeps the last position it reached in the box.
     assert np.all(res.positions[1, :, 0] == 15.99)
     assert res.positions[0, -1, 0] > 1.0
+
+
+def test_slow_path_budget_ends_a_stuck_run():
+    # Starts at 4.5-6 sigma0 sit below the density floor, so every step of
+    # every trajectory runs the whole halving chain and then freezes. The
+    # run's slow-path budget ends it early instead of after minutes.
+    psi = gaussian_packet(GridSpec.line(4096, -256.0, 256.0), 1.0, 0.0, 0.0, 1.0)
+    starts = np.linspace(4.5, 6.0, 50)[:, None]
+    start = time.perf_counter()
+    with pytest.raises(NumericalFailureError, match="slow path") as info:
+        integrate_ensemble(
+            psi, PotentialSpec.none(), starts, [0.0, 40.0],
+            NodePolicy(rho_floor=1e-3, action="shrink_dt"),
+        )
+    assert time.perf_counter() - start < 15.0
+    diag = info.value.diagnostics
+    assert diag["slow_path_evaluations"] >= SLOW_PATH_EVALS_PER_STEP * 800
+    assert diag["stuck_trajectories"] == 50
+    assert 0.0 < diag["t"] < 40.0
