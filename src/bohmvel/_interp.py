@@ -26,8 +26,6 @@ axis by axis; the result is bitwise equal to wrapping each offset with
 ``% n`` separately, also for points outside the box. Per-call
 temporaries stay at one value per point, so a call at 10^4 points never
 allocates more than 80 KB at a time.
-
-``cubic_interp_grid`` is the one-shot form, ``CubicStencil(...).at(...)``.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import math
 
 import numpy as np
 
-__all__ = ["CubicStencil", "cubic_interp_grid"]
+__all__ = ["CubicStencil"]
 
 
 def _catmull_rom_weights(t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -141,11 +139,3 @@ class CubicStencil:
                 out += term
         return outs
 
-
-def cubic_interp_grid(grids, x_min, dx, points: np.ndarray) -> list[np.ndarray]:
-    """Tensor-product cubic interpolation of d-dim grids at scattered points.
-
-    grids: sequence of arrays sharing one grid shape; points: (k, d).
-    Returns one (k,) array per grid, in the order of ``grids``.
-    """
-    return CubicStencil(grids, x_min, dx).at(points)

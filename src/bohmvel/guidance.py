@@ -14,8 +14,9 @@ world lines.
 Near wave-function nodes the field is stiff and the ODE may locally lose
 accuracy; the integrator reacts per NodePolicy (shrink the step towards
 dt_min, then freeze the step, or abort the trajectory). That slow path
-may spend SLOW_PATH_EVALS_PER_STEP field evaluations per RK4 step of the
-run; a run that uses them up raises NumericalFailureError. A trajectory
+has a per-run budget of field evaluations: on every RK4 step, the whole
+halving chain for one trajectory plus SLOW_PATH_STUCK_SHARE of the
+ensemble; a run that uses it up raises NumericalFailureError. A trajectory
 whose step leaves the grid box is aborted at once. Aborted
 trajectories are excluded downstream with their weight recorded; the run
 is considered valid only while that weight stays below 0.1%.
@@ -35,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._interp import CubicStencil, cubic_interp_grid
+from ._interp import CubicStencil
 from .core import SampledTrajectory
 from .errors import (
     ConfigurationError,
@@ -68,9 +69,10 @@ __all__ = [
 ]
 
 FAILED_WEIGHT_LIMIT = 1e-3
-# Near-node slow-path field evaluations allowed per RK4 step of a run,
-# summed over all trajectories and spent anywhere in the run.
-SLOW_PATH_EVALS_PER_STEP = 32
+# Share of the ensemble that may run the slow path's whole halving chain on
+# every RK4 step, on top of one trajectory; the product, summed over the
+# run's steps, is its budget of slow-path field evaluations.
+SLOW_PATH_STUCK_SHARE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -205,6 +207,7 @@ def sample_initial(psi0: GridWavefunction, n: int, seed: int) -> np.ndarray:
     # Rejection sampling against the flat proposal on the box.
     rho = psi0.density()
     bound = float(np.max(rho)) * (1.0 + 1e-12)
+    density = CubicStencil([rho], spec.x_min, spec.dx)
     lo = np.asarray(spec.x_min)
     hi = np.asarray(spec.x_max)
     accepted: list[np.ndarray] = []
@@ -213,7 +216,7 @@ def sample_initial(psi0: GridWavefunction, n: int, seed: int) -> np.ndarray:
     while n_kept < n:
         batch = max(4 * (n - n_kept), 1024)
         pts = lo + (hi - lo) * rng.random((batch, spec.dim))
-        (vals,) = cubic_interp_grid([rho], spec.x_min, spec.dx, pts)
+        (vals,) = density.at(pts)
         keep = rng.random(batch) * bound < vals
         accepted.append(pts[keep])
         n_drawn += batch
@@ -375,7 +378,7 @@ def integrate_ensemble(
 
     seg_lens = np.diff(t_grid)
     n_subs = [max(1, int(np.ceil(seg_len / dt - 1e-12))) for seg_len in seg_lens]
-    slow_budget = SLOW_PATH_EVALS_PER_STEP * sum(n_subs)
+    slow_budget = _slow_path_budget(seg_lens, n_subs, n_traj, policy.dt_min)
     x = starts.copy()
     psi = psi0
     snap_now = FieldSnapshot(psi)
@@ -459,6 +462,29 @@ def _rk4_block(x, snap_a, snap_b, snap_c, h, policy, diag, slow_budget):
     x = x.copy()
     x[live_idx] = x_new
     return x
+
+
+def _halving_levels(h: float, dt_min: float) -> int:
+    """Step halvings ``_slow_path`` tries on a step of size h before it freezes."""
+    levels, n_half = 0, 1
+    while h / n_half >= dt_min:
+        n_half *= 2
+        levels += 1
+    return levels
+
+
+def _slow_path_budget(seg_lens, n_subs, n_traj: int, dt_min: float) -> int:
+    """Slow-path field evaluations a run may spend in all.
+
+    Per RK4 step, the cost of a trajectory below the density floor (each
+    halving level fails at its first substep, 4 evaluations) for one
+    trajectory plus SLOW_PATH_STUCK_SHARE of the ensemble.
+    """
+    chain = sum(
+        n_sub * 4 * _halving_levels(seg_len / n_sub, dt_min)
+        for seg_len, n_sub in zip(seg_lens, n_subs)
+    )
+    return int(chain * (1.0 + SLOW_PATH_STUCK_SHARE * n_traj))
 
 
 def _slow_path(x_bad, idx, t0, h, field, policy, diag, budget):

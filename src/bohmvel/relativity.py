@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._interp import cubic_interp_grid
+from ._interp import CubicStencil
 from .core import PoincareElement, SampledTrajectory, VelocityPoint
 from .errors import ConfigurationError, InvalidInputError, RegularityError
 from .pipeline import PipelineParams, PipelineResult, run_guided_pipeline
@@ -250,9 +250,9 @@ def boost_dirac_state(psi: GridWavefunction, u: float) -> GridWavefunction:
     energy_new = np.sqrt(p_sorted**2 + m**2)
     p_src = gamma * (p_sorted + u * energy_new)
     energy_src = np.sqrt(p_src**2 + m**2)
-    (vals,) = cubic_interp_grid(
-        [smooth], (p_sorted[0],), (float(p_sorted[1] - p_sorted[0]),), p_src[:, None]
-    )
+    (vals,) = CubicStencil(
+        [smooth], (p_sorted[0],), (float(p_sorted[1] - p_sorted[0]),)
+    ).at(p_src[:, None])
     vals = np.where((p_src >= p_sorted[0]) & (p_src <= p_sorted[-1]), vals, 0.0)
     amp_new_sorted = np.sqrt(energy_src / energy_new) * vals * np.exp(-1j * p_src * x_ref)
 

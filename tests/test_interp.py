@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bohmvel import guidance, relativity
-from bohmvel._interp import CubicStencil, cubic_interp_grid
+from bohmvel._interp import CubicStencil
 from bohmvel.cli import _build_state, cmd_plotdata, load_config
 from bohmvel.core import _CSV_CHUNK, EmpiricalMeasure, _write_float_csv
 from bohmvel.errors import ConfigurationError
@@ -125,7 +125,7 @@ def test_shared_stencil_matches_per_field_loop(shape):
         rng.random(shape),
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
     ]
-    outs = cubic_interp_grid(grids, x_min, dx, points)
+    outs = CubicStencil(grids, x_min, dx).at(points)
     assert len(outs) == len(grids)
     for grid, out in zip(grids, outs):
         ref = reference_interp(grid, x_min, dx, points)
@@ -357,7 +357,7 @@ def test_grid_path_matches_uniform_reference_on_complex_lines(n):
     x0, dx = -3.0, 0.1
     values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     xq = box_points(rng, (x0,), (dx,), (n,))[:, 0]
-    (got,) = cubic_interp_grid([values], (x0,), (dx,), xq[:, None])
+    (got,) = CubicStencil([values], (x0,), (dx,)).at(xq[:, None])
     want = reference_interp_uniform(values, x0, dx, xq)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -375,12 +375,17 @@ def test_boost_interpolation_matches_uniform_reference(covariance_state, monkeyp
     """The interpolation inside ``boost_dirac_state``, on its real inputs."""
     calls = []
 
-    def recording(grids, x_min, dx, points):
-        out = cubic_interp_grid(grids, x_min, dx, points)
-        calls.append((grids[0], x_min[0], dx[0], points[:, 0], out[0]))
-        return out
+    class RecordingStencil(CubicStencil):
+        def __init__(self, grids, x_min, dx):
+            super().__init__(grids, x_min, dx)
+            self.inputs = (grids[0], x_min[0], dx[0])
 
-    monkeypatch.setattr(relativity, "cubic_interp_grid", recording)
+        def at(self, points):
+            out = super().at(points)
+            calls.append((*self.inputs, points[:, 0], out[0]))
+            return out
+
+    monkeypatch.setattr(relativity, "CubicStencil", RecordingStencil)
     try:
         relativity.boost_dirac_state(covariance_state, u)
     except ConfigurationError:

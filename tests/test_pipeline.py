@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bohmvel.errors import InvalidInputError, NumericalFailureError, RegularityError
-from bohmvel.guidance import SLOW_PATH_EVALS_PER_STEP, NodePolicy, integrate_ensemble
+from bohmvel.guidance import SLOW_PATH_STUCK_SHARE, NodePolicy, integrate_ensemble
 from bohmvel.pipeline import PipelineParams, child_seed, run_guided_pipeline
 from bohmvel.wavefunction import (
     GridSpec,
@@ -120,6 +120,26 @@ def test_slow_path_budget_ends_a_stuck_run():
         )
     assert time.perf_counter() - start < 15.0
     diag = info.value.diagnostics
-    assert diag["slow_path_evaluations"] >= SLOW_PATH_EVALS_PER_STEP * 800
+    # 800 steps of h = 0.05; 9 halvings down to dt_min = 1e-4, 4 evaluations
+    # each; one trajectory plus the stuck share of 50.
+    assert diag["slow_path_evaluations"] == 800 * 9 * 4 * (1 + SLOW_PATH_STUCK_SHARE * 50)
     assert diag["stuck_trajectories"] == 50
     assert 0.0 < diag["t"] < 40.0
+
+
+def test_one_stuck_trajectory_does_not_end_the_run():
+    # One start at 8 sigma0 stays below the density floor up to t = 4, so it
+    # runs the whole halving chain and freezes on every step; the budget
+    # always carries one such trajectory, and the other 199 are untouched.
+    psi = gaussian_packet(GridSpec.line(4096, -256.0, 256.0), 1.0, 0.0, 0.0, 1.0)
+    starts = np.append(np.linspace(-2.0, 2.0, 199), 8.0)[:, None]
+    res = integrate_ensemble(
+        psi, PotentialSpec.none(), starts, [0.0, 2.0, 4.0],
+        NodePolicy(rho_floor=1e-3, action="shrink_dt"),
+    )
+    diag = res.diagnostics
+    assert not diag.failed.any()
+    assert diag.frozen_steps[-1] == 80 and diag.shrink_events[-1] == 80 * 9
+    assert not diag.frozen_steps[:-1].any() and not diag.shrink_events[:-1].any()
+    assert diag.slow_path_evaluations == 80 * 9 * 4
+    assert np.all(res.positions[-1, :, 0] == 8.0)
