@@ -90,7 +90,7 @@ def _states():
         with open(os.path.join(REPO, "configs", name)) as fh:
             cfg = json.load(fh)
         g = cfg["grid"]
-        spec = GridSpec.line(g["n_points"], g["x_min"], g["x_max"])
+        spec = GridSpec(g["n_points"], g["x_min"], g["x_max"])
         psi = superposed_gaussians(spec, cfg["mass"], cfg["packets"], kind=kind)
         return psi, cfg["time"]["dt"]
 
@@ -142,7 +142,9 @@ def worker() -> dict:
     kernels["dirac_advance"] = lambda: prop.advance(dirac, half_step)
 
     dirac_snap = FieldSnapshot(dirac)
-    grids = [dirac_snap.rho, *dirac_snap.currents]
+    # Older trees keep a list of currents, one per axis.
+    current = dirac_snap.current if hasattr(dirac_snap, "current") else dirac_snap.currents[0]
+    grids = [dirac_snap.rho, current]
     spec = dirac.spec
     if hasattr(_interp, "CubicStencil"):
         kernels["stencil_build"] = lambda: _interp.CubicStencil(grids, spec.x_min, spec.dx)

@@ -62,7 +62,6 @@ from .asymptotics import (
     weak_convergence_residuals,
 )
 from .relativity import (
-    FoliationLabel,
     Reparameterization,
     boost_dirac_state,
     boost_worldline,

@@ -54,12 +54,7 @@ __all__ = [
     "verify_distribution_equality",
     "weak_convergence_residuals",
     "rotating_trajectory_family",
-    "FIT_AFFINE",
-    "FIT_LAST_POINT",
 ]
-
-FIT_AFFINE = "affine_in_inverse_time"
-FIT_LAST_POINT = "last_point"
 
 # The convergence residual is measured at this many trailing checkpoints.
 _TAIL_CHECKPOINTS = 2
@@ -82,7 +77,6 @@ class AsymptoticEstimate:
 
     v_plus: VelocityPoint
     convergence_residual: float
-    fit_method: str
 
     def converged(self, tol: float) -> bool:
         return self.convergence_residual <= tol
@@ -108,19 +102,13 @@ class RegularityReport:
         }
 
 
-def _validate_checkpoints(checkpoints: np.ndarray, fit_method: str) -> None:
+def _validate_checkpoints(checkpoints: np.ndarray) -> None:
     if np.any(checkpoints <= 0) or np.any(np.diff(checkpoints) <= 0):
         raise InvalidInputError("checkpoints must be positive and increasing")
-    if fit_method == FIT_AFFINE:
-        if checkpoints.size < 3:
-            raise InvalidInputError("affine fit needs at least 3 checkpoints")
-        if checkpoints[-1] / checkpoints[0] < 4.0 - 1e-9:
-            raise InvalidInputError("checkpoints must span a factor >= 4 in time")
-    elif fit_method == FIT_LAST_POINT:
-        if checkpoints.size < 2:
-            raise InvalidInputError("last-point mode needs at least 2 checkpoints")
-    else:
-        raise InvalidInputError(f"unknown fit method {fit_method!r}")
+    if checkpoints.size < 3:
+        raise InvalidInputError("affine fit needs at least 3 checkpoints")
+    if checkpoints[-1] / checkpoints[0] < 4.0 - 1e-9:
+        raise InvalidInputError("checkpoints must span a factor >= 4 in time")
 
 
 def _eta_block(trajs, checkpoints: np.ndarray) -> np.ndarray:
@@ -156,40 +144,31 @@ def _eta_block(trajs, checkpoints: np.ndarray) -> np.ndarray:
     return np.stack(rows)
 
 
-def _fit_eta(eta: np.ndarray, checkpoints: np.ndarray, fit_method: str):
-    """Returns (v_plus (n, D), residual (n,))."""
-    if fit_method == FIT_AFFINE:
-        design = np.stack([np.ones_like(checkpoints), 1.0 / checkpoints], axis=1)
-        pinv = np.linalg.pinv(design)
-        coef = np.einsum("kc,ncd->nkd", pinv, eta)
-        fit = np.einsum("ck,nkd->ncd", design, coef)
-        dev = np.linalg.norm(eta - fit, axis=2)
-        v_plus = coef[:, 0, :]
-    else:
-        v_plus = eta[:, -1, :]
-        dev = np.linalg.norm(eta - v_plus[:, None, :], axis=2)
+def _fit_eta(eta: np.ndarray, checkpoints: np.ndarray):
+    """Affine-in-1/t fit per trajectory: (v_plus (n, D), residual (n,))."""
+    design = np.stack([np.ones_like(checkpoints), 1.0 / checkpoints], axis=1)
+    pinv = np.linalg.pinv(design)
+    coef = np.einsum("kc,ncd->nkd", pinv, eta)
+    fit = np.einsum("ck,nkd->ncd", design, coef)
+    dev = np.linalg.norm(eta - fit, axis=2)
+    v_plus = coef[:, 0, :]
     residual = np.max(dev[:, -_TAIL_CHECKPOINTS:], axis=1)
     return v_plus, residual
 
 
-def estimate_asymptotic_velocity(
-    traj: SampledTrajectory,
-    checkpoints,
-    fit_method: str = FIT_AFFINE,
-) -> AsymptoticEstimate:
+def estimate_asymptotic_velocity(traj: SampledTrajectory, checkpoints) -> AsymptoticEstimate:
     """Limiting velocity of one trajectory from its checkpoint ladder."""
     checkpoints = np.asarray(checkpoints, dtype=float)
-    _validate_checkpoints(checkpoints, fit_method)
+    _validate_checkpoints(checkpoints)
     eta = _eta_block([traj], checkpoints)
-    v_plus, residual = _fit_eta(eta, checkpoints, fit_method)
-    return AsymptoticEstimate(VelocityPoint(v_plus[0]), float(residual[0]), fit_method)
+    v_plus, residual = _fit_eta(eta, checkpoints)
+    return AsymptoticEstimate(VelocityPoint(v_plus[0]), float(residual[0]))
 
 
 def estimate_asymptotic_measure(
     trajs,
     checkpoints,
     tol: float,
-    fit_method: str = FIT_AFFINE,
 ) -> tuple[EmpiricalMeasure, RegularityReport]:
     """Empirical measure of the converged limiting velocities.
 
@@ -198,11 +177,11 @@ def estimate_asymptotic_measure(
     experiment and raises.
     """
     checkpoints = np.asarray(checkpoints, dtype=float)
-    _validate_checkpoints(checkpoints, fit_method)
+    _validate_checkpoints(checkpoints)
     eta = _eta_block(trajs, checkpoints)
     if eta.shape[0] == 0:
         raise InvalidInputError("empty ensemble")
-    v_plus, residual = _fit_eta(eta, checkpoints, fit_method)
+    v_plus, residual = _fit_eta(eta, checkpoints)
     converged = residual <= tol
     n_total = eta.shape[0]
     n_conv = int(converged.sum())
@@ -311,11 +290,9 @@ def free_velocity_distribution(psi0: GridWavefunction, mass: float | None = None
     """Velocity distribution of a free Schrodinger state: q(v) = m |psi_hat(m v)|^2."""
     if psi0.kind != KIND_SCHRODINGER:
         raise InvalidInputError("free velocity distribution needs a Schrodinger state")
-    if psi0.spec.dim != 1:
-        raise InvalidInputError("velocity distributions are implemented in 1D")
     m = psi0.mass if mass is None else float(mass)
-    p, dens = momentum_density(psi0).axis_1d()
-    return VelocityDistribution(p / m, dens * m)
+    md = momentum_density(psi0)
+    return VelocityDistribution(md.p / m, md.values * m)
 
 
 def scattering_velocity_distribution(out: OutgoingAsymptote, mass: float) -> VelocityDistribution:
@@ -334,10 +311,10 @@ def dirac_velocity_distribution(psi: GridWavefunction) -> VelocityDistribution:
         raise InvalidInputError("expected a Dirac state")
     if psi.mass <= 0:
         raise InvalidInputError("the velocity map needs m > 0")
-    p, dens = momentum_density(psi).axis_1d()
-    energy = np.sqrt(p**2 + psi.mass**2)
-    v = p / energy
-    q = dens * energy**3 / psi.mass**2
+    md = momentum_density(psi)
+    energy = np.sqrt(md.p**2 + psi.mass**2)
+    v = md.p / energy
+    q = md.values * energy**3 / psi.mass**2
     return VelocityDistribution(v, q)
 
 

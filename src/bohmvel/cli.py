@@ -51,6 +51,7 @@ from .stats import ks_critical_value, ks_distance
 from .wavefunction import (
     GridSpec,
     PotentialSpec,
+    check_packet_fits,
     outgoing_asymptote,
     project_positive_energy,
     superposed_gaussians,
@@ -129,6 +130,16 @@ def validate_config(cfg: dict) -> dict:
     """Check an experiment config against the schema and the cross-field
     rules; returns it unchanged (defaults are applied where read)."""
     _check(cfg, config_schema(), "config")
+    try:
+        grid = _grid(cfg)
+    except InvalidInputError as exc:
+        # GridSpec's messages start with the name of the field.
+        raise ConfigurationError(f"config.grid.{exc}") from None
+    for i, packet in enumerate(cfg["packets"]):
+        try:
+            check_packet_fits(grid, float(packet["x0"]), float(packet["sigma0"]))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"config.packets[{i}]: {exc}") from None
     system = cfg["system"]
     if system == "potential_schrodinger":
         _expect("potential" in cfg, "potential_schrodinger needs config.potential")
@@ -162,8 +173,13 @@ def load_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # Builders shared by the commands.
 
+def _grid(cfg: dict) -> GridSpec:
+    g = cfg["grid"]
+    return GridSpec(int(g["n_points"]), float(g["x_min"]), float(g["x_max"]))
+
+
 def _build_state(cfg: dict):
-    grid = GridSpec.line(int(cfg["grid"]["n_points"]), float(cfg["grid"]["x_min"]), float(cfg["grid"]["x_max"]))
+    grid = _grid(cfg)
     mass = float(cfg.get("mass", 1.0))
     kind = "dirac" if cfg["system"] == "free_dirac" else "schrodinger"
     psi = superposed_gaussians(grid, mass, cfg["packets"], kind=kind)
@@ -260,9 +276,7 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
     for snap, t in zip(result.integration.snapshots, result.integration.times):
         if t > 0:
             equivariance[f"{t:g}"] = check_equivariance(result.integration, snap, float(t))
-    order_violations = None
-    if psi.spec.dim == 1:
-        order_violations = count_order_violations(result.integration)
+    order_violations = count_order_violations(result.integration)
 
     os.makedirs(out_dir, exist_ok=True)
     run = EnsembleRun(
@@ -509,8 +523,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-    # Kept so existing command lines still parse; the sweep runs its
-    # pipelines one after another, since threads gain nothing under the GIL.
+    # Kept only because the benchmark's covariance workload passes it; the
+    # sweep runs its pipelines one after another.
     p_cov.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
 
     p_ce = sub.add_parser("counterexample", help="rotating-family stationarity dichotomy")

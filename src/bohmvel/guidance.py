@@ -1,15 +1,19 @@
 """Guiding velocity field, quantum-equilibrium sampling, and ensemble
-integration of guided trajectories.
+integration of guided trajectories on the one-dimensional grid of the
+wave-function layer.
 
 The guiding field is j/rho with
 
-    rho = |psi|^2,          j_a = Im(psi* d_a psi) / m     (Schrodinger)
-    rho = psi^dagger psi,   j   = psi^dagger sigma_x psi   (1+1D Dirac)
+    rho = |psi|^2,          j = Im(psi* d_x psi) / m     (Schrodinger)
+    rho = psi^dagger psi,   j = psi^dagger sigma_x psi   (1+1D Dirac)
 
-Gradients are spectral; off-grid values come from cubic interpolation of
-the precomputed rho and j grids. The Dirac field satisfies |v| < 1
-wherever rho is meaningfully positive, so guided spinor trajectories are
-world lines.
+The gradient is spectral; off-grid values come from cubic interpolation
+of the precomputed rho and j grids. Initial positions are inverse-CDF
+draws from rho_0 on the grid. Positions keep a trailing axis of length
+1, shape (n, 1) per time, so the dimension-agnostic trajectory layer
+downstream reads them as 1D configurations. The Dirac field satisfies
+|v| < 1 wherever rho is meaningfully positive, so guided spinor
+trajectories are world lines.
 
 Near wave-function nodes the field is stiff and the ODE may locally lose
 accuracy; the integrator reacts per NodePolicy (shrink the step towards
@@ -39,7 +43,6 @@ import numpy as np
 from ._interp import CubicStencil
 from .core import SampledTrajectory
 from .errors import (
-    ConfigurationError,
     DomainError,
     InvalidInputError,
     NodeProximityError,
@@ -52,7 +55,6 @@ from .wavefunction import (
     GridWavefunction,
     PotentialSpec,
     SplitStepPropagator,
-    _check_health,
 )
 
 __all__ = [
@@ -96,13 +98,12 @@ class NodePolicy:
 
 
 def _in_box(spec, points: np.ndarray, inside: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the rows of ``points`` inside the grid box [x_min, x_max),
-    ANDed in place into ``inside`` when given."""
+    """Mask of the rows of ``points`` (k, 1) inside the grid box
+    [x_min, x_max), ANDed in place into ``inside`` when given."""
     if inside is None:
         inside = np.ones(points.shape[0], dtype=bool)
-    for ax in range(spec.dim):
-        inside &= points[:, ax] >= spec.x_min[ax]
-        inside &= points[:, ax] < spec.x_max[ax]
+    inside &= points[:, 0] >= spec.x_min
+    inside &= points[:, 0] < spec.x_max
     return inside
 
 
@@ -115,34 +116,25 @@ class FieldSnapshot:
         self.kind = psi.kind
         self.rho = psi.density()
         if psi.kind == KIND_DIRAC:
-            self.currents = [2.0 * np.real(np.conj(psi.amplitudes[0]) * psi.amplitudes[1])]
+            self.current = 2.0 * np.real(np.conj(psi.amplitudes[0]) * psi.amplitudes[1])
         else:
-            amps_hat = np.fft.fftn(psi.amplitudes)
-            currents = []
-            for ax in range(self.spec.dim):
-                shp = [1] * self.spec.dim
-                shp[ax] = self.spec.n_points[ax]
-                grad = np.fft.ifftn(1j * self.spec.momentum_axis(ax).reshape(shp) * amps_hat)
-                currents.append(np.imag(np.conj(psi.amplitudes) * grad) / psi.mass)
-            self.currents = currents
+            grad = np.fft.ifft(1j * self.spec.momentum_axis() * np.fft.fft(psi.amplitudes))
+            self.current = np.imag(np.conj(psi.amplitudes) * grad) / psi.mass
         # The grids never change, so their ghost cells are built once here.
-        self._stencil = CubicStencil([self.rho, *self.currents], self.spec.x_min, self.spec.dx)
+        self._stencil = CubicStencil([self.rho, self.current], self.spec.x_min, self.spec.dx)
 
     def evaluate(self, points: np.ndarray, rho_floor: float):
-        """Velocity, density, and acceptance mask at scattered points.
+        """Velocity, density, and acceptance mask at scattered points (k, 1).
 
         A point is rejected when it lies outside the grid box, when the
         interpolated density is below the floor, or (Dirac) when the
         interpolated ratio breaches the light speed bound.
         """
         points = np.atleast_2d(points)
-        spec = self.spec
-        rho, *currents = self._stencil.at(points)
-        ok = _in_box(spec, points, rho >= rho_floor)
+        rho, j = self._stencil.at(points[:, 0])
+        ok = _in_box(self.spec, points, rho >= rho_floor)
         vel = np.empty_like(points)
-        safe_rho = np.where(rho > 0, rho, 1.0)
-        for ax, j in enumerate(currents):
-            np.divide(j, safe_rho, out=vel[:, ax])
+        np.divide(j, np.where(rho > 0, rho, 1.0), out=vel[:, 0])
         if self.kind == KIND_DIRAC:
             ok &= np.abs(vel[:, 0]) < 1.0
         if not ok.all():
@@ -151,13 +143,12 @@ class FieldSnapshot:
 
 
 def velocity_at(psi: GridWavefunction, x, rho_floor: float = 1e-12) -> np.ndarray:
-    """Guiding velocity j(x)/rho(x) at a single configuration point."""
+    """Guiding velocity j(x)/rho(x) at a single point, as a (1,) array."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (psi.spec.dim,):
-        raise InvalidInputError(f"x must have shape ({psi.spec.dim},)")
-    for ax in range(psi.spec.dim):
-        if not (psi.spec.x_min[ax] <= x[ax] < psi.spec.x_max[ax]):
-            raise DomainError(f"x[{ax}]={x[ax]} outside the grid")
+    if x.shape != (1,):
+        raise InvalidInputError("x must have shape (1,)")
+    if not (psi.spec.x_min <= x[0] < psi.spec.x_max):
+        raise DomainError(f"x={x[0]} outside the grid")
     vel, rho, ok = FieldSnapshot(psi).evaluate(x[None, :], rho_floor)
     if not ok[0]:
         raise NodeProximityError(
@@ -167,66 +158,29 @@ def velocity_at(psi: GridWavefunction, x, rho_floor: float = 1e-12) -> np.ndarra
     return vel[0]
 
 
-def _axis_marginals(psi: GridWavefunction) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(axis grid, marginal density) per axis, grid-normalized."""
-    rho = psi.density()
-    spec = psi.spec
-    out = []
-    for ax in range(spec.dim):
-        other = tuple(i for i in range(spec.dim) if i != ax)
-        marg = rho.sum(axis=other) * np.prod([spec.dx[i] for i in other]) if other else rho
-        out.append((spec.axis(ax), marg))
-    return out
-
-
-def _inverse_cdf_draw(axis: np.ndarray, dens: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(axis))])
+def _grid_cdf(psi: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, trapezoid CDF of rho normalized to 1 at its last node)."""
+    x = psi.spec.axis()
+    dens = psi.density()
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(x))])
     cdf /= cdf[-1]
-    # Strictly increasing knots are required by interp; collapse flats.
-    keep = np.concatenate([[True], np.diff(cdf) > 0])
-    return np.interp(u, cdf[keep], axis[keep])
+    return x, cdf
 
 
 def sample_initial(psi0: GridWavefunction, n: int, seed: int) -> np.ndarray:
-    """Draw n i.i.d. configurations from rho_0 = |psi_0|^2, deterministically.
+    """Draw n i.i.d. positions from rho_0 = |psi_0|^2, deterministically.
 
-    Separable states use per-axis inverse-CDF on the grid; general states
-    fall back to rejection sampling against a uniform box proposal.
+    Inverse-CDF draws on the grid; the result has shape (n, 1).
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     if isinstance(seed, (int, np.integer)):
         seed = np.random.SeedSequence(int(seed))
     rng = np.random.default_rng(seed)
-    spec = psi0.spec
-    if spec.dim == 1 or psi0.separable:
-        cols = []
-        for axis, dens in _axis_marginals(psi0):
-            cols.append(_inverse_cdf_draw(axis, dens, rng.random(n)))
-        return np.stack(cols, axis=1)
-    # Rejection sampling against the flat proposal on the box.
-    rho = psi0.density()
-    bound = float(np.max(rho)) * (1.0 + 1e-12)
-    density = CubicStencil([rho], spec.x_min, spec.dx)
-    lo = np.asarray(spec.x_min)
-    hi = np.asarray(spec.x_max)
-    accepted: list[np.ndarray] = []
-    n_drawn = 0
-    n_kept = 0
-    while n_kept < n:
-        batch = max(4 * (n - n_kept), 1024)
-        pts = lo + (hi - lo) * rng.random((batch, spec.dim))
-        (vals,) = density.at(pts)
-        keep = rng.random(batch) * bound < vals
-        accepted.append(pts[keep])
-        n_drawn += batch
-        n_kept += int(keep.sum())
-        if n_drawn > 1000 and n_kept / n_drawn < 1e-3:
-            raise ConfigurationError(
-                f"rejection acceptance rate {n_kept / n_drawn:.2e} below 1e-3; "
-                "state too concentrated for a box proposal"
-            )
-    return np.concatenate(accepted)[:n]
+    x, cdf = _grid_cdf(psi0)
+    # Strictly increasing knots are required by interp; collapse flats.
+    keep = np.concatenate([[True], np.diff(cdf) > 0])
+    return np.interp(rng.random(n), cdf[keep], x[keep])[:, None]
 
 
 @dataclass
@@ -263,7 +217,7 @@ class EnsembleDiagnostics:
 class IntegrationResult:
     """Trajectory ensemble on the recording grid plus diagnostics.
 
-    ``positions`` has shape (n_traj, n_times, dim); ``snapshots`` holds
+    ``positions`` has shape (n_traj, n_times, 1); ``snapshots`` holds
     the wavefunction at each recording time for equivariance checks and
     downstream density work.
     """
@@ -314,16 +268,7 @@ def _make_stepper(psi0: GridWavefunction, potential: PotentialSpec):
     if psi0.kind == KIND_DIRAC:
         if not potential.is_none:
             raise InvalidInputError("Dirac evolution here is free; potential must be none")
-        prop = DiracPropagator(psi0.spec, psi0.mass)
-
-        # The exact operator is periodic too: guard every state the
-        # ensemble sees, as the split-step propagator does.
-        def dirac_step(psi, h):
-            out = prop.advance(psi, h)
-            _check_health(out)
-            return out
-
-        return dirac_step
+        return DiracPropagator(psi0.spec, psi0.mass).advance
     cache: dict[float, SplitStepPropagator] = {}
 
     def step(psi, h):
@@ -360,8 +305,8 @@ def integrate_ensemble(
         raise InvalidInputError("t_grid must start at the wavefunction time")
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n_traj, dim = starts.shape
-    if dim != psi0.spec.dim:
-        raise InvalidInputError("start dimension must match the grid")
+    if dim != 1:
+        raise InvalidInputError("starts must have shape (n, 1)")
 
     diag = EnsembleDiagnostics(
         min_rho=np.full(n_traj, np.inf),
@@ -544,7 +489,7 @@ def _slow_path(x_bad, idx, t0, h, field, policy, diag, budget):
 
 
 def check_equivariance(result: IntegrationResult, psi_t: GridWavefunction, t: float) -> float:
-    """Max-over-axes KS distance between ensemble positions at t and |psi_t|^2.
+    """KS distance between the ensemble positions at t and |psi_t|^2.
 
     Failed trajectories are left out. The contract for a valid run is a
     value at the KS critical scale for the ensemble size plus
@@ -554,24 +499,17 @@ def check_equivariance(result: IntegrationResult, psi_t: GridWavefunction, t: fl
     if abs(psi_t.t - t) > 1e-9:
         raise InvalidInputError(f"psi_t is at t={psi_t.t}, expected {t}")
     weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    worst = 0.0
-    for ax, (axis, dens) in enumerate(_axis_marginals(psi_t)):
-        cdf_nodes = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(axis))])
-        cdf_nodes /= cdf_nodes[-1]
-        dist = ks_vs_cdf_1d(pts[:, ax], weights, lambda x: np.interp(x, axis, cdf_nodes))
-        worst = max(worst, dist)
-    return worst
+    x, cdf = _grid_cdf(psi_t)
+    return ks_vs_cdf_1d(pts[:, 0], weights, lambda q: np.interp(q, x, cdf))
 
 
 def count_order_violations(result: IntegrationResult) -> int:
-    """Pairs of 1D trajectories whose start order is ever inverted.
+    """Pairs of trajectories whose start order is ever inverted.
 
     First-order uniqueness forbids crossings; the count should be zero
-    for every valid 1D run.
+    for every valid run.
     """
     pos = result.positions
-    if pos.shape[2] != 1:
-        raise InvalidInputError("no-crossing check applies to 1D ensembles")
     live = ~result.diagnostics.failed
     order = np.argsort(pos[live, 0, 0], kind="mergesort")
     series = pos[live][order, :, 0]

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import (
-    FIT_AFFINE,
     RegularityReport,
     _validate_checkpoints,
     estimate_asymptotic_measure,
@@ -52,7 +51,6 @@ class PipelineParams:
     record_times: tuple[float, ...] | None = None
     checkpoints: tuple[float, ...] | None = None
     eta_tol: float = 0.05
-    fit_method: str = FIT_AFFINE
     rho_floor: float = 1e-12
     dt_min: float = 1e-4
     node_action: str = "shrink_dt"
@@ -67,7 +65,7 @@ class PipelineParams:
         # The ladder is checked before any work: the extrapolation would
         # reject it only after the whole integration, and a checkpoint past
         # t_max would stretch the integration beyond it.
-        _validate_checkpoints(np.asarray(self.checkpoints, dtype=float), self.fit_method)
+        _validate_checkpoints(np.asarray(self.checkpoints, dtype=float))
         if self.checkpoints[-1] > self.t_max:
             raise InvalidInputError(
                 f"last checkpoint {self.checkpoints[-1]:g} lies beyond t_max {self.t_max:g}"
@@ -86,22 +84,6 @@ class PipelineParams:
 
     def policy(self) -> NodePolicy:
         return NodePolicy(self.rho_floor, self.dt_min, self.node_action)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trajectories": self.n_trajectories,
-            "t_max": self.t_max,
-            "dt": self.dt,
-            "record_times": list(self.record_times),
-            "checkpoints": list(self.checkpoints),
-            "eta_tol": self.eta_tol,
-            "fit_method": self.fit_method,
-            "rho_floor": self.rho_floor,
-            "dt_min": self.dt_min,
-            "node_action": self.node_action,
-            "seed": self.seed,
-            "run_key": self.run_key,
-        }
 
 
 @dataclass
@@ -150,6 +132,5 @@ def run_guided_pipeline(
         integration,
         np.asarray(params.checkpoints, dtype=float),
         params.eta_tol,
-        params.fit_method,
     )
     return PipelineResult(psi0, s_plus, report, integration, params)

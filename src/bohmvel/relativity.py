@@ -43,7 +43,6 @@ from .asymptotics import estimate_asymptotic_velocity
 
 __all__ = [
     "Reparameterization",
-    "FoliationLabel",
     "boost_worldline",
     "transform_velocity",
     "transform_velocity_block",
@@ -79,17 +78,6 @@ class Reparameterization:
 
     def min_increment_ratio(self) -> float:
         return float(np.min(np.diff(self.s_samples) / np.diff(self.t_samples)))
-
-
-@dataclass(frozen=True)
-class FoliationLabel:
-    """Names the flat foliation g^{-1} F_0 used by one pipeline run."""
-
-    g: PoincareElement
-
-    @property
-    def name(self) -> str:
-        return self.g.label()
 
 
 def _merge_close(values: np.ndarray, tol: float) -> np.ndarray:
@@ -227,11 +215,11 @@ def boost_dirac_state(psi: GridWavefunction, u: float) -> GridWavefunction:
     m = psi.mass
     gamma = 1.0 / np.sqrt(1.0 - u * u)
 
-    p_raw = spec.momentum_axis(0)
+    p_raw = spec.momentum_axis()
     psi_hat = momentum_amplitudes(psi)
     u_spinor = positive_energy_spinor(p_raw, m)
     amp = np.conj(u_spinor[0]) * psi_hat[0] + np.conj(u_spinor[1]) * psi_hat[1]
-    dp = spec.momentum_cell_volume
+    dp = spec.dp
     total = float(np.sum(np.abs(psi_hat) ** 2) * dp)
     kept = float(np.sum(np.abs(amp) ** 2) * dp)
     if total - kept > _NEG_ENERGY_TOL:
@@ -242,17 +230,13 @@ def boost_dirac_state(psi: GridWavefunction, u: float) -> GridWavefunction:
     order = np.argsort(p_raw)
     p_sorted = p_raw[order]
     amp_sorted = amp[order]
-    x_ref = float(
-        np.sum(spec.axis(0) * psi.density()) * spec.cell_volume
-    )
+    x_ref = float(np.sum(spec.axis() * psi.density()) * spec.dx)
     smooth = amp_sorted * np.exp(1j * p_sorted * x_ref)
 
     energy_new = np.sqrt(p_sorted**2 + m**2)
     p_src = gamma * (p_sorted + u * energy_new)
     energy_src = np.sqrt(p_src**2 + m**2)
-    (vals,) = CubicStencil(
-        [smooth], (p_sorted[0],), (float(p_sorted[1] - p_sorted[0]),)
-    ).at(p_src[:, None])
+    (vals,) = CubicStencil([smooth], p_sorted[0], p_sorted[1] - p_sorted[0]).at(p_src)
     vals = np.where((p_src >= p_sorted[0]) & (p_src <= p_sorted[-1]), vals, 0.0)
     amp_new_sorted = np.sqrt(energy_src / energy_new) * vals * np.exp(-1j * p_src * x_ref)
 
@@ -336,7 +320,7 @@ def foliation_sweep(
     pairwise KS distances at sampling-noise scale. The pipelines run one
     after another.
     """
-    labels = [FoliationLabel(g).name for g in g_list]
+    labels = [g.label() for g in g_list]
 
     measures, reports = [], []
     for idx, g in enumerate(g_list):

@@ -1,9 +1,11 @@
-"""Wave functions on periodic spectral grids and their evolution.
+"""Wave functions on a periodic spectral line and their evolution.
 
-Schrodinger states evolve by Strang-split spectral stepping
-(exp(-iV dt/2) . exp(-iK dt) . exp(-iV dt/2) per step); free 1+1D Dirac
-2-spinors evolve exactly per momentum mode through the 2x2 matrix
-exponential of H(p) = alpha p + beta m.
+Every state lives on one uniform periodic grid in one space dimension
+(``GridSpec``): a scalar Schrodinger amplitude or a free 1+1D Dirac
+2-spinor. Schrodinger states evolve by Strang-split spectral stepping
+(exp(-iV dt/2) . exp(-iK dt) . exp(-iV dt/2) per step); Dirac states
+evolve exactly per momentum mode through the 2x2 matrix exponential of
+H(p) = alpha p + beta m.
 
 Dirac matrix convention (fixed for reproducibility of spinor-level
 values): alpha = sigma_x, beta = diag(1, -1), so
@@ -12,16 +14,17 @@ values): alpha = sigma_x, beta = diag(1, -1), so
             [ p, -m]],   E(p) = sqrt(p^2 + m^2).
 
 Momentum amplitudes use the continuum convention
-psi_hat(p) = (2 pi)^(-d/2) * integral psi(x) exp(-i p x) dx, discretized
+psi_hat(p) = (2 pi)^(-1/2) * integral psi(x) exp(-i p x) dx, discretized
 on the FFT dual grid, so sum |psi_hat|^2 dp = sum |psi|^2 dx = 1.
 
 The grid is periodic: it must be sized so that boundary amplitude stays
-negligible over a run. A leak monitor guards this and aborts evolution
-when amplitude reaches the edge.
+negligible over a run. A leak monitor checks every state that either
+propagator returns and aborts evolution when amplitude reaches the edge.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -41,6 +44,7 @@ __all__ = [
     "PotentialSpec",
     "OutgoingAsymptote",
     "MomentumDensity",
+    "check_packet_fits",
     "gaussian_packet",
     "evolve_schrodinger",
     "SplitStepPropagator",
@@ -73,75 +77,48 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic spatial grid, n_points a power of two per axis."""
+    """Uniform periodic line of n_points cells on [x_min, x_max).
 
-    n_points: tuple[int, ...]
-    x_min: tuple[float, ...]
-    x_max: tuple[float, ...]
+    n_points is a power of two >= 16. Error messages start with the name
+    of the offending field, so a config validator can prefix its path.
+    """
+
+    n_points: int
+    x_min: float
+    x_max: float
 
     def __post_init__(self):
-        n = tuple(int(v) for v in np.atleast_1d(self.n_points))
-        lo = tuple(float(v) for v in np.atleast_1d(self.x_min))
-        hi = tuple(float(v) for v in np.atleast_1d(self.x_max))
-        if not (len(n) == len(lo) == len(hi)):
-            raise InvalidInputError("per-axis spec lengths differ")
-        if len(n) not in (1, 2, 3):
-            raise InvalidInputError("dim must be 1, 2 or 3")
-        for ni, a, b in zip(n, lo, hi):
-            if ni < 16 or not _is_power_of_two(ni):
-                raise InvalidInputError("n_points must be a power of two >= 16")
-            if not b > a:
-                raise InvalidInputError("x_max must exceed x_min")
+        n = int(self.n_points)
+        if n < 16 or not _is_power_of_two(n):
+            raise InvalidInputError(f"n_points must be a power of two >= 16, got {n}")
+        if not float(self.x_max) > float(self.x_min):
+            raise InvalidInputError("x_max must exceed x_min")
         object.__setattr__(self, "n_points", n)
-        object.__setattr__(self, "x_min", lo)
-        object.__setattr__(self, "x_max", hi)
-
-    @classmethod
-    def line(cls, n: int, x_min: float, x_max: float) -> "GridSpec":
-        return cls((n,), (x_min,), (x_max,))
+        object.__setattr__(self, "x_min", float(self.x_min))
+        object.__setattr__(self, "x_max", float(self.x_max))
 
     @property
-    def dim(self) -> int:
-        return len(self.n_points)
+    def dx(self) -> float:
+        return (self.x_max - self.x_min) / self.n_points
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.n_points
-
-    @property
-    def dx(self) -> tuple[float, ...]:
-        return tuple(
-            (b - a) / n for n, a, b in zip(self.n_points, self.x_min, self.x_max)
-        )
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.dx))
-
-    def axis(self, i: int) -> np.ndarray:
+    def axis(self) -> np.ndarray:
         # Periodic grid: x_max itself is excluded.
-        return self.x_min[i] + self.dx[i] * np.arange(self.n_points[i])
+        return self.x_min + self.dx * np.arange(self.n_points)
 
-    def axes(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.axis(i) for i in range(self.dim))
-
-    def momentum_axis(self, i: int) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n_points[i], d=self.dx[i])
+    def momentum_axis(self) -> np.ndarray:
+        return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
     @property
-    def momentum_cell_volume(self) -> float:
-        return float(np.prod([2.0 * np.pi / (n * d) for n, d in zip(self.n_points, self.dx)]))
-
-    def meshgrid(self) -> list[np.ndarray]:
-        return np.meshgrid(*self.axes(), indexing="ij")
+    def dp(self) -> float:
+        return 2.0 * np.pi / (self.n_points * self.dx)
 
 
 @dataclass(frozen=True)
 class GridWavefunction:
     """Complex amplitudes on a grid: scalar (Schrodinger) or 2-spinor (Dirac).
 
-    Scalar amplitudes have the grid shape; Dirac states (1D only) carry a
-    leading spinor axis, shape (2, n). L2 norm is 1 within NORM_TOL.
+    Scalar amplitudes have shape (n,); Dirac states carry a leading spinor
+    axis, shape (2, n). L2 norm is 1 within NORM_TOL.
     """
 
     spec: GridSpec
@@ -149,19 +126,17 @@ class GridWavefunction:
     t: float
     kind: str
     mass: float
-    separable: bool = False
 
     def __post_init__(self):
         # A private copy: freezing it leaves the caller's array writable,
         # and no view the caller holds can change the state or its norm.
         amps = np.array(self.amplitudes, dtype=complex)
+        n = self.spec.n_points
         if self.kind == KIND_SCHRODINGER:
-            if amps.shape != self.spec.shape:
+            if amps.shape != (n,):
                 raise InvalidInputError("scalar amplitude shape must match grid")
         elif self.kind == KIND_DIRAC:
-            if self.spec.dim != 1:
-                raise InvalidInputError("Dirac states are 1+1 dimensional here")
-            if amps.shape != (2,) + self.spec.shape:
+            if amps.shape != (2, n):
                 raise InvalidInputError("Dirac amplitudes need shape (2, n)")
         else:
             raise InvalidInputError(f"unknown kind {self.kind!r}")
@@ -171,10 +146,10 @@ class GridWavefunction:
         self.amplitudes.setflags(write=False)
         # The amplitudes are private and read-only, so the norm is computed
         # once, here.
-        n = float(np.sqrt(np.sum(np.abs(amps) ** 2) * self.spec.cell_volume))
-        object.__setattr__(self, "_norm", n)
-        if abs(n - 1.0) > NORM_TOL:
-            raise InvalidInputError(f"wavefunction norm {n} deviates from 1 beyond {NORM_TOL}")
+        norm = float(np.sqrt(np.sum(np.abs(amps) ** 2) * self.spec.dx))
+        object.__setattr__(self, "_norm", norm)
+        if abs(norm - 1.0) > NORM_TOL:
+            raise InvalidInputError(f"wavefunction norm {norm} deviates from 1 beyond {NORM_TOL}")
 
     def norm(self) -> float:
         return self._norm
@@ -190,71 +165,49 @@ class GridWavefunction:
             self, amplitudes=amps, t=self.t if t is None else float(t)
         )
 
-    def _boundary_amplitude(self) -> float:
-        amps = self.amplitudes
-        worst = 0.0
-        offset = 1 if self.kind == KIND_DIRAC else 0
-        for ax in range(self.spec.dim):
-            for edge in (0, -1):
-                sl = [slice(None)] * amps.ndim
-                sl[ax + offset] = edge
-                worst = max(worst, float(np.max(np.abs(amps[tuple(sl)]))))
-        return worst
-
     def boundary_cell_mass(self) -> float:
         """Largest probability mass held by a single boundary cell."""
-        return self._boundary_amplitude() ** 2 * self.spec.cell_volume
+        edge = float(np.max(np.abs(self.amplitudes[..., [0, -1]])))
+        return edge**2 * self.spec.dx
 
-    def interaction_region_weight(self, radius: float, center=0.0) -> float:
+    def interaction_region_weight(self, radius: float, center: float = 0.0) -> float:
         """Probability mass within ``radius`` of ``center``."""
-        grids = self.spec.meshgrid()
-        center = np.broadcast_to(np.atleast_1d(center).astype(float), (self.spec.dim,))
-        r2 = sum((g - c) ** 2 for g, c in zip(grids, center))
-        mask = r2 <= radius**2
-        return float(np.sum(self.density()[mask]) * self.spec.cell_volume)
+        mask = (self.spec.axis() - center) ** 2 <= radius**2
+        return float(np.sum(self.density()[mask]) * self.spec.dx)
 
 
 def _axis_phase(spec: GridSpec, sign: float) -> np.ndarray:
-    """exp(sign * i * sum_k p_k x_min_k) broadcast over the grid."""
-    phase = np.zeros(spec.shape)
-    for i in range(spec.dim):
-        shp = [1] * spec.dim
-        shp[i] = spec.n_points[i]
-        phase = phase + (spec.momentum_axis(i) * spec.x_min[i]).reshape(shp)
+    """exp(sign * i * p x_min) over the momentum grid."""
+    # + 0.0 turns the -0.0 of the p = 0 mode (for x_min < 0) into +0.0,
+    # whose sign would otherwise reach the imaginary zero of its factor.
+    phase = spec.momentum_axis() * spec.x_min + 0.0
     return np.exp(1j * sign * phase)
 
 
 def momentum_amplitudes(psi: GridWavefunction) -> np.ndarray:
     """Continuum-convention psi_hat(p) on the (unshifted) FFT dual grid."""
     spec = psi.spec
-    scale = spec.cell_volume / (2.0 * np.pi) ** (spec.dim / 2.0)
-    axes = tuple(range(-spec.dim, 0))
-    raw = np.fft.fftn(psi.amplitudes, axes=axes)
+    scale = spec.dx / (2.0 * np.pi) ** 0.5
+    raw = np.fft.fft(psi.amplitudes)
     return raw * scale * _axis_phase(spec, -1.0)
 
 
 def amplitudes_from_momentum(spec: GridSpec, psi_hat: np.ndarray) -> np.ndarray:
     """Inverse of :func:`momentum_amplitudes`."""
-    scale = spec.cell_volume / (2.0 * np.pi) ** (spec.dim / 2.0)
-    axes = tuple(range(-spec.dim, 0))
-    return np.fft.ifftn(psi_hat * _axis_phase(spec, 1.0), axes=axes) / scale
+    scale = spec.dx / (2.0 * np.pi) ** 0.5
+    return np.fft.ifft(psi_hat * _axis_phase(spec, 1.0)) / scale
 
 
 @dataclass(frozen=True)
 class MomentumDensity:
-    """|psi_hat|^2 on the sorted dual grid (spinor components summed)."""
+    """|psi_hat|^2 on the sorted dual grid p (spinor components summed)."""
 
-    axes: tuple[np.ndarray, ...]
+    p: np.ndarray
     values: np.ndarray
-    cell_volume: float
+    dp: float
 
     def total(self) -> float:
-        return float(np.sum(self.values) * self.cell_volume)
-
-    def axis_1d(self) -> tuple[np.ndarray, np.ndarray]:
-        if len(self.axes) != 1:
-            raise InvalidInputError("axis_1d is for 1D densities")
-        return self.axes[0], self.values
+        return float(np.sum(self.values) * self.dp)
 
 
 def momentum_density(psi: GridWavefunction) -> MomentumDensity:
@@ -264,8 +217,8 @@ def momentum_density(psi: GridWavefunction) -> MomentumDensity:
     if psi.kind == KIND_DIRAC:
         dens = np.sum(dens, axis=0)
     dens = np.fft.fftshift(dens)
-    axes = tuple(np.fft.fftshift(psi.spec.momentum_axis(i)) for i in range(psi.spec.dim))
-    return MomentumDensity(axes, dens, psi.spec.momentum_cell_volume)
+    p = np.fft.fftshift(psi.spec.momentum_axis())
+    return MomentumDensity(p, dens, psi.spec.dp)
 
 
 @dataclass(frozen=True)
@@ -300,11 +253,9 @@ class PotentialSpec:
         return self.kind == "none"
 
     def evaluate(self, spec: GridSpec) -> np.ndarray:
-        grids = spec.meshgrid()
-        center = self.params.get("center", 0.0)
-        r2 = sum((g - center) ** 2 for g in grids)
+        r2 = (spec.axis() - self.params.get("center", 0.0)) ** 2
         if self.kind == "none":
-            return np.zeros(spec.shape)
+            return np.zeros(spec.n_points)
         if self.kind == "gaussian_barrier":
             w = self.params["width"]
             return self.params["height"] * np.exp(-r2 / (2.0 * w**2))
@@ -320,9 +271,6 @@ class PotentialSpec:
             return 50.0 * self.params["softening"]
         return 0.0
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **self.params}
-
     @classmethod
     def from_dict(cls, d: dict) -> "PotentialSpec":
         d = dict(d)
@@ -336,48 +284,49 @@ class PotentialSpec:
         raise InvalidInputError(f"unknown potential kind {kind!r}")
 
 
+def check_packet_fits(spec: GridSpec, x0: float, sigma0: float) -> None:
+    """Raise ConfigurationError unless a Gaussian packet centred at x0 with
+    width sigma0 lies on the grid: centre inside [x_min, x_max) and the
+    tail at the nearer boundary below PACKET_TAIL_REL. Scalar arithmetic
+    only, so validating a config stays cheap."""
+    if not spec.x_min < x0 < spec.x_max:
+        raise ConfigurationError(
+            f"packet center {x0:g} outside the grid [{spec.x_min:g}, {spec.x_max:g})"
+        )
+    edge = min(x0 - spec.x_min, spec.x_max - x0)
+    tail = math.exp(-(edge**2) / (4.0 * sigma0**2))
+    if tail > PACKET_TAIL_REL:
+        raise ConfigurationError(
+            f"packet tail {tail:.2e} at grid boundary exceeds {PACKET_TAIL_REL:.0e}; enlarge the grid"
+        )
+
+
 def gaussian_packet(
     spec: GridSpec,
     mass: float,
-    x0,
-    p0,
-    sigma0,
+    x0: float,
+    p0: float,
+    sigma0: float,
     kind: str = KIND_SCHRODINGER,
 ) -> GridWavefunction:
     """Normalized Gaussian packet: |psi|^2 std sigma0, momentum std 1/(2 sigma0).
 
-    Per axis: psi ~ exp(-(x-x0)^2/(4 sigma0^2) + i p0 (x - x0)). For Dirac
-    the packet fills the upper spinor component (project afterwards for a
+    psi ~ exp(-(x-x0)^2/(4 sigma0^2) + i p0 (x - x0)). For Dirac the
+    packet fills the upper spinor component (project afterwards for a
     positive-energy state). Raises if the tails are clipped by the grid.
     """
-    x0 = np.broadcast_to(np.atleast_1d(x0).astype(float), (spec.dim,))
-    p0 = np.broadcast_to(np.atleast_1d(p0).astype(float), (spec.dim,))
-    sigma0 = np.broadcast_to(np.atleast_1d(sigma0).astype(float), (spec.dim,))
-    if np.any(sigma0 <= 0):
+    x0, p0, sigma0 = float(x0), float(p0), float(sigma0)
+    if sigma0 <= 0:
         raise InvalidInputError("sigma0 must be positive")
-    for i in range(spec.dim):
-        lo, hi = spec.x_min[i], spec.x_max[i]
-        if not (lo < x0[i] < hi):
-            raise ConfigurationError(f"packet center {x0[i]} outside grid axis {i}")
-        edge = min(x0[i] - lo, hi - x0[i])
-        tail = np.exp(-(edge**2) / (4.0 * sigma0[i] ** 2))
-        if tail > PACKET_TAIL_REL:
-            raise ConfigurationError(
-                f"packet tail {tail:.2e} at grid boundary exceeds {PACKET_TAIL_REL:.0e}; enlarge the grid"
-            )
-    grids = spec.meshgrid()
-    amp = np.ones(spec.shape, dtype=complex)
-    for i in range(spec.dim):
-        dxi = grids[i] - x0[i]
-        amp = amp * np.exp(-(dxi**2) / (4.0 * sigma0[i] ** 2) + 1j * p0[i] * dxi)
-    amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * spec.cell_volume)
+    check_packet_fits(spec, x0, sigma0)
+    dxi = spec.axis() - x0
+    amp = np.exp(-(dxi**2) / (4.0 * sigma0**2) + 1j * p0 * dxi)
+    amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * spec.dx)
     if kind == KIND_DIRAC:
-        if spec.dim != 1:
-            raise InvalidInputError("Dirac packets are 1D")
-        spinor = np.zeros((2,) + spec.shape, dtype=complex)
+        spinor = np.zeros((2, spec.n_points), dtype=complex)
         spinor[0] = amp
-        return GridWavefunction(spec, spinor, 0.0, KIND_DIRAC, mass, separable=True)
-    return GridWavefunction(spec, amp, 0.0, KIND_SCHRODINGER, mass, separable=True)
+        return GridWavefunction(spec, spinor, 0.0, KIND_DIRAC, mass)
+    return GridWavefunction(spec, amp, 0.0, KIND_SCHRODINGER, mass)
 
 
 def superposed_gaussians(
@@ -390,8 +339,7 @@ def superposed_gaussians(
 
     Each component dict carries x0, p0, sigma0 and an optional complex
     ``amplitude`` (default 1). A single component reduces to
-    :func:`gaussian_packet`; multi-component states are flagged
-    non-separable so samplers fall back to the general path in d > 1.
+    :func:`gaussian_packet`.
     """
     if not components:
         raise InvalidInputError("need at least one packet component")
@@ -400,8 +348,8 @@ def superposed_gaussians(
         return gaussian_packet(
             spec, mass, comp["x0"], comp["p0"], comp["sigma0"], kind=kind
         )
-    total = np.zeros(spec.shape, dtype=complex) if kind == KIND_SCHRODINGER else None
-    spin_total = np.zeros((2,) + spec.shape, dtype=complex) if kind == KIND_DIRAC else None
+    total = np.zeros(spec.n_points, dtype=complex) if kind == KIND_SCHRODINGER else None
+    spin_total = np.zeros((2, spec.n_points), dtype=complex) if kind == KIND_DIRAC else None
     for comp in components:
         part = gaussian_packet(spec, mass, comp["x0"], comp["p0"], comp["sigma0"], kind=kind)
         a = complex(comp.get("amplitude", 1.0))
@@ -410,8 +358,8 @@ def superposed_gaussians(
         else:
             total = total + a * part.amplitudes
     amps = spin_total if kind == KIND_DIRAC else total
-    amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2) * spec.cell_volume)
-    return GridWavefunction(spec, amps, 0.0, kind, mass, separable=False)
+    amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2) * spec.dx)
+    return GridWavefunction(spec, amps, 0.0, kind, mass)
 
 
 class SplitStepPropagator:
@@ -432,11 +380,7 @@ class SplitStepPropagator:
         self.potential = potential
         self.dt = float(dt)
         v = potential.evaluate(spec)
-        k2 = np.zeros(spec.shape)
-        for i in range(spec.dim):
-            shp = [1] * spec.dim
-            shp[i] = spec.n_points[i]
-            k2 = k2 + (spec.momentum_axis(i) ** 2).reshape(shp)
+        k2 = spec.momentum_axis() ** 2
         p2max = float(np.max(k2))
         if not potential.is_none:
             if dt * float(np.max(np.abs(v))) > 0.5:
@@ -452,9 +396,9 @@ class SplitStepPropagator:
             return amps.copy()
         amps = self._exp_v_half * amps
         for _ in range(n_steps - 1):
-            amps = np.fft.ifftn(self._exp_k * np.fft.fftn(amps))
+            amps = np.fft.ifft(self._exp_k * np.fft.fft(amps))
             amps = self._exp_v_half * self._exp_v_half * amps
-        amps = np.fft.ifftn(self._exp_k * np.fft.fftn(amps))
+        amps = np.fft.ifft(self._exp_k * np.fft.fft(amps))
         return self._exp_v_half * amps
 
     def advance(self, psi: GridWavefunction, n_steps: int) -> GridWavefunction:
@@ -515,6 +459,8 @@ def _dirac_apply_exp(
 class DiracPropagator:
     """Exact free 1+1D Dirac evolution in momentum space.
 
+    The exact operator is periodic too, so every state it returns goes
+    through the same norm and leak guard as the split-step propagator's.
     The step factors depend only on the advance time, which an ensemble
     integration repeats every half step, so they are cached per time.
     """
@@ -522,16 +468,21 @@ class DiracPropagator:
     def __init__(self, spec: GridSpec, mass: float):
         self.spec = spec
         self.mass = float(mass)
-        self.p = spec.momentum_axis(0)
+        self.p = spec.momentum_axis()
         self._factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    def advance(self, psi: GridWavefunction, t_advance: float) -> GridWavefunction:
+    def step(self, amps: np.ndarray, t_advance: float) -> np.ndarray:
+        """Spinor amplitudes (2, n) advanced by t_advance, unguarded."""
         if t_advance not in self._factors:
             self._factors[t_advance] = _dirac_step_factors(self.p, self.mass, t_advance)
-        amps_hat = np.fft.fft(psi.amplitudes, axis=1)
+        amps_hat = np.fft.fft(amps, axis=1)
         amps_hat = _dirac_apply_exp(amps_hat, self.p, self.mass, *self._factors[t_advance])
-        amps = np.fft.ifft(amps_hat, axis=1)
-        return psi.with_amplitudes(amps, t=psi.t + t_advance)
+        return np.fft.ifft(amps_hat, axis=1)
+
+    def advance(self, psi: GridWavefunction, t_advance: float) -> GridWavefunction:
+        out = psi.with_amplitudes(self.step(psi.amplitudes, t_advance), t=psi.t + t_advance)
+        _check_health(out)
+        return out
 
 
 def evolve_dirac(psi: GridWavefunction, dt: float, n_steps: int = 1) -> GridWavefunction:
@@ -568,7 +519,7 @@ def project_positive_energy(psi: GridWavefunction) -> tuple[GridWavefunction, fl
     if psi.kind != KIND_DIRAC:
         raise InvalidInputError("positive-energy projection needs a Dirac state")
     amps_hat = np.fft.fft(psi.amplitudes, axis=1)
-    u = positive_energy_spinor(psi.spec.momentum_axis(0), psi.mass)
+    u = positive_energy_spinor(psi.spec.momentum_axis(), psi.mass)
     coef = np.conj(u[0]) * amps_hat[0] + np.conj(u[1]) * amps_hat[1]
     projected_hat = coef[None, :] * u
     total = float(np.sum(np.abs(amps_hat) ** 2))
@@ -582,7 +533,7 @@ def project_positive_energy(psi: GridWavefunction) -> tuple[GridWavefunction, fl
     if kept == 0.0:
         raise InvalidInputError("state has no positive-energy component")
     amps = np.fft.ifft(projected_hat, axis=1)
-    amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2) * psi.spec.cell_volume)
+    amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2) * psi.spec.dx)
     return psi.with_amplitudes(amps), discarded
 
 
@@ -624,15 +575,15 @@ def outgoing_asymptote(
     fall below ``residual_tol``, otherwise a NonConvergedError carrying
     the whole residual curve is raised.
     """
-    if psi0.kind != KIND_SCHRODINGER or psi0.spec.dim != 1:
-        raise InvalidInputError("asymptote extraction is implemented for 1D Schrodinger states")
+    if psi0.kind != KIND_SCHRODINGER:
+        raise InvalidInputError("asymptote extraction needs a Schrodinger state")
     times = np.asarray(extraction_times, dtype=float)
     if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] <= 0:
         raise InvalidInputError("need at least two increasing positive extraction times")
     if interaction_radius is None:
         interaction_radius = potential.interaction_radius()
 
-    p = psi0.spec.momentum_axis(0)
+    p = psi0.spec.momentum_axis()
     mass = psi0.mass
     psi = psi0
     iterates = []
@@ -646,7 +597,7 @@ def outgoing_asymptote(
         phi_hat = np.exp(0.5j * p**2 * t_target / mass) * momentum_amplitudes(psi)
         iterates.append(phi_hat)
 
-    dp = psi0.spec.momentum_cell_volume
+    dp = psi0.spec.dp
     residuals = np.asarray(
         [
             float(np.sqrt(np.sum(np.abs(b - a) ** 2) * dp))

@@ -20,7 +20,7 @@ ACCEPTANCE_SEED = 20260808
 
 @pytest.fixture(scope="session")
 def free_gaussian_state():
-    spec = GridSpec.line(4096, -256.0, 256.0)
+    spec = GridSpec(4096, -256.0, 256.0)
     return gaussian_packet(spec, 1.0, 0.0, 0.0, 1.0)
 
 
@@ -41,7 +41,7 @@ def free_gaussian_run(free_gaussian_state):
 @pytest.fixture(scope="session")
 def bimodal_run():
     """n = 10^4 ensemble guided by the +-1.5 momentum superposition."""
-    spec = GridSpec.line(4096, -256.0, 256.0)
+    spec = GridSpec(4096, -256.0, 256.0)
     psi = superposed_gaussians(
         spec,
         1.0,
@@ -61,7 +61,7 @@ def bimodal_run():
 @pytest.fixture(scope="session")
 def barrier_setup():
     """Gaussian-barrier scattering: ensemble run plus outgoing asymptote."""
-    spec = GridSpec.line(4096, -320.0, 320.0)
+    spec = GridSpec(4096, -320.0, 320.0)
     psi = gaussian_packet(spec, 1.0, -12.0, 1.5, 2.0)
     pot = PotentialSpec.gaussian_barrier(2.0, 1.0, 0.0)
     params = PipelineParams(
@@ -81,7 +81,7 @@ def barrier_setup():
 
 @pytest.fixture(scope="session")
 def dirac_state():
-    spec = GridSpec.line(2048, -128.0, 128.0)
+    spec = GridSpec(2048, -128.0, 128.0)
     psi, _ = project_positive_energy(gaussian_packet(spec, 1.0, 0.0, 0.75, 1.0, kind="dirac"))
     return psi
 

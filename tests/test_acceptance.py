@@ -103,7 +103,8 @@ def test_barrier_scattering(barrier_setup):
     transmitted = float(np.sum(out.density[out.p > 0]) * dp)
     from bohmvel.wavefunction import momentum_density
 
-    p0_grid, rho0 = momentum_density(psi).axis_1d()
+    md = momentum_density(psi)
+    p0_grid, rho0 = md.p, md.values
     sel = (p0_grid > 0) & (rho0 > 1e-12)
     barrier = lambda x: 2.0 * np.exp(-(x**2) / 2.0)
     predicted = float(
@@ -268,11 +269,11 @@ def test_dynamics_property_suite(free_gaussian_run, dirac_base_run):
     """Unitarity drift below 1e-9 over 10^4 steps, equivariance KS below
     0.02 at every recorded time (n = 10^4), zero 1D crossings, and zero
     accepted speed-bound violations for the Dirac ensemble."""
-    spec = GridSpec.line(4096, -320.0, 320.0)
+    spec = GridSpec(4096, -320.0, 320.0)
     psi = gaussian_packet(spec, 1.0, -12.0, 1.5, 2.0)
     prop = SplitStepPropagator(spec, 1.0, PotentialSpec.gaussian_barrier(2.0, 1.0, 0.0), 0.005)
     amps = prop.step(np.asarray(psi.amplitudes), 10_000)
-    drift = abs(float(np.sqrt(np.sum(np.abs(amps) ** 2) * spec.cell_volume)) - 1.0)
+    drift = abs(float(np.sqrt(np.sum(np.abs(amps) ** 2) * spec.dx)) - 1.0)
 
     run = free_gaussian_run
     eq_worst = 0.0

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bohmvel.asymptotics import (
-    FIT_LAST_POINT,
     dirac_velocity_distribution,
     estimate_asymptotic_measure,
     estimate_asymptotic_velocity,
@@ -65,11 +64,6 @@ class TestAsymptoticVelocity:
         assert not est.converged(0.5)
         assert not est.converged(0.1)
 
-    def test_last_point_mode(self):
-        est = estimate_asymptotic_velocity(straight(1.2, c=4.0), CHECKPOINTS, fit_method=FIT_LAST_POINT)
-        # eta(40) = 1.2 + 4/40
-        assert est.v_plus.v[0] == pytest.approx(1.3, abs=1e-12)
-
     def test_checkpoint_preconditions(self):
         with pytest.raises(InvalidInputError):
             estimate_asymptotic_velocity(straight(1.0), [10.0, 20.0])
@@ -129,7 +123,7 @@ class TestVelocityMeasureAt:
 
 class TestQuantumDistributions:
     def test_free_gaussian_is_normal(self):
-        spec = GridSpec.line(2048, -128.0, 128.0)
+        spec = GridSpec(2048, -128.0, 128.0)
         psi = gaussian_packet(spec, 1.0, 0.0, 0.0, 1.0)
         q = free_velocity_distribution(psi)
         assert q.total_mass() == pytest.approx(1.0, abs=1e-9)
@@ -137,14 +131,14 @@ class TestQuantumDistributions:
         assert std == pytest.approx(0.5, abs=1e-9)
 
     def test_mass_scaling(self):
-        spec = GridSpec.line(2048, -128.0, 128.0)
+        spec = GridSpec(2048, -128.0, 128.0)
         psi = gaussian_packet(spec, 2.0, 0.0, 0.0, 1.0)
         q = free_velocity_distribution(psi)
         std = np.sqrt(np.trapezoid(q.v**2 * q.density, q.v))
         assert std == pytest.approx(0.25, abs=1e-9)
 
     def test_scattering_reduces_to_free_without_potential(self):
-        spec = GridSpec.line(2048, -128.0, 128.0)
+        spec = GridSpec(2048, -128.0, 128.0)
         psi = gaussian_packet(spec, 1.0, -20.0, 1.5, 1.0)
         out = outgoing_asymptote(psi, PotentialSpec.none(), [4.0, 8.0], dt=0.01)
         q_scatt = scattering_velocity_distribution(out, 1.0)
@@ -153,21 +147,21 @@ class TestQuantumDistributions:
         assert q_scatt.atom_mass == pytest.approx(0.0, abs=1e-12)
 
     def test_dirac_peak_and_support(self):
-        spec = GridSpec.line(2048, -128.0, 128.0)
+        spec = GridSpec(2048, -128.0, 128.0)
         psi, _ = project_positive_energy(gaussian_packet(spec, 1.0, 0.0, 0.75, 4.0, kind="dirac"))
         q = dirac_velocity_distribution(psi)
         assert np.all(np.abs(q.v) < 1.0)
         assert q.v[np.argmax(q.density)] == pytest.approx(0.6, abs=0.01)
 
     def test_dirac_large_mass_concentrates(self):
-        spec = GridSpec.line(2048, -128.0, 128.0)
+        spec = GridSpec(2048, -128.0, 128.0)
         psi, _ = project_positive_energy(gaussian_packet(spec, 20.0, 0.0, 0.75, 1.0, kind="dirac"))
         q = dirac_velocity_distribution(psi)
         mean_abs = np.trapezoid(np.abs(q.v) * q.density, q.v)
         assert mean_abs < 0.05
 
     def test_sampler_matches_cdf(self):
-        spec = GridSpec.line(2048, -128.0, 128.0)
+        spec = GridSpec(2048, -128.0, 128.0)
         psi = gaussian_packet(spec, 1.0, 0.0, 0.0, 1.0)
         q = free_velocity_distribution(psi)
         samples = q.sample(50_000, 123)
@@ -186,7 +180,7 @@ class TestQuantumDistributions:
 
 class TestVerifyDistributionEquality:
     def test_self_consistency(self):
-        spec = GridSpec.line(2048, -128.0, 128.0)
+        spec = GridSpec(2048, -128.0, 128.0)
         psi = gaussian_packet(spec, 1.0, 0.0, 0.0, 1.0)
         q = free_velocity_distribution(psi)
         s = EmpiricalMeasure.from_samples(q.sample(10_000, 55))
@@ -194,7 +188,7 @@ class TestVerifyDistributionEquality:
         assert rep["pass"]
 
     def test_wrong_mass_detected(self):
-        spec = GridSpec.line(2048, -128.0, 128.0)
+        spec = GridSpec(2048, -128.0, 128.0)
         psi = gaussian_packet(spec, 1.0, 0.0, 0.0, 1.0)
         q_wrong = free_velocity_distribution(psi, mass=2.0)
         s = EmpiricalMeasure.from_samples(free_velocity_distribution(psi).sample(10_000, 57))

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import time
 from pathlib import Path
 
@@ -51,6 +52,15 @@ DRIFT_CASES = {
     "projection_flag_string": (("project_positive_energy",), "yes"),
 }
 
+# Mutations of configs/free_gaussian.json that the schema accepts but the
+# grid rules reject, with the config path the error must name.
+GRID_CASES = {
+    "n_points_48": (("grid", "n_points"), 48, r"config\.grid\.n_points must be a power of two"),
+    "center_outside_grid": (("grid", "x_min"), 10.0, r"config\.packets\[0\]: packet center 0 outside"),
+    "tail_clipped": (("grid", "x_max"), 8.0, r"config\.packets\[0\]: packet tail"),
+    "empty_grid": (("grid", "x_max"), -256.0, r"config\.grid\.x_max must exceed x_min"),
+}
+
 # Type and range edges, both ways, for the cross-check against jsonschema.
 EDGE_CASES = {
     "mass_bool": ("free_gaussian.json", ("mass",), True, False),
@@ -70,6 +80,11 @@ EDGE_CASES = {
 
 def drift_config(case):
     return mutated(shipped_config("free_gaussian.json"), *DRIFT_CASES[case])
+
+
+def grid_config(case):
+    path, value, _ = GRID_CASES[case]
+    return mutated(shipped_config("free_gaussian.json"), path, value)
 
 
 def edge_config(case):
@@ -160,6 +175,20 @@ class TestValidation:
         assert code == EXIT_CONFIG_ERROR
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["type"] == "ConfigurationError"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_grid_case_exits_4_naming_the_path(self, case, command, tmp_path, capsys):
+        cfg = grid_config(case)
+        cfg["out_dir"] = str(tmp_path / "run")
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert '"valid"' not in captured.out
+        err = json.loads(captured.err.strip())["error"]
+        assert err["type"] == "ConfigurationError"
+        assert re.match(GRID_CASES[case][2], err["message"])
         assert not (tmp_path / "run").exists()
 
     def test_error_names_the_path(self):
@@ -257,6 +286,12 @@ class TestSchemaAgreement:
     def test_drift_cases(self, reference, case):
         cfg = drift_config(case)
         assert not reference.is_valid(cfg)
+        assert not is_valid(cfg)
+
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_grid_cases_are_beyond_the_schema(self, reference, case):
+        cfg = grid_config(case)
+        assert reference.is_valid(cfg)
         assert not is_valid(cfg)
 
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))

@@ -16,7 +16,7 @@ from bohmvel.wavefunction import (
 
 @pytest.fixture(scope="module")
 def packet():
-    return gaussian_packet(GridSpec.line(2048, -192.0, 192.0), 1.0, 0.0, 0.0, 1.0)
+    return gaussian_packet(GridSpec(2048, -192.0, 192.0), 1.0, 0.0, 0.0, 1.0)
 
 
 def test_default_ladders():
@@ -73,7 +73,7 @@ def test_dirac_wraparound_fails_fast():
     # A fast spinor packet on a small periodic grid reaches the boundary
     # near t = 25: the Dirac stepper's health check ends the run there,
     # instead of guiding trajectories through the wrapped-around field.
-    spec = GridSpec.line(256, -32.0, 32.0)
+    spec = GridSpec(256, -32.0, 32.0)
     psi, _ = project_positive_energy(gaussian_packet(spec, 1.0, 0.0, 3.0, 1.0, kind="dirac"))
     params = PipelineParams(n_trajectories=200, t_max=40.0, seed=1)
     start = time.perf_counter()
@@ -88,7 +88,7 @@ def test_box_exit_fails_fast():
     # field carries it out on the first step. The packet stays far from the
     # edges, so no health check trips; the near-zero density floor keeps the
     # edge point from being rejected as a near-node instead.
-    spec = GridSpec.line(256, -16.0, 16.0)
+    spec = GridSpec(256, -16.0, 16.0)
     psi = gaussian_packet(spec, 1.0, 0.0, 1.0, 1.0)
     starts = np.array([[0.0], [15.99]])
     start = time.perf_counter()
@@ -110,7 +110,7 @@ def test_slow_path_budget_ends_a_stuck_run():
     # Starts at 4.5-6 sigma0 sit below the density floor, so every step of
     # every trajectory runs the whole halving chain and then freezes. The
     # run's slow-path budget ends it early instead of after minutes.
-    psi = gaussian_packet(GridSpec.line(4096, -256.0, 256.0), 1.0, 0.0, 0.0, 1.0)
+    psi = gaussian_packet(GridSpec(4096, -256.0, 256.0), 1.0, 0.0, 0.0, 1.0)
     starts = np.linspace(4.5, 6.0, 50)[:, None]
     start = time.perf_counter()
     with pytest.raises(NumericalFailureError, match="slow path") as info:
@@ -131,7 +131,7 @@ def test_one_stuck_trajectory_does_not_end_the_run():
     # One start at 8 sigma0 stays below the density floor up to t = 4, so it
     # runs the whole halving chain and freezes on every step; the budget
     # always carries one such trajectory, and the other 199 are untouched.
-    psi = gaussian_packet(GridSpec.line(4096, -256.0, 256.0), 1.0, 0.0, 0.0, 1.0)
+    psi = gaussian_packet(GridSpec(4096, -256.0, 256.0), 1.0, 0.0, 0.0, 1.0)
     starts = np.append(np.linspace(-2.0, 2.0, 199), 8.0)[:, None]
     res = integrate_ensemble(
         psi, PotentialSpec.none(), starts, [0.0, 2.0, 4.0],

@@ -207,7 +207,7 @@ class TestBoostVelocityConsistency:
 
 @pytest.fixture(scope="module")
 def state():
-    spec = GridSpec.line(2048, -128.0, 128.0)
+    spec = GridSpec(2048, -128.0, 128.0)
     psi, _ = project_positive_energy(gaussian_packet(spec, 1.0, 0.0, 0.0, 4.0, kind="dirac"))
     return psi
 
@@ -225,8 +225,8 @@ class TestBoostDiracState:
         u = 0.3
         out = boost_dirac_state(state, u)
         moved = evolve_dirac(out, 10.0)
-        x = state.spec.axis(0)
-        dx = state.spec.dx[0]
+        x = state.spec.axis()
+        dx = state.spec.dx
         drift = (np.sum(x * moved.density()) - np.sum(x * out.density())) * dx / 10.0
         # Exact oracle: the mean of the boosted state's own velocity
         # distribution; for this narrow packet it is close to -u.
@@ -253,7 +253,7 @@ class TestBoostDiracState:
 
     def test_unrepresentable_boost_rejected(self):
         # A tight grid cannot hold the blue-shifted momentum support.
-        spec = GridSpec.line(64, -16.0, 16.0)
+        spec = GridSpec(64, -16.0, 16.0)
         psi, _ = project_positive_energy(gaussian_packet(spec, 1.0, 0.0, 2.2, 1.0, kind="dirac"))
         with pytest.raises(ConfigurationError):
             boost_dirac_state(psi, -0.9)
@@ -273,7 +273,7 @@ def small_setup():
     from bohmvel.pipeline import PipelineParams, run_guided_pipeline
     from bohmvel.wavefunction import PotentialSpec
 
-    spec = GridSpec.line(1024, -128.0, 128.0)
+    spec = GridSpec(1024, -128.0, 128.0)
     psi, _ = project_positive_energy(gaussian_packet(spec, 1.0, 0.0, 0.75, 1.0, kind="dirac"))
     params = PipelineParams(
         n_trajectories=1500, t_max=40.0, dt=0.05,

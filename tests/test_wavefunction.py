@@ -5,8 +5,10 @@ from bohmvel.errors import (
     ConfigurationError,
     InvalidInputError,
     NonConvergedError,
+    NumericalFailureError,
 )
 from bohmvel.wavefunction import (
+    DiracPropagator,
     GridSpec,
     GridWavefunction,
     PotentialSpec,
@@ -26,7 +28,7 @@ from oracles import free_gaussian_psi, gaussian_width
 
 @pytest.fixture(scope="module")
 def line_grid():
-    return GridSpec.line(2048, -128.0, 128.0)
+    return GridSpec(2048, -128.0, 128.0)
 
 
 @pytest.fixture(scope="module")
@@ -37,40 +39,42 @@ def base_packet(line_grid):
 class TestGridSpec:
     def test_power_of_two_enforced(self):
         with pytest.raises(InvalidInputError):
-            GridSpec.line(1000, -10.0, 10.0)
+            GridSpec(1000, -10.0, 10.0)
 
     def test_momentum_grid_dual(self, line_grid):
-        p = line_grid.momentum_axis(0)
+        p = line_grid.momentum_axis()
         assert p.size == 2048
-        assert np.max(np.abs(p)) == pytest.approx(np.pi / line_grid.dx[0], rel=1e-3)
+        assert np.max(np.abs(p)) == pytest.approx(np.pi / line_grid.dx, rel=1e-3)
 
 
 class TestGaussianPacket:
     def test_moments(self, line_grid, base_packet):
-        x = line_grid.axis(0)
-        dx = line_grid.dx[0]
+        x = line_grid.axis()
+        dx = line_grid.dx
         rho = base_packet.density()
         assert base_packet.norm() == pytest.approx(1.0, abs=1e-12)
         assert np.sqrt(np.sum(x**2 * rho) * dx) == pytest.approx(1.0, abs=1e-9)
         md = momentum_density(base_packet)
-        p, q = md.axis_1d()
+        p, q = md.p, md.values
         assert md.total() == pytest.approx(1.0, abs=1e-9)
-        assert np.sqrt(np.sum(p**2 * q) * md.cell_volume) == pytest.approx(0.5, abs=1e-9)
+        assert np.sqrt(np.sum(p**2 * q) * md.dp) == pytest.approx(0.5, abs=1e-9)
 
     def test_mean_momentum(self, line_grid):
         psi = gaussian_packet(line_grid, 1.0, 0.0, 2.0, 1.0)
-        p, q = momentum_density(psi).axis_1d()
+        md = momentum_density(psi)
+        p, q = md.p, md.values
         dp = p[1] - p[0]
         assert np.sum(p * q) * dp == pytest.approx(2.0, abs=1e-9)
 
     def test_clipped_packet_rejected(self):
-        spec = GridSpec.line(64, -4.0, 4.0)
+        spec = GridSpec(64, -4.0, 4.0)
         with pytest.raises(ConfigurationError):
             gaussian_packet(spec, 1.0, 0.0, 0.0, 2.0)
 
     def test_momentum_density_peak_location(self, line_grid):
         psi = gaussian_packet(line_grid, 1.0, 0.0, 1.3, 2.0)
-        p, q = momentum_density(psi).axis_1d()
+        md = momentum_density(psi)
+        p, q = md.p, md.values
         assert p[np.argmax(q)] == pytest.approx(1.3, abs=2 * (p[1] - p[0]))
 
 
@@ -82,23 +86,23 @@ class TestSchrodingerEvolution:
 
     def test_free_width_law(self, line_grid, base_packet):
         out = evolve_schrodinger(base_packet, PotentialSpec.none(), 0.01, 200)
-        x = line_grid.axis(0)
-        std = np.sqrt(np.sum(x**2 * out.density()) * line_grid.dx[0])
+        x = line_grid.axis()
+        std = np.sqrt(np.sum(x**2 * out.density()) * line_grid.dx)
         assert std == pytest.approx(np.sqrt(2.0), abs=1e-6)
         assert std == pytest.approx(gaussian_width(2.0), abs=1e-6)
 
     def test_ehrenfest_drift(self, line_grid):
         psi = gaussian_packet(line_grid, 1.0, 0.0, 1.0, 1.0)
         out = evolve_schrodinger(psi, PotentialSpec.none(), 0.01, 500)
-        x = line_grid.axis(0)
-        assert np.sum(x * out.density()) * line_grid.dx[0] == pytest.approx(5.0, abs=1e-8)
+        x = line_grid.axis()
+        assert np.sum(x * out.density()) * line_grid.dx == pytest.approx(5.0, abs=1e-8)
 
     def test_free_evolution_matches_analytic_in_l2(self, line_grid, base_packet):
         out = evolve_schrodinger(base_packet, PotentialSpec.none(), 0.01, 300)
-        x = line_grid.axis(0)
+        x = line_grid.axis()
         ref = free_gaussian_psi(x, 3.0)
         # Global phase is physical here: both conventions fix it identically.
-        err = np.sqrt(np.sum(np.abs(out.amplitudes - ref) ** 2) * line_grid.dx[0])
+        err = np.sqrt(np.sum(np.abs(out.amplitudes - ref) ** 2) * line_grid.dx)
         assert err < 1e-7
 
     def test_unitarity(self, line_grid):
@@ -119,29 +123,33 @@ class TestDirac:
         np.testing.assert_array_equal(out.amplitudes, psi.amplitudes)
 
     def test_massless_translation(self):
-        spec = GridSpec.line(1024, -64.0, 64.0)
+        spec = GridSpec(1024, -64.0, 64.0)
         psi = gaussian_packet(spec, 0.0, 0.0, 2.0, 1.0, kind="dirac")
         # Upper component of the m=0 Hamiltonian mixes via sigma_x; use a
         # chiral (light-cone) combination to isolate speed +1 transport.
         amps = np.stack([psi.amplitudes[0], psi.amplitudes[0]]) / np.sqrt(2.0)
         chiral = GridWavefunction(spec, amps, 0.0, "dirac", 0.0)
         out = evolve_dirac(chiral, 5.0)
-        x = spec.axis(0)
-        dx = spec.dx[0]
+        x = spec.axis()
+        dx = spec.dx
         center = np.sum(x * out.density()) * dx
         assert center == pytest.approx(5.0, abs=1e-9)
 
     def test_single_mode_dispersion_phase(self):
-        spec = GridSpec.line(64, -16.0, 16.0)
+        spec = GridSpec(64, -16.0, 16.0)
         m = 1.0
-        p_val = spec.momentum_axis(0)[5]
+        p_val = spec.momentum_axis()[5]
         u = positive_energy_spinor(np.array([p_val]), m)[:, 0]
-        mode = np.exp(1j * p_val * spec.axis(0)) / np.sqrt(32.0)
+        mode = np.exp(1j * p_val * spec.axis()) / np.sqrt(32.0)
         psi = GridWavefunction(spec, np.stack([u[0] * mode, u[1] * mode]), 0.0, "dirac", m)
         t = 3.7
-        out = evolve_dirac(psi, t)
+        # A plane wave fills the boundary cells, so only the unguarded step
+        # evolves it.
+        out = DiracPropagator(spec, m).step(psi.amplitudes, t)
         expected = psi.amplitudes * np.exp(-1j * np.sqrt(p_val**2 + m**2) * t)
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
+        assert np.max(np.abs(out - expected)) < 1e-10
+        with pytest.raises(NumericalFailureError, match="boundary"):
+            evolve_dirac(psi, t)
 
     def test_norm_preserved_exactly(self, line_grid):
         psi, _ = project_positive_energy(
@@ -149,6 +157,18 @@ class TestDirac:
         )
         out = evolve_dirac(psi, 25.0)
         assert abs(out.norm() - 1.0) < 1e-12
+
+    def test_boundary_guard(self):
+        # The packet reaches the ends of the periodic grid well before t = 60;
+        # both propagators stop instead of returning a wrapped state.
+        spec = GridSpec(256, -32.0, 32.0)
+        dirac, _ = project_positive_energy(gaussian_packet(spec, 1.0, 0.0, 2.0, 1.0, kind="dirac"))
+        with pytest.raises(NumericalFailureError, match="boundary") as err:
+            evolve_dirac(dirac, 60.0)
+        assert err.value.diagnostics["boundary_cell_mass"] > 1e-12
+        scalar = gaussian_packet(spec, 1.0, 0.0, 2.0, 1.0)
+        with pytest.raises(NumericalFailureError, match="boundary"):
+            evolve_schrodinger(scalar, PotentialSpec.none(), 0.05, 1200)
 
     def test_group_velocity_narrow_packet(self, line_grid):
         # v = p/E = 0.6 at p0 = 0.75, m = 1; a narrow momentum spread keeps
@@ -158,11 +178,12 @@ class TestDirac:
             gaussian_packet(line_grid, 1.0, 0.0, 0.75, 4.0, kind="dirac")
         )
         out = evolve_dirac(psi, 10.0)
-        x = line_grid.axis(0)
-        dx = line_grid.dx[0]
+        x = line_grid.axis()
+        dx = line_grid.dx
         drift = (np.sum(x * out.density()) - np.sum(x * psi.density())) * dx / 10.0
         assert drift == pytest.approx(0.6, abs=0.01)
-        p, q = momentum_density(psi).axis_1d()
+        md = momentum_density(psi)
+        p, q = md.p, md.values
         dp = p[1] - p[0]
         v_mean = np.sum(p / np.sqrt(p**2 + 1.0) * q) * dp
         assert drift == pytest.approx(v_mean, abs=1e-4)
@@ -178,14 +199,14 @@ class TestPositiveEnergyProjection:
         np.testing.assert_allclose(again.amplitudes, psi.amplitudes, atol=1e-12)
 
     def test_balanced_superposition_discards_half(self):
-        spec = GridSpec.line(64, -16.0, 16.0)
+        spec = GridSpec(64, -16.0, 16.0)
         m = 1.0
-        p_val = spec.momentum_axis(0)[3]
+        p_val = spec.momentum_axis()[3]
         u = positive_energy_spinor(np.array([p_val]), m)[:, 0]
         # The -E eigenspinor is orthogonal: (-p, E+m) normalized.
         energy = np.sqrt(p_val**2 + m**2)
         w = np.array([-p_val, energy + m]) / np.sqrt(2 * energy * (energy + m))
-        mode = np.exp(1j * p_val * spec.axis(0)) / np.sqrt(32.0)
+        mode = np.exp(1j * p_val * spec.axis()) / np.sqrt(32.0)
         amps = np.stack([(u[0] + w[0]) * mode, (u[1] + w[1]) * mode]) / np.sqrt(2.0)
         psi = GridWavefunction(spec, amps, 0.0, "dirac", m)
         _, discarded = project_positive_energy(psi)
@@ -194,7 +215,7 @@ class TestPositiveEnergyProjection:
     def test_rest_spinor_is_positive_energy(self):
         # (1, 0) at p = 0 with beta = diag(1, -1) is the +m eigenvector:
         # a constant envelope is a pure p = 0 mode on the periodic grid.
-        spec = GridSpec.line(64, -16.0, 16.0)
+        spec = GridSpec(64, -16.0, 16.0)
         env = np.full(64, 1.0 / np.sqrt(32.0), dtype=complex)
         psi = GridWavefunction(spec, np.stack([env, np.zeros_like(env)]), 0.0, "dirac", 1.0)
         projected, discarded = project_positive_energy(psi)
@@ -207,12 +228,13 @@ class TestOutgoingAsymptote:
         psi = gaussian_packet(line_grid, 1.0, -20.0, 1.5, 1.0)
         out = outgoing_asymptote(psi, PotentialSpec.none(), [4.0, 8.0], dt=0.01)
         assert out.cauchy_residual < 1e-12
-        p0, q0 = momentum_density(psi).axis_1d()
+        md = momentum_density(psi)
+        p0, q0 = md.p, md.values
         np.testing.assert_allclose(out.density, q0, atol=1e-12)
         assert out.total_mass() == pytest.approx(1.0, abs=1e-9)
 
     def test_barrier_bimodal_and_monotone(self):
-        spec = GridSpec.line(4096, -320.0, 320.0)
+        spec = GridSpec(4096, -320.0, 320.0)
         psi = gaussian_packet(spec, 1.0, -12.0, 1.5, 2.0)
         pot = PotentialSpec.gaussian_barrier(2.0, 1.0, 0.0)
         out = outgoing_asymptote(psi, pot, [20.0, 30.0, 40.0, 60.0], dt=0.01, residual_tol=1e-2)
@@ -232,7 +254,7 @@ class TestOutgoingAsymptote:
 
     def test_soft_coulomb_keeps_weight_near_center(self):
         # An attractive well holds part of the packet: nonzero point mass.
-        spec = GridSpec.line(2048, -256.0, 256.0)
+        spec = GridSpec(2048, -256.0, 256.0)
         psi = gaussian_packet(spec, 1.0, 0.0, 0.0, 2.0)
         pot = PotentialSpec.soft_coulomb(1.0, 1.0, 0.0)
         out = outgoing_asymptote(
@@ -244,13 +266,14 @@ class TestOutgoingAsymptote:
 
 class TestSuperposition:
     def test_two_mode_momentum_density(self):
-        spec = GridSpec.line(4096, -256.0, 256.0)
+        spec = GridSpec(4096, -256.0, 256.0)
         psi = superposed_gaussians(
             spec, 1.0,
             [{"x0": 0.0, "p0": 1.5, "sigma0": 1.0}, {"x0": 0.0, "p0": -1.5, "sigma0": 1.0}],
         )
         assert psi.norm() == pytest.approx(1.0, abs=1e-12)
-        p, q = momentum_density(psi).axis_1d()
+        md = momentum_density(psi)
+        p, q = md.p, md.values
         dp = p[1] - p[0]
         plus = np.sum(q[p > 0]) * dp
         minus = np.sum(q[p < 0]) * dp
@@ -261,7 +284,7 @@ class TestSuperposition:
 
 def test_momentum_amplitude_parseval(base_packet):
     psi_hat = momentum_amplitudes(base_packet)
-    total = np.sum(np.abs(psi_hat) ** 2) * base_packet.spec.momentum_cell_volume
+    total = np.sum(np.abs(psi_hat) ** 2) * base_packet.spec.dp
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
