@@ -13,7 +13,6 @@ from .core import (
     EnsembleRun,
     PoincareElement,
     SampledTrajectory,
-    VelocityPoint,
     WorldLineFlag,
     validate_worldline,
 )
@@ -22,7 +21,6 @@ from .errors import (
     ConfigurationError,
     DomainError,
     InvalidInputError,
-    NodeProximityError,
     NonConvergedError,
     NumericalFailureError,
     RegularityError,
@@ -32,8 +30,6 @@ from .wavefunction import (
     GridWavefunction,
     OutgoingAsymptote,
     PotentialSpec,
-    evolve_dirac,
-    evolve_schrodinger,
     gaussian_packet,
     momentum_density,
     outgoing_asymptote,
@@ -45,10 +41,8 @@ from .guidance import (
     check_equivariance,
     integrate_ensemble,
     sample_initial,
-    velocity_at,
 )
 from .asymptotics import (
-    AsymptoticEstimate,
     RegularityReport,
     VelocityDistribution,
     dirac_velocity_distribution,
@@ -67,7 +61,6 @@ from .relativity import (
     boost_worldline,
     check_boost_velocity_consistency,
     foliation_sweep,
-    transform_velocity,
     verify_boost_covariance,
 )
 from .stats import (

@@ -23,9 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmpiricalMeasure, SampledTrajectory, VelocityPoint
+from .core import EmpiricalMeasure, SampledTrajectory
 from .errors import InvalidInputError, RegularityError
 from .stats import (
+    _inverse_cdf,
+    _trapezoid_cdf,
     ks_critical_value,
     ks_two_sample_1d,
     test_function_dictionary,
@@ -42,7 +44,6 @@ from .wavefunction import (
 )
 
 __all__ = [
-    "AsymptoticEstimate",
     "RegularityReport",
     "VelocityDistribution",
     "estimate_asymptotic_velocity",
@@ -69,17 +70,6 @@ _KS_ALPHA = 0.01
 _N_Q_MAX = 200_000
 _ATOM_RADIUS = 1e-3
 _ATOM_TOLERANCE = 0.01
-
-
-@dataclass(frozen=True)
-class AsymptoticEstimate:
-    """Extrapolated limiting velocity of one trajectory."""
-
-    v_plus: VelocityPoint
-    convergence_residual: float
-
-    def converged(self, tol: float) -> bool:
-        return self.convergence_residual <= tol
 
 
 @dataclass(frozen=True)
@@ -114,34 +104,27 @@ def _validate_checkpoints(checkpoints: np.ndarray) -> None:
 def _eta_block(trajs, checkpoints: np.ndarray) -> np.ndarray:
     """Stack k(t)/t over the ensemble: shape (n_traj, n_cp, D).
 
-    Fast path when all trajectories share one time grid (the integrator
-    output); otherwise interpolates each polyline individually.
+    ``trajs`` is an integration result (its failed trajectories left out)
+    or a list of trajectories that share one time grid.
     """
     if hasattr(trajs, "positions"):
         times = trajs.times
         pos = trajs.positions[~trajs.diagnostics.failed]
-        shared = True
     else:
         trajs = list(trajs)
         times = trajs[0].times
-        shared = all(
-            t.times.shape == times.shape and np.array_equal(t.times, times) for t in trajs
-        )
-        pos = np.stack([t.points for t in trajs]) if shared else None
-    if shared:
-        if checkpoints[0] < times[0] - 1e-12 or checkpoints[-1] > times[-1] + 1e-12:
-            raise InvalidInputError("checkpoints outside the recorded time range")
-        idx = np.searchsorted(times, checkpoints, side="right") - 1
-        idx = np.clip(idx, 0, times.size - 2)
-        t0 = times[idx]
-        t1 = times[idx + 1]
-        w = np.where(t1 > t0, (checkpoints - t0) / (t1 - t0), 0.0)
-        interp = (1.0 - w)[None, :, None] * pos[:, idx, :] + w[None, :, None] * pos[:, idx + 1, :]
-        return interp / checkpoints[None, :, None]
-    rows = []
-    for tr in trajs:
-        rows.append(np.stack([tr.position_at(c) / c for c in checkpoints]))
-    return np.stack(rows)
+        if not all(np.array_equal(t.times, times) for t in trajs):
+            raise InvalidInputError("the trajectories must share one time grid")
+        pos = np.stack([t.points for t in trajs])
+    if checkpoints[0] < times[0] - 1e-12 or checkpoints[-1] > times[-1] + 1e-12:
+        raise InvalidInputError("checkpoints outside the recorded time range")
+    idx = np.searchsorted(times, checkpoints, side="right") - 1
+    idx = np.clip(idx, 0, times.size - 2)
+    t0 = times[idx]
+    t1 = times[idx + 1]
+    w = np.where(t1 > t0, (checkpoints - t0) / (t1 - t0), 0.0)
+    interp = (1.0 - w)[None, :, None] * pos[:, idx, :] + w[None, :, None] * pos[:, idx + 1, :]
+    return interp / checkpoints[None, :, None]
 
 
 def _fit_eta(eta: np.ndarray, checkpoints: np.ndarray):
@@ -156,13 +139,18 @@ def _fit_eta(eta: np.ndarray, checkpoints: np.ndarray):
     return v_plus, residual
 
 
-def estimate_asymptotic_velocity(traj: SampledTrajectory, checkpoints) -> AsymptoticEstimate:
-    """Limiting velocity of one trajectory from its checkpoint ladder."""
+def estimate_asymptotic_velocity(traj: SampledTrajectory, checkpoints) -> tuple[np.ndarray, float]:
+    """Limiting velocity of one trajectory from its checkpoint ladder.
+
+    Returns (v_plus, residual): the extrapolated velocity, shape (N*d,),
+    and the fit residual at the trailing checkpoints; the trajectory
+    counts as converged at tolerance tol when residual <= tol.
+    """
     checkpoints = np.asarray(checkpoints, dtype=float)
     _validate_checkpoints(checkpoints)
     eta = _eta_block([traj], checkpoints)
     v_plus, residual = _fit_eta(eta, checkpoints)
-    return AsymptoticEstimate(VelocityPoint(v_plus[0]), float(residual[0]))
+    return v_plus[0], float(residual[0])
 
 
 def estimate_asymptotic_measure(
@@ -246,20 +234,13 @@ class VelocityDistribution:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "density", q)
 
-    @property
-    def _node_cdf(self) -> np.ndarray:
-        cdf = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (self.density[1:] + self.density[:-1]) * np.diff(self.v))]
-        )
-        return cdf / cdf[-1]
-
     def total_mass(self) -> float:
         cont = float(np.trapezoid(self.density, self.v))
         return cont + self.atom_mass
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        cont = np.interp(x, self.v, self._node_cdf, left=0.0, right=1.0)
+        cont = np.interp(x, self.v, _trapezoid_cdf(self.v, self.density), left=0.0, right=1.0)
         scale = 1.0 - self.atom_mass
         return scale * cont + self.atom_mass * (x >= 0.0)
 
@@ -271,15 +252,13 @@ class VelocityDistribution:
         """Inverse-CDF draws, shape (n, 1); deterministic under the seed."""
         rng = np.random.default_rng(seed)
         u = rng.random(n)
-        out = np.empty(n)
-        cdf = self._node_cdf
-        keep = np.concatenate([[True], np.diff(cdf) > 0])
+        cdf = _trapezoid_cdf(self.v, self.density)
         if self.atom_mass > 0:
             is_atom = rng.random(n) < self.atom_mass
-            out[is_atom] = 0.0
-            out[~is_atom] = np.interp(u[~is_atom], cdf[keep], self.v[keep])
+            out = np.zeros(n)
+            out[~is_atom] = _inverse_cdf(u[~is_atom], self.v, cdf)
         else:
-            out = np.interp(u, cdf[keep], self.v[keep])
+            out = _inverse_cdf(u, self.v, cdf)
         return out[:, None]
 
     def as_measure(self, n: int, seed) -> EmpiricalMeasure:

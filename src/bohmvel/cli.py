@@ -208,12 +208,13 @@ def _pipeline_params(cfg: dict, seed: int) -> PipelineParams:
 
 
 def _quantum_distribution(cfg: dict, psi, mass: float):
-    """The quantum-side velocity distribution plus any extraction artifacts."""
+    """The quantum-side velocity distribution, and the outgoing asymptote it
+    is read from (None for the free systems)."""
     system = cfg["system"]
     if system == "free_schrodinger":
-        return free_velocity_distribution(psi, mass), {}
+        return free_velocity_distribution(psi, mass), None
     if system == "free_dirac":
-        return dirac_velocity_distribution(psi), {}
+        return dirac_velocity_distribution(psi), None
     pot = PotentialSpec.from_dict(cfg["potential"])
     mcfg = cfg.get("moller", {})
     t_max = float(cfg["time"]["t_max"])
@@ -226,14 +227,7 @@ def _quantum_distribution(cfg: dict, psi, mass: float):
         interaction_radius=mcfg.get("interaction_radius"),
         residual_tol=float(mcfg.get("residual_tol", 1e-3)),
     )
-    artifacts = {
-        "moller_residual_curve": out.residual_curve.tolist(),
-        "moller_extraction_times": out.extraction_times.tolist(),
-        "cauchy_residual": out.cauchy_residual,
-        "bound_weight": out.bound_weight,
-        "_out_momentum_density": (out.p, out.density),
-    }
-    return scattering_velocity_distribution(out, mass), artifacts
+    return scattering_velocity_distribution(out, mass), out
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -259,8 +253,7 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
     )
 
     result = run_guided_pipeline(psi, potential, params)
-    q_dist, q_artifacts = _quantum_distribution(cfg, psi, mass)
-    out_density = q_artifacts.pop("_out_momentum_density", None)
+    q_dist, outgoing = _quantum_distribution(cfg, psi, mass)
 
     thr = cfg.get("thresholds", {})
     comparison = verify_distribution_equality(
@@ -278,6 +271,20 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
             equivariance[f"{t:g}"] = check_equivariance(result.integration, snap, float(t))
     order_violations = count_order_violations(result.integration)
 
+    reports = {
+        "regularity": result.regularity.to_dict(),
+        "comparison": comparison,
+        "equivariance": equivariance,
+        "projection": projection_info,
+        "order_violations": order_violations,
+    }
+    if outgoing is not None:
+        reports.update(
+            moller_residual_curve=outgoing.residual_curve.tolist(),
+            moller_extraction_times=outgoing.extraction_times.tolist(),
+            cauchy_residual=outgoing.cauchy_residual,
+            bound_weight=outgoing.bound_weight,
+        )
     os.makedirs(out_dir, exist_ok=True)
     run = EnsembleRun(
         config=cfg,
@@ -285,14 +292,7 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
         trajectories=result.integration.trajectories,
         diagnostics=result.integration.diagnostics.summary(),
         measures={"s_plus": result.s_plus},
-        reports={
-            "regularity": result.regularity.to_dict(),
-            "comparison": comparison,
-            "equivariance": equivariance,
-            "projection": projection_info,
-            "order_violations": order_violations,
-            **q_artifacts,
-        },
+        reports=reports,
     )
     run.save(out_dir)
 
@@ -308,15 +308,16 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
             velocity_measure_at(result.integration, float(t)).to_csv(
                 os.path.join(out_dir, f"s_t_{t:g}.csv")
             )
-    if out_density is not None:
+    if outgoing is not None:
         _write_float_csv(
-            os.path.join(out_dir, "out_momentum_density.csv"), ["p", "density"], out_density
+            os.path.join(out_dir, "out_momentum_density.csv"),
+            ["p", "density"],
+            [outgoing.p, outgoing.density],
         )
-    if "moller_residual_curve" in q_artifacts:
         _write_float_csv(
             os.path.join(out_dir, "moller_residuals.csv"),
             ["T", "residual"],
-            [q_artifacts["moller_extraction_times"][1:], q_artifacts["moller_residual_curve"]],
+            [outgoing.extraction_times[1:], outgoing.residual_curve],
         )
 
     ok = comparison["pass"] and result.regularity.verdict

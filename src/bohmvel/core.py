@@ -27,7 +27,6 @@ from .errors import DomainError, InvalidInputError
 __all__ = [
     "SampledTrajectory",
     "WorldLineFlag",
-    "VelocityPoint",
     "EmpiricalMeasure",
     "PoincareElement",
     "EnsembleRun",
@@ -115,21 +114,6 @@ class WorldLineFlag:
 
     is_worldline: bool
     max_speed_observed: float
-
-
-@dataclass(frozen=True)
-class VelocityPoint:
-    """A point in velocity space (flat vector of length N*d)."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = _finite_array(self.v, "v")
-        object.__setattr__(self, "v", v)
-        self.v.setflags(write=False)
-
-    def particle(self, i: int, dim: int) -> np.ndarray:
-        return self.v[i * dim : (i + 1) * dim]
 
 
 _WEIGHT_TOL = 1e-12

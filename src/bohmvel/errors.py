@@ -6,6 +6,16 @@ class or the specific failure they care about.
 
 from __future__ import annotations
 
+__all__ = [
+    "BohmvelError",
+    "InvalidInputError",
+    "DomainError",
+    "ConfigurationError",
+    "NumericalFailureError",
+    "NonConvergedError",
+    "RegularityError",
+]
+
 
 class BohmvelError(Exception):
     """Base class for all errors raised by this package."""
@@ -42,15 +52,6 @@ class NonConvergedError(NumericalFailureError):
     def __init__(self, message: str, residual_curve=None, diagnostics=None):
         super().__init__(message, diagnostics)
         self.residual_curve = residual_curve
-
-
-class NodeProximityError(BohmvelError):
-    """A velocity-field evaluation hit a near-node (density below floor)
-    or, for spinor states, an unphysical interpolated speed."""
-
-    def __init__(self, message: str, rho: float = float("nan")):
-        super().__init__(message)
-        self.rho = rho
 
 
 class RegularityError(BohmvelError):

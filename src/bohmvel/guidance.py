@@ -8,12 +8,15 @@ The guiding field is j/rho with
     rho = psi^dagger psi,   j = psi^dagger sigma_x psi   (1+1D Dirac)
 
 The gradient is spectral; off-grid values come from cubic interpolation
-of the precomputed rho and j grids. Initial positions are inverse-CDF
-draws from rho_0 on the grid. Positions keep a trailing axis of length
-1, shape (n, 1) per time, so the dimension-agnostic trajectory layer
-downstream reads them as 1D configurations. The Dirac field satisfies
-|v| < 1 wherever rho is meaningfully positive, so guided spinor
-trajectories are world lines.
+of the precomputed rho and j grids. ``FieldSnapshot.evaluate`` is the one
+guiding-velocity evaluation: it returns j/rho at a block of points with
+an acceptance mask that rejects points outside the grid box, below the
+density floor, or (Dirac) at an interpolated speed |j/rho| >= 1.
+Initial positions are inverse-CDF draws from rho_0 on the grid.
+Positions keep a trailing axis of length 1, shape (n, 1) per time, so
+the dimension-agnostic trajectory layer downstream reads them as 1D
+configurations. The Dirac field satisfies |v| < 1 wherever rho is
+meaningfully positive, so guided spinor trajectories are world lines.
 
 Near wave-function nodes the field is stiff and the ODE may locally lose
 accuracy; the integrator reacts per NodePolicy (shrink the step towards
@@ -42,13 +45,8 @@ import numpy as np
 
 from ._interp import CubicStencil
 from .core import SampledTrajectory
-from .errors import (
-    DomainError,
-    InvalidInputError,
-    NodeProximityError,
-    NumericalFailureError,
-)
-from .stats import ks_vs_cdf_1d
+from .errors import DomainError, InvalidInputError, NumericalFailureError
+from .stats import _inverse_cdf, _trapezoid_cdf, ks_vs_cdf_1d
 from .wavefunction import (
     KIND_DIRAC,
     DiracPropagator,
@@ -60,7 +58,6 @@ from .wavefunction import (
 __all__ = [
     "NodePolicy",
     "FieldSnapshot",
-    "velocity_at",
     "sample_initial",
     "integrate_ensemble",
     "IntegrationResult",
@@ -142,31 +139,6 @@ class FieldSnapshot:
         return vel, rho, ok
 
 
-def velocity_at(psi: GridWavefunction, x, rho_floor: float = 1e-12) -> np.ndarray:
-    """Guiding velocity j(x)/rho(x) at a single point, as a (1,) array."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (1,):
-        raise InvalidInputError("x must have shape (1,)")
-    if not (psi.spec.x_min <= x[0] < psi.spec.x_max):
-        raise DomainError(f"x={x[0]} outside the grid")
-    vel, rho, ok = FieldSnapshot(psi).evaluate(x[None, :], rho_floor)
-    if not ok[0]:
-        raise NodeProximityError(
-            f"density {rho[0]:.3e} below floor {rho_floor:.0e} (or speed bound breached)",
-            rho=float(rho[0]),
-        )
-    return vel[0]
-
-
-def _grid_cdf(psi: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:
-    """(grid, trapezoid CDF of rho normalized to 1 at its last node)."""
-    x = psi.spec.axis()
-    dens = psi.density()
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(x))])
-    cdf /= cdf[-1]
-    return x, cdf
-
-
 def sample_initial(psi0: GridWavefunction, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. positions from rho_0 = |psi_0|^2, deterministically.
 
@@ -177,10 +149,8 @@ def sample_initial(psi0: GridWavefunction, n: int, seed: int) -> np.ndarray:
     if isinstance(seed, (int, np.integer)):
         seed = np.random.SeedSequence(int(seed))
     rng = np.random.default_rng(seed)
-    x, cdf = _grid_cdf(psi0)
-    # Strictly increasing knots are required by interp; collapse flats.
-    keep = np.concatenate([[True], np.diff(cdf) > 0])
-    return np.interp(rng.random(n), cdf[keep], x[keep])[:, None]
+    x = psi0.spec.axis()
+    return _inverse_cdf(rng.random(n), x, _trapezoid_cdf(x, psi0.density()))[:, None]
 
 
 @dataclass
@@ -193,7 +163,6 @@ class EnsembleDiagnostics:
     failed: np.ndarray
     accepted_evaluations: int = 0
     rejected_evaluations: int = 0
-    speed_violations_accepted: int = 0
     slow_path_evaluations: int = 0
 
     @property
@@ -208,7 +177,6 @@ class EnsembleDiagnostics:
             "total_frozen_steps": int(self.frozen_steps.sum()),
             "accepted_evaluations": self.accepted_evaluations,
             "rejected_evaluations": self.rejected_evaluations,
-            "speed_violations_accepted": self.speed_violations_accepted,
             "min_rho": float(self.min_rho.min()),
         }
 
@@ -365,13 +333,9 @@ def _rk4_block(x, snap_a, snap_b, snap_c, h, policy, diag, slow_budget):
     stage4 = np.multiply(h, k3)
     stage4 += xl
     k4, r4, ok4 = snap_c.evaluate(stage4, policy.rho_floor)
-    masks = (ok1, ok2, ok3, ok4)
-    accepted = int(sum(np.count_nonzero(okk) for okk in masks))
+    accepted = int(sum(np.count_nonzero(okk) for okk in (ok1, ok2, ok3, ok4)))
     diag.accepted_evaluations += accepted
     diag.rejected_evaluations += 4 * xl.shape[0] - accepted
-    if snap_a.kind == KIND_DIRAC:
-        for k, okk in zip((k1, k2, k3, k4), masks):
-            diag.speed_violations_accepted += int(np.count_nonzero((np.abs(k[:, 0]) >= 1.0) & okk))
     # xl + (h / 6) (k1 + 2 k2 + 2 k3 + k4), term by term in that order.
     x_new = np.multiply(2.0, k2)
     x_new += k1
@@ -499,7 +463,8 @@ def check_equivariance(result: IntegrationResult, psi_t: GridWavefunction, t: fl
     if abs(psi_t.t - t) > 1e-9:
         raise InvalidInputError(f"psi_t is at t={psi_t.t}, expected {t}")
     weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    x, cdf = _grid_cdf(psi_t)
+    x = psi_t.spec.axis()
+    cdf = _trapezoid_cdf(x, psi_t.density())
     return ks_vs_cdf_1d(pts[:, 0], weights, lambda q: np.interp(q, x, cdf))
 
 

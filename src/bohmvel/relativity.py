@@ -4,10 +4,11 @@ states, and the covariance experiments.
 A boost of velocity u along an axis maps the graph of a world line k to
 the graph of another world line gk through the reparameterization
 s(t) = gamma (t - u k_x(t)), which is strictly increasing whenever k is
-causal; gk is read off the graph at the new time nodes. Velocities
-transform by lifting to future-directed four-vectors (1, v), applying
-the Lorentz matrix, and dividing out the time component, which reduces
-to the familiar addition law (v - u) / (1 - u v) for collinear motion.
+causal; gk is read off the graph at the new time nodes. Velocities are
+plain (n, N*d) sample arrays; they transform by lifting to
+future-directed four-vectors (1, v), applying the Lorentz matrix, and
+dividing out the time component, which reduces to the familiar addition
+law (v - u) / (1 - u v) for collinear motion.
 
 Multi-particle trajectories transform particle by particle, each with
 its own reparameterization: simultaneity in the new frame mixes old
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._interp import CubicStencil
-from .core import PoincareElement, SampledTrajectory, VelocityPoint
+from .core import PoincareElement, SampledTrajectory
 from .errors import ConfigurationError, InvalidInputError, RegularityError
 from .pipeline import PipelineParams, PipelineResult, run_guided_pipeline
 from .stats import ks_distance
@@ -44,7 +45,6 @@ from .asymptotics import estimate_asymptotic_velocity
 __all__ = [
     "Reparameterization",
     "boost_worldline",
-    "transform_velocity",
     "transform_velocity_block",
     "check_boost_velocity_consistency",
     "boost_dirac_state",
@@ -132,7 +132,8 @@ def boost_worldline(
 
 
 def transform_velocity_block(samples: np.ndarray, g: PoincareElement) -> np.ndarray:
-    """Velocity transform applied to (n, N*d) sample blocks, per particle."""
+    """Relativistic velocity transform of (n, N*d) sample blocks, per
+    particle (translations act trivially)."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     d = g.dim
     if samples.shape[1] % d != 0:
@@ -144,11 +145,6 @@ def transform_velocity_block(samples: np.ndarray, g: PoincareElement) -> np.ndar
         four = np.concatenate([np.ones((block.shape[0], 1)), block], axis=1) @ lam.T
         out[:, i * d : (i + 1) * d] = four[:, 1:] / four[:, :1]
     return out
-
-
-def transform_velocity(v: VelocityPoint, g: PoincareElement) -> VelocityPoint:
-    """Relativistic velocity transformation (translations act trivially)."""
-    return VelocityPoint(transform_velocity_block(v.v[None, :], g)[0])
 
 
 def check_boost_velocity_consistency(
@@ -171,8 +167,8 @@ def check_boost_velocity_consistency(
     u = float(u_vec[axis]) if nz.size else 0.0
     checkpoints = np.asarray(checkpoints, dtype=float)
 
-    est = estimate_asymptotic_velocity(traj, checkpoints)
-    expected = transform_velocity(est.v_plus, g)
+    v_plus, _ = estimate_asymptotic_velocity(traj, checkpoints)
+    expected = transform_velocity_block(v_plus[None, :], g)[0]
 
     boosted = boost_worldline(traj, u, axis)
     gamma = 1.0 / np.sqrt(1.0 - u * u)
@@ -185,9 +181,9 @@ def check_boost_velocity_consistency(
         - u * float(np.interp(checkpoints[-1], traj.times, blocks[:, 0, axis]))
     )
     s_check = s_last * checkpoints / checkpoints[-1]
-    est_boosted = estimate_asymptotic_velocity(boosted, s_check)
+    v_boosted, _ = estimate_asymptotic_velocity(boosted, s_check)
 
-    residual = float(np.linalg.norm(est_boosted.v_plus.v - expected.v))
+    residual = float(np.linalg.norm(v_boosted - expected))
     return residual <= tol, residual
 
 

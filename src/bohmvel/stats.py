@@ -24,14 +24,26 @@ __all__ = [
     "ks_critical_value",
     "test_function_dictionary",
     "test_function_integrals",
-    "DICTIONARY_VERSION",
     "GRID_SLACK",
 ]
 
-# Versioned knobs shared by every experiment: the additive slack absorbing
-# grid and interpolation bias on top of the sampling-noise critical value.
+# Shared by every experiment: the additive slack absorbing grid and
+# interpolation bias on top of the sampling-noise critical value.
 GRID_SLACK = 0.005
-DICTIONARY_VERSION = 1
+
+
+def _trapezoid_cdf(x: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """Trapezoid CDF of a density on the nodes x, normalized to 1 at the last node."""
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(x))])
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _inverse_cdf(u: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Piecewise-linear inverse of a node CDF at the uniforms u."""
+    # Strictly increasing knots are required by interp; collapse flats.
+    keep = np.concatenate([[True], np.diff(cdf) > 0])
+    return np.interp(u, cdf[keep], x[keep])
 
 
 def ks_two_sample_1d(
@@ -122,15 +134,12 @@ def _gaussian_bump(center: np.ndarray, width: float) -> Callable[[np.ndarray], n
     return f
 
 
-def test_function_dictionary(dim: int, version: int = DICTIONARY_VERSION) -> list[tuple[str, Callable]]:
-    """Fixed dictionary of bounded continuous test functions, versioned.
-
-    Version 1: tanh of each coordinate, Gaussian bumps (width 0.25) at
-    axis-aligned centers stepping 0.5 through [-1.5, 1.5], and one radial
-    bump at |v| = 1 (rotation-invariant probe).
+def test_function_dictionary(dim: int) -> list[tuple[str, Callable]]:
+    """Fixed dictionary of bounded continuous test functions: tanh of each
+    coordinate, Gaussian bumps (width 0.25) at axis-aligned centers
+    stepping 0.5 through [-1.5, 1.5], and one radial bump at |v| = 1
+    (rotation-invariant probe).
     """
-    if version != 1:
-        raise InvalidInputError(f"unknown dictionary version {version}")
     fns: list[tuple[str, Callable]] = []
     for i in range(dim):
         fns.append((f"tanh_v{i}", lambda v, i=i: np.tanh(v[..., i])))

@@ -46,12 +46,13 @@ __all__ = [
     "MomentumDensity",
     "check_packet_fits",
     "gaussian_packet",
-    "evolve_schrodinger",
+    "superposed_gaussians",
     "SplitStepPropagator",
-    "evolve_dirac",
     "DiracPropagator",
     "project_positive_energy",
     "positive_energy_spinor",
+    "momentum_amplitudes",
+    "amplitudes_from_momentum",
     "momentum_density",
     "outgoing_asymptote",
 ]
@@ -348,16 +349,13 @@ def superposed_gaussians(
         return gaussian_packet(
             spec, mass, comp["x0"], comp["p0"], comp["sigma0"], kind=kind
         )
-    total = np.zeros(spec.n_points, dtype=complex) if kind == KIND_SCHRODINGER else None
-    spin_total = np.zeros((2, spec.n_points), dtype=complex) if kind == KIND_DIRAC else None
-    for comp in components:
-        part = gaussian_packet(spec, mass, comp["x0"], comp["p0"], comp["sigma0"], kind=kind)
-        a = complex(comp.get("amplitude", 1.0))
-        if kind == KIND_DIRAC:
-            spin_total = spin_total + a * part.amplitudes
-        else:
-            total = total + a * part.amplitudes
-    amps = spin_total if kind == KIND_DIRAC else total
+    parts = [
+        gaussian_packet(spec, mass, comp["x0"], comp["p0"], comp["sigma0"], kind=kind)
+        for comp in components
+    ]
+    amps = np.zeros_like(parts[0].amplitudes)
+    for comp, part in zip(components, parts):
+        amps = amps + complex(comp.get("amplitude", 1.0)) * part.amplitudes
     amps = amps / np.sqrt(np.sum(np.abs(amps) ** 2) * spec.dx)
     return GridWavefunction(spec, amps, 0.0, kind, mass)
 
@@ -402,8 +400,11 @@ class SplitStepPropagator:
         return self._exp_v_half * amps
 
     def advance(self, psi: GridWavefunction, n_steps: int) -> GridWavefunction:
+        """psi advanced by n_steps * dt, through the norm and leak guard."""
         if psi.kind != KIND_SCHRODINGER:
             raise InvalidInputError("split-step propagator needs a Schrodinger state")
+        if n_steps < 0:
+            raise InvalidInputError(f"n_steps must be >= 0, got {n_steps}")
         amps = self.step(np.asarray(psi.amplitudes), n_steps)
         out = psi.with_amplitudes(amps, t=psi.t + n_steps * self.dt)
         _check_health(out)
@@ -423,18 +424,6 @@ def _check_health(psi: GridWavefunction) -> None:
             "wave packet reached the grid boundary (periodic wrap imminent)",
             {"boundary_cell_mass": leak, "t": psi.t},
         )
-
-
-def evolve_schrodinger(
-    psi: GridWavefunction, potential: PotentialSpec, dt: float, n_steps: int
-) -> GridWavefunction:
-    """Strang split-step evolution of a Schrodinger state by n_steps * dt."""
-    if n_steps < 0:
-        raise InvalidInputError("n_steps must be >= 0")
-    if n_steps == 0:
-        return psi.with_amplitudes(psi.amplitudes.copy())
-    prop = SplitStepPropagator(psi.spec, psi.mass, potential, dt)
-    return prop.advance(psi, n_steps)
 
 
 def _dirac_step_factors(p: np.ndarray, mass: float, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -480,18 +469,12 @@ class DiracPropagator:
         return np.fft.ifft(amps_hat, axis=1)
 
     def advance(self, psi: GridWavefunction, t_advance: float) -> GridWavefunction:
+        """psi advanced by t_advance, through the norm and leak guard."""
+        if psi.kind != KIND_DIRAC:
+            raise InvalidInputError("Dirac propagator needs a Dirac state")
         out = psi.with_amplitudes(self.step(psi.amplitudes, t_advance), t=psi.t + t_advance)
         _check_health(out)
         return out
-
-
-def evolve_dirac(psi: GridWavefunction, dt: float, n_steps: int = 1) -> GridWavefunction:
-    """Exact per-mode free Dirac evolution by dt * n_steps (one application)."""
-    if psi.kind != KIND_DIRAC:
-        raise InvalidInputError("evolve_dirac needs a Dirac state")
-    if n_steps == 0 or dt == 0.0:
-        return psi.with_amplitudes(psi.amplitudes.copy())
-    return DiracPropagator(psi.spec, psi.mass).advance(psi, dt * n_steps)
 
 
 def positive_energy_spinor(p: np.ndarray, mass: float) -> np.ndarray:

@@ -25,7 +25,7 @@ from bohmvel.relativity import (
     boost_worldline,
     check_boost_velocity_consistency,
     foliation_sweep,
-    transform_velocity,
+    transform_velocity_block,
     verify_boost_covariance,
 )
 from bohmvel.stats import ks_critical_value, ks_distance, ks_two_sample_1d, ks_vs_cdf_1d
@@ -35,7 +35,6 @@ from bohmvel.wavefunction import (
     SplitStepPropagator,
     gaussian_packet,
 )
-from bohmvel.core import VelocityPoint
 
 from conftest import ACCEPTANCE_SEED, acceptance_line
 from oracles import (
@@ -241,10 +240,9 @@ def test_kinematics_property_suite():
         u1, u2 = rng.uniform(-0.9, 0.9, 2)
         g1 = PoincareElement.boost(u1, 0, 1)
         g2 = PoincareElement.boost(u2, 0, 1)
-        seq = transform_velocity(
-            transform_velocity(VelocityPoint(np.array([v])), g2), g1
-        ).v[0]
-        comp = transform_velocity(VelocityPoint(np.array([v])), g1.compose(g2)).v[0]
+        vp = np.array([[v]])
+        seq = transform_velocity_block(transform_velocity_block(vp, g2), g1)[0, 0]
+        comp = transform_velocity_block(vp, g1.compose(g2))[0, 0]
         comp_worst = max(comp_worst, abs(seq - comp))
 
     ok = (
@@ -267,8 +265,8 @@ def test_kinematics_property_suite():
 
 def test_dynamics_property_suite(free_gaussian_run, dirac_base_run):
     """Unitarity drift below 1e-9 over 10^4 steps, equivariance KS below
-    0.02 at every recorded time (n = 10^4), zero 1D crossings, and zero
-    accepted speed-bound violations for the Dirac ensemble."""
+    0.02 at every recorded time (n = 10^4), zero 1D crossings, and Dirac
+    limiting velocities and world lines inside the light cone."""
     spec = GridSpec(4096, -320.0, 320.0)
     psi = gaussian_packet(spec, 1.0, -12.0, 1.5, 2.0)
     prop = SplitStepPropagator(spec, 1.0, PotentialSpec.gaussian_barrier(2.0, 1.0, 0.0), 0.005)
@@ -283,7 +281,6 @@ def test_dynamics_property_suite(free_gaussian_run, dirac_base_run):
 
     crossings = count_order_violations(run.integration)
     crossings += count_order_violations(dirac_base_run.integration)
-    speed_violations = dirac_base_run.integration.diagnostics.speed_violations_accepted
 
     # Every limiting velocity of the Dirac ensemble lies in the unit ball,
     # and so does every recorded sample of its trajectories.
@@ -297,7 +294,6 @@ def test_dynamics_property_suite(free_gaussian_run, dirac_base_run):
         drift < 1e-9
         and eq_worst < 0.02
         and crossings == 0
-        and speed_violations == 0
         and dirac_vmax <= 1.0
         and worldlines
     )
@@ -305,11 +301,10 @@ def test_dynamics_property_suite(free_gaussian_run, dirac_base_run):
         "dynamics property suite",
         ok,
         f"drift={drift:.2e} equivariance={eq_worst:.4f} crossings={crossings} "
-        f"speed_violations={speed_violations} vmax={dirac_vmax:.4f}",
+        f"vmax={dirac_vmax:.4f}",
     )
     assert drift < 1e-9
     assert eq_worst < 0.02
     assert crossings == 0
-    assert speed_violations == 0
     assert dirac_vmax <= 1.0
     assert worldlines

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 
 import numpy as np
@@ -242,9 +243,33 @@ def test_ndjson_roundtrip_property(tmp_path_factory, n_nodes, n_cols, seed):
 
 @pytest.mark.parametrize(
     "module",
-    ["_interp", "asymptotics", "core", "guidance", "pipeline", "relativity", "stats", "wavefunction"],
+    [
+        "_interp",
+        "asymptotics",
+        "core",
+        "errors",
+        "guidance",
+        "pipeline",
+        "relativity",
+        "stats",
+        "wavefunction",
+    ],
 )
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"bohmvel.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_package_exports_are_listed_where_defined():
+    """Every function or class the package exports is in the ``__all__``
+    of the module that defines it."""
+    import bohmvel
+
+    unlisted = []
+    for name in dir(bohmvel):
+        obj = getattr(bohmvel, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            if name not in importlib.import_module(obj.__module__).__all__:
+                unlisted.append(f"{obj.__module__}.{name}")
+    assert unlisted == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bohmvel.errors import DomainError, InvalidInputError, NodeProximityError
+from bohmvel.errors import InvalidInputError
 from bohmvel.guidance import (
     FieldSnapshot,
     NodePolicy,
@@ -9,12 +9,12 @@ from bohmvel.guidance import (
     count_order_violations,
     integrate_ensemble,
     sample_initial,
-    velocity_at,
 )
 from bohmvel.wavefunction import (
     GridSpec,
+    GridWavefunction,
     PotentialSpec,
-    evolve_schrodinger,
+    SplitStepPropagator,
     gaussian_packet,
     project_positive_energy,
     superposed_gaussians,
@@ -33,28 +33,56 @@ def packet(grid):
     return gaussian_packet(grid, 1.0, 0.0, 0.0, 1.0)
 
 
+def guiding_velocity(psi, x, rho_floor=1e-12):
+    """(j/rho, rho, accepted) at one point, from ``FieldSnapshot.evaluate``."""
+    vel, rho, ok = FieldSnapshot(psi).evaluate(np.array([[x]]), rho_floor)
+    return vel[0, 0], rho[0], bool(ok[0])
+
+
 class TestVelocityAt:
     def test_free_gaussian_field_value(self, packet):
-        psi_t2 = evolve_schrodinger(packet, PotentialSpec.none(), 0.01, 200)
-        v = velocity_at(psi_t2, [1.0])
-        assert v[0] == pytest.approx(free_gaussian_velocity(1.0, 2.0), abs=1e-6)
-        assert v[0] == pytest.approx(0.25, abs=1e-6)
+        prop = SplitStepPropagator(packet.spec, 1.0, PotentialSpec.none(), 0.01)
+        psi_t2 = prop.advance(packet, 200)
+        v, _, ok = guiding_velocity(psi_t2, 1.0)
+        assert ok
+        assert v == pytest.approx(free_gaussian_velocity(1.0, 2.0), abs=1e-6)
+        assert v == pytest.approx(0.25, abs=1e-6)
 
     def test_plane_wave_region(self, grid):
         psi = gaussian_packet(grid, 1.0, 0.0, 0.8, 8.0)
         # Wide packet: locally plane-wave-like, v ~ p0 near the center.
-        assert velocity_at(psi, [0.5])[0] == pytest.approx(0.8, abs=1e-6)
+        v, _, ok = guiding_velocity(psi, 0.5)
+        assert ok
+        assert v == pytest.approx(0.8, abs=1e-6)
 
     def test_real_state_has_zero_velocity(self, packet):
-        assert velocity_at(packet, [0.7])[0] == pytest.approx(0.0, abs=1e-12)
+        v, _, ok = guiding_velocity(packet, 0.7)
+        assert ok
+        assert v == pytest.approx(0.0, abs=1e-12)
 
-    def test_node_proximity_raises(self, packet):
-        with pytest.raises(NodeProximityError):
-            velocity_at(packet, [100.0], rho_floor=1e-12)
+    def test_node_proximity_rejected(self, packet):
+        v, rho, ok = guiding_velocity(packet, 100.0, rho_floor=1e-12)
+        assert not ok
+        assert rho < 1e-12
+        assert v == 0.0
 
-    def test_outside_grid_raises(self, packet):
-        with pytest.raises(DomainError):
-            velocity_at(packet, [200.0])
+    def test_outside_grid_rejected(self, packet):
+        v, _, ok = guiding_velocity(packet, 200.0)
+        assert not ok
+        assert v == 0.0
+
+    def test_dirac_speed_bound_rejects(self, grid, packet):
+        # Two equal real components carry j = rho bit for bit on the grid,
+        # so every interpolated ratio lies on the light cone.
+        amps = np.stack([packet.amplitudes, packet.amplitudes]) / np.sqrt(2.0)
+        psi = GridWavefunction(grid, amps, 0.0, "dirac", 1.0)
+        snap = FieldSnapshot(psi)
+        assert np.array_equal(snap.current, snap.rho)
+        xs = np.linspace(-4.0, 4.0, 1001)[:, None]
+        vel, rho, ok = snap.evaluate(xs, 1e-12)
+        assert rho.min() > 1e-4
+        assert not ok.any()
+        assert np.all(vel == 0.0)
 
     def test_dirac_speed_below_one(self, grid):
         psi, _ = project_positive_energy(gaussian_packet(grid, 1.0, 0.0, 0.75, 1.0, kind="dirac"))

@@ -3,26 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohmvel.core import PoincareElement, SampledTrajectory, VelocityPoint, validate_worldline
+from bohmvel.core import PoincareElement, SampledTrajectory, validate_worldline
 from bohmvel.errors import ConfigurationError, InvalidInputError
 from bohmvel.relativity import (
     Reparameterization,
     boost_dirac_state,
     boost_worldline,
     check_boost_velocity_consistency,
-    transform_velocity,
     transform_velocity_block,
 )
 from bohmvel.asymptotics import dirac_velocity_distribution
 from bohmvel.stats import ks_two_sample_1d
 from bohmvel.wavefunction import (
+    DiracPropagator,
     GridSpec,
-    evolve_dirac,
     gaussian_packet,
     project_positive_energy,
 )
 
 from oracles import boost_velocity_1d, random_worldline_polyline
+
+
+def transform(v, g):
+    """One velocity vector through ``transform_velocity_block``."""
+    return transform_velocity_block(v[None, :], g)[0]
 
 
 def line_traj(v, dim=1, c=0.0):
@@ -98,28 +102,28 @@ class TestBoostWorldline:
 
 class TestTransformVelocity:
     def test_comoving_frame(self):
-        v = transform_velocity(VelocityPoint(np.array([0.5])), PoincareElement.boost(0.5, 0, 1))
-        assert v.v[0] == pytest.approx(0.0, abs=1e-15)
+        v = transform(np.array([0.5]), PoincareElement.boost(0.5, 0, 1))
+        assert v[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_transverse_boost_value(self):
         g = PoincareElement.boost(0.8, 0, 3)
-        v = transform_velocity(VelocityPoint(np.array([0.0, 0.6, 0.0])), g)
-        np.testing.assert_allclose(v.v, [-0.8, 0.36, 0.0], atol=1e-12)
+        v = transform(np.array([0.0, 0.6, 0.0]), g)
+        np.testing.assert_allclose(v, [-0.8, 0.36, 0.0], atol=1e-12)
 
     def test_lightlike_preserved(self):
         g = PoincareElement.boost(0.8, 0, 3)
-        v = transform_velocity(VelocityPoint(np.array([1.0, 0.0, 0.0])), g)
-        assert np.linalg.norm(v.v) == pytest.approx(1.0, abs=1e-12)
+        v = transform(np.array([1.0, 0.0, 0.0]), g)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_acts_as_rotation(self):
         g = PoincareElement.plane_rotation(np.pi / 2.0, 2)
-        v = transform_velocity(VelocityPoint(np.array([0.3, 0.0])), g)
-        np.testing.assert_allclose(v.v, [0.0, 0.3], atol=1e-12)
+        v = transform(np.array([0.3, 0.0]), g)
+        np.testing.assert_allclose(v, [0.0, 0.3], atol=1e-12)
 
     def test_translation_acts_trivially(self):
         g = PoincareElement.translation(5.0, [2.0], dim=1)
-        v = transform_velocity(VelocityPoint(np.array([0.7])), g)
-        assert v.v[0] == pytest.approx(0.7, abs=1e-15)
+        v = transform(np.array([0.7]), g)
+        assert v[0] == pytest.approx(0.7, abs=1e-15)
 
     def test_multi_particle_blocks(self):
         g = PoincareElement.boost(0.5, 0, 1)
@@ -139,10 +143,10 @@ class TestTransformVelocity:
 def test_velocity_group_composition_collinear(v, u1, u2):
     g1 = PoincareElement.boost(u1, 0, 1)
     g2 = PoincareElement.boost(u2, 0, 1)
-    vp = VelocityPoint(np.array([v]))
-    seq = transform_velocity(transform_velocity(vp, g2), g1)
-    comp = transform_velocity(vp, g1.compose(g2))
-    np.testing.assert_allclose(seq.v, comp.v, atol=1e-12)
+    vp = np.array([v])
+    seq = transform(transform(vp, g2), g1)
+    comp = transform(vp, g1.compose(g2))
+    np.testing.assert_allclose(seq, comp, atol=1e-12)
 
 
 @given(
@@ -158,18 +162,18 @@ def test_velocity_group_composition_boost_rotation(vx, vy, u, angle):
         return
     g1 = PoincareElement.boost(u, 0, 2)
     g2 = PoincareElement.plane_rotation(angle, 2)
-    vp = VelocityPoint(np.array([vx, vy]))
-    seq = transform_velocity(transform_velocity(vp, g2), g1)
-    comp = transform_velocity(vp, g1.compose(g2))
-    np.testing.assert_allclose(seq.v, comp.v, atol=1e-12)
+    vp = np.array([vx, vy])
+    seq = transform(transform(vp, g2), g1)
+    comp = transform(vp, g1.compose(g2))
+    np.testing.assert_allclose(seq, comp, atol=1e-12)
 
 
 @given(vx=st.floats(-1.0, 1.0), u=st.floats(-0.95, 0.95))
 @settings(max_examples=80, deadline=None)
 def test_unit_ball_invariance(vx, u):
     g = PoincareElement.boost(u, 0, 1)
-    v = transform_velocity(VelocityPoint(np.array([vx])), g)
-    assert abs(v.v[0]) <= 1.0 + 1e-12
+    v = transform(np.array([vx]), g)
+    assert abs(v[0]) <= 1.0 + 1e-12
 
 
 class TestBoostVelocityConsistency:
@@ -224,7 +228,7 @@ class TestBoostDiracState:
     def test_drift_matches_velocity_addition(self, state):
         u = 0.3
         out = boost_dirac_state(state, u)
-        moved = evolve_dirac(out, 10.0)
+        moved = DiracPropagator(out.spec, out.mass).advance(out, 10.0)
         x = state.spec.axis()
         dx = state.spec.dx
         drift = (np.sum(x * moved.density()) - np.sum(x * out.density())) * dx / 10.0

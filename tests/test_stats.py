@@ -134,9 +134,10 @@ class TestTestFunctions:
         expected = s / np.sqrt(s**2 + sig**2) * np.exp(-((c - mu) ** 2) / (2 * (s**2 + sig**2)))
         assert got == pytest.approx(expected, abs=0.005)
 
-    def test_dictionary_is_versioned(self):
-        with pytest.raises(InvalidInputError):
-            fn_dictionary(1, version=2)
+    def test_dictionary_is_fixed(self):
+        names = [name for name, _ in fn_dictionary(1)]
+        bumps = ["-1.5", "-1.0", "-0.5", "+0.0", "+0.5", "+1.0", "+1.5"]
+        assert names == ["tanh_v0", *[f"bump_v0_{c}" for c in bumps], "bump_radial_1"]
 
 
 class TestCompareMeasures:
