@@ -18,7 +18,11 @@ Times, in fresh single-threaded worker processes:
 - ``EmpiricalMeasure.to_csv`` of a 10^5-row measure into a temporary
   directory, the size of ``q_plus_samples.csv`` in ``bohmvel run``;
 - ``boost_dirac_state`` at u = 0.4 on the initial state of
-  configs/dirac_covariance.json, as ``bohmvel covariance`` boosts it.
+  configs/dirac_covariance.json, as ``bohmvel covariance`` boosts it;
+- ``eta_block_family``: the three ``asymptotics._eta_block`` calls of
+  ``bohmvel counterexample --n 100000 --dim 2`` (k(t)/t at t = 5, at
+  t = 10, and on the checkpoint ladder 10, 20, 40) on its rotating family
+  of 10^5 trajectory objects.
 
 Usage:
 
@@ -31,13 +35,13 @@ tree, alternating which tree goes first, and each worker times several
 blocks of calls per kernel. The result file records the median and
 quartiles of the per-call time over all blocks, a sha256 of each kernel's
 output where there is one (the evaluate arrays, the CSV bytes, the
-boosted amplitudes, the RK4 positions; equal digests mean bitwise-equal
-results), and the host: nproc, CPU, Python and numpy versions. With two
-or more trees it also records, per kernel, the ratio of the last tree to
-the first within each round (each tree's median block in that round) and
-the median and quartiles of those per-round ratios: host speed drifts
-between rounds, and a paired ratio cancels what the two workers of one
-round share.
+boosted amplitudes, the RK4 positions, the stacked k(t)/t; equal digests
+mean bitwise-equal results), and the host: nproc, CPU, Python and numpy
+versions. With two or more trees it also records, per kernel, the ratio
+of the last tree to the first within each round (each tree's median
+block in that round) and the median and quartiles of those per-round
+ratios: host speed drifts between rounds, and a paired ratio cancels
+what the two workers of one round share.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N_POINTS = 10_000
 CSV_ROWS = 100_000
 BOOST_U = 0.4
+FAMILY_N = 100_000
 # Worker processes per tree, and timed blocks per kernel in each worker.
 ROUNDS = 10
 BLOCKS = 5
@@ -72,6 +77,7 @@ CALLS = {
     "rk4_step": 20,
     "measure_to_csv": 1,
     "boost_dirac_state": 100,
+    "eta_block_family": 1,
 }
 SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -127,6 +133,7 @@ def worker() -> dict:
 
     import bohmvel
     from bohmvel import _interp
+    from bohmvel.asymptotics import _eta_block, rotating_trajectory_family
     from bohmvel.core import EmpiricalMeasure
     from bohmvel.guidance import EnsembleDiagnostics, FieldSnapshot, NodePolicy, _rk4_block, sample_initial
     from bohmvel.relativity import boost_dirac_state
@@ -173,6 +180,12 @@ def worker() -> dict:
     measure = EmpiricalMeasure.from_samples(np.random.default_rng(0).standard_normal(CSV_ROWS))
     kernels["boost_dirac_state"] = lambda: boost_dirac_state(dirac0, BOOST_U)
     digests["boost_dirac_state"] = _sha256(kernels["boost_dirac_state"]().amplitudes.tobytes())
+
+    # The family and checkpoints of ``cmd_counterexample`` at its defaults.
+    family = rotating_trajectory_family(1.0, None, FAMILY_N, 0, dim=2)
+    ladders = [np.array([5.0]), np.array([10.0]), np.array([10.0, 20.0, 40.0])]
+    kernels["eta_block_family"] = lambda: [_eta_block(family, c) for c in ladders]
+    digests["eta_block_family"] = _sha256(*(a.tobytes() for a in kernels["eta_block_family"]()))
 
     times = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -251,6 +264,7 @@ def main(argv=None) -> int:
             print(f"round {r + 1}/{ROUNDS} {label} done", file=sys.stderr)
 
     result = {"host": _host(), "points": N_POINTS, "csv_rows": CSV_ROWS, "boost_u": BOOST_U,
+              "family_n": FAMILY_N,
               "rounds": ROUNDS, "blocks": BLOCKS, "calls_per_block": CALLS,
               "unit": "ms per call", "trees": {}}
     for label, recs in runs.items():

@@ -113,7 +113,9 @@ def _eta_block(trajs, checkpoints: np.ndarray) -> np.ndarray:
     else:
         trajs = list(trajs)
         times = trajs[0].times
-        if not all(np.array_equal(t.times, times) for t in trajs):
+        # Ensembles built together share one times object; the identity
+        # test spares comparing 10^5 equal grids element by element.
+        if not all(t.times is times or np.array_equal(t.times, times) for t in trajs):
             raise InvalidInputError("the trajectories must share one time grid")
         pos = np.stack([t.points for t in trajs])
     if checkpoints[0] < times[0] - 1e-12 or checkpoints[-1] > times[-1] + 1e-12:

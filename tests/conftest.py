@@ -5,100 +5,76 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bohmvel.pipeline import PipelineParams, run_guided_pipeline
-from bohmvel.wavefunction import (
-    GridSpec,
-    PotentialSpec,
-    gaussian_packet,
-    outgoing_asymptote,
-    project_positive_energy,
-    superposed_gaussians,
-)
+from bohmvel.cli import _build_state, _pipeline_params, load_config
+from bohmvel.pipeline import run_guided_pipeline
+from bohmvel.wavefunction import PotentialSpec, outgoing_asymptote
 
 ACCEPTANCE_SEED = 20260808
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped(name: str):
+    """A bundled config with its state and pipeline parameters, built as
+    ``bohmvel run`` builds them, at the config's own seed."""
+    cfg = load_config(str(CONFIGS / name))
+    assert cfg["seed"] == ACCEPTANCE_SEED
+    psi, _ = _build_state(cfg)
+    return cfg, psi, _pipeline_params(cfg, cfg["seed"])
 
 
 @pytest.fixture(scope="session")
-def free_gaussian_state():
-    spec = GridSpec(4096, -256.0, 256.0)
-    return gaussian_packet(spec, 1.0, 0.0, 0.0, 1.0)
+def free_gaussian_config():
+    return shipped("free_gaussian.json")
 
 
 @pytest.fixture(scope="session")
-def free_gaussian_run(free_gaussian_state):
+def free_gaussian_state(free_gaussian_config):
+    return free_gaussian_config[1]
+
+
+@pytest.fixture(scope="session")
+def free_gaussian_run(free_gaussian_config):
     """n = 10^4 free-Gaussian ensemble shared by the acceptance criteria."""
-    params = PipelineParams(
-        n_trajectories=10_000,
-        t_max=40.0,
-        dt=0.05,
-        record_times=(0.0, 5.0, 10.0, 20.0, 40.0),
-        checkpoints=(10.0, 20.0, 40.0),
-        seed=ACCEPTANCE_SEED,
-    )
-    return run_guided_pipeline(free_gaussian_state, PotentialSpec.none(), params)
+    _, psi, params = free_gaussian_config
+    return run_guided_pipeline(psi, PotentialSpec.none(), params)
 
 
 @pytest.fixture(scope="session")
 def bimodal_run():
     """n = 10^4 ensemble guided by the +-1.5 momentum superposition."""
-    spec = GridSpec(4096, -256.0, 256.0)
-    psi = superposed_gaussians(
-        spec,
-        1.0,
-        [{"x0": 0.0, "p0": 1.5, "sigma0": 1.0}, {"x0": 0.0, "p0": -1.5, "sigma0": 1.0}],
-    )
-    params = PipelineParams(
-        n_trajectories=10_000,
-        t_max=40.0,
-        dt=0.05,
-        record_times=(0.0, 5.0, 10.0, 20.0, 40.0),
-        checkpoints=(10.0, 20.0, 40.0),
-        seed=ACCEPTANCE_SEED,
-    )
+    _, psi, params = shipped("bimodal_superposition.json")
     return run_guided_pipeline(psi, PotentialSpec.none(), params), psi
 
 
 @pytest.fixture(scope="session")
 def barrier_setup():
     """Gaussian-barrier scattering: ensemble run plus outgoing asymptote."""
-    spec = GridSpec(4096, -320.0, 320.0)
-    psi = gaussian_packet(spec, 1.0, -12.0, 1.5, 2.0)
-    pot = PotentialSpec.gaussian_barrier(2.0, 1.0, 0.0)
-    params = PipelineParams(
-        n_trajectories=10_000,
-        t_max=80.0,
-        dt=0.05,
-        record_times=(0.0, 10.0, 20.0, 40.0, 80.0),
-        checkpoints=(20.0, 40.0, 80.0),
-        seed=ACCEPTANCE_SEED,
-    )
+    cfg, psi, params = shipped("barrier_scattering.json")
+    pot = PotentialSpec.from_dict(cfg["potential"])
     run = run_guided_pipeline(psi, pot, params)
+    moller = cfg["moller"]
     out = outgoing_asymptote(
-        psi, pot, [20.0, 30.0, 40.0, 60.0, 80.0], dt=0.01, residual_tol=1e-3
+        psi, pot, moller["extraction_times"], dt=moller["dt"], residual_tol=moller["residual_tol"]
     )
     return psi, pot, run, out
 
 
 @pytest.fixture(scope="session")
-def dirac_state():
-    spec = GridSpec(2048, -128.0, 128.0)
-    psi, _ = project_positive_energy(gaussian_packet(spec, 1.0, 0.0, 0.75, 1.0, kind="dirac"))
-    return psi
+def dirac_config():
+    return shipped("dirac_covariance.json")
 
 
 @pytest.fixture(scope="session")
-def dirac_params():
-    # The spinor ensemble needs the longer ladder: eta_t converges like
-    # 1/t^2 and the affine fit's truncation bias is still visible against
-    # the analytic velocity distribution at t_max = 40.
-    return PipelineParams(
-        n_trajectories=10_000,
-        t_max=80.0,
-        dt=0.05,
-        record_times=(0.0, 10.0, 20.0, 40.0, 80.0),
-        checkpoints=(20.0, 40.0, 80.0),
-        seed=ACCEPTANCE_SEED,
-    )
+def dirac_state(dirac_config):
+    return dirac_config[1]
+
+
+@pytest.fixture(scope="session")
+def dirac_params(dirac_config):
+    # The spinor ensemble needs the longer ladder (t_max 80): eta_t
+    # converges like 1/t^2 and the affine fit's truncation bias is still
+    # visible against the analytic velocity distribution at t_max = 40.
+    return dirac_config[2]
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 
 Everything here is derived from closed forms or from methods disjoint
 from the code paths under test (analytic Gaussian integrals, the
-time-independent transfer matrix, explicit boost formulas), so
-agreement is evidence rather than tautology.
+time-independent transfer matrix, explicit boost formulas, the monotone
+transport map of a 1D flow), so agreement is evidence rather than
+tautology.
 """
 
 from __future__ import annotations
@@ -41,6 +42,77 @@ def free_gaussian_psi(x, t, m=1.0, sigma0=1.0, x0=0.0, p0=0.0):
     b = 2.0 * sigma0**2 * p0 + 1j * (x - x0)
     pref = (2.0 * sigma0**2 / np.pi) ** 0.25 / np.sqrt(2.0 * np.pi)
     return pref * np.sqrt(np.pi / a) * np.exp(b**2 / (4.0 * a) - sigma0**2 * p0**2)
+
+
+# Spectral refinement factor of the transport oracle: the trapezoid CDF of
+# |psi|^2 on the bare grid (dx = 0.125) puts the quantile map 7.7e-2 off
+# the closed-form free-Gaussian trajectory at t = 40; refined r = 64 times
+# it is 4.7e-5 off within 3 sigma0 (1.9e-4 at r = 32, 7.6e-4 at r = 16).
+TRANSPORT_REFINEMENT = 64
+# Start quantiles the transport oracle is gated on: the central 99.73%
+# (3 sigma of a Gaussian). The map's error is delta F / rho_t, so it is
+# ill-conditioned in the low-density tails.
+CENTRAL_BAND = (0.00135, 0.99865)
+
+
+def refined_cdf(amplitudes, x_min, dx, r=TRANSPORT_REFINEMENT):
+    """Fine grid and normalized CDF of |psi|^2, refined spectrally.
+
+    ``amplitudes`` has shape (n,) (scalar) or (2, n) (spinor; the
+    component densities are summed) on the periodic grid x_min + dx k.
+    Every component's spectrum is zero-padded to r n modes (the Nyquist
+    mode split evenly between +/- n/2), so the fine samples are the
+    band-limited interpolant of the grid values; the CDF is the cumulative
+    trapezoid rule over [x_min, x_min + n dx], closed periodically.
+    """
+    amps = np.atleast_2d(np.asarray(amplitudes, dtype=complex))
+    n = amps.shape[1]
+    half = n // 2
+    hat = np.fft.fft(amps, axis=1)
+    padded = np.zeros((amps.shape[0], r * n), dtype=complex)
+    padded[:, :half] = hat[:, :half]
+    padded[:, -half + 1 :] = hat[:, half + 1 :]
+    padded[:, half] = 0.5 * hat[:, half]
+    padded[:, -half] = 0.5 * hat[:, half]
+    fine = np.fft.ifft(padded, axis=1) * r
+    rho = np.sum(np.abs(fine) ** 2, axis=0)
+    rho = np.append(rho, rho[0])
+    x = x_min + (dx / r) * np.arange(r * n + 1)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]))])
+    return x, cdf / cdf[-1]
+
+
+def transport_oracle(snapshots, starts, r=TRANSPORT_REFINEMENT):
+    """Oracle positions of 1D guided trajectories: x(t) = F_t^-1(F_0(x(0))).
+
+    A 1D Bohmian flow keeps the order of the trajectories and carries
+    |psi_0|^2 to |psi_t|^2, so each trajectory sits at the quantile of
+    |psi_t|^2 that it started at. ``snapshots`` are the wave functions at
+    the recorded times (first one at the start time), as an integration
+    records them; ``starts`` has shape (n,) or (n, 1). Returns the start
+    quantiles, shape (n,), and the oracle positions, shape (n, n_times).
+    Uses only the snapshots' amplitudes and grid: no stencil, no RK4 and
+    no guiding field.
+    """
+    starts = np.asarray(starts, dtype=float).reshape(-1)
+    out = np.empty((starts.size, len(snapshots)))
+    quantiles = None
+    for k, psi in enumerate(snapshots):
+        x, cdf = refined_cdf(psi.amplitudes, psi.spec.x_min, psi.spec.dx, r)
+        if quantiles is None:
+            quantiles = np.interp(starts, x, cdf)
+        out[:, k] = np.interp(quantiles, cdf, x)
+    return quantiles, out
+
+
+def transport_oracle_errors(integration, r=TRANSPORT_REFINEMENT, band=CENTRAL_BAND):
+    """Largest |x(t) - oracle| at each recorded time, over the live
+    trajectories whose start quantile lies in ``band``; shape (n_times,)."""
+    live = ~integration.diagnostics.failed
+    pos = integration.positions[live, :, 0]
+    quantiles, oracle = transport_oracle(integration.snapshots, pos[:, 0], r)
+    inside = (quantiles >= band[0]) & (quantiles <= band[1])
+    return np.max(np.abs(pos[inside] - oracle[inside]), axis=0)
 
 
 def transfer_matrix_transmission(v_func, p, mass=1.0, x_lo=-8.0, x_hi=8.0, n_seg=4000):

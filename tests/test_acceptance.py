@@ -8,6 +8,7 @@ verdict; run with `pytest tests/test_acceptance.py -v -s` to see them.
 import numpy as np
 import scipy.stats
 
+from bohmvel import relativity
 from bohmvel.asymptotics import (
     dirac_velocity_distribution,
     estimate_asymptotic_measure,
@@ -39,9 +40,16 @@ from bohmvel.wavefunction import (
 from conftest import ACCEPTANCE_SEED, acceptance_line
 from oracles import (
     boost_velocity_1d,
+    free_gaussian_trajectory,
     random_worldline_polyline,
     transfer_matrix_transmission,
+    transport_oracle,
+    transport_oracle_errors,
 )
+
+# Largest |x(t) - oracle| over the central band of starts; the benchmark's
+# bound on the free Gaussian's closed-form error within 3 sigma0.
+POSITION_TOL = 2.5e-3
 
 
 def test_free_gaussian_velocity_distribution(free_gaussian_state, free_gaussian_run):
@@ -130,12 +138,23 @@ def test_barrier_scattering(barrier_setup):
     assert run.regularity.verdict
 
 
-def test_boost_covariance_and_foliation_independence(dirac_state, dirac_params, dirac_base_run):
+def test_boost_covariance_and_foliation_independence(
+    dirac_state, dirac_params, dirac_base_run, monkeypatch
+):
     """Transported ensemble measures agree across boosts u in {0, 0.2, 0.3}
     (KS < 0.03), both sides cross-check against the analytic velocity
-    pushforward, and the {id, 0.2, 0.4} foliation sweep is flat."""
+    pushforward, the {id, 0.2, 0.4} foliation sweep is flat, and no
+    boosted ensemble has a 1D crossing."""
     psi = dirac_state
     base = dirac_base_run
+    boosted_runs = []
+    inner = relativity.run_guided_pipeline
+
+    def recording(*args):
+        boosted_runs.append(inner(*args))
+        return boosted_runs[-1]
+
+    monkeypatch.setattr(relativity, "run_guided_pipeline", recording)
     q_base = dirac_velocity_distribution(psi)
 
     checks = {}
@@ -170,14 +189,47 @@ def test_boost_covariance_and_foliation_independence(dirac_state, dirac_params, 
         ks_threshold=0.03,
         base=base,
     )
-    ok = sweep["pass"] and all(v[0] < 0.03 for v in checks.values())
+    # Three covariance checks and two swept foliations; the base run is
+    # counted in the dynamics property suite.
+    assert len(boosted_runs) == 5
+    crossings = [count_order_violations(r.integration) for r in boosted_runs]
+    ok = sweep["pass"] and all(v[0] < 0.03 for v in checks.values()) and not any(crossings)
     detail = " ".join(f"u={u}:ks={v[0]:.4f}" for u, v in checks.items())
     acceptance_line(
         "result-b covariance + foliation sweep",
         ok,
-        f"{detail} sweep_max={np.max(sweep['ks_matrix']):.4f}",
+        f"{detail} sweep_max={np.max(sweep['ks_matrix']):.4f} crossings={crossings}",
     )
     assert sweep["pass"], sweep["ks_matrix"]
+    assert crossings == [0] * 5
+
+
+def test_transport_oracle_matches_closed_form(free_gaussian_run):
+    """The monotone-transport oracle, from the free Gaussian's recorded
+    snapshots, is within 1e-4 of the closed-form trajectory at t = 40 for
+    every start within 3 sigma0."""
+    integ = free_gaussian_run.integration
+    x0 = integ.positions[:, 0, 0]
+    inside = np.abs(x0) < 3.0
+    _, oracle = transport_oracle(integ.snapshots, x0)
+    assert integ.times[-1] == 40.0
+    err = float(np.max(np.abs(oracle[inside, -1] - free_gaussian_trajectory(x0[inside], 40.0))))
+    acceptance_line("transport oracle vs closed form", err <= 1e-4, f"err={err:.2e}")
+    assert err <= 1e-4
+
+
+def test_dirac_positions_match_transport_oracle(dirac_base_run):
+    """Every Dirac trajectory starting in the central 99.73% quantile band
+    is within 2.5e-3 of the transport oracle at every recorded time, at
+    the shipped step."""
+    errors = transport_oracle_errors(dirac_base_run.integration)
+    detail = " ".join(f"t={t:g}:{e:.2e}" for t, e in zip(dirac_base_run.integration.times, errors))
+    acceptance_line(
+        f"dirac oracle positions (dt={dirac_base_run.params.dt:g})",
+        bool(np.all(errors <= POSITION_TOL)),
+        detail,
+    )
+    assert np.all(errors <= POSITION_TOL), errors
 
 
 def test_rotating_counterexample():

@@ -95,6 +95,21 @@ class TestAsymptoticMeasure:
         assert report.fraction_converged == pytest.approx(0.7)
         assert not report.verdict
 
+    def test_equal_distinct_time_grids_accepted(self):
+        # Each line holds its own copy of one grid: equal arrays, distinct
+        # objects, so the stacked path compares them element by element.
+        vels = np.random.default_rng(4).normal(size=(6, 2))
+        lines = [straight(v, dim=2) for v in vels]
+        assert lines[0].times is not lines[1].times
+        shared = [SampledTrajectory(lines[0].times, t.points, 1, 2) for t in lines]
+        measure, report = estimate_asymptotic_measure(lines, CHECKPOINTS, 0.05)
+        want, _ = estimate_asymptotic_measure(shared, CHECKPOINTS, 0.05)
+        assert report.n_converged == 6
+        np.testing.assert_array_equal(measure.samples, want.samples)
+        np.testing.assert_array_equal(
+            velocity_measure_at(lines, 10.0).samples, velocity_measure_at(shared, 10.0).samples
+        )
+
     def test_mixed_time_grids_rejected(self):
         # The lines sample t = 0, 5, 10, 20, 40; the family's default grid
         # adds t = 2.5.
