@@ -24,6 +24,12 @@ Times, in fresh single-threaded worker processes:
   t = 10, and on the checkpoint ladder 10, 20, 40) on its rotating family
   of 10^5 trajectory objects.
 
+The two Dirac step kernels step by the fixed DIRAC_DT = 0.05, not by the
+config's ``time.dt``, so a step change in the config does not change what
+they time and their figures stay comparable across result files.
+``eta_block_family`` measures an ``_eta_block`` speed-up that no
+benchmark claim rests on.
+
 Usage:
 
     python scripts/bench_kernels.py
@@ -62,6 +68,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N_POINTS = 10_000
 CSV_ROWS = 100_000
 BOOST_U = 0.4
+DIRAC_DT = 0.05
 FAMILY_N = 100_000
 # Worker processes per tree, and timed blocks per kernel in each worker.
 ROUNDS = 10
@@ -104,10 +111,10 @@ def _states():
     schrodinger = SplitStepPropagator(
         schrodinger.spec, schrodinger.mass, PotentialSpec.none(), dt
     ).advance(schrodinger, 20)
-    dirac, dt_dirac = build("dirac_covariance.json", "dirac")
+    dirac, _ = build("dirac_covariance.json", "dirac")
     dirac, _ = project_positive_energy(dirac)
     prop = DiracPropagator(dirac.spec, dirac.mass)
-    return schrodinger, dirac, prop.advance(dirac, 1.0), prop, 0.5 * dt_dirac
+    return schrodinger, dirac, prop.advance(dirac, 1.0), prop, 0.5 * DIRAC_DT
 
 
 def _source_digest(package_dir: str) -> str:
@@ -264,7 +271,7 @@ def main(argv=None) -> int:
             print(f"round {r + 1}/{ROUNDS} {label} done", file=sys.stderr)
 
     result = {"host": _host(), "points": N_POINTS, "csv_rows": CSV_ROWS, "boost_u": BOOST_U,
-              "family_n": FAMILY_N,
+              "dirac_dt": DIRAC_DT, "family_n": FAMILY_N,
               "rounds": ROUNDS, "blocks": BLOCKS, "calls_per_block": CALLS,
               "unit": "ms per call", "trees": {}}
     for label, recs in runs.items():

@@ -4,13 +4,13 @@ monotone-transport oracle.
 For every candidate step in DTS and every seed in SEEDS (the shipped seed
 first, then two held-out seeds) this runs ``bohmvel covariance`` on
 configs/dirac_covariance.json with ``time.dt`` set to that step, and for
-each of its five pipelines (the base state, run key 0; the states boosted
-by u = 0.2 and 0.4, run keys 1, 2 in the covariance checks and 101, 102
-in the foliation sweep) records:
+each of its five pipelines (the base state and the states boosted by
+u = 0.2 and 0.4, keyed by their run keys) records:
 
 - the oracle error: max |x(t) - F_t^-1(F_0(x(0)))| at every recorded
   time over the starts in the central 99.73% quantile band
-  (``tests/oracles.py``; spatial interpolation plus time stepping);
+  (``oracles.transport_oracle_band``, the starts tier-1 gates on;
+  spatial interpolation plus time stepping);
 - the time-stepping part: max |x_dt(t) - x_ref(t)| over the same starts,
   against the run at the reference step REFERENCE_DT (same seed, same run
   key, so the same starts);
@@ -83,16 +83,6 @@ def _recorded_pipelines(log: list):
         cli.run_guided_pipeline = relativity.run_guided_pipeline = inner
 
 
-def _state_of(cfg: dict) -> dict:
-    """Boost speed of the state each run key integrates, by the seeding
-    scheme of ``cmd_covariance``."""
-    boosts = [float(u) for u in cfg["boosts"]]
-    keys = {0: 0.0}
-    keys.update({k + 1: u for k, u in enumerate(b for b in boosts if b != 0.0)})
-    keys.update({100 + i: u for i, u in enumerate(boosts) if u != 0.0})
-    return keys
-
-
 def covariance_run(cfg: dict, dt: float, seed: int) -> tuple[dict, dict]:
     """One ``bohmvel covariance`` run at step dt: its record and its
     pipeline results by run key."""
@@ -120,20 +110,18 @@ def covariance_run(cfg: dict, dt: float, seed: int) -> tuple[dict, dict]:
     return record, results
 
 
-def pipeline_record(result, wall_s: float, u: float, reference) -> dict:
+def pipeline_record(result, wall_s: float, reference) -> dict:
     """Oracle error, time-stepping part and health of one pipeline;
     ``reference`` is the same pipeline at REFERENCE_DT."""
     integ = result.integration
-    live = ~integ.diagnostics.failed & ~reference.integration.diagnostics.failed
+    inside, oracle = oracles.transport_oracle_band(integ)
     pos = integ.positions[:, :, 0]
-    quantiles, oracle = oracles.transport_oracle(integ.snapshots, pos[:, 0])
-    band = live & (quantiles >= oracles.CENTRAL_BAND[0]) & (quantiles <= oracles.CENTRAL_BAND[1])
-    oracle_error = np.max(np.abs(pos[band] - oracle[band]), axis=0)
+    oracle_error = np.max(np.abs(pos[inside] - oracle[inside]), axis=0)
+    band = inside & ~reference.integration.diagnostics.failed
     stepping = np.max(np.abs(pos[band] - reference.integration.positions[band, :, 0]), axis=0)
     diag = integ.diagnostics
     return {
         "run_key": result.params.run_key,
-        "u": u,
         "wall_s": wall_s,
         "times": integ.times.tolist(),
         "oracle_error": oracle_error.tolist(),
@@ -192,7 +180,6 @@ def _host() -> dict:
 
 def main() -> int:
     cfg = cli.load_config(CONFIG)
-    state_of = _state_of(cfg)
     runs = []
     for seed in SEEDS:
         for dt in DTS:
@@ -200,7 +187,7 @@ def main() -> int:
             if dt == REFERENCE_DT:
                 reference = {k: res for k, (res, _) in results.items()}
             record["pipelines"] = [
-                pipeline_record(res, wall_s, state_of[key], reference[key])
+                pipeline_record(res, wall_s, reference[key])
                 for key, (res, wall_s) in sorted(results.items())
             ]
             runs.append(record)

@@ -44,10 +44,9 @@ def free_gaussian_psi(x, t, m=1.0, sigma0=1.0, x0=0.0, p0=0.0):
     return pref * np.sqrt(np.pi / a) * np.exp(b**2 / (4.0 * a) - sigma0**2 * p0**2)
 
 
-# Spectral refinement factor of the transport oracle: the trapezoid CDF of
-# |psi|^2 on the bare grid (dx = 0.125) puts the quantile map 7.7e-2 off
-# the closed-form free-Gaussian trajectory at t = 40; refined r = 64 times
-# it is 4.7e-5 off within 3 sigma0 (1.9e-4 at r = 32, 7.6e-4 at r = 16).
+# Spectral refinement factor of the transport oracle: refined 64 times,
+# the quantile map is 4.7e-5 off the closed-form free-Gaussian trajectory
+# at t = 40 within 3 sigma0 (test_transport_oracle_matches_closed_form).
 TRANSPORT_REFINEMENT = 64
 # Start quantiles the transport oracle is gated on: the central 99.73%
 # (3 sigma of a Gaussian). The map's error is delta F / rho_t, so it is
@@ -55,16 +54,18 @@ TRANSPORT_REFINEMENT = 64
 CENTRAL_BAND = (0.00135, 0.99865)
 
 
-def refined_cdf(amplitudes, x_min, dx, r=TRANSPORT_REFINEMENT):
+def refined_cdf(amplitudes, x_min, dx):
     """Fine grid and normalized CDF of |psi|^2, refined spectrally.
 
     ``amplitudes`` has shape (n,) (scalar) or (2, n) (spinor; the
     component densities are summed) on the periodic grid x_min + dx k.
-    Every component's spectrum is zero-padded to r n modes (the Nyquist
-    mode split evenly between +/- n/2), so the fine samples are the
-    band-limited interpolant of the grid values; the CDF is the cumulative
-    trapezoid rule over [x_min, x_min + n dx], closed periodically.
+    Every component's spectrum is zero-padded to r n modes, r =
+    TRANSPORT_REFINEMENT (the Nyquist mode split evenly between +/- n/2),
+    so the fine samples are the band-limited interpolant of the grid
+    values; the CDF is the cumulative trapezoid rule over
+    [x_min, x_min + n dx], closed periodically.
     """
+    r = TRANSPORT_REFINEMENT
     amps = np.atleast_2d(np.asarray(amplitudes, dtype=complex))
     n = amps.shape[1]
     half = n // 2
@@ -82,7 +83,7 @@ def refined_cdf(amplitudes, x_min, dx, r=TRANSPORT_REFINEMENT):
     return x, cdf / cdf[-1]
 
 
-def transport_oracle(snapshots, starts, r=TRANSPORT_REFINEMENT):
+def transport_oracle(snapshots, starts):
     """Oracle positions of 1D guided trajectories: x(t) = F_t^-1(F_0(x(0))).
 
     A 1D Bohmian flow keeps the order of the trajectories and carries
@@ -98,21 +99,27 @@ def transport_oracle(snapshots, starts, r=TRANSPORT_REFINEMENT):
     out = np.empty((starts.size, len(snapshots)))
     quantiles = None
     for k, psi in enumerate(snapshots):
-        x, cdf = refined_cdf(psi.amplitudes, psi.spec.x_min, psi.spec.dx, r)
+        x, cdf = refined_cdf(psi.amplitudes, psi.spec.x_min, psi.spec.dx)
         if quantiles is None:
             quantiles = np.interp(starts, x, cdf)
         out[:, k] = np.interp(quantiles, cdf, x)
     return quantiles, out
 
 
-def transport_oracle_errors(integration, r=TRANSPORT_REFINEMENT, band=CENTRAL_BAND):
-    """Largest |x(t) - oracle| at each recorded time, over the live
-    trajectories whose start quantile lies in ``band``; shape (n_times,)."""
-    live = ~integration.diagnostics.failed
-    pos = integration.positions[live, :, 0]
-    quantiles, oracle = transport_oracle(integration.snapshots, pos[:, 0], r)
-    inside = (quantiles >= band[0]) & (quantiles <= band[1])
-    return np.max(np.abs(pos[inside] - oracle[inside]), axis=0)
+def transport_oracle_band(integration):
+    """Oracle positions of every trajectory of a 1D integration, shape
+    (n, n_times), and the mask, shape (n,), of the live trajectories whose
+    start quantile lies in CENTRAL_BAND: the starts the oracle is gated on."""
+    quantiles, oracle = transport_oracle(integration.snapshots, integration.positions[:, 0, 0])
+    inside = (quantiles >= CENTRAL_BAND[0]) & (quantiles <= CENTRAL_BAND[1])
+    return inside & ~integration.diagnostics.failed, oracle
+
+
+def transport_oracle_errors(integration):
+    """Largest |x(t) - oracle| at each recorded time over the starts of
+    ``transport_oracle_band``; shape (n_times,)."""
+    inside, oracle = transport_oracle_band(integration)
+    return np.max(np.abs(integration.positions[inside, :, 0] - oracle[inside]), axis=0)
 
 
 def transfer_matrix_transmission(v_func, p, mass=1.0, x_lo=-8.0, x_hi=8.0, n_seg=4000):

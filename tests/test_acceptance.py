@@ -5,6 +5,11 @@ ensemble is involved) against its frozen tolerance and prints a one-line
 verdict; run with `pytest tests/test_acceptance.py -v -s` to see them.
 """
 
+import importlib.util
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import scipy.stats
 
@@ -46,6 +51,8 @@ from oracles import (
     transport_oracle,
     transport_oracle_errors,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 # Largest |x(t) - oracle| over the central band of starts; the benchmark's
 # bound on the free Gaussian's closed-form error within 3 sigma0.
@@ -230,6 +237,31 @@ def test_dirac_positions_match_transport_oracle(dirac_base_run):
         detail,
     )
     assert np.all(errors <= POSITION_TOL), errors
+
+
+def test_shipped_dirac_step_is_the_study_choice(dirac_config):
+    """The Dirac config steps at the dt that BENCH_dt_study.json chooses
+    when the study's rule is applied again to its records, and the study
+    covers every seed and step it names at the config's ensemble size."""
+    spec = importlib.util.spec_from_file_location("dt_study", REPO / "scripts" / "dt_study.py")
+    dt_study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dt_study)
+    with open(REPO / "BENCH_dt_study.json") as fh:
+        study = json.load(fh)
+    cfg = dirac_config[0]
+    runs = study["runs"]
+    assert sorted((r["seed"], r["dt"]) for r in runs) == sorted(
+        itertools.product(dt_study.SEEDS, dt_study.DTS)
+    )
+    assert all(len(r["pipelines"]) == 5 for r in runs)
+    assert study["n_trajectories"] == cfg["ensemble"]["n_trajectories"]
+    verdict = dt_study.apply_rule(runs)
+    ok = cfg["time"]["dt"] == verdict["chosen_dt"]
+    acceptance_line(
+        "dirac step = study choice", ok, f"config dt={cfg['time']['dt']:g} chosen={verdict['chosen_dt']}"
+    )
+    assert verdict == {"per_dt": study["per_dt"], "chosen_dt": study["chosen_dt"]}
+    assert ok
 
 
 def test_rotating_counterexample():
