@@ -11,7 +11,6 @@ Natural units hbar = c = 1 throughout.
 from .core import (
     EmpiricalMeasure,
     EnsembleRun,
-    PoincareElement,
     SampledTrajectory,
     WorldLineFlag,
     validate_worldline,

@@ -36,7 +36,7 @@ from .asymptotics import (
     velocity_measure_at,
     verify_distribution_equality,
 )
-from .core import EmpiricalMeasure, EnsembleRun, PoincareElement, _write_float_csv, config_hash
+from .core import EmpiricalMeasure, EnsembleRun, _write_float_csv, config_hash
 from .errors import (
     BohmvelError,
     ConfigurationError,
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .guidance import check_equivariance, count_order_violations
 from .pipeline import PipelineParams, child_seed, run_guided_pipeline
-from .relativity import foliation_sweep, verify_boost_covariance
+from .relativity import foliation_label, foliation_sweep, verify_boost_covariance
 from .stats import ks_critical_value, ks_distance
 from .wavefunction import (
     GridSpec,
@@ -84,6 +84,16 @@ _BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"
 def config_schema() -> dict:
     with open(SCHEMA_PATH) as fh:
         return json.load(fh)
+
+
+def _setting(cfg: dict, *path: str):
+    """The config's value at ``path`` (keys of nested objects), or the
+    default the schema states for it."""
+    schema = config_schema()
+    for key in path[:-1]:
+        cfg = cfg.get(key, {})
+        schema = schema["properties"][key]
+    return cfg[path[-1]] if path[-1] in cfg else schema["properties"][path[-1]]["default"]
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -152,6 +162,10 @@ def validate_config(cfg: dict) -> dict:
     _expect("moller" not in cfg or system == "potential_schrodinger",
             "config.moller requires the potential system")
     _expect("boosts" not in cfg or system == "free_dirac", "config.boosts requires the free_dirac system")
+    # Each foliation's measure is written to a file named by its label.
+    labels = [foliation_label(u) for u in cfg.get("boosts", ())]
+    clash = sorted({x for x in labels if labels.count(x) > 1})
+    _expect(not clash, f"config.boosts: several boosts share the label {', '.join(clash)}")
     try:
         _pipeline_params(cfg, 0)
     except InvalidInputError as exc:
@@ -180,11 +194,11 @@ def _grid(cfg: dict) -> GridSpec:
 
 def _build_state(cfg: dict):
     grid = _grid(cfg)
-    mass = float(cfg.get("mass", 1.0))
+    mass = float(_setting(cfg, "mass"))
     kind = "dirac" if cfg["system"] == "free_dirac" else "schrodinger"
     psi = superposed_gaussians(grid, mass, cfg["packets"], kind=kind)
     projection_info = {}
-    if kind == "dirac" and cfg.get("project_positive_energy", True):
+    if kind == "dirac" and _setting(cfg, "project_positive_energy"):
         psi, discarded = project_positive_energy(psi)
         projection_info["discarded_weight"] = discarded
     return psi, projection_info
@@ -192,17 +206,16 @@ def _build_state(cfg: dict):
 
 def _pipeline_params(cfg: dict, seed: int) -> PipelineParams:
     time_cfg = cfg["time"]
-    ens = cfg.get("ensemble", {})
     return PipelineParams(
-        n_trajectories=int(ens.get("n_trajectories", 10_000)),
+        n_trajectories=int(_setting(cfg, "ensemble", "n_trajectories")),
         t_max=float(time_cfg["t_max"]),
-        dt=float(time_cfg.get("dt", 0.05)),
+        dt=float(_setting(cfg, "time", "dt")),
         record_times=tuple(time_cfg["record_times"]) if "record_times" in time_cfg else None,
         checkpoints=tuple(time_cfg["checkpoints"]) if "checkpoints" in time_cfg else None,
-        eta_tol=float(time_cfg.get("eta_tol", 0.05)),
-        rho_floor=float(ens.get("rho_floor", 1e-12)),
-        dt_min=float(ens.get("dt_min", 1e-4)),
-        node_action=ens.get("node_action", "shrink_dt"),
+        eta_tol=float(_setting(cfg, "time", "eta_tol")),
+        rho_floor=float(_setting(cfg, "ensemble", "rho_floor")),
+        dt_min=float(_setting(cfg, "ensemble", "dt_min")),
+        node_action=_setting(cfg, "ensemble", "node_action"),
         seed=seed,
     )
 
@@ -216,16 +229,15 @@ def _quantum_distribution(cfg: dict, psi, mass: float):
     if system == "free_dirac":
         return dirac_velocity_distribution(psi), None
     pot = PotentialSpec.from_dict(cfg["potential"])
-    mcfg = cfg.get("moller", {})
     t_max = float(cfg["time"]["t_max"])
-    extraction = mcfg.get("extraction_times", [t_max / 2.0, 0.75 * t_max, t_max])
+    extraction = cfg.get("moller", {}).get("extraction_times", [t_max / 2.0, 0.75 * t_max, t_max])
     out = outgoing_asymptote(
         psi,
         pot,
         extraction,
-        dt=float(mcfg.get("dt", 0.01)),
-        interaction_radius=mcfg.get("interaction_radius"),
-        residual_tol=float(mcfg.get("residual_tol", 1e-3)),
+        dt=float(_setting(cfg, "moller", "dt")),
+        interaction_radius=_setting(cfg, "moller", "interaction_radius"),
+        residual_tol=float(_setting(cfg, "moller", "residual_tol")),
     )
     return scattering_velocity_distribution(out, mass), out
 
@@ -240,11 +252,11 @@ def _write_json(path: str, payload: dict) -> None:
 # Commands.
 
 def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
-    seed = int(cfg.get("seed", 0)) if seed is None else seed
+    seed = int(_setting(cfg, "seed")) if seed is None else seed
     cfg = dict(cfg)
     cfg["seed"] = seed
     psi, projection_info = _build_state(cfg)
-    mass = float(cfg.get("mass", 1.0))
+    mass = float(_setting(cfg, "mass"))
     params = _pipeline_params(cfg, seed)
     potential = (
         PotentialSpec.from_dict(cfg["potential"])
@@ -339,13 +351,13 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
 def cmd_covariance(cfg: dict, out_dir: str, seed: int | None) -> int:
     if cfg["system"] != "free_dirac":
         raise ConfigurationError("covariance runs need system = free_dirac")
-    seed = int(cfg.get("seed", 0)) if seed is None else seed
+    seed = int(_setting(cfg, "seed")) if seed is None else seed
     cfg = dict(cfg)
     cfg["seed"] = seed
     psi, projection_info = _build_state(cfg)
     params = _pipeline_params(cfg, seed)
-    boosts = [float(u) for u in cfg.get("boosts", [0.0, 0.2, 0.4])]
-    threshold = float(cfg.get("thresholds", {}).get("covariance_ks", 0.03))
+    boosts = [float(u) for u in _setting(cfg, "boosts")]
+    threshold = float(_setting(cfg, "thresholds", "covariance_ks"))
 
     try:
         base = run_guided_pipeline(psi, PotentialSpec.none(), params)
@@ -361,8 +373,7 @@ def cmd_covariance(cfg: dict, out_dir: str, seed: int | None) -> int:
             rep.pop("boosted_measure", None)
             per_boost.append(rep)
 
-        g_list = [PoincareElement.boost(u, 0, 1) for u in boosts]
-        sweep = foliation_sweep(psi, g_list, params, ks_threshold=threshold, base=base)
+        sweep = foliation_sweep(psi, boosts, params, base, ks_threshold=threshold)
     except RegularityError as exc:
         # No verdict is possible; record that explicitly before exiting.
         os.makedirs(out_dir, exist_ok=True)

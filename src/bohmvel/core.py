@@ -7,7 +7,9 @@ Conventions used everywhere in this package:
   vector of length N*d (particle i occupies the slice [i*d, (i+1)*d)),
 * trajectories are non-uniform polylines with linear interpolation
   between samples; no higher-order dense output is attempted,
-* empirical measures are weighted sample clouds over velocity space.
+* empirical measures are weighted sample clouds over velocity space,
+* a Lorentz boost is not a type: it is its speed u along one axis, and
+  the relativity module applies it to world lines, velocities and states.
 
 Everything here is immutable after construction and safe to share
 read-only across threads.
@@ -28,7 +30,6 @@ __all__ = [
     "SampledTrajectory",
     "WorldLineFlag",
     "EmpiricalMeasure",
-    "PoincareElement",
     "EnsembleRun",
     "validate_worldline",
     "save_trajectories_ndjson",
@@ -208,138 +209,6 @@ class EmpiricalMeasure:
         if data.shape[1] != ncol:
             raise InvalidInputError(f"malformed measure CSV {path}")
         return cls(data[:, :-1], data[:, -1])
-
-
-def _orthonormality_defect(r: np.ndarray) -> float:
-    return float(np.max(np.abs(r.T @ r - np.eye(r.shape[0]))))
-
-
-@dataclass(frozen=True)
-class PoincareElement:
-    """A proper orthochronous Poincare transformation in d+1 dimensions.
-
-    Acts on events as x -> Lambda x + a with Lambda = B(u) R, where B is
-    the pure boost of velocity ``boost_velocity`` and R the spatial
-    rotation; ``a`` is (time_shift, space_shift). Velocities transform
-    through Lambda alone (translations act as the identity on them).
-    """
-
-    boost_velocity: np.ndarray
-    rotation: np.ndarray
-    time_shift: float = 0.0
-    space_shift: np.ndarray | None = None
-
-    def __post_init__(self):
-        u = _finite_array(self.boost_velocity, "boost_velocity")
-        r = _finite_array(self.rotation, "rotation")
-        d = u.size
-        if r.shape != (d, d):
-            raise InvalidInputError("rotation shape must match boost dimension")
-        if np.linalg.norm(u) >= 1.0:
-            raise InvalidInputError("boost speed must satisfy ||u|| < 1")
-        if _orthonormality_defect(r) > 1e-12 or abs(np.linalg.det(r) - 1.0) > 1e-12:
-            raise InvalidInputError("rotation must be orthonormal with det = 1")
-        shift = self.space_shift if self.space_shift is not None else np.zeros(d)
-        shift = _finite_array(shift, "space_shift")
-        object.__setattr__(self, "boost_velocity", u)
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "space_shift", shift)
-        for a in (self.boost_velocity, self.rotation, self.space_shift):
-            a.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.boost_velocity.size
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / np.sqrt(1.0 - float(self.boost_velocity @ self.boost_velocity))
-
-    @classmethod
-    def identity(cls, dim: int) -> "PoincareElement":
-        return cls(np.zeros(dim), np.eye(dim))
-
-    @classmethod
-    def boost(cls, u: float, axis: int = 0, dim: int = 1) -> "PoincareElement":
-        vel = np.zeros(dim)
-        vel[axis] = u
-        return cls(vel, np.eye(dim))
-
-    @classmethod
-    def plane_rotation(cls, angle: float, dim: int, axes: tuple[int, int] = (0, 1)) -> "PoincareElement":
-        if dim < 2:
-            raise InvalidInputError("rotations need dim >= 2")
-        i, j = axes
-        r = np.eye(dim)
-        c, s = np.cos(angle), np.sin(angle)
-        r[i, i] = c
-        r[j, j] = c
-        r[i, j] = -s
-        r[j, i] = s
-        return cls(np.zeros(dim), r)
-
-    @classmethod
-    def translation(cls, time_shift: float, space_shift, dim: int | None = None) -> "PoincareElement":
-        shift = np.asarray(space_shift, dtype=float)
-        d = shift.size if dim is None else dim
-        return cls(np.zeros(d), np.eye(d), float(time_shift), shift)
-
-    def boost_matrix(self) -> np.ndarray:
-        """Pure-boost block B(u) of the Lorentz matrix, (d+1)x(d+1)."""
-        d = self.dim
-        u = self.boost_velocity
-        u2 = float(u @ u)
-        lam = np.eye(d + 1)
-        if u2 == 0.0:
-            return lam
-        g = self.gamma
-        lam[0, 0] = g
-        lam[0, 1:] = -g * u
-        lam[1:, 0] = -g * u
-        lam[1:, 1:] = np.eye(d) + (g - 1.0) * np.outer(u, u) / u2
-        return lam
-
-    def lorentz_matrix(self) -> np.ndarray:
-        lam = self.boost_matrix()
-        rot = np.eye(self.dim + 1)
-        rot[1:, 1:] = self.rotation
-        return lam @ rot
-
-    def compose(self, other: "PoincareElement") -> "PoincareElement":
-        """self after other: (self o other)(x) = self(other(x))."""
-        lam = self.lorentz_matrix() @ other.lorentz_matrix()
-        a_other = np.concatenate(([other.time_shift], other.space_shift))
-        a_self = np.concatenate(([self.time_shift], self.space_shift))
-        a = self.lorentz_matrix() @ a_other + a_self
-        return PoincareElement._from_lorentz(lam, a)
-
-    def inverse(self) -> "PoincareElement":
-        lam_inv = np.linalg.inv(self.lorentz_matrix())
-        a = np.concatenate(([self.time_shift], self.space_shift))
-        return PoincareElement._from_lorentz(lam_inv, -lam_inv @ a)
-
-    @classmethod
-    def _from_lorentz(cls, lam: np.ndarray, a: np.ndarray) -> "PoincareElement":
-        # Polar split Lambda = B(u) R with u read off the time column
-        # (B(u) carries -gamma u there, hence the sign).
-        u = -lam[1:, 0] / lam[0, 0]
-        probe = cls(u, np.eye(u.size))
-        r_full = np.linalg.inv(probe.boost_matrix()) @ lam
-        rot = r_full[1:, 1:]
-        # Re-orthonormalize to absorb floating-point drift from the products.
-        uu, _, vv = np.linalg.svd(rot)
-        rot = uu @ vv
-        return cls(u, rot, float(a[0]), a[1:])
-
-    def label(self) -> str:
-        parts = []
-        if np.any(self.boost_velocity != 0):
-            parts.append("boost_" + "_".join(f"{x:g}" for x in self.boost_velocity))
-        if not np.allclose(self.rotation, np.eye(self.dim)):
-            parts.append("rot")
-        if self.time_shift != 0 or np.any(self.space_shift != 0):
-            parts.append("shift")
-        return "+".join(parts) if parts else "id"
 
 
 def validate_worldline(traj: SampledTrajectory, mode: str = "exact") -> WorldLineFlag:

@@ -11,6 +11,7 @@ from bohmvel.cli import (
     EXIT_COMPARISON_FAIL,
     EXIT_CONFIG_ERROR,
     EXIT_PASS,
+    _pipeline_params,
     config_schema,
     main,
     validate_config,
@@ -223,6 +224,33 @@ class TestValidation:
         cfg["boosts"] = [0.2]
         with pytest.raises(ConfigurationError, match="config.boosts"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "boosts", [[0.0, 0.2, 0.2], [0.0, 0.1234567, 0.1234568]], ids=["repeated", "same_label"]
+    )
+    def test_boosts_sharing_a_label_exit_4(self, boosts, tmp_path, capsys):
+        # Each foliation writes s_plus_foliation_<label>.csv; a shared label
+        # would overwrite one measure with another.
+        cfg = shipped_config("dirac_covariance.json")
+        cfg["boosts"] = boosts
+        path = write_config(tmp_path, cfg)
+        assert main(["validate-config", "--config", path]) == EXIT_CONFIG_ERROR
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "ConfigurationError"
+        assert err["message"].startswith("config.boosts")
+
+    def test_omitted_keys_take_the_schema_defaults(self):
+        cfg = small_free_config("x")
+        del cfg["time"]["dt"]
+        params = _pipeline_params(cfg, 0)
+        props = config_schema()["properties"]
+        ens = props["ensemble"]["properties"]
+        assert params.dt == props["time"]["properties"]["dt"]["default"]
+        assert params.eta_tol == props["time"]["properties"]["eta_tol"]["default"]
+        assert (params.rho_floor, params.dt_min, params.node_action) == tuple(
+            ens[k]["default"] for k in ("rho_floor", "dt_min", "node_action")
+        )
+        assert props["boosts"]["default"] == [0.0, 0.2, 0.4]
 
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     def test_type_and_range_edges(self, case):
