@@ -22,13 +22,23 @@ Times, in fresh single-threaded worker processes:
 - ``eta_block_family``: the three ``asymptotics._eta_block`` calls of
   ``bohmvel counterexample --n 100000 --dim 2`` (k(t)/t at t = 5, at
   t = 10, and on the checkpoint ladder 10, 20, 40) on its rotating family
-  of 10^5 trajectory objects.
+  of 10^5 trajectory objects;
+- ``extrapolate``: ``estimate_asymptotic_measure`` on an
+  ``IntegrationResult`` of 10^4 closed-form free-Gaussian trajectories
+  (configs/free_gaussian.json: its record times, checkpoints and eta_tol);
+- ``trajectory_objects``: ``IntegrationResult.trajectories`` of that
+  result, 10^4 ``SampledTrajectory`` objects, on a fresh result each call;
+- ``ndjson_write``: ``save_trajectories_ndjson`` of those trajectories,
+  built on a fresh result each call, into a temporary directory;
+- ``ks_w1``: ``ks_two_sample_1d`` plus ``wasserstein1_1d`` between
+  10^4 and 10^5 weighted samples.
 
 The two Dirac step kernels step by the fixed DIRAC_DT = 0.05, not by the
 config's ``time.dt``, so a step change in the config does not change what
 they time and their figures stay comparable across result files.
 ``eta_block_family`` measures an ``_eta_block`` speed-up that no
-benchmark claim rests on.
+benchmark claim rests on. The inputs of the four kernels after it are
+built only through calls whose signatures older trees share.
 
 Usage:
 
@@ -41,7 +51,8 @@ tree, alternating which tree goes first, and each worker times several
 blocks of calls per kernel. The result file records the median and
 quartiles of the per-call time over all blocks, a sha256 of each kernel's
 output where there is one (the evaluate arrays, the CSV bytes, the
-boosted amplitudes, the RK4 positions, the stacked k(t)/t; equal digests
+boosted amplitudes, the RK4 positions, the stacked k(t)/t, the
+extrapolated measure, the NDJSON bytes, the KS and W1 values; equal digests
 mean bitwise-equal results), and the host: nproc, CPU, Python and numpy
 versions. With two or more trees it also records, per kernel, the ratio
 of the last tree to the first within each round (each tree's median
@@ -70,6 +81,8 @@ CSV_ROWS = 100_000
 BOOST_U = 0.4
 DIRAC_DT = 0.05
 FAMILY_N = 100_000
+ENSEMBLE_N = 10_000
+KS_N = (10_000, 100_000)
 # Worker processes per tree, and timed blocks per kernel in each worker.
 ROUNDS = 10
 BLOCKS = 5
@@ -85,6 +98,10 @@ CALLS = {
     "measure_to_csv": 1,
     "boost_dirac_state": 100,
     "eta_block_family": 1,
+    "extrapolate": 50,
+    "trajectory_objects": 1,
+    "ndjson_write": 1,
+    "ks_w1": 5,
 }
 SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -140,9 +157,17 @@ def worker() -> dict:
 
     import bohmvel
     from bohmvel import _interp
-    from bohmvel.asymptotics import _eta_block, rotating_trajectory_family
-    from bohmvel.core import EmpiricalMeasure
-    from bohmvel.guidance import EnsembleDiagnostics, FieldSnapshot, NodePolicy, _rk4_block, sample_initial
+    from bohmvel.asymptotics import _eta_block, estimate_asymptotic_measure, rotating_trajectory_family
+    from bohmvel.core import EmpiricalMeasure, save_trajectories_ndjson
+    from bohmvel.guidance import (
+        EnsembleDiagnostics,
+        FieldSnapshot,
+        IntegrationResult,
+        NodePolicy,
+        _rk4_block,
+        sample_initial,
+    )
+    from bohmvel.stats import ks_two_sample_1d, wasserstein1_1d
     from bohmvel.relativity import boost_dirac_state
 
     schrodinger, dirac0, dirac, prop, half_step = _states()
@@ -172,14 +197,16 @@ def worker() -> dict:
     # Newer trees pass the run's slow-path budget as a last argument.
     budget = (math.inf,) if len(inspect.signature(_rk4_block).parameters) == 8 else ()
 
-    def rk4_step():
-        diag = EnsembleDiagnostics(
-            min_rho=np.full(N_POINTS, np.inf),
-            shrink_events=np.zeros(N_POINTS, dtype=np.int64),
-            frozen_steps=np.zeros(N_POINTS, dtype=np.int64),
-            failed=np.zeros(N_POINTS, dtype=bool),
+    def diagnostics(n):
+        return EnsembleDiagnostics(
+            min_rho=np.full(n, np.inf),
+            shrink_events=np.zeros(n, dtype=np.int64),
+            frozen_steps=np.zeros(n, dtype=np.int64),
+            failed=np.zeros(n, dtype=bool),
         )
-        return _rk4_block(dirac_points, *snaps, 2.0 * half_step, policy, diag, *budget)
+
+    def rk4_step():
+        return _rk4_block(dirac_points, *snaps, 2.0 * half_step, policy, diagnostics(N_POINTS), *budget)
 
     kernels["rk4_step"] = rk4_step
     digests["rk4_step"] = _sha256(rk4_step().tobytes())
@@ -194,10 +221,44 @@ def worker() -> dict:
     kernels["eta_block_family"] = lambda: [_eta_block(family, c) for c in ladders]
     digests["eta_block_family"] = _sha256(*(a.tobytes() for a in kernels["eta_block_family"]()))
 
+    # Exact free-Gaussian trajectories x0 sqrt(1 + (t / 2 sigma0^2)^2) of
+    # configs/free_gaussian.json (m = 1, p0 = 0), from its start draw.
+    with open(os.path.join(REPO, "configs", "free_gaussian.json")) as fh:
+        free_cfg = json.load(fh)
+    sigma0 = free_cfg["packets"][0]["sigma0"]
+    record = np.asarray(free_cfg["time"]["record_times"], dtype=float)
+    checkpoints = np.asarray(free_cfg["time"]["checkpoints"], dtype=float)
+    x0 = sample_initial(schrodinger, ENSEMBLE_N, 0)[:, 0]
+    positions = (x0[:, None] * np.sqrt(1.0 + (record / (2.0 * sigma0**2)) ** 2))[:, :, None]
+
+    def ensemble():
+        return IntegrationResult(record, positions, diagnostics(ENSEMBLE_N))
+
+    def extrapolate():
+        return estimate_asymptotic_measure(ensemble(), checkpoints, 0.05)[0]
+
+    kernels["extrapolate"] = extrapolate
+    extrapolated = extrapolate()
+    digests["extrapolate"] = _sha256(extrapolated.samples.tobytes(), extrapolated.weights.tobytes())
+    kernels["trajectory_objects"] = lambda: ensemble().trajectories
+
+    rng = np.random.default_rng(1)
+    ks_a, ks_b = (EmpiricalMeasure.from_samples(rng.standard_normal(n), rng.uniform(0.5, 1.5, n))
+                  for n in KS_N)
+
+    def ks_w1():
+        ks = ks_two_sample_1d(ks_a.samples[:, 0], ks_a.weights, ks_b.samples[:, 0], ks_b.weights)
+        return np.array([ks, wasserstein1_1d(ks_a, ks_b)])
+
+    kernels["ks_w1"] = ks_w1
+    digests["ks_w1"] = _sha256(ks_w1().tobytes())
+
     times = {}
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = os.path.join(tmp, "measure.csv")
+        ndjson_path = os.path.join(tmp, "trajectories.ndjson")
         kernels["measure_to_csv"] = lambda: measure.to_csv(csv_path)
+        kernels["ndjson_write"] = lambda: save_trajectories_ndjson(ensemble().trajectories, ndjson_path)
         for name, fn in kernels.items():
             fn()
             calls = CALLS[name]
@@ -210,6 +271,8 @@ def worker() -> dict:
             times[name] = per_call
         with open(csv_path, "rb") as fh:
             digests["measure_to_csv"] = _sha256(fh.read())
+        with open(ndjson_path, "rb") as fh:
+            digests["ndjson_write"] = _sha256(fh.read())
     return {
         "source_sha256": _source_digest(os.path.dirname(bohmvel.__file__)),
         "output_sha256": digests,
@@ -271,7 +334,8 @@ def main(argv=None) -> int:
             print(f"round {r + 1}/{ROUNDS} {label} done", file=sys.stderr)
 
     result = {"host": _host(), "points": N_POINTS, "csv_rows": CSV_ROWS, "boost_u": BOOST_U,
-              "dirac_dt": DIRAC_DT, "family_n": FAMILY_N,
+              "dirac_dt": DIRAC_DT, "family_n": FAMILY_N, "ensemble_n": ENSEMBLE_N,
+              "ks_n": list(KS_N),
               "rounds": ROUNDS, "blocks": BLOCKS, "calls_per_block": CALLS,
               "unit": "ms per call", "trees": {}}
     for label, recs in runs.items():

@@ -55,7 +55,6 @@ from .asymptotics import (
     weak_convergence_residuals,
 )
 from .relativity import (
-    Reparameterization,
     boost_dirac_state,
     boost_worldline,
     check_boost_velocity_consistency,

@@ -144,7 +144,7 @@ def _fit_eta(eta: np.ndarray, checkpoints: np.ndarray):
 def estimate_asymptotic_velocity(traj: SampledTrajectory, checkpoints) -> tuple[np.ndarray, float]:
     """Limiting velocity of one trajectory from its checkpoint ladder.
 
-    Returns (v_plus, residual): the extrapolated velocity, shape (N*d,),
+    Returns (v_plus, residual): the extrapolated velocity, shape (d,),
     and the fit residual at the trailing checkpoints; the trajectory
     counts as converged at tolerance tol when residual <= tol.
     """
@@ -436,4 +436,4 @@ def rotating_trajectory_family(
         rot[:, 1, 1] = c
     # positions[n, t, :] = R(omega t) v_n * t
     pos = np.einsum("tij,nj->nti", rot, raw) * t_grid[None, :, None]
-    return [SampledTrajectory(t_grid, pos[i], 1, dim) for i in range(n_samples)]
+    return [SampledTrajectory(t_grid, p) for p in pos]

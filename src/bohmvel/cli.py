@@ -475,8 +475,6 @@ def cmd_plotdata(run_dir: str, out_dir: str | None) -> int:
     for name in sorted(os.listdir(run_dir)):
         if not name.endswith(".csv") or not (name.startswith("s_") or name.startswith("q_plus_samples")):
             continue
-        if name == "q_plus_density.csv":
-            continue
         measure = EmpiricalMeasure.from_csv(os.path.join(run_dir, name))
         stem = name[:-4]
         values = measure.samples[:, 0]

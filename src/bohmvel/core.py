@@ -3,13 +3,12 @@
 Conventions used everywhere in this package:
 
 * natural units, hbar = c = 1; masses are order unity,
-* a configuration of N particles in d spatial dimensions is a flat real
-  vector of length N*d (particle i occupies the slice [i*d, (i+1)*d)),
-* trajectories are non-uniform polylines with linear interpolation
+* a trajectory follows one particle in d spatial dimensions: a
+  non-uniform polyline of positions in R^d with linear interpolation
   between samples; no higher-order dense output is attempted,
 * empirical measures are weighted sample clouds over velocity space,
-* a Lorentz boost is not a type: it is its speed u along one axis, and
-  the relativity module applies it to world lines, velocities and states.
+* a Lorentz boost is not a type: it is its speed u along x, and the
+  relativity module applies it to world lines, velocities and states.
 
 Everything here is immutable after construction and safe to share
 read-only across threads.
@@ -46,16 +45,14 @@ def _finite_array(x, name: str, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledTrajectory:
-    """A time-stamped polyline approximating one trajectory k(t).
+    """A time-stamped polyline approximating one particle's trajectory k(t).
 
-    ``points`` has shape (n_samples, n_particles * dim); values between
-    samples are defined by linear interpolation.
+    ``points`` has shape (n_samples, dim); values between samples are
+    defined by linear interpolation.
     """
 
     times: np.ndarray
     points: np.ndarray
-    n_particles: int
-    dim: int
 
     def __post_init__(self):
         times = _finite_array(self.times, "times")
@@ -64,10 +61,9 @@ class SampledTrajectory:
             raise InvalidInputError("a trajectory needs at least 2 samples")
         if np.any(np.diff(times) <= 0):
             raise InvalidInputError("times must be strictly increasing")
-        if points.shape != (times.size, self.n_particles * self.dim):
+        if points.ndim != 2 or points.shape[0] != times.size:
             raise InvalidInputError(
-                f"points has shape {points.shape}, expected "
-                f"({times.size}, {self.n_particles * self.dim})"
+                f"points has shape {points.shape}, expected ({times.size}, dim)"
             )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
@@ -75,17 +71,15 @@ class SampledTrajectory:
         self.points.setflags(write=False)
 
     @property
-    def t_first(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t_last(self) -> float:
-        return float(self.times[-1])
+    def dim(self) -> int:
+        return self.points.shape[1]
 
     def position_at(self, t: float) -> np.ndarray:
         """Linear interpolation of the polyline at time t (in range)."""
         if t < self.times[0] or t > self.times[-1]:
-            raise DomainError(f"t={t} outside sampled range [{self.t_first}, {self.t_last}]")
+            raise DomainError(
+                f"t={t} outside sampled range [{self.times[0]}, {self.times[-1]}]"
+            )
         idx = np.searchsorted(self.times, t, side="right")
         if idx == self.times.size:
             return self.points[-1].copy()
@@ -99,7 +93,7 @@ class SampledTrajectory:
         return {
             "times": self.times.tolist(),
             "points": self.points.tolist(),
-            "n": self.n_particles,
+            "n": 1,
             "d": self.dim,
         }
 
@@ -211,42 +205,26 @@ class EmpiricalMeasure:
         return cls(data[:, :-1], data[:, -1])
 
 
-def validate_worldline(traj: SampledTrajectory, mode: str = "exact") -> WorldLineFlag:
-    """Check the causal condition (t-s)^2 - |k_i(t)-k_i(s)|^2 >= -eps.
+def validate_worldline(traj: SampledTrajectory) -> WorldLineFlag:
+    """Check the causal condition (t-s)^2 - |k(t)-k(s)|^2 >= -eps on all
+    O(n^2) sample pairs, and report the max adjacent-pair speed.
 
-    mode="exact" tests all O(n^2) sample pairs per particle; mode="fast"
-    tests adjacent pairs only (sufficient for convex speed profiles and
-    cheap for long records). Both report the max adjacent-pair speed.
     The checked quantity has units of time^2, so eps scales with the
     squared time span (floored at 1 to keep short fixtures meaningful).
     """
-    if mode not in ("exact", "fast"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    times = traj.times
-    if times.size < 2:
-        raise InvalidInputError("need at least 2 samples")
+    times, points = traj.times, traj.points
     eps = 1e-9 * max(1.0, float(times[-1] - times[0])) ** 2
+    step = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    max_speed = float(np.max(step / np.diff(times)))
 
-    blocks = traj.points.reshape(times.size, traj.n_particles, traj.dim)
-    dt_adj = np.diff(times)[:, None]
-    step = np.linalg.norm(np.diff(blocks, axis=0), axis=2)
-    max_speed = float(np.max(step / dt_adj))
-
-    ok = True
-    if mode == "fast":
-        ok = bool(np.all(dt_adj**2 - step**2 >= -eps))
-    else:
-        # Chunk the pairwise check to bound peak memory on long records.
-        chunk = max(1, int(2**22 // max(1, times.size)))
-        for start in range(0, times.size, chunk):
-            stop = min(start + chunk, times.size)
-            dts = times[start:stop, None] - times[None, :]
-            diffs = blocks[start:stop, None, :, :] - blocks[None, :, :, :]
-            gap = dts[:, :, None] ** 2 - np.sum(diffs**2, axis=3)
-            if not np.all(gap >= -eps):
-                ok = False
-                break
-    return WorldLineFlag(ok, max_speed)
+    # Chunk the pairwise check to bound peak memory on long records.
+    chunk = max(1, int(2**22 // times.size))
+    for start in range(0, times.size, chunk):
+        dts = times[start : start + chunk, None] - times[None, :]
+        diffs = points[start : start + chunk, None, :] - points[None, :, :]
+        if not np.all(dts**2 - np.sum(diffs**2, axis=2) >= -eps):
+            return WorldLineFlag(False, max_speed)
+    return WorldLineFlag(True, max_speed)
 
 
 def save_trajectories_ndjson(trajs: Iterable[SampledTrajectory], path) -> None:

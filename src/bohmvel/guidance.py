@@ -199,11 +199,7 @@ class IntegrationResult:
     def trajectories(self) -> list[SampledTrajectory]:
         if self.times.size < 2:
             raise InvalidInputError("need at least two recorded times for trajectories")
-        dim = self.positions.shape[2]
-        return [
-            SampledTrajectory(self.times, self.positions[i], 1, dim)
-            for i in range(self.positions.shape[0])
-        ]
+        return [SampledTrajectory(self.times, pos) for pos in self.positions]
 
     def positions_at(self, t: float) -> np.ndarray:
         idx = np.flatnonzero(np.isclose(self.times, t))
@@ -469,10 +465,15 @@ def check_equivariance(result: IntegrationResult, psi_t: GridWavefunction, t: fl
 
 
 def count_order_violations(result: IntegrationResult) -> int:
-    """Pairs of trajectories whose start order is ever inverted.
+    """Adjacent inversions of the start order, summed over the recorded
+    times.
 
-    First-order uniqueness forbids crossings; the count should be zero
-    for every valid run.
+    The live trajectories are sorted by start position; at each recorded
+    time every neighbour pair in that order whose positions have swapped
+    counts once. This is not the number of inverted pairs: for starts
+    A < B < C with C lowest at one time it reads 1 where 2 pairs are
+    inverted. It is zero exactly when no pair is out of order at any
+    recorded time, which first-order uniqueness requires of a valid run.
     """
     pos = result.positions
     live = ~result.diagnostics.failed

@@ -1,23 +1,18 @@
 """Lorentz boosts of world lines, velocities and spinor states, and the
 covariance experiments.
 
-A boost is its speed u along one spatial axis (|u| < 1); every
-experiment boosts along x, and the paper's covariance statement is about
-exactly these maps. Boosting by u2 and then by u1 along one axis is the
-boost by (u1 + u2) / (1 + u1 u2), and the inverse of u is -u.
+A boost is its speed u along x (|u| < 1); the paper's covariance
+statement is about exactly these maps. Boosting by u2 and then by u1 is
+the boost by (u1 + u2) / (1 + u1 u2), and the inverse of u is -u.
 
-A boost of velocity u along an axis maps the graph of a world line k to
+A boost of velocity u maps the graph of a one-particle world line k to
 the graph of another world line gk through the reparameterization
 s(t) = gamma (t - u k_x(t)), which is strictly increasing whenever k is
 causal; gk is read off the graph at the new time nodes. Velocities are
-plain (n, N*d) sample arrays; they transform by lifting to
+plain (n, d) sample arrays; they transform by lifting to
 future-directed four-vectors (1, v), applying the Lorentz matrix, and
 dividing out the time component, which reduces to the familiar addition
 law (v - u) / (1 - u v) for collinear motion.
-
-Multi-particle trajectories transform particle by particle, each with
-its own reparameterization: simultaneity in the new frame mixes old
-times across particles.
 
 Positive-energy Dirac states boost in momentum space: the scalar
 amplitude rides along p -> gamma (p - u E(p)) with the covariant
@@ -27,8 +22,6 @@ massive 1+1D little group is trivial, so no extra phase appears).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +41,6 @@ from .wavefunction import (
 from .asymptotics import estimate_asymptotic_velocity
 
 __all__ = [
-    "Reparameterization",
     "boost_worldline",
     "transform_velocity_block",
     "check_boost_velocity_consistency",
@@ -59,93 +51,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Reparameterization:
-    """Sampled monotone map s(t) = gamma (t - u k_x(t)) and its inverse.
-
-    Inversion is linear between samples, the exact inverse under the
-    polyline trajectory model; increments are bounded below by
-    (gamma - gamma |u| max_speed) dt > 0 for causal input.
-    """
-
-    t_samples: np.ndarray
-    s_samples: np.ndarray
-    u: float
-    gamma: float
-
-    def __post_init__(self):
-        if np.any(np.diff(self.s_samples) <= 0):
-            raise InvalidInputError(
-                "reparameterization is not increasing; input is not a world line"
-            )
-
-    def t_of_s(self, s) -> np.ndarray:
-        return np.interp(s, self.s_samples, self.t_samples)
-
-    def min_increment_ratio(self) -> float:
-        return float(np.min(np.diff(self.s_samples) / np.diff(self.t_samples)))
-
-
 def _merge_close(values: np.ndarray, tol: float) -> np.ndarray:
     values = np.sort(values)
     keep = np.concatenate([[True], np.diff(values) > tol])
     return values[keep]
 
 
-def boost_worldline(
-    traj: SampledTrajectory,
-    u: float,
-    axis: int = 0,
-) -> SampledTrajectory:
-    """Image of a sampled world line under a boost of velocity u.
+def boost_worldline(traj: SampledTrajectory, u: float) -> SampledTrajectory:
+    """Image of a sampled world line under a boost of velocity u along x.
 
+    The new time s = gamma (t - u x(t)) must increase along the samples,
+    which holds whenever the input is causal and |u| < 1; inverting it is
+    linear between samples, the exact inverse under the polyline model.
     The output time grid is a uniform backbone of twice the input sample
-    count over the reachable s-range, augmented with the images of the
-    input sample times, so polyline kinks survive exactly and a reverse
-    boost returns the input to floating-point accuracy. The ends of the s-range not reachable from
-    every particle's sampled span are trimmed.
+    count over the s-range, augmented with the images of the input sample
+    times, so polyline kinks survive exactly and a reverse boost returns
+    the input to floating-point accuracy.
     """
     if not -1.0 < u < 1.0:
         raise InvalidInputError("boost speed must satisfy |u| < 1")
-    if not 0 <= axis < traj.dim:
-        raise InvalidInputError(f"axis {axis} out of range for dim {traj.dim}")
     gamma = 1.0 / np.sqrt(1.0 - u * u)
-    times = traj.times
-    blocks = traj.points.reshape(times.size, traj.n_particles, traj.dim)
-    reparams = [
-        Reparameterization(times, gamma * (times - u * blocks[:, i, axis]), u, gamma)
-        for i in range(traj.n_particles)
-    ]
-    s_lo = max(r.s_samples[0] for r in reparams)
-    s_hi = min(r.s_samples[-1] for r in reparams)
-    if not s_hi > s_lo:
-        raise InvalidInputError("boosted sample ranges of the particles do not overlap")
-    nodes = np.linspace(s_lo, s_hi, 2 * times.size)
-    for r in reparams:
-        inside = r.s_samples[(r.s_samples >= s_lo) & (r.s_samples <= s_hi)]
-        nodes = np.concatenate([nodes, inside])
+    times, points = traj.times, traj.points
+    s_samples = gamma * (times - u * points[:, 0])
+    if np.any(np.diff(s_samples) <= 0):
+        raise InvalidInputError(
+            "reparameterization is not increasing; input is not a world line"
+        )
+    s_lo, s_hi = s_samples[0], s_samples[-1]
+    nodes = np.concatenate([np.linspace(s_lo, s_hi, 2 * times.size), s_samples])
     nodes = _merge_close(nodes, 1e-12 * max(1.0, s_hi - s_lo))
 
-    out = np.empty((nodes.size, traj.n_particles, traj.dim))
-    for i, r in enumerate(reparams):
-        t_back = r.t_of_s(nodes)
-        for a in range(traj.dim):
-            coord = np.interp(t_back, times, blocks[:, i, a])
-            out[:, i, a] = gamma * (coord - u * t_back) if a == axis else coord
-    return SampledTrajectory(
-        nodes, out.reshape(nodes.size, -1), traj.n_particles, traj.dim
-    )
+    t_back = np.interp(nodes, s_samples, times)
+    out = np.empty((nodes.size, traj.dim))
+    for a in range(traj.dim):
+        coord = np.interp(t_back, times, points[:, a])
+        out[:, a] = gamma * (coord - u * t_back) if a == 0 else coord
+    return SampledTrajectory(nodes, out)
 
 
-def _boost_matrix(u: float, axis: int, dim: int) -> np.ndarray:
-    """Lorentz matrix, (dim+1)x(dim+1), of the boost of speed u along
-    ``axis``, acting on (t, x_1..x_dim)."""
+def _boost_matrix(u: float, dim: int) -> np.ndarray:
+    """Lorentz matrix, (dim+1)x(dim+1), of the boost of speed u along x,
+    acting on (t, x_1..x_dim)."""
     if not -1.0 < u < 1.0:
         raise InvalidInputError("boost speed must satisfy |u| < 1")
-    if not 0 <= axis < dim:
-        raise InvalidInputError(f"axis {axis} out of range for dim {dim}")
     vel = np.zeros(dim)
-    vel[axis] = u
+    vel[0] = u
     u2 = float(vel @ vel)
     lam = np.eye(dim + 1)
     if u2 == 0.0:
@@ -158,19 +108,13 @@ def _boost_matrix(u: float, axis: int, dim: int) -> np.ndarray:
     return lam
 
 
-def transform_velocity_block(samples: np.ndarray, u: float, axis: int = 0, dim: int = 1) -> np.ndarray:
-    """Relativistic velocity transform of (n, N*dim) sample blocks under
-    the boost of speed u along ``axis``, particle by particle."""
+def transform_velocity_block(samples: np.ndarray, u: float) -> np.ndarray:
+    """Relativistic velocity transform of (n, dim) samples under the
+    boost of speed u along x."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[1] % dim != 0:
-        raise InvalidInputError("sample width is not a multiple of the spatial dimension")
-    lam = _boost_matrix(u, axis, dim)
-    out = np.empty_like(samples)
-    for i in range(samples.shape[1] // dim):
-        block = samples[:, i * dim : (i + 1) * dim]
-        four = np.concatenate([np.ones((block.shape[0], 1)), block], axis=1) @ lam.T
-        out[:, i * dim : (i + 1) * dim] = four[:, 1:] / four[:, :1]
-    return out
+    lam = _boost_matrix(u, samples.shape[1])
+    four = np.concatenate([np.ones((samples.shape[0], 1)), samples], axis=1) @ lam.T
+    return four[:, 1:] / four[:, :1]
 
 
 def check_boost_velocity_consistency(
@@ -178,29 +122,26 @@ def check_boost_velocity_consistency(
     u: float,
     checkpoints,
     tol: float,
-    axis: int = 0,
 ) -> tuple[bool, float]:
     """Does boosting commute with taking the limiting velocity?
 
     Compares the extrapolated velocity of the trajectory boosted by u
-    along ``axis`` (at the images of the checkpoints) against the
-    transformed extrapolated velocity of the original. Returns
-    (pass, residual).
+    along x (at the images of the checkpoints) against the transformed
+    extrapolated velocity of the original. Returns (pass, residual).
     """
     checkpoints = np.asarray(checkpoints, dtype=float)
 
     v_plus, _ = estimate_asymptotic_velocity(traj, checkpoints)
-    expected = transform_velocity_block(v_plus[None, :], u, axis, traj.dim)[0]
+    expected = transform_velocity_block(v_plus[None, :], u)[0]
 
-    boosted = boost_worldline(traj, u, axis)
+    boosted = boost_worldline(traj, u)
     gamma = 1.0 / np.sqrt(1.0 - u * u)
-    blocks = traj.points.reshape(traj.times.size, traj.n_particles, traj.dim)
     # Checkpoint ladder in boosted time: anchor the last checkpoint at its
     # image and keep the original geometric ratios (the raw images can
     # compress below the factor-4 span the extrapolation requires).
     s_last = gamma * (
         checkpoints[-1]
-        - u * float(np.interp(checkpoints[-1], traj.times, blocks[:, 0, axis]))
+        - u * float(np.interp(checkpoints[-1], traj.times, traj.points[:, 0]))
     )
     s_check = s_last * checkpoints / checkpoints[-1]
     v_boosted, _ = estimate_asymptotic_velocity(boosted, s_check)

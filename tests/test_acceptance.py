@@ -334,7 +334,7 @@ def test_kinematics_property_suite():
     checkpoints = np.array([40.0, 80.0, 160.0])
     for i in range(n_traj):
         times, pts = random_worldline_polyline(rng, dim=3)
-        traj = SampledTrajectory(times, pts, 1, 3)
+        traj = SampledTrajectory(times, pts)
         u = rng.uniform(-0.6, 0.6)
         boosted = boost_worldline(traj, u)
         if validate_worldline(boosted).is_worldline:

@@ -28,10 +28,10 @@ from oracles import free_gaussian_trajectory
 CHECKPOINTS = np.array([10.0, 20.0, 40.0])
 
 
-def straight(v, c=0.0, dim=1):
+def straight(v, c=0.0):
     t = np.array([0.0, 5.0, 10.0, 20.0, 40.0])
     pts = np.outer(t, np.atleast_1d(v)) + np.atleast_1d(c)
-    return SampledTrajectory(t, pts, 1, dim)
+    return SampledTrajectory(t, pts)
 
 
 class TestAsymptoticVelocity:
@@ -44,7 +44,7 @@ class TestAsymptoticVelocity:
     def test_free_gaussian_path_recovers_half(self):
         t = np.concatenate([[0.0], np.geomspace(0.5, 160.0, 500)])
         x = free_gaussian_trajectory(1.0, t)
-        traj = SampledTrajectory(t, x[:, None], 1, 1)
+        traj = SampledTrajectory(t, x[:, None])
         v_plus, residual = estimate_asymptotic_velocity(traj, CHECKPOINTS)
         # v_plus = x0 / (2 m sigma0^2) = 0.5; the affine-in-1/t fit sees the
         # residual 1/t^2 curvature, so recovery is at the few-per-mille level.
@@ -59,7 +59,7 @@ class TestAsymptoticVelocity:
         omega = 1.0
         t = np.array([0.0, 10.0, 20.0, 40.0])
         pts = np.stack([np.cos(omega * t) * t, np.sin(omega * t) * t, np.zeros_like(t)], axis=1)
-        traj = SampledTrajectory(t, pts, 1, 3)
+        traj = SampledTrajectory(t, pts)
         _, residual = estimate_asymptotic_velocity(traj, CHECKPOINTS)
         # Not converged (residual <= tol) at tol = 0.5, nor at 0.1.
         assert residual > 0.5
@@ -88,7 +88,7 @@ class TestAsymptoticMeasure:
         assert err.value.report.fraction_converged == 0.0
 
     def test_mixed_ensemble_exclusion_weight(self):
-        lines = [straight(v, dim=2) for v in np.random.default_rng(3).normal(size=(70, 2))]
+        lines = [straight(v) for v in np.random.default_rng(3).normal(size=(70, 2))]
         fam = rotating_trajectory_family(1.0, None, 30, seed=2, dim=2, t_grid=lines[0].times)
         measure, report = estimate_asymptotic_measure(lines + fam, CHECKPOINTS, 0.1)
         assert report.n_converged == 70
@@ -99,9 +99,9 @@ class TestAsymptoticMeasure:
         # Each line holds its own copy of one grid: equal arrays, distinct
         # objects, so the stacked path compares them element by element.
         vels = np.random.default_rng(4).normal(size=(6, 2))
-        lines = [straight(v, dim=2) for v in vels]
+        lines = [straight(v) for v in vels]
         assert lines[0].times is not lines[1].times
-        shared = [SampledTrajectory(lines[0].times, t.points, 1, 2) for t in lines]
+        shared = [SampledTrajectory(lines[0].times, t.points) for t in lines]
         measure, report = estimate_asymptotic_measure(lines, CHECKPOINTS, 0.05)
         want, _ = estimate_asymptotic_measure(shared, CHECKPOINTS, 0.05)
         assert report.n_converged == 6
@@ -113,7 +113,7 @@ class TestAsymptoticMeasure:
     def test_mixed_time_grids_rejected(self):
         # The lines sample t = 0, 5, 10, 20, 40; the family's default grid
         # adds t = 2.5.
-        lines = [straight(v, dim=2) for v in np.random.default_rng(3).normal(size=(5, 2))]
+        lines = [straight(v) for v in np.random.default_rng(3).normal(size=(5, 2))]
         fam = rotating_trajectory_family(1.0, None, 5, seed=2, dim=2)
         with pytest.raises(InvalidInputError, match="one time grid"):
             estimate_asymptotic_measure(lines + fam, CHECKPOINTS, 0.1)
@@ -249,7 +249,7 @@ class TestWeakConvergence:
             axis=1,
         )
         pos = np.einsum("tij,nj->nti", rot, dirs) * times[None, :, None]
-        fam = [SampledTrajectory(times, pos[i], 1, 3) for i in range(dirs.shape[0])]
+        fam = [SampledTrajectory(times, pos[i]) for i in range(dirs.shape[0])]
         out = weak_convergence_residuals(fam, times[1:], checkpoints=CHECKPOINTS)
         assert out["reference_kind"] == "final_time"
         names = out["names"]
@@ -265,7 +265,7 @@ class TestWeakConvergence:
         t = np.concatenate([[0.0], np.geomspace(0.25, 40.0, 200)])
         rng = np.random.default_rng(8)
         trajs = [
-            SampledTrajectory(t, free_gaussian_trajectory(x0, t)[:, None], 1, 1)
+            SampledTrajectory(t, free_gaussian_trajectory(x0, t)[:, None])
             for x0 in rng.normal(size=200)
         ]
         out = weak_convergence_residuals(trajs, [2.5, 10.0, 40.0], checkpoints=CHECKPOINTS)

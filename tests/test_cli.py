@@ -1,10 +1,13 @@
 import copy
+import dataclasses
+import inspect
 import json
 import os
 import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bohmvel.cli import (
@@ -17,6 +20,15 @@ from bohmvel.cli import (
     validate_config,
 )
 from bohmvel.errors import ConfigurationError
+from bohmvel.guidance import NodePolicy, integrate_ensemble
+from bohmvel.pipeline import PipelineParams
+from bohmvel.relativity import foliation_sweep, verify_boost_covariance
+from bohmvel.wavefunction import (
+    GridSpec,
+    PotentialSpec,
+    outgoing_asymptote,
+    superposed_gaussians,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
@@ -251,6 +263,64 @@ class TestValidation:
             ens[k]["default"] for k in ("rho_floor", "dt_min", "node_action")
         )
         assert props["boosts"]["default"] == [0.0, 0.2, 0.4]
+
+    def test_library_defaults_equal_the_schema_defaults(self):
+        """Every library default that restates a schema default equals it,
+        so ``PipelineParams()`` and a CLI run of the same config agree."""
+        props = config_schema()["properties"]
+        ens, time_ = props["ensemble"]["properties"], props["time"]["properties"]
+        moller = props["moller"]["properties"]
+        center = props["potential"]["properties"]["center"]
+        ks = props["thresholds"]["properties"]["covariance_ks"]
+
+        def field_defaults(cls):
+            return {f.name: f.default for f in dataclasses.fields(cls)}
+
+        def arg_defaults(fn):
+            return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
+
+        params, policy = field_defaults(PipelineParams), field_defaults(NodePolicy)
+        pairs = {
+            "PipelineParams.n_trajectories": (params["n_trajectories"], ens["n_trajectories"]),
+            "PipelineParams.dt": (params["dt"], time_["dt"]),
+            "PipelineParams.eta_tol": (params["eta_tol"], time_["eta_tol"]),
+            "PipelineParams.rho_floor": (params["rho_floor"], ens["rho_floor"]),
+            "PipelineParams.dt_min": (params["dt_min"], ens["dt_min"]),
+            "PipelineParams.node_action": (params["node_action"], ens["node_action"]),
+            "NodePolicy.rho_floor": (policy["rho_floor"], ens["rho_floor"]),
+            "NodePolicy.dt_min": (policy["dt_min"], ens["dt_min"]),
+            "NodePolicy.action": (policy["action"], ens["node_action"]),
+            "integrate_ensemble.dt": (arg_defaults(integrate_ensemble)["dt"], time_["dt"]),
+            "gaussian_barrier.center": (
+                arg_defaults(PotentialSpec.gaussian_barrier)["center"], center
+            ),
+            "soft_coulomb.center": (arg_defaults(PotentialSpec.soft_coulomb)["center"], center),
+            "verify_boost_covariance.ks_threshold": (
+                arg_defaults(verify_boost_covariance)["ks_threshold"], ks
+            ),
+            "foliation_sweep.ks_threshold": (arg_defaults(foliation_sweep)["ks_threshold"], ks),
+        }
+        for name in ("dt", "residual_tol", "interaction_radius"):
+            pairs[f"outgoing_asymptote.{name}"] = (
+                arg_defaults(outgoing_asymptote)[name], moller[name]
+            )
+        differing = {
+            name: (lib, schema["default"])
+            for name, (lib, schema) in pairs.items()
+            if lib != schema["default"]
+        }
+        assert differing == {}
+
+        # superposed_gaussians reads its amplitude default inline: a packet
+        # that states the schema default must build the same state.
+        spec = GridSpec(256, -40.0, 40.0)
+        packets = [{"x0": -3.0, "p0": 1.0, "sigma0": 1.0}, {"x0": 3.0, "p0": -1.0, "sigma0": 1.5}]
+        amplitude = props["packets"]["items"]["properties"]["amplitude"]["default"]
+        stated = [{**packets[0], "amplitude": amplitude}, packets[1]]
+        np.testing.assert_array_equal(
+            superposed_gaussians(spec, 1.0, stated).amplitudes,
+            superposed_gaussians(spec, 1.0, packets).amplitudes,
+        )
 
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     def test_type_and_range_edges(self, case):

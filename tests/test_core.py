@@ -23,7 +23,7 @@ from oracles import free_gaussian_trajectory
 
 def line_traj(v, times=None, c=0.0):
     times = np.linspace(0.0, 10.0, 101) if times is None else times
-    return SampledTrajectory(times, (v * times + c)[:, None], 1, 1)
+    return SampledTrajectory(times, (v * times + c)[:, None])
 
 
 class TestValidateWorldline:
@@ -38,27 +38,17 @@ class TestValidateWorldline:
     def test_sine_dense_sampling(self):
         # |d/dt sin t| = |cos t| <= 1, certified here at dt = 0.01.
         t = np.arange(0.0, 6.28, 0.01)
-        traj = SampledTrajectory(t, np.sin(t)[:, None], 1, 1)
+        traj = SampledTrajectory(t, np.sin(t)[:, None])
         assert validate_worldline(traj).is_worldline
-
-    def test_fast_mode_matches_exact_on_lines(self):
-        for v in (0.3, 0.99, 1.5):
-            traj = line_traj(v)
-            assert (
-                validate_worldline(traj, mode="fast").is_worldline
-                == validate_worldline(traj, mode="exact").is_worldline
-            )
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(InvalidInputError):
-            SampledTrajectory(np.array([1.0]), np.zeros((1, 1)), 1, 1)
+            SampledTrajectory(np.array([1.0]), np.zeros((1, 1)))
 
-    def test_exact_mode_catches_nonadjacent_violation(self):
-        # Two legs at speed 0.9 in opposite... construct a zig that is
-        # adjacent-pair causal but pairwise fine; then a genuinely bad pair.
-        t = np.array([0.0, 1.0, 2.0])
-        pts = np.array([[0.0], [0.9], [1.8]])
-        assert validate_worldline(SampledTrajectory(t, pts, 1, 1)).is_worldline
+    @pytest.mark.parametrize("shape", [(5,), (4, 2), (5, 1, 1)])
+    def test_points_need_one_row_per_time(self, shape):
+        with pytest.raises(InvalidInputError):
+            SampledTrajectory(np.arange(5.0), np.zeros(shape))
 
 
 def velocity_estimate(traj, t):
@@ -69,7 +59,7 @@ def velocity_estimate(traj, t):
 class TestVelocityEstimate:
     def test_constant_trajectory(self):
         t = np.linspace(0.0, 20.0, 41)
-        traj = SampledTrajectory(t, np.full((41, 1), 3.0), 1, 1)
+        traj = SampledTrajectory(t, np.full((41, 1), 3.0))
         assert velocity_estimate(traj, 10.0)[0] == pytest.approx(0.3)
 
     def test_straight_line(self):
@@ -78,7 +68,7 @@ class TestVelocityEstimate:
     def test_free_gaussian_path(self):
         t = np.linspace(0.5, 25.0, 500)
         x = free_gaussian_trajectory(1.0, t)
-        traj = SampledTrajectory(t, x[:, None], 1, 1)
+        traj = SampledTrajectory(t, x[:, None])
         # k(20)/20 = sqrt(101)/20, up to polyline interpolation error
         assert velocity_estimate(traj, 20.0)[0] == pytest.approx(
             np.sqrt(101.0) / 20.0, abs=1e-8
@@ -99,8 +89,8 @@ class TestVelocityEstimate:
 @settings(max_examples=50, deadline=None)
 def test_velocity_estimate_positive_homogeneity(lam, v, t):
     times = np.linspace(0.0, 10.0, 41)
-    base = SampledTrajectory(times, (v * times + 0.3)[:, None], 1, 1)
-    scaled = SampledTrajectory(times, lam * base.points, 1, 1)
+    base = SampledTrajectory(times, (v * times + 0.3)[:, None])
+    scaled = SampledTrajectory(times, lam * base.points)
     np.testing.assert_allclose(
         velocity_estimate(scaled, t),
         lam * velocity_estimate(base, t),
@@ -119,7 +109,7 @@ def assert_record_matches(rec: dict, traj: SampledTrajectory) -> None:
     assert set(rec) == {"times", "points", "n", "d"}
     np.testing.assert_array_equal(np.asarray(rec["times"], dtype=float), traj.times)
     np.testing.assert_array_equal(np.asarray(rec["points"], dtype=float), traj.points)
-    assert (rec["n"], rec["d"]) == (traj.n_particles, traj.dim)
+    assert (rec["n"], rec["d"]) == (1, traj.dim)
 
 
 class TestSerialization:
@@ -128,9 +118,7 @@ class TestSerialization:
         trajs = [
             SampledTrajectory(
                 np.sort(rng.uniform(0, 10, 5)) + np.arange(5) * 1e-3,
-                rng.normal(size=(5, 6)),
-                2,
-                3,
+                rng.normal(size=(5, 3)),
             )
             for _ in range(4)
         ]
@@ -208,7 +196,7 @@ class TestPoincareElement:
 
     def test_inverse_is_matrix_inverse(self):
         v = np.array([[0.3, -0.2], [-0.7, 0.5], [0.0, 0.0], [0.9, 0.1]])
-        back = transform_velocity_block(transform_velocity_block(v, 0.6, 0, 2), -0.6, 0, 2)
+        back = transform_velocity_block(transform_velocity_block(v, 0.6), -0.6)
         np.testing.assert_allclose(back, v, atol=1e-12)
 
 
@@ -221,7 +209,7 @@ class TestPoincareElement:
 def test_ndjson_roundtrip_property(tmp_path_factory, n_nodes, n_cols, seed):
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.uniform(0.1, 1.0, n_nodes))
-    traj = SampledTrajectory(times, rng.normal(size=(n_nodes, n_cols)), 1, n_cols)
+    traj = SampledTrajectory(times, rng.normal(size=(n_nodes, n_cols)))
     path = tmp_path_factory.mktemp("ndjson") / "t.ndjson"
     save_trajectories_ndjson([traj], path)
     (rec,) = read_ndjson(path)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from bohmvel.core import SampledTrajectory, validate_worldline
 from bohmvel.errors import ConfigurationError, InvalidInputError
 from bohmvel.relativity import (
-    Reparameterization,
     boost_dirac_state,
     boost_worldline,
     check_boost_velocity_consistency,
@@ -24,16 +23,16 @@ from bohmvel.wavefunction import (
 from oracles import boost_velocity_1d, random_worldline_polyline
 
 
-def transform(v, u, dim=1):
+def transform(v, u):
     """One velocity vector through ``transform_velocity_block`` (boost u
     along x)."""
-    return transform_velocity_block(v[None, :], u, 0, dim)[0]
+    return transform_velocity_block(v[None, :], u)[0]
 
 
-def line_traj(v, dim=1, c=0.0):
+def line_traj(v, c=0.0):
     t = np.linspace(0.0, 10.0, 21)
     pts = np.outer(t, np.atleast_1d(v)) + np.atleast_1d(c)
-    return SampledTrajectory(t, pts, 1, dim)
+    return SampledTrajectory(t, pts)
 
 
 class TestBoostWorldline:
@@ -59,19 +58,10 @@ class TestBoostWorldline:
         with pytest.raises(InvalidInputError):
             boost_worldline(line_traj(1.5), 0.8)
 
-    def test_reparameterization_increments(self):
-        traj = line_traj(0.9)
-        u, gamma = 0.6, 1.0 / np.sqrt(1 - 0.36)
-        rep = Reparameterization(
-            traj.times, gamma * (traj.times - u * traj.points[:, 0]), u, gamma
-        )
-        bound = gamma - gamma * abs(u) * 0.9
-        assert rep.min_increment_ratio() >= bound - 1e-12
-
     def test_worldline_preserved(self):
         rng = np.random.default_rng(14)
         times, pts = random_worldline_polyline(rng, dim=3)
-        traj = SampledTrajectory(times, pts, 1, 3)
+        traj = SampledTrajectory(times, pts)
         assert validate_worldline(traj).is_worldline
         out = boost_worldline(traj, 0.6)
         assert validate_worldline(out).is_worldline
@@ -79,26 +69,11 @@ class TestBoostWorldline:
     def test_round_trip_exact_on_polylines(self):
         rng = np.random.default_rng(15)
         times, pts = random_worldline_polyline(rng, dim=2)
-        traj = SampledTrajectory(times, pts, 1, 2)
+        traj = SampledTrajectory(times, pts)
         back = boost_worldline(boost_worldline(traj, 0.45), -0.45)
         inside = (times >= back.times[0]) & (times <= back.times[-1])
         for t in times[inside]:
             np.testing.assert_allclose(back.position_at(t), traj.position_at(t), atol=1e-9)
-
-    def test_multi_particle_independent_reparameterization(self):
-        # Two particles at different positions: simultaneity mixes their
-        # old times, but each straight line boosts to the exact line.
-        t = np.linspace(0.0, 10.0, 41)
-        pts = np.stack([0.5 * t, -0.2 * t + 3.0], axis=1)
-        traj = SampledTrajectory(t, pts, 2, 1)
-        out = boost_worldline(traj, 0.3)
-        s = out.times
-        v1 = boost_velocity_1d(0.5, 0.3)
-        v2 = boost_velocity_1d(-0.2, 0.3)
-        slope1 = (out.points[-1, 0] - out.points[0, 0]) / (s[-1] - s[0])
-        slope2 = (out.points[-1, 1] - out.points[0, 1]) / (s[-1] - s[0])
-        assert slope1 == pytest.approx(v1, abs=1e-12)
-        assert slope2 == pytest.approx(v2, abs=1e-12)
 
 
 class TestTransformVelocity:
@@ -107,19 +82,12 @@ class TestTransformVelocity:
         assert v[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_transverse_boost_value(self):
-        v = transform(np.array([0.0, 0.6, 0.0]), 0.8, dim=3)
+        v = transform(np.array([0.0, 0.6, 0.0]), 0.8)
         np.testing.assert_allclose(v, [-0.8, 0.36, 0.0], atol=1e-12)
 
     def test_lightlike_preserved(self):
-        v = transform(np.array([1.0, 0.0, 0.0]), 0.8, dim=3)
+        v = transform(np.array([1.0, 0.0, 0.0]), 0.8)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_multi_particle_blocks(self):
-        block = np.array([[0.5, -0.5]])
-        out = transform_velocity_block(block, 0.5)
-        np.testing.assert_allclose(
-            out[0], [0.0, boost_velocity_1d(-0.5, 0.5)], atol=1e-14
-        )
 
 
 @given(
@@ -146,7 +114,7 @@ def test_unit_ball_invariance(vx, u):
 class TestBoostVelocityConsistency:
     def test_straight_line_exact_in_range(self):
         t = np.linspace(0.0, 40.0, 81)
-        traj = SampledTrajectory(t, (0.6 * t + 1.0)[:, None], 1, 1)
+        traj = SampledTrajectory(t, (0.6 * t + 1.0)[:, None])
         ok, residual = check_boost_velocity_consistency(
             traj, 0.3, [10.0, 20.0, 40.0], 1e-9
         )
@@ -158,7 +126,7 @@ class TestBoostVelocityConsistency:
 
         t = np.concatenate([[0.0], np.geomspace(0.25, 40.0, 600)])
         x = free_gaussian_trajectory(1.0, t)
-        traj = SampledTrajectory(t, x[:, None], 1, 1)
+        traj = SampledTrajectory(t, x[:, None])
         ok, residual = check_boost_velocity_consistency(
             traj, 0.3, [10.0, 20.0, 40.0], 5e-3
         )
@@ -169,7 +137,7 @@ class TestBoostVelocityConsistency:
         rng = np.random.default_rng(16)
         for _ in range(10):
             times, pts = random_worldline_polyline(rng, dim=3)
-            traj = SampledTrajectory(times, pts, 1, 3)
+            traj = SampledTrajectory(times, pts)
             ok, residual = check_boost_velocity_consistency(
                 traj, 0.4, [40.0, 80.0, 160.0], 1e-2
             )
