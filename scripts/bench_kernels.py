@@ -19,10 +19,12 @@ Times, in fresh single-threaded worker processes:
   directory, the size of ``q_plus_samples.csv`` in ``bohmvel run``;
 - ``boost_dirac_state`` at u = 0.4 on the initial state of
   configs/dirac_covariance.json, as ``bohmvel covariance`` boosts it;
+- ``rotating_family``: ``rotating_trajectory_family(1.0, None, 100000, 0,
+  dim=2)``, the 10^5 trajectory objects that
+  ``bohmvel counterexample --n 100000 --dim 2`` builds;
 - ``eta_block_family``: the three ``asymptotics._eta_block`` calls of
-  ``bohmvel counterexample --n 100000 --dim 2`` (k(t)/t at t = 5, at
-  t = 10, and on the checkpoint ladder 10, 20, 40) on its rotating family
-  of 10^5 trajectory objects;
+  that command (k(t)/t at t = 5, at t = 10, and on the checkpoint ladder
+  10, 20, 40) on its rotating family;
 - ``extrapolate``: ``estimate_asymptotic_measure`` on an
   ``IntegrationResult`` of 10^4 closed-form free-Gaussian trajectories
   (configs/free_gaussian.json: its record times, checkpoints and eta_tol);
@@ -36,9 +38,10 @@ Times, in fresh single-threaded worker processes:
 The two Dirac step kernels step by the fixed DIRAC_DT = 0.05, not by the
 config's ``time.dt``, so a step change in the config does not change what
 they time and their figures stay comparable across result files.
-``eta_block_family`` measures an ``_eta_block`` speed-up that no
-benchmark claim rests on. The inputs of the four kernels after it are
-built only through calls whose signatures older trees share.
+``rotating_family`` and ``eta_block_family`` time the two parts of the
+benchmark's ``rotating`` workload that its speed-ups rest on. The inputs
+of the four kernels after them are built only through calls whose
+signatures older trees share.
 
 Usage:
 
@@ -51,14 +54,14 @@ tree, alternating which tree goes first, and each worker times several
 blocks of calls per kernel. The result file records the median and
 quartiles of the per-call time over all blocks, a sha256 of each kernel's
 output where there is one (the evaluate arrays, the CSV bytes, the
-boosted amplitudes, the RK4 positions, the stacked k(t)/t, the
-extrapolated measure, the NDJSON bytes, the KS and W1 values; equal digests
-mean bitwise-equal results), and the host: nproc, CPU, Python and numpy
-versions. With two or more trees it also records, per kernel, the ratio
-of the last tree to the first within each round (each tree's median
-block in that round) and the median and quartiles of those per-round
-ratios: host speed drifts between rounds, and a paired ratio cancels
-what the two workers of one round share.
+boosted amplitudes, the RK4 positions, the stacked family points, the
+stacked k(t)/t, the extrapolated measure, the NDJSON bytes, the KS and W1
+values; equal digests mean bitwise-equal results), and the host: nproc,
+CPU, Python and numpy versions. With two or more trees it also records,
+per kernel, the ratio of the last tree to the first within each round
+(each tree's median block in that round) and the median and quartiles
+of those per-round ratios: host speed drifts between rounds, and a
+paired ratio cancels what the two workers of one round share.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ CALLS = {
     "rk4_step": 20,
     "measure_to_csv": 1,
     "boost_dirac_state": 100,
+    "rotating_family": 1,
     "eta_block_family": 1,
     "extrapolate": 50,
     "trajectory_objects": 1,
@@ -216,7 +220,9 @@ def worker() -> dict:
     digests["boost_dirac_state"] = _sha256(kernels["boost_dirac_state"]().amplitudes.tobytes())
 
     # The family and checkpoints of ``cmd_counterexample`` at its defaults.
-    family = rotating_trajectory_family(1.0, None, FAMILY_N, 0, dim=2)
+    kernels["rotating_family"] = lambda: rotating_trajectory_family(1.0, None, FAMILY_N, 0, dim=2)
+    family = kernels["rotating_family"]()
+    digests["rotating_family"] = _sha256(np.stack([t.points for t in family]).tobytes())
     ladders = [np.array([5.0]), np.array([10.0]), np.array([10.0, 20.0, 40.0])]
     kernels["eta_block_family"] = lambda: [_eta_block(family, c) for c in ladders]
     digests["eta_block_family"] = _sha256(*(a.tobytes() for a in kernels["eta_block_family"]()))

@@ -117,7 +117,17 @@ def _eta_block(trajs, checkpoints: np.ndarray) -> np.ndarray:
         # test spares comparing 10^5 equal grids element by element.
         if not all(t.times is times or np.array_equal(t.times, times) for t in trajs):
             raise InvalidInputError("the trajectories must share one time grid")
-        pos = np.stack([t.points for t in trajs])
+        # Every points array has one row per time, so only the dimension
+        # can differ; one concatenate copies what np.stack would, without
+        # its per-array expanded views.
+        try:
+            pos = np.concatenate([t.points for t in trajs])
+        except ValueError:
+            dims = ", ".join(map(str, sorted({t.dim for t in trajs})))
+            raise InvalidInputError(
+                f"the trajectories must share one dimension, found dimensions {dims}"
+            ) from None
+        pos = pos.reshape(len(trajs), times.size, pos.shape[1])
     if checkpoints[0] < times[0] - 1e-12 or checkpoints[-1] > times[-1] + 1e-12:
         raise InvalidInputError("checkpoints outside the recorded time range")
     idx = np.searchsorted(times, checkpoints, side="right") - 1
@@ -418,6 +428,8 @@ def rotating_trajectory_family(
         raise InvalidInputError("the rotating family needs dim 2 or 3")
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
+    if not np.isfinite(omega):
+        raise InvalidInputError(f"omega must be finite, got {omega}")
     if t_grid is None:
         t_grid = np.array([0.0, 2.5, 5.0, 10.0, 20.0, 40.0])
     t_grid = np.asarray(t_grid, dtype=float)

@@ -553,6 +553,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        # numpy's SeedSequence takes only nonnegative seeds.
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "validate-config":
             load_config(args.config)
             print(json.dumps({"valid": True, "config": args.config}, sort_keys=True))

@@ -10,8 +10,13 @@ Conventions used everywhere in this package:
 * a Lorentz boost is not a type: it is its speed u along x, and the
   relativity module applies it to world lines, velocities and states.
 
-Everything here is immutable after construction and safe to share
-read-only across threads.
+SampledTrajectory and EmpiricalMeasure are frozen and mark their arrays
+read-only, but they share the arrays they are given instead of copying
+them: trajectories built together keep one ``times`` object, which the
+ensemble code's identity test in ``asymptotics._eta_block`` relies on.
+Writing through a writable base array therefore reaches them: after
+``trajs = [SampledTrajectory(t, p) for p in pos]``, ``pos[0, 1, 0] = nan``
+changes ``trajs[0].points``. EnsembleRun is a plain mutable record.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ __all__ = [
 
 def _finite_array(x, name: str, dtype=float) -> np.ndarray:
     arr = np.asarray(x, dtype=dtype)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
@@ -59,7 +64,8 @@ class SampledTrajectory:
         points = _finite_array(self.points, "points")
         if times.ndim != 1 or times.size < 2:
             raise InvalidInputError("a trajectory needs at least 2 samples")
-        if np.any(np.diff(times) <= 0):
+        # On finite times, t[i+1] <= t[i] exactly when t[i+1] - t[i] <= 0.
+        if (times[1:] <= times[:-1]).any():
             raise InvalidInputError("times must be strictly increasing")
         if points.ndim != 2 or points.shape[0] != times.size:
             raise InvalidInputError(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bohmvel.asymptotics import (
+    _eta_block,
     dirac_velocity_distribution,
     estimate_asymptotic_measure,
     estimate_asymptotic_velocity,
@@ -14,6 +15,7 @@ from bohmvel.asymptotics import (
 )
 from bohmvel.core import EmpiricalMeasure, SampledTrajectory
 from bohmvel.errors import InvalidInputError, RegularityError
+from bohmvel.guidance import EnsembleDiagnostics, IntegrationResult
 from bohmvel.stats import ks_vs_cdf_1d
 from bohmvel.wavefunction import (
     GridSpec,
@@ -119,6 +121,37 @@ class TestAsymptoticMeasure:
             estimate_asymptotic_measure(lines + fam, CHECKPOINTS, 0.1)
         with pytest.raises(InvalidInputError, match="one time grid"):
             velocity_measure_at(lines + fam, 10.0)
+
+    def test_mixed_dimensions_rejected(self):
+        planar = rotating_trajectory_family(1.0, None, 4, seed=2, dim=2)
+        spatial = rotating_trajectory_family(1.0, [0.0, 0.0, 1.0], 3, seed=2, dim=3)
+        with pytest.raises(InvalidInputError, match="one dimension, found dimensions 2, 3$"):
+            estimate_asymptotic_measure(spatial + planar, CHECKPOINTS, 0.1)
+        with pytest.raises(InvalidInputError, match="one dimension, found dimensions 2, 3$"):
+            velocity_measure_at(planar + spatial, 10.0)
+
+
+class TestEtaBlock:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_list_equals_integration_result(self, dim):
+        # The list path and the array path read the same positions bitwise.
+        fam = rotating_trajectory_family(0.7, [0.0, 0.6, 0.8], 300, seed=6, dim=dim)
+        n = len(fam)
+        result = IntegrationResult(
+            fam[0].times,
+            np.stack([t.points for t in fam]),
+            EnsembleDiagnostics(
+                min_rho=np.full(n, np.inf),
+                shrink_events=np.zeros(n, dtype=np.int64),
+                frozen_steps=np.zeros(n, dtype=np.int64),
+                failed=np.zeros(n, dtype=bool),
+            ),
+        )
+        for checkpoints in ([5.0], [3.0, 12.5, 40.0], CHECKPOINTS):
+            checkpoints = np.asarray(checkpoints)
+            got = _eta_block(fam, checkpoints)
+            assert got.shape == (n, checkpoints.size, dim)
+            np.testing.assert_array_equal(got, _eta_block(result, checkpoints))
 
 
 class TestVelocityMeasureAt:
@@ -310,3 +343,8 @@ class TestRotatingFamily:
         fam = rotating_trajectory_family(0.0, None, 50, seed=10, dim=2)
         _, report = estimate_asymptotic_measure(fam, CHECKPOINTS, 0.1)
         assert report.fraction_converged == 1.0
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+    def test_non_finite_omega_rejected(self, omega):
+        with pytest.raises(InvalidInputError, match="^omega must be finite"):
+            rotating_trajectory_family(omega, None, 5, seed=0, dim=2)

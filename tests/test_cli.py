@@ -58,6 +58,7 @@ DRIFT_CASES = {
     "ks_threshold_negative": (("thresholds", "ks"), -0.02),
     "sigma0_string": (("packets", 0, "sigma0"), "1"),
     "t_max_string": (("time", "t_max"), "40"),
+    "seed_negative": (("seed",), -1),
     "n_points_8": (("grid", "n_points"), 8),
     "two_checkpoints": (("time", "checkpoints"), [20.0, 40.0]),
     "n_trajectories_fractional": (("ensemble", "n_trajectories"), 1.5),
@@ -483,6 +484,34 @@ class TestCounterexampleCommand:
         ]) == EXIT_PASS
         report = json.loads((out / "counterexample_report.json").read_text())
         assert "note" in report
+
+
+class TestRejectedArguments:
+    """A bad --seed or --omega is a named config error before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", str(CONFIG_DIR / "free_gaussian.json")],
+        ["covariance", "--config", str(CONFIG_DIR / "dirac_covariance.json")],
+        ["counterexample"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_4(self, argv, tmp_path, capsys):
+        start = time.perf_counter()
+        code = main([*argv, "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG_ERROR
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ConfigurationError", "message": "--seed must be >= 0, got -1"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("omega", ["nan", "inf", "-inf"])
+    def test_non_finite_omega_exits_4(self, omega, tmp_path, capsys):
+        start = time.perf_counter()
+        code = main(["counterexample", f"--omega={omega}", "--n", "100000", "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG_ERROR
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "InvalidInputError", "message": f"omega must be finite, got {float(omega)}"}
+        assert not (tmp_path / "out").exists()
 
 
 class TestPlotdataCommand:

@@ -51,6 +51,51 @@ class TestValidateWorldline:
             SampledTrajectory(np.arange(5.0), np.zeros(shape))
 
 
+# Each rejection of the SampledTrajectory constructor with its message;
+# a case that breaks several rules shows which check runs first.
+REJECTIONS = {
+    "nan_time": ([0.0, np.nan, 2.0], np.zeros((3, 1)), "times contains non-finite entries"),
+    "inf_time": ([0.0, 1.0, np.inf], np.zeros((3, 1)), "times contains non-finite entries"),
+    "nan_time_before_bad_points": ([0.0, np.nan], [[np.nan], [0.0]], "times contains non-finite"),
+    "nan_point": ([0.0, 1.0, 2.0], [[0.0], [np.nan], [0.0]], "points contains non-finite entries"),
+    "inf_point": ([0.0, 1.0, 2.0], [[0.0], [0.0], [-np.inf]], "points contains non-finite entries"),
+    "inf_point_before_one_sample": ([0.0], [[np.inf]], "points contains non-finite entries"),
+    "times_2d": ([[0.0, 1.0], [2.0, 3.0]], np.zeros((2, 1)), "a trajectory needs at least 2 samples"),
+    "single_sample": ([0.0], [[0.0]], "a trajectory needs at least 2 samples"),
+    "single_sample_before_shape": ([0.0], np.zeros((3, 1)), "a trajectory needs at least 2 samples"),
+    "equal_times": ([0.0, 1.0, 1.0, 2.0], np.zeros((4, 1)), "times must be strictly increasing"),
+    "decreasing_times": ([0.0, 2.0, 1.0], np.zeros((3, 1)), "times must be strictly increasing"),
+    "decreasing_before_shape": ([1.0, 0.0], np.zeros((3, 1)), "times must be strictly increasing"),
+    "points_shape": ([0.0, 1.0, 2.0], np.zeros((2, 1)), r"points has shape \(2, 1\), expected \(3, dim\)"),
+}
+
+
+class TestSampledTrajectory:
+    @pytest.mark.parametrize("case", sorted(REJECTIONS))
+    def test_rejection_message(self, case):
+        times, points, message = REJECTIONS[case]
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            SampledTrajectory(np.asarray(times), np.asarray(points))
+
+    def test_arrays_are_read_only(self):
+        traj = SampledTrajectory(np.arange(3.0), np.zeros((3, 2)))
+        for arr in (traj.times, traj.points):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_arrays_are_shared_not_copied(self):
+        # The constructor keeps the given arrays (shared time grids are what
+        # the ensemble code's identity test relies on), so writing through a
+        # writable base reaches the trajectory.
+        t = np.arange(3.0)
+        pos = np.zeros((2, 3, 1))
+        trajs = [SampledTrajectory(t, p) for p in pos]
+        assert trajs[0].times is trajs[1].times is t
+        pos[0, 1, 0] = np.nan
+        assert np.isnan(trajs[0].points[1, 0])
+
+
 def velocity_estimate(traj, t):
     """k(t)/t of one trajectory, through the ensemble measure at time t."""
     return velocity_measure_at([traj], t).samples[0]
