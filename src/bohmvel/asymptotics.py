@@ -8,8 +8,8 @@ above tolerance are excluded with recorded weight.
 
 Quantum side: velocity distributions derived from momentum densities,
 q(v) = m |psi_hat(m v)|^2 for Schrodinger states (free or via the
-outgoing asymptote, with a point mass at v = 0 for the bound part) and
-the pushforward of |psi_hat(p)|^2 through v(p) = p / sqrt(p^2 + m^2) for
+outgoing asymptote of a scattering state without a bound part) and the
+pushforward of |psi_hat(p)|^2 through v(p) = p / sqrt(p^2 + m^2) for
 positive-energy Dirac states.
 
 The rotating family k_v(t) = R(axis, omega t) v t is the stock example
@@ -63,13 +63,10 @@ _TAIL_CHECKPOINTS = 2
 REGULARITY_FRACTION = 0.999
 HARD_FAILURE_FRACTION = 0.5
 
-# Distribution comparison: KS level of the default threshold, the cap on
-# the quantum-side sample count, and the ball around v = 0 whose ensemble
-# mass must match the quantum point mass within the tolerance.
+# Distribution comparison: KS level of the default threshold and the cap
+# on the quantum-side sample count.
 _KS_ALPHA = 0.01
 _N_Q_MAX = 200_000
-_ATOM_RADIUS = 1e-3
-_ATOM_TOLERANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -223,16 +220,15 @@ def velocity_measure_at(trajs, t: float) -> EmpiricalMeasure:
 
 @dataclass(frozen=True)
 class VelocityDistribution:
-    """1D velocity density on a grid plus an optional point mass at v = 0.
+    """1D velocity density on a grid.
 
-    The continuous part is trapezoid-normalized on its (possibly
-    non-uniform) grid; sampling inverts the piecewise-linear CDF, which
-    is exactly the distribution that ``cdf`` reports.
+    The density is trapezoid-normalized on its (possibly non-uniform)
+    grid; sampling inverts the piecewise-linear CDF, which is exactly the
+    distribution that ``cdf`` reports.
     """
 
     v: np.ndarray
     density: np.ndarray
-    atom_mass: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
@@ -241,37 +237,24 @@ class VelocityDistribution:
             raise InvalidInputError("v grid must be strictly increasing")
         if q.shape != v.shape or np.any(q < 0):
             raise InvalidInputError("density must be nonnegative on the v grid")
-        if not 0.0 <= self.atom_mass <= 1.0:
-            raise InvalidInputError("atom mass must lie in [0, 1]")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "density", q)
 
     def total_mass(self) -> float:
-        cont = float(np.trapezoid(self.density, self.v))
-        return cont + self.atom_mass
+        return float(np.trapezoid(self.density, self.v))
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        cont = np.interp(x, self.v, _trapezoid_cdf(self.v, self.density), left=0.0, right=1.0)
-        scale = 1.0 - self.atom_mass
-        return scale * cont + self.atom_mass * (x >= 0.0)
+        return np.interp(x, self.v, _trapezoid_cdf(self.v, self.density), left=0.0, right=1.0)
 
     def mean(self) -> float:
-        # The continuous part integrates to 1 - atom_mass; the atom sits at 0.
         return float(np.trapezoid(self.v * self.density, self.v))
 
     def sample(self, n: int, seed) -> np.ndarray:
         """Inverse-CDF draws, shape (n, 1); deterministic under the seed."""
         rng = np.random.default_rng(seed)
-        u = rng.random(n)
         cdf = _trapezoid_cdf(self.v, self.density)
-        if self.atom_mass > 0:
-            is_atom = rng.random(n) < self.atom_mass
-            out = np.zeros(n)
-            out[~is_atom] = _inverse_cdf(u[~is_atom], self.v, cdf)
-        else:
-            out = _inverse_cdf(u, self.v, cdf)
-        return out[:, None]
+        return _inverse_cdf(rng.random(n), self.v, cdf)[:, None]
 
     def as_measure(self, n: int, seed) -> EmpiricalMeasure:
         return EmpiricalMeasure.from_samples(self.sample(n, seed))
@@ -287,9 +270,8 @@ def free_velocity_distribution(psi0: GridWavefunction, mass: float | None = None
 
 
 def scattering_velocity_distribution(out: OutgoingAsymptote, mass: float) -> VelocityDistribution:
-    """Velocity distribution of the outgoing asymptote, with the remaining
-    interaction-region weight as a point mass at v = 0."""
-    return VelocityDistribution(out.p / mass, out.density * mass, atom_mass=out.bound_weight)
+    """Velocity distribution of the outgoing asymptote: q(v) = m |phi_hat(m v)|^2."""
+    return VelocityDistribution(out.p / mass, out.density * mass)
 
 
 def dirac_velocity_distribution(psi: GridWavefunction) -> VelocityDistribution:
@@ -320,9 +302,7 @@ def verify_distribution_equality(
     quantum velocity distribution, via the latter's sampler.
 
     The quantum side draws 10 samples per ensemble sample, at most
-    ``_N_Q_MAX``. Point masses at v = 0 are compared by mass within
-    ``_ATOM_TOLERANCE`` (the ensemble-side mass is read off the ball of
-    radius ``_ATOM_RADIUS``).
+    ``_N_Q_MAX``.
     """
     if s_measure.dim != 1:
         raise InvalidInputError("distribution comparison is 1D")
@@ -338,18 +318,13 @@ def verify_distribution_equality(
     if w1_threshold is None:
         sigma = float(np.std(q_measure.samples))
         w1_threshold = 2.58 * sigma * np.sqrt(1.0 / n_s + 1.0 / n_q) + GRID_SLACK
-    atom_s = float(s_measure.weights[np.abs(s_measure.samples[:, 0]) <= _ATOM_RADIUS].sum())
-    atom_q = q_dist.atom_mass
-    atoms_match = abs(atom_s - atom_q) <= _ATOM_TOLERANCE if atom_q > 0 else True
-    passed = bool(ks <= ks_threshold and w1 <= w1_threshold and atoms_match)
+    passed = bool(ks <= ks_threshold and w1 <= w1_threshold)
     return {
         "ks": float(ks),
         "w1": float(w1),
         "pass": passed,
         "ks_threshold": float(ks_threshold),
         "w1_threshold": float(w1_threshold),
-        "atom_s": atom_s,
-        "atom_q": float(atom_q),
         "n_s": n_s,
         "n_q": n_q,
     }

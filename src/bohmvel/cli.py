@@ -75,7 +75,7 @@ ENV_OUT_DIR = "BOHMVEL_OUT_DIR"
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "experiment_config.schema.json")
 
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
-               "number": (int, float), "integer": int, "null": type(None)}
+               "number": (int, float), "integer": int}
 _BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"),
            "exclusiveMaximum": (operator.lt, "<")}
 
@@ -114,8 +114,7 @@ def _is_type(value, name: str) -> bool:
 def _check(value, schema: dict, path: str) -> None:
     """Raise ConfigurationError naming ``path`` where ``value`` breaks ``schema``."""
     if "type" in schema:
-        names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
-        _expect(any(_is_type(value, t) for t in names), f"{path} must be of type {' or '.join(names)}")
+        _expect(_is_type(value, schema["type"]), f"{path} must be of type {schema['type']}")
     if "enum" in schema:
         _expect(value in schema["enum"], f"{path} must be one of {schema['enum']}")
     if isinstance(value, dict):
@@ -236,7 +235,6 @@ def _quantum_distribution(cfg: dict, psi, mass: float):
         pot,
         extraction,
         dt=float(_setting(cfg, "moller", "dt")),
-        interaction_radius=_setting(cfg, "moller", "interaction_radius"),
         residual_tol=float(_setting(cfg, "moller", "residual_tol")),
     )
     return scattering_velocity_distribution(out, mass), out
@@ -295,7 +293,6 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
             moller_residual_curve=outgoing.residual_curve.tolist(),
             moller_extraction_times=outgoing.extraction_times.tolist(),
             cauchy_residual=outgoing.cauchy_residual,
-            bound_weight=outgoing.bound_weight,
         )
     os.makedirs(out_dir, exist_ok=True)
     run = EnsembleRun(

@@ -171,7 +171,7 @@ class GridWavefunction:
         edge = float(np.max(np.abs(self.amplitudes[..., [0, -1]])))
         return edge**2 * self.spec.dx
 
-    def interaction_region_weight(self, radius: float, center: float = 0.0) -> float:
+    def interaction_region_weight(self, radius: float, center: float) -> float:
         """Probability mass within ``radius`` of ``center``."""
         mask = (self.spec.axis() - center) ** 2 <= radius**2
         return float(np.sum(self.density()[mask]) * self.spec.dx)
@@ -227,7 +227,6 @@ class PotentialSpec:
     """External potential, evaluable on any grid.
 
     gaussian_barrier: V(x) = height * exp(-|x - center|^2 / (2 width^2))
-    soft_coulomb:     V(x) = -strength / sqrt(|x - center|^2 + softening^2)
     """
 
     kind: str
@@ -243,33 +242,27 @@ class PotentialSpec:
             raise InvalidInputError("barrier width must be positive")
         return cls("gaussian_barrier", {"height": float(height), "width": float(width), "center": float(center)})
 
-    @classmethod
-    def soft_coulomb(cls, strength: float, softening: float, center: float = 0.0) -> "PotentialSpec":
-        if softening <= 0:
-            raise InvalidInputError("softening must be positive to stay finite")
-        return cls("soft_coulomb", {"strength": float(strength), "softening": float(softening), "center": float(center)})
-
     @property
     def is_none(self) -> bool:
         return self.kind == "none"
 
+    @property
+    def center(self) -> float:
+        return self.params.get("center", 0.0)
+
     def evaluate(self, spec: GridSpec) -> np.ndarray:
-        r2 = (spec.axis() - self.params.get("center", 0.0)) ** 2
         if self.kind == "none":
             return np.zeros(spec.n_points)
         if self.kind == "gaussian_barrier":
+            r2 = (spec.axis() - self.center) ** 2
             w = self.params["width"]
             return self.params["height"] * np.exp(-r2 / (2.0 * w**2))
-        if self.kind == "soft_coulomb":
-            return -self.params["strength"] / np.sqrt(r2 + self.params["softening"] ** 2)
         raise InvalidInputError(f"unknown potential kind {self.kind!r}")
 
     def interaction_radius(self) -> float:
-        """Radius beyond which the potential is negligible for bookkeeping."""
+        """Radius about ``center`` beyond which the potential is negligible."""
         if self.kind == "gaussian_barrier":
             return 8.0 * self.params["width"]
-        if self.kind == "soft_coulomb":
-            return 50.0 * self.params["softening"]
         return 0.0
 
     @classmethod
@@ -280,8 +273,6 @@ class PotentialSpec:
             return cls.none()
         if kind == "gaussian_barrier":
             return cls.gaussian_barrier(**d)
-        if kind == "soft_coulomb":
-            return cls.soft_coulomb(**d)
         raise InvalidInputError(f"unknown potential kind {kind!r}")
 
 
@@ -524,22 +515,20 @@ def project_positive_energy(psi: GridWavefunction) -> tuple[GridWavefunction, fl
 class OutgoingAsymptote:
     """Momentum density of the free outgoing asymptote of a scattering state.
 
-    ``density`` integrates to 1 - bound_weight over the sorted dual grid
-    ``p``; ``bound_weight`` is the probability remaining in the interaction
-    region at the largest extraction time (a grid-friendly stand-in for
-    the bound-state weight; exact spectral splitting is out of scope).
+    ``density`` integrates to 1 over the sorted dual grid ``p``. A state
+    with a bound part has no such asymptote: its Cauchy residual stays
+    large, and :func:`outgoing_asymptote` raises instead.
     """
 
     p: np.ndarray
     density: np.ndarray
-    bound_weight: float
     cauchy_residual: float
     residual_curve: np.ndarray
     extraction_times: np.ndarray
 
     def total_mass(self) -> float:
         dp = float(self.p[1] - self.p[0])
-        return float(np.sum(self.density) * dp + self.bound_weight)
+        return float(np.sum(self.density) * dp)
 
 
 def outgoing_asymptote(
@@ -547,7 +536,6 @@ def outgoing_asymptote(
     potential: PotentialSpec,
     extraction_times: Sequence[float],
     dt: float = 0.01,
-    interaction_radius: float | None = None,
     residual_tol: float = 1e-3,
 ) -> OutgoingAsymptote:
     """Free outgoing asymptote via iterates exp(+i H0 T) exp(-i H T) psi0.
@@ -556,15 +544,15 @@ def outgoing_asymptote(
     packet has cleared the (short-range) interaction region; the Cauchy
     residual is the L2 distance between the last two iterates and must
     fall below ``residual_tol``, otherwise a NonConvergedError carrying
-    the whole residual curve is raised.
+    the whole residual curve is raised. Its diagnostics name the weight
+    left within the potential's interaction radius of its center, which
+    stays large for a state with a bound part.
     """
     if psi0.kind != KIND_SCHRODINGER:
         raise InvalidInputError("asymptote extraction needs a Schrodinger state")
     times = np.asarray(extraction_times, dtype=float)
     if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] <= 0:
         raise InvalidInputError("need at least two increasing positive extraction times")
-    if interaction_radius is None:
-        interaction_radius = potential.interaction_radius()
 
     p = psi0.spec.momentum_axis()
     mass = psi0.mass
@@ -587,25 +575,22 @@ def outgoing_asymptote(
             for a, b in zip(iterates[:-1], iterates[1:])
         ]
     )
-    bound_weight = 0.0
-    if interaction_radius > 0:
-        bound_weight = psi.interaction_region_weight(interaction_radius)
+    if residuals[-1] > residual_tol:
+        radius, center = potential.interaction_radius(), potential.center
+        weight = psi.interaction_region_weight(radius, center)
+        raise NonConvergedError(
+            f"outgoing asymptote not converged: residual {residuals[-1]:.3e} > {residual_tol:.0e}; "
+            f"weight {weight:.3f} remains within {radius:g} of x = {center:g} at t = {times[-1]:g}, "
+            "and a state with a bound part cannot converge",
+            residual_curve=residuals,
+            diagnostics={"extraction_times": times.tolist(), "interaction_region_weight": weight},
+        )
     raw = np.fft.fftshift(np.abs(iterates[-1]) ** 2)
-    raw_mass = float(np.sum(raw) * dp)
-    density = raw * ((1.0 - bound_weight) / raw_mass)
-    result = OutgoingAsymptote(
+    return OutgoingAsymptote(
         p=np.fft.fftshift(p),
-        density=density,
-        bound_weight=bound_weight,
+        density=raw / float(np.sum(raw) * dp),
         cauchy_residual=float(residuals[-1]),
         residual_curve=residuals,
         extraction_times=times,
     )
-    if residuals[-1] > residual_tol:
-        raise NonConvergedError(
-            f"outgoing asymptote not converged: residual {residuals[-1]:.3e} > {residual_tol:.0e}",
-            residual_curve=residuals,
-            diagnostics={"extraction_times": times.tolist()},
-        )
-    return result
 

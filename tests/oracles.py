@@ -123,27 +123,29 @@ def transport_oracle_errors(integration):
 
 
 def transfer_matrix_transmission(v_func, p, mass=1.0, x_lo=-8.0, x_hi=8.0, n_seg=4000):
-    """Transmission coefficient of a 1D short-range potential at momentum p,
-    by piecewise-constant slicing and 2x2 interface-matrix products."""
+    """Transmission coefficients of a 1D short-range potential at the
+    momenta p (zero where p^2 / 2m <= 0), by piecewise-constant slicing
+    and 2x2 interface-matrix products, one batched over p per slice."""
+    p = np.asarray(p, dtype=float)
     energy = p**2 / (2.0 * mass)
-    if energy <= 0:
-        return 0.0
+    out = np.zeros(p.shape)
+    live = energy > 0
     edges = np.linspace(x_lo, x_hi, n_seg + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     vs = np.concatenate([[0.0], np.asarray(v_func(mids), dtype=float), [0.0]])
-    ks = np.sqrt(2.0 * mass * (energy - vs) + 0j)
+    ks = np.sqrt(2.0 * mass * (energy[live][:, None] - vs) + 0j)
     bounds = np.concatenate([[edges[0]], edges, [edges[-1]]])
-    m = np.eye(2, dtype=complex)
-    for j in range(len(ks) - 1):
-        k1, k2, xb = ks[j], ks[j + 1], bounds[j + 1]
-        iface = np.array(
-            [
-                [(k2 + k1) * np.exp(1j * (k1 - k2) * xb), (k2 - k1) * np.exp(-1j * (k1 + k2) * xb)],
-                [(k2 - k1) * np.exp(1j * (k1 + k2) * xb), (k2 + k1) * np.exp(-1j * (k1 - k2) * xb)],
-            ]
-        ) / (2.0 * k2)
-        m = iface @ m
-    return float(1.0 / np.abs(m[1, 1]) ** 2)
+    m = np.broadcast_to(np.eye(2, dtype=complex), (ks.shape[0], 2, 2))
+    iface = np.empty_like(m)
+    for j in range(ks.shape[1] - 1):
+        k1, k2, xb = ks[:, j], ks[:, j + 1], bounds[j + 1]
+        iface[:, 0, 0] = (k2 + k1) * np.exp(1j * (k1 - k2) * xb)
+        iface[:, 0, 1] = (k2 - k1) * np.exp(-1j * (k1 + k2) * xb)
+        iface[:, 1, 0] = (k2 - k1) * np.exp(1j * (k1 + k2) * xb)
+        iface[:, 1, 1] = (k2 + k1) * np.exp(-1j * (k1 - k2) * xb)
+        m = (iface / (2.0 * k2)[:, None, None]) @ m
+    out[live] = 1.0 / np.abs(m[:, 1, 1]) ** 2
+    return out
 
 
 def rectangular_barrier_transmission(energy, v0, width, mass=1.0):

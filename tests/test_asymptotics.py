@@ -202,7 +202,6 @@ class TestQuantumDistributions:
         q_scatt = scattering_velocity_distribution(out, 1.0)
         q_free = free_velocity_distribution(psi)
         np.testing.assert_allclose(q_scatt.density, q_free.density, atol=1e-12)
-        assert q_scatt.atom_mass == pytest.approx(0.0, abs=1e-12)
 
     def test_dirac_peak_and_support(self):
         spec = GridSpec(2048, -128.0, 128.0)
@@ -225,15 +224,6 @@ class TestQuantumDistributions:
         samples = q.sample(50_000, 123)
         d = ks_vs_cdf_1d(samples[:, 0], np.ones(50_000), q.cdf)
         assert d < 0.01
-
-    def test_atom_sampling(self):
-        from bohmvel.asymptotics import VelocityDistribution
-
-        q = VelocityDistribution(np.linspace(0.5, 2.0, 50), np.full(50, 1.0 / 1.5) * 0.7,
-                                 atom_mass=0.3)
-        s = q.sample(20_000, 9)[:, 0]
-        assert (s == 0.0).mean() == pytest.approx(0.3, abs=0.02)
-        assert q.total_mass() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestVerifyDistributionEquality:

@@ -81,8 +81,11 @@ EDGE_CASES = {
     "seed_bool": ("free_gaussian.json", ("seed",), False, False),
     "n_trajectories_integral_float": ("free_gaussian.json", ("ensemble", "n_trajectories"), 1000.0, True),
     "mass_integer": ("free_gaussian.json", ("mass",), 2, True),
-    "interaction_radius_null": ("barrier_scattering.json", ("moller", "interaction_radius"), None, True),
+    # Neither an interaction-radius setting nor a long-range potential is
+    # a config option.
+    "interaction_radius_null": ("barrier_scattering.json", ("moller", "interaction_radius"), None, False),
     "interaction_radius_string": ("barrier_scattering.json", ("moller", "interaction_radius"), "8", False),
+    "potential_soft_coulomb": ("barrier_scattering.json", ("potential", "kind"), "soft_coulomb", False),
     "node_action_unknown": ("free_gaussian.json", ("ensemble", "node_action"), "skip", False),
     "boost_luminal": ("dirac_covariance.json", ("boosts", 1), 1.0, False),
     "boost_negative_luminal": ("dirac_covariance.json", ("boosts", 1), -1.0, False),
@@ -295,13 +298,12 @@ class TestValidation:
             "gaussian_barrier.center": (
                 arg_defaults(PotentialSpec.gaussian_barrier)["center"], center
             ),
-            "soft_coulomb.center": (arg_defaults(PotentialSpec.soft_coulomb)["center"], center),
             "verify_boost_covariance.ks_threshold": (
                 arg_defaults(verify_boost_covariance)["ks_threshold"], ks
             ),
             "foliation_sweep.ks_threshold": (arg_defaults(foliation_sweep)["ks_threshold"], ks),
         }
-        for name in ("dt", "residual_tol", "interaction_radius"):
+        for name in ("dt", "residual_tol"):
             pairs[f"outgoing_asymptote.{name}"] = (
                 arg_defaults(outgoing_asymptote)[name], moller[name]
             )
@@ -336,6 +338,7 @@ class TestValidation:
 
         def walk(node):
             assert set(node) <= supported, set(node) - supported
+            assert isinstance(node.get("type", ""), str), "one type per node"
             assert node.get("additionalProperties", False) is False
             for sub in node.get("properties", {}).values():
                 walk(sub)

@@ -268,16 +268,17 @@ class TestOutgoingAsymptote:
             outgoing_asymptote(psi, pot, [2.0, 4.0], dt=0.01, residual_tol=1e-12)
         assert err.value.residual_curve is not None
 
-    def test_soft_coulomb_keeps_weight_near_center(self):
-        # An attractive well holds part of the packet: nonzero point mass.
+    def test_bound_part_fails_naming_the_weight_at_the_center(self):
+        # A packet resting on an off-centre attractive well: the bound part
+        # never settles under exp(iH0 T) exp(-iHT), and the error names the
+        # weight held around the well's own center, not around x = 0.
         spec = GridSpec(2048, -256.0, 256.0)
-        psi = gaussian_packet(spec, 1.0, 0.0, 0.0, 2.0)
-        pot = PotentialSpec.soft_coulomb(1.0, 1.0, 0.0)
-        out = outgoing_asymptote(
-            psi, pot, [10.0, 20.0], dt=0.005, interaction_radius=30.0, residual_tol=10.0
-        )
-        assert out.bound_weight > 0.3
-        assert out.total_mass() == pytest.approx(1.0, abs=1e-9)
+        psi = gaussian_packet(spec, 1.0, 30.0, 0.0, 1.0)
+        pot = PotentialSpec.gaussian_barrier(-1.0, 1.0, 30.0)
+        with pytest.raises(NonConvergedError, match="bound part cannot converge") as err:
+            outgoing_asymptote(psi, pot, [20.0, 40.0], dt=0.01)
+        assert err.value.residual_curve[-1] > 0.5
+        assert err.value.diagnostics["interaction_region_weight"] > 0.5
 
 
 class TestSuperposition:
