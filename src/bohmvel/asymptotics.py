@@ -1,8 +1,10 @@
 """Asymptotic velocities of trajectory ensembles and of quantum states.
 
 Trajectory side: the finite-time estimates k(t)/t at a geometric ladder
-of checkpoints are extrapolated with an affine-in-1/t fit, justified by
-the free-dynamics expansion k(t) = v t + c + o(1); the fit residual at
+of m checkpoints are extrapolated with a least-squares polynomial in 1/t
+of degree m - 2, justified by the free-dynamics expansion
+k(t) = v t + c + d/t + ...: 3 checkpoints give the affine fit, 4 add the
+1/t^2 term (the free Gaussian's leading correction). The fit residual at
 the last two checkpoints is the convergence measure, and trajectories
 above tolerance are excluded with recorded weight.
 
@@ -93,7 +95,7 @@ def _validate_checkpoints(checkpoints: np.ndarray) -> None:
     if np.any(checkpoints <= 0) or np.any(np.diff(checkpoints) <= 0):
         raise InvalidInputError("checkpoints must be positive and increasing")
     if checkpoints.size < 3:
-        raise InvalidInputError("affine fit needs at least 3 checkpoints")
+        raise InvalidInputError("the fit in 1/t needs at least 3 checkpoints")
     if checkpoints[-1] / checkpoints[0] < 4.0 - 1e-9:
         raise InvalidInputError("checkpoints must span a factor >= 4 in time")
 
@@ -137,8 +139,17 @@ def _eta_block(trajs, checkpoints: np.ndarray) -> np.ndarray:
 
 
 def _fit_eta(eta: np.ndarray, checkpoints: np.ndarray):
-    """Affine-in-1/t fit per trajectory: (v_plus (n, D), residual (n,))."""
-    design = np.stack([np.ones_like(checkpoints), 1.0 / checkpoints], axis=1)
+    """Polynomial-in-1/t fit per trajectory: (v_plus (n, D), residual (n,)).
+
+    A ladder of m checkpoints is fitted with the columns 1, 1/t, ...,
+    (1/t)^(m-2), so one degree of freedom is always left for the
+    residual: 3 checkpoints give the affine fit, 4 add the 1/t^2 term.
+    """
+    inv = 1.0 / checkpoints
+    columns = [np.ones_like(checkpoints)]
+    for _ in range(checkpoints.size - 2):
+        columns.append(columns[-1] * inv)
+    design = np.stack(columns, axis=1)
     pinv = np.linalg.pinv(design)
     coef = np.einsum("kc,ncd->nkd", pinv, eta)
     fit = np.einsum("ck,nkd->ncd", design, coef)

@@ -262,8 +262,12 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
         else PotentialSpec.none()
     )
 
-    result = run_guided_pipeline(psi, potential, params)
+    # The quantum side first: a state that has no outgoing asymptote (one
+    # with a bound part) fails before any trajectory is integrated. The
+    # two sides draw from separate spawn keys, so the order changes no
+    # artifact.
     q_dist, outgoing = _quantum_distribution(cfg, psi, mass)
+    result = run_guided_pipeline(psi, potential, params)
 
     thr = cfg.get("thresholds", {})
     comparison = verify_distribution_equality(

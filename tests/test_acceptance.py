@@ -16,6 +16,8 @@ import scipy.stats
 
 from bohmvel import relativity
 from bohmvel.asymptotics import (
+    _eta_block,
+    _fit_eta,
     dirac_velocity_distribution,
     estimate_asymptotic_measure,
     free_velocity_distribution,
@@ -60,6 +62,9 @@ REPO = Path(__file__).resolve().parent.parent
 # Largest |x(t) - oracle| over the central band of starts; the benchmark's
 # bound on the free Gaussian's closed-form error within 3 sigma0.
 POSITION_TOL = 2.5e-3
+# Largest |v+ - x0/2| of the shipped free-Gaussian run over starts within
+# 3 sigma0; the affine fit on (10, 20, 40) reads 9.2e-3 and fails it.
+V_PLUS_TOL = 8e-3
 
 
 def load_dt_study():
@@ -214,16 +219,36 @@ def test_boost_covariance_and_foliation_independence(
 
 def test_transport_oracle_matches_closed_form(free_gaussian_run):
     """The monotone-transport oracle, from the free Gaussian's recorded
-    snapshots, is within 1e-4 of the closed-form trajectory at t = 40 for
-    every start within 3 sigma0."""
+    snapshots, is within 1e-4 of the closed-form trajectory at the last
+    recorded time for every start within 3 sigma0."""
     integ = free_gaussian_run.integration
     x0 = integ.positions[:, 0, 0]
     inside = np.abs(x0) < 3.0
     _, oracle = transport_oracle(integ.snapshots, x0)
-    assert integ.times[-1] == 40.0
-    err = float(np.max(np.abs(oracle[inside, -1] - free_gaussian_trajectory(x0[inside], 40.0))))
-    acceptance_line("transport oracle vs closed form", err <= 1e-4, f"err={err:.2e}")
+    t_last = float(integ.times[-1])
+    err = float(np.max(np.abs(oracle[inside, -1] - free_gaussian_trajectory(x0[inside], t_last))))
+    acceptance_line(f"transport oracle vs closed form (t={t_last:g})", err <= 1e-4, f"err={err:.2e}")
     assert err <= 1e-4
+
+
+def test_free_gaussian_limiting_velocities_match_closed_form(free_gaussian_run):
+    """Every extrapolated limiting velocity of the shipped free-Gaussian run
+    whose start lies within 3 sigma0 is within V_PLUS_TOL of the closed
+    form x0 / (2 m sigma0^2) = x0 / 2. The 1/t^2 term of the 4-checkpoint
+    fit is what keeps the truncation bias under this bound."""
+    integ = free_gaussian_run.integration
+    checkpoints = np.asarray(free_gaussian_run.params.checkpoints, dtype=float)
+    v_plus, _ = _fit_eta(_eta_block(integ, checkpoints), checkpoints)
+    x0 = integ.positions[~integ.diagnostics.failed, 0, 0]
+    inside = np.abs(x0) <= 3.0
+    err = np.abs(v_plus[inside, 0] - x0[inside] / 2.0)
+    ok = float(np.max(err)) <= V_PLUS_TOL
+    acceptance_line(
+        f"free gaussian v+ vs closed form (checkpoints={checkpoints.tolist()})",
+        ok,
+        f"median={np.median(err):.2e} max={np.max(err):.2e} bound={V_PLUS_TOL:.0e}",
+    )
+    assert ok, float(np.max(err))
 
 
 def test_dirac_positions_match_transport_oracle(dirac_base_run):
@@ -240,33 +265,38 @@ def test_dirac_positions_match_transport_oracle(dirac_base_run):
     assert np.all(errors <= POSITION_TOL), errors
 
 
-def test_dirac_time_stepping_error_is_a_small_share(dirac_state, dirac_params, dirac_base_run):
-    """Halving the shipped Dirac step moves no trajectory of the central
-    band by more than the study's SHARE of the half-step run's oracle
-    error, at any recorded time: time stepping is a small part of the
-    position error, so an RK4 that is wrong but stable cannot hide behind
-    the spatial part."""
-    half = run_guided_pipeline(
-        dirac_state,
-        PotentialSpec.none(),
-        dataclasses.replace(dirac_params, dt=dirac_params.dt / 2.0),
-    )
+def assert_time_stepping_is_a_small_share(name, psi, params, run):
+    """Halving the shipped step moves no trajectory of the central band by
+    more than the study's SHARE of the half-step run's oracle error, at
+    any recorded time: time stepping is a small part of the position
+    error, so an RK4 that is wrong but stable cannot hide behind the
+    spatial part."""
+    half = run_guided_pipeline(psi, PotentialSpec.none(), dataclasses.replace(params, dt=params.dt / 2.0))
     # Same seed and run key: the same starts.
-    full_pos = dirac_base_run.integration.positions
+    full_pos = run.integration.positions
     half_pos = half.integration.positions
     np.testing.assert_array_equal(full_pos[:, 0], half_pos[:, 0])
-    inside, _ = transport_oracle_band(dirac_base_run.integration)
+    inside, _ = transport_oracle_band(run.integration)
     inside &= ~half.integration.diagnostics.failed
     stepping = float(np.max(np.abs(full_pos[inside, :, 0] - half_pos[inside, :, 0])))
     oracle = float(np.max(transport_oracle_errors(half.integration)))
     share = load_dt_study().SHARE
     ok = stepping <= share * oracle
     acceptance_line(
-        f"dirac time-stepping share (dt={dirac_params.dt:g})",
+        f"{name} time-stepping share (dt={params.dt:g})",
         ok,
         f"stepping={stepping:.2e} oracle={oracle:.2e} share={stepping / oracle:.2%} bound={share:.0%}",
     )
     assert ok, (stepping, oracle)
+
+
+def test_dirac_time_stepping_error_is_a_small_share(dirac_state, dirac_params, dirac_base_run):
+    assert_time_stepping_is_a_small_share("dirac", dirac_state, dirac_params, dirac_base_run)
+
+
+def test_free_gaussian_time_stepping_error_is_a_small_share(free_gaussian_config, free_gaussian_run):
+    _, psi, params = free_gaussian_config
+    assert_time_stepping_is_a_small_share("free gaussian", psi, params, free_gaussian_run)
 
 
 def test_shipped_dirac_step_is_the_study_choice(dirac_config):

@@ -3,6 +3,7 @@ import pytest
 
 from bohmvel.asymptotics import (
     _eta_block,
+    _fit_eta,
     dirac_velocity_distribution,
     estimate_asymptotic_measure,
     estimate_asymptotic_velocity,
@@ -129,6 +130,55 @@ class TestAsymptoticMeasure:
             estimate_asymptotic_measure(spatial + planar, CHECKPOINTS, 0.1)
         with pytest.raises(InvalidInputError, match="one dimension, found dimensions 2, 3$"):
             velocity_measure_at(planar + spatial, 10.0)
+
+
+def affine_fit_reference(eta, checkpoints):
+    """The affine-in-1/t fit, written as before the polynomial degree
+    followed the ladder: (v_plus, residual at the last two checkpoints)."""
+    design = np.stack([np.ones_like(checkpoints), 1.0 / checkpoints], axis=1)
+    pinv = np.linalg.pinv(design)
+    coef = np.einsum("kc,ncd->nkd", pinv, eta)
+    fit = np.einsum("ck,nkd->ncd", design, coef)
+    dev = np.linalg.norm(eta - fit, axis=2)
+    return coef[:, 0, :], np.max(dev[:, -2:], axis=1)
+
+
+class TestFitEta:
+    @pytest.mark.parametrize("checkpoints", [[10.0, 20.0, 40.0], [20.0, 40.0, 80.0], [3.0, 12.5, 40.0]])
+    def test_three_point_ladder_is_the_affine_fit(self, checkpoints):
+        checkpoints = np.asarray(checkpoints)
+        eta = np.random.default_rng(7).normal(size=(500, 3, 2))
+        v_plus, residual = _fit_eta(eta, checkpoints)
+        want_v, want_res = affine_fit_reference(eta, checkpoints)
+        np.testing.assert_array_equal(v_plus, want_v)
+        np.testing.assert_array_equal(residual, want_res)
+
+    def test_four_point_ladder_exact_with_a_1_over_t_term(self):
+        # k(t) = v t + c + d/t: eta = v + c/t + d/t^2 lies in the span of
+        # the 4-point ladder's columns 1, 1/t, 1/t^2.
+        checkpoints = np.array([2.5, 5.0, 10.0, 20.0])
+        t = np.union1d(np.geomspace(1.0, 40.0, 60), checkpoints)
+        v, c, d = 0.7, -1.3, 2.9
+        pts = (v * t + c + d / t)[:, None]
+        v_plus, residual = estimate_asymptotic_velocity(SampledTrajectory(t, pts), checkpoints)
+        assert v_plus[0] == pytest.approx(v, abs=1e-12)
+        assert residual < 1e-12
+        # The affine fit on the same checkpoints cannot absorb d/t^2.
+        v_affine, _ = estimate_asymptotic_velocity(SampledTrajectory(t, pts), checkpoints[1:])
+        assert abs(v_affine[0] - v) > 1e-3
+
+    def test_free_gaussian_short_quadratic_ladder_beats_long_affine_one(self):
+        # On the closed-form free-Gaussian paths, eta(t) = (x0/2) sqrt(1 + 4/t^2)
+        # has no 1/t term; the 1/t^2 fit on (2.5, 5, 10, 20) recovers
+        # x0/2 better than the affine fit on (10, 20, 40), at half the length.
+        short = np.array([2.5, 5.0, 10.0, 20.0])
+        t = np.union1d(np.concatenate([[0.0], np.geomspace(0.5, 40.0, 200)]), [*short, 40.0])
+        x0 = np.linspace(-3.0, 3.0, 13)
+        trajs = [SampledTrajectory(t, free_gaussian_trajectory(x, t)[:, None]) for x in x0]
+        err_short = np.abs(_fit_eta(_eta_block(trajs, short), short)[0][:, 0] - x0 / 2.0)
+        err_long = np.abs(_fit_eta(_eta_block(trajs, CHECKPOINTS), CHECKPOINTS)[0][:, 0] - x0 / 2.0)
+        assert np.max(err_short) < np.max(err_long)
+        assert np.all(err_short[x0 != 0.0] < err_long[x0 != 0.0])
 
 
 class TestEtaBlock:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bohmvel import cli
 from bohmvel.cli import (
     EXIT_COMPARISON_FAIL,
     EXIT_CONFIG_ERROR,
@@ -570,6 +571,35 @@ class TestFailureExitCodes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "NumericalFailureError"
         assert "slow path" in error["message"]
+
+    def test_bound_part_exits_5_before_any_integration(self, tmp_path, monkeypatch, capsys):
+        # A packet resting on an attractive well has a bound part and so no
+        # outgoing asymptote: the run ends on the quantum side, before the
+        # guided pipeline would integrate a single trajectory.
+        def no_pipeline(*args):
+            pytest.fail("the guided pipeline ran before the quantum side failed")
+
+        monkeypatch.setattr(cli, "run_guided_pipeline", no_pipeline)
+        cfg = {
+            "system": "potential_schrodinger",
+            "mass": 1.0,
+            "grid": {"n_points": 2048, "x_min": -256.0, "x_max": 256.0},
+            "packets": [{"x0": 30.0, "p0": 0.0, "sigma0": 1.0}],
+            "potential": {"kind": "gaussian_barrier", "height": -1.0, "width": 1.0, "center": 30.0},
+            "ensemble": {"n_trajectories": 200},
+            "time": {"t_max": 40.0, "dt": 0.05, "checkpoints": [10.0, 20.0, 40.0]},
+            "moller": {"extraction_times": [20.0, 40.0], "dt": 0.01},
+            "seed": 1,
+            "out_dir": str(tmp_path / "bound"),
+        }
+        path = write_config(tmp_path, cfg)
+        from bohmvel.cli import EXIT_NUMERICAL_FAILURE
+
+        assert main(["run", "--config", path]) == EXIT_NUMERICAL_FAILURE
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "NonConvergedError"
+        assert "bound part cannot converge" in error["message"]
+        assert not (tmp_path / "bound").exists()
 
     def test_regularity_invalid_exit_3_and_report(self, tmp_path):
         # Aborting every trajectory invalidates the run: exit 3 and a
