@@ -111,10 +111,10 @@ SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MK
 
 
 def _states():
+    from bohmvel import wavefunction
     from bohmvel.wavefunction import (
         DiracPropagator,
         GridSpec,
-        PotentialSpec,
         SplitStepPropagator,
         project_positive_energy,
         superposed_gaussians,
@@ -129,9 +129,14 @@ def _states():
         return psi, cfg["time"]["dt"]
 
     schrodinger, dt = build("free_gaussian.json", "schrodinger")
-    schrodinger = SplitStepPropagator(
-        schrodinger.spec, schrodinger.mass, PotentialSpec.none(), dt
-    ).advance(schrodinger, 20)
+    spec, mass = schrodinger.spec, schrodinger.mass
+    if "dt" in inspect.signature(SplitStepPropagator).parameters:
+        # Older trees build one propagator per step size, with a potential
+        # object for free evolution too.
+        prop = SplitStepPropagator(spec, mass, wavefunction.PotentialSpec.none(), dt)
+        schrodinger = prop.advance(schrodinger, 20)
+    else:
+        schrodinger = SplitStepPropagator(spec, mass).advance(schrodinger, dt, 20)
     dirac, _ = build("dirac_covariance.json", "dirac")
     dirac, _ = project_positive_energy(dirac)
     prop = DiracPropagator(dirac.spec, dirac.mass)

@@ -25,10 +25,10 @@ from .errors import (
     RegularityError,
 )
 from .wavefunction import (
+    GaussianBarrier,
     GridSpec,
     GridWavefunction,
     OutgoingAsymptote,
-    PotentialSpec,
     gaussian_packet,
     momentum_density,
     outgoing_asymptote,

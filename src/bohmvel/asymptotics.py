@@ -43,6 +43,7 @@ from .wavefunction import (
     GridWavefunction,
     OutgoingAsymptote,
     momentum_density,
+    positive_energy_part,
 )
 
 __all__ = [
@@ -289,12 +290,14 @@ def dirac_velocity_distribution(psi: GridWavefunction) -> VelocityDistribution:
     """Pushforward of the momentum density through v(p) = p / sqrt(p^2 + m^2).
 
     The Jacobian dp/dv = E^3 / m^2 is applied analytically; the support
-    is strictly inside (-1, 1).
+    is strictly inside (-1, 1). It describes positive-energy states only;
+    any other state raises InvalidInputError.
     """
     if psi.kind != KIND_DIRAC:
         raise InvalidInputError("expected a Dirac state")
     if psi.mass <= 0:
         raise InvalidInputError("the velocity map needs m > 0")
+    positive_energy_part(psi)
     md = momentum_density(psi)
     energy = np.sqrt(md.p**2 + psi.mass**2)
     v = md.p / energy
@@ -313,7 +316,8 @@ def verify_distribution_equality(
     quantum velocity distribution, via the latter's sampler.
 
     The quantum side draws 10 samples per ensemble sample, at most
-    ``_N_Q_MAX``.
+    ``_N_Q_MAX``, from spawn key (17,) of ``seed``; the report carries
+    that sample as ``q_measure``.
     """
     if s_measure.dim != 1:
         raise InvalidInputError("distribution comparison is 1D")
@@ -338,6 +342,7 @@ def verify_distribution_equality(
         "w1_threshold": float(w1_threshold),
         "n_s": n_s,
         "n_q": n_q,
+        "q_measure": q_measure,
     }
 
 

@@ -44,14 +44,15 @@ from .errors import (
     NumericalFailureError,
     RegularityError,
 )
-from .guidance import check_equivariance, count_order_violations
-from .pipeline import PipelineParams, child_seed, run_guided_pipeline
+from .guidance import NodePolicy, check_equivariance, count_order_violations, rk4_step_sizes
+from .pipeline import PipelineParams, run_guided_pipeline
 from .relativity import foliation_label, foliation_sweep, verify_boost_covariance
 from .stats import ks_critical_value, ks_distance
 from .wavefunction import (
+    GaussianBarrier,
     GridSpec,
-    PotentialSpec,
     check_packet_fits,
+    check_split_step_stability,
     outgoing_asymptote,
     project_positive_energy,
     superposed_gaussians,
@@ -152,10 +153,6 @@ def validate_config(cfg: dict) -> dict:
     system = cfg["system"]
     if system == "potential_schrodinger":
         _expect("potential" in cfg, "potential_schrodinger needs config.potential")
-        try:
-            PotentialSpec.from_dict(cfg["potential"])
-        except TypeError as exc:
-            raise ConfigurationError(f"config.potential: {exc}") from None
     else:
         _expect("potential" not in cfg, f"{system} takes no config.potential")
     _expect("moller" not in cfg or system == "potential_schrodinger",
@@ -166,9 +163,16 @@ def validate_config(cfg: dict) -> dict:
     clash = sorted({x for x in labels if labels.count(x) > 1})
     _expect(not clash, f"config.boosts: several boosts share the label {', '.join(clash)}")
     try:
-        _pipeline_params(cfg, 0)
+        params = _pipeline_params(cfg, 0)
     except InvalidInputError as exc:
         raise ConfigurationError(f"config.time.checkpoints: {exc}") from None
+    # Every guided RK4 step of size h advances the state by h/2 twice.
+    potential, mass = _potential(cfg), float(_setting(cfg, "mass"))
+    try:
+        for h in {h for h, _ in rk4_step_sizes(params.record_times, params.dt)}:
+            check_split_step_stability(grid, mass, potential, 0.5 * h)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"config.time.dt: {exc}") from None
     return cfg
 
 
@@ -197,10 +201,18 @@ def _build_state(cfg: dict):
     kind = "dirac" if cfg["system"] == "free_dirac" else "schrodinger"
     psi = superposed_gaussians(grid, mass, cfg["packets"], kind=kind)
     projection_info = {}
-    if kind == "dirac" and _setting(cfg, "project_positive_energy"):
+    if kind == "dirac":
         psi, discarded = project_positive_energy(psi)
         projection_info["discarded_weight"] = discarded
     return psi, projection_info
+
+
+def _potential(cfg: dict) -> GaussianBarrier | None:
+    if cfg["system"] != "potential_schrodinger":
+        return None
+    pot = cfg["potential"]
+    center = _setting(cfg, "potential", "center")
+    return GaussianBarrier(float(pot["height"]), float(pot["width"]), float(center))
 
 
 def _pipeline_params(cfg: dict, seed: int) -> PipelineParams:
@@ -212,32 +224,33 @@ def _pipeline_params(cfg: dict, seed: int) -> PipelineParams:
         record_times=tuple(time_cfg["record_times"]) if "record_times" in time_cfg else None,
         checkpoints=tuple(time_cfg["checkpoints"]) if "checkpoints" in time_cfg else None,
         eta_tol=float(_setting(cfg, "time", "eta_tol")),
-        rho_floor=float(_setting(cfg, "ensemble", "rho_floor")),
-        dt_min=float(_setting(cfg, "ensemble", "dt_min")),
-        node_action=_setting(cfg, "ensemble", "node_action"),
+        policy=NodePolicy(
+            rho_floor=float(_setting(cfg, "ensemble", "rho_floor")),
+            dt_min=float(_setting(cfg, "ensemble", "dt_min")),
+            action=_setting(cfg, "ensemble", "node_action"),
+        ),
         seed=seed,
     )
 
 
-def _quantum_distribution(cfg: dict, psi, mass: float):
+def _quantum_distribution(cfg: dict, psi, potential: GaussianBarrier | None):
     """The quantum-side velocity distribution, and the outgoing asymptote it
     is read from (None for the free systems)."""
     system = cfg["system"]
     if system == "free_schrodinger":
-        return free_velocity_distribution(psi, mass), None
+        return free_velocity_distribution(psi), None
     if system == "free_dirac":
         return dirac_velocity_distribution(psi), None
-    pot = PotentialSpec.from_dict(cfg["potential"])
     t_max = float(cfg["time"]["t_max"])
     extraction = cfg.get("moller", {}).get("extraction_times", [t_max / 2.0, 0.75 * t_max, t_max])
     out = outgoing_asymptote(
         psi,
-        pot,
+        potential,
         extraction,
         dt=float(_setting(cfg, "moller", "dt")),
         residual_tol=float(_setting(cfg, "moller", "residual_tol")),
     )
-    return scattering_velocity_distribution(out, mass), out
+    return scattering_velocity_distribution(out, psi.mass), out
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -254,19 +267,14 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
     cfg = dict(cfg)
     cfg["seed"] = seed
     psi, projection_info = _build_state(cfg)
-    mass = float(_setting(cfg, "mass"))
     params = _pipeline_params(cfg, seed)
-    potential = (
-        PotentialSpec.from_dict(cfg["potential"])
-        if cfg["system"] == "potential_schrodinger"
-        else PotentialSpec.none()
-    )
+    potential = _potential(cfg)
 
     # The quantum side first: a state that has no outgoing asymptote (one
     # with a bound part) fails before any trajectory is integrated. The
     # two sides draw from separate spawn keys, so the order changes no
     # artifact.
-    q_dist, outgoing = _quantum_distribution(cfg, psi, mass)
+    q_dist, outgoing = _quantum_distribution(cfg, psi, potential)
     result = run_guided_pipeline(psi, potential, params)
 
     thr = cfg.get("thresholds", {})
@@ -277,6 +285,7 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
         ks_threshold=thr.get("ks"),
         w1_threshold=thr.get("w1"),
     )
+    q_measure = comparison.pop("q_measure")
 
     equivariance = {}
     eq_threshold = thr.get("equivariance_ks")
@@ -309,8 +318,7 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
     )
     run.save(out_dir)
 
-    n_q = comparison["n_q"]
-    q_dist.as_measure(n_q, child_seed(seed, 0, 1)).to_csv(os.path.join(out_dir, "q_plus_samples.csv"))
+    q_measure.to_csv(os.path.join(out_dir, "q_plus_samples.csv"))
     # Trapezoid normalization: integral of the density over this grid is
     # the continuous mass (see the measures docs).
     _write_float_csv(
@@ -361,7 +369,7 @@ def cmd_covariance(cfg: dict, out_dir: str, seed: int | None) -> int:
     threshold = float(_setting(cfg, "thresholds", "covariance_ks"))
 
     try:
-        base = run_guided_pipeline(psi, PotentialSpec.none(), params)
+        base = run_guided_pipeline(psi, None, params)
         if not base.regularity.verdict:
             raise RegularityError("base run failed the regularity verdict", base.regularity)
 

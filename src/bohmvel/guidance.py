@@ -50,8 +50,8 @@ from .stats import _inverse_cdf, _trapezoid_cdf, ks_vs_cdf_1d
 from .wavefunction import (
     KIND_DIRAC,
     DiracPropagator,
+    GaussianBarrier,
     GridWavefunction,
-    PotentialSpec,
     SplitStepPropagator,
 )
 
@@ -60,6 +60,7 @@ __all__ = [
     "FieldSnapshot",
     "sample_initial",
     "integrate_ensemble",
+    "rk4_step_sizes",
     "IntegrationResult",
     "EnsembleDiagnostics",
     "check_equivariance",
@@ -228,27 +229,23 @@ class _TimeBlendField:
         return (1 - w) * v0 + w * v1, (1 - w) * r0 + w * r1, ok0 & ok1
 
 
-def _make_stepper(psi0: GridWavefunction, potential: PotentialSpec):
-    if psi0.kind == KIND_DIRAC:
-        if not potential.is_none:
-            raise InvalidInputError("Dirac evolution here is free; potential must be none")
-        return DiracPropagator(psi0.spec, psi0.mass).advance
-    cache: dict[float, SplitStepPropagator] = {}
-
-    def step(psi, h):
-        if h not in cache:
-            cache[h] = SplitStepPropagator(psi.spec, psi.mass, potential, h)
-        return cache[h].advance(psi, 1)
-
-    return step
+def rk4_step_sizes(t_grid, dt: float) -> list[tuple[float, int]]:
+    """(h, n) for each interval of ``t_grid``: n RK4 steps of size h cover
+    it, the fewest whose h does not exceed dt (up to rounding). The
+    wavefunction advances by h/2 twice per step."""
+    steps = []
+    for seg_len in np.diff(np.asarray(t_grid, dtype=float)):
+        n_sub = max(1, int(np.ceil(seg_len / dt - 1e-12)))
+        steps.append((seg_len / n_sub, n_sub))
+    return steps
 
 
 def integrate_ensemble(
     psi0: GridWavefunction,
-    potential: PotentialSpec,
+    potential: GaussianBarrier | None,
     starts: np.ndarray,
     t_grid,
-    policy: NodePolicy | None = None,
+    policy: NodePolicy = NodePolicy(),
     dt: float = 0.05,
 ) -> IntegrationResult:
     """Integrate guided trajectories for every start, recording at t_grid.
@@ -259,7 +256,6 @@ def integrate_ensemble(
     independent given the shared read-only snapshots and are advanced as
     one vectorized block.
     """
-    policy = policy or NodePolicy()
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise InvalidInputError("t_grid must be a non-empty 1D time array")
@@ -278,24 +274,27 @@ def integrate_ensemble(
         frozen_steps=np.zeros(n_traj, dtype=np.int64),
         failed=np.zeros(n_traj, dtype=bool),
     )
-    stepper = _make_stepper(psi0, potential)
+    if psi0.kind != KIND_DIRAC:
+        propagator = SplitStepPropagator(psi0.spec, psi0.mass, potential)
+    elif potential is None:
+        propagator = DiracPropagator(psi0.spec, psi0.mass)
+    else:
+        raise InvalidInputError("Dirac evolution here is free; potential must be None")
     positions = np.empty((n_traj, t_grid.size, dim))
     positions[:, 0, :] = starts
     snapshots = [psi0]
     if t_grid.size == 1:
         return IntegrationResult(t_grid, positions, diag, snapshots)
 
-    seg_lens = np.diff(t_grid)
-    n_subs = [max(1, int(np.ceil(seg_len / dt - 1e-12))) for seg_len in seg_lens]
-    slow_budget = _slow_path_budget(seg_lens, n_subs, n_traj, policy.dt_min)
+    steps = rk4_step_sizes(t_grid, dt)
+    slow_budget = _slow_path_budget(steps, n_traj, policy.dt_min)
     x = starts.copy()
     psi = psi0
     snap_now = FieldSnapshot(psi)
-    for seg, (seg_len, n_sub) in enumerate(zip(seg_lens, n_subs)):
-        h = seg_len / n_sub
+    for seg, (h, n_sub) in enumerate(steps):
         for _ in range(n_sub):
-            psi_mid = stepper(psi, 0.5 * h)
-            psi_end = stepper(psi_mid, 0.5 * h)
+            psi_mid = propagator.advance(psi, 0.5 * h)
+            psi_end = propagator.advance(psi_mid, 0.5 * h)
             snap_mid = FieldSnapshot(psi_mid)
             snap_end = FieldSnapshot(psi_end)
             x = _rk4_block(
@@ -378,17 +377,15 @@ def _halving_levels(h: float, dt_min: float) -> int:
     return levels
 
 
-def _slow_path_budget(seg_lens, n_subs, n_traj: int, dt_min: float) -> int:
+def _slow_path_budget(steps, n_traj: int, dt_min: float) -> int:
     """Slow-path field evaluations a run may spend in all.
 
-    Per RK4 step, the cost of a trajectory below the density floor (each
-    halving level fails at its first substep, 4 evaluations) for one
-    trajectory plus SLOW_PATH_STUCK_SHARE of the ensemble.
+    Per RK4 step of ``rk4_step_sizes``, the cost of a trajectory below the
+    density floor (each halving level fails at its first substep, 4
+    evaluations) for one trajectory plus SLOW_PATH_STUCK_SHARE of the
+    ensemble.
     """
-    chain = sum(
-        n_sub * 4 * _halving_levels(seg_len / n_sub, dt_min)
-        for seg_len, n_sub in zip(seg_lens, n_subs)
-    )
+    chain = sum(n_sub * 4 * _halving_levels(h, dt_min) for h, n_sub in steps)
     return int(chain * (1.0 + SLOW_PATH_STUCK_SHARE * n_traj))
 
 

@@ -4,9 +4,11 @@ extrapolate the asymptotic velocity measure, and keep the regularity
 bookkeeping together.
 
 All randomness flows from one root seed through numpy SeedSequence
-spawn keys: (run_key, 0) draws the initial configurations, (run_key, 1)
-feeds quantum-side samplers. Distinct runs inside one experiment get
+spawn keys: (run_key, 0) draws the initial configurations, and (17,) the
+quantum sample that ``verify_distribution_equality`` compares (and
+``bohmvel run`` writes). Distinct runs inside one experiment get
 distinct run keys, so results are reproducible and order-independent.
+The potential is a ``GaussianBarrier``, or None for free evolution.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .guidance import (
     integrate_ensemble,
     sample_initial,
 )
-from .wavefunction import GridWavefunction, PotentialSpec
+from .wavefunction import GaussianBarrier, GridWavefunction
 
 __all__ = ["PipelineParams", "PipelineResult", "run_guided_pipeline", "child_seed"]
 
@@ -43,7 +45,7 @@ class PipelineParams:
     """Knobs of one ensemble run; record times default to a ladder under
     t_max and checkpoints to the geometric tail {t/4, t/2, t}. Checkpoints
     must form a valid extrapolation ladder ending at or before t_max; they
-    are added to the record times."""
+    are added to the record times. ``policy`` handles near-node steps."""
 
     n_trajectories: int = 10_000
     t_max: float = 40.0
@@ -51,9 +53,7 @@ class PipelineParams:
     record_times: tuple[float, ...] | None = None
     checkpoints: tuple[float, ...] | None = None
     eta_tol: float = 0.05
-    rho_floor: float = 1e-12
-    dt_min: float = 1e-4
-    node_action: str = "shrink_dt"
+    policy: NodePolicy = NodePolicy()
     seed: int = 0
     run_key: int = 0
 
@@ -82,9 +82,6 @@ class PipelineParams:
     def with_run_key(self, run_key: int) -> "PipelineParams":
         return replace(self, run_key=run_key)
 
-    def policy(self) -> NodePolicy:
-        return NodePolicy(self.rho_floor, self.dt_min, self.node_action)
-
 
 @dataclass
 class PipelineResult:
@@ -103,7 +100,7 @@ class PipelineResult:
 
 def run_guided_pipeline(
     psi0: GridWavefunction,
-    potential: PotentialSpec,
+    potential: GaussianBarrier | None,
     params: PipelineParams,
 ) -> PipelineResult:
     """Sample, integrate, and extrapolate one ensemble.
@@ -120,7 +117,7 @@ def run_guided_pipeline(
         potential,
         starts,
         np.asarray(params.record_times, dtype=float),
-        params.policy(),
+        params.policy,
         dt=params.dt,
     )
     if integration.diagnostics.failed_weight > FAILED_WEIGHT_LIMIT:

@@ -33,9 +33,8 @@ from .stats import ks_distance
 from .wavefunction import (
     KIND_DIRAC,
     GridWavefunction,
-    PotentialSpec,
     amplitudes_from_momentum,
-    momentum_amplitudes,
+    positive_energy_part,
     positive_energy_spinor,
 )
 from .asymptotics import estimate_asymptotic_velocity
@@ -150,9 +149,6 @@ def check_boost_velocity_consistency(
     return residual <= tol, residual
 
 
-_NEG_ENERGY_TOL = 1e-6
-
-
 def boost_dirac_state(psi: GridWavefunction, u: float) -> GridWavefunction:
     """Boost a positive-energy Dirac state by velocity u along x.
 
@@ -175,16 +171,8 @@ def boost_dirac_state(psi: GridWavefunction, u: float) -> GridWavefunction:
     gamma = 1.0 / np.sqrt(1.0 - u * u)
 
     p_raw = spec.momentum_axis()
-    psi_hat = momentum_amplitudes(psi)
-    u_spinor = positive_energy_spinor(p_raw, m)
-    amp = np.conj(u_spinor[0]) * psi_hat[0] + np.conj(u_spinor[1]) * psi_hat[1]
+    amp = positive_energy_part(psi)
     dp = spec.dp
-    total = float(np.sum(np.abs(psi_hat) ** 2) * dp)
-    kept = float(np.sum(np.abs(amp) ** 2) * dp)
-    if total - kept > _NEG_ENERGY_TOL:
-        raise InvalidInputError(
-            f"state carries negative-energy weight {total - kept:.2e}; project first"
-        )
 
     order = np.argsort(p_raw)
     p_sorted = p_raw[order]
@@ -237,10 +225,7 @@ def verify_boost_covariance(
         raise RegularityError("base run failed the regularity verdict", base.regularity)
     transported = base.s_plus.transport(lambda s: transform_velocity_block(s, u))
 
-    psi_boosted = boost_dirac_state(psi, u)
-    boosted = run_guided_pipeline(
-        psi_boosted, PotentialSpec.none(), params.with_run_key(run_key)
-    )
+    boosted = run_guided_pipeline(boost_dirac_state(psi, u), None, params.with_run_key(run_key))
     if not boosted.regularity.verdict:
         raise RegularityError("boosted run failed the regularity verdict", boosted.regularity)
 
@@ -281,7 +266,7 @@ def foliation_sweep(
             res = base
         else:
             res = run_guided_pipeline(
-                boost_dirac_state(psi, u), PotentialSpec.none(), params.with_run_key(100 + idx)
+                boost_dirac_state(psi, u), None, params.with_run_key(100 + idx)
             )
         if not res.regularity.verdict:
             raise RegularityError(

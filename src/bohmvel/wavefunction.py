@@ -7,6 +7,10 @@ Every state lives on one uniform periodic grid in one space dimension
 evolve exactly per momentum mode through the 2x2 matrix exponential of
 H(p) = alpha p + beta m.
 
+A potential is a ``GaussianBarrier``; free evolution passes None. Both
+propagators are built once per run and cache per step size what
+``advance(psi, dt)`` needs.
+
 Dirac matrix convention (fixed for reproducibility of spinor-level
 values): alpha = sigma_x, beta = diag(1, -1), so
 
@@ -41,16 +45,18 @@ from .errors import (
 __all__ = [
     "GridSpec",
     "GridWavefunction",
-    "PotentialSpec",
+    "GaussianBarrier",
     "OutgoingAsymptote",
     "MomentumDensity",
     "check_packet_fits",
     "gaussian_packet",
     "superposed_gaussians",
     "SplitStepPropagator",
+    "check_split_step_stability",
     "DiracPropagator",
     "project_positive_energy",
     "positive_energy_spinor",
+    "positive_energy_part",
     "momentum_amplitudes",
     "amplitudes_from_momentum",
     "momentum_density",
@@ -70,6 +76,8 @@ NORM_TOL = 1e-9
 NORM_ABORT = 1e-6
 LEAK_MASS_TOL = 1e-12
 PACKET_TAIL_REL = 1e-12
+# Negative-energy weight allowed where a positive-energy state is required.
+NEG_ENERGY_TOL = 1e-6
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -171,11 +179,6 @@ class GridWavefunction:
         edge = float(np.max(np.abs(self.amplitudes[..., [0, -1]])))
         return edge**2 * self.spec.dx
 
-    def interaction_region_weight(self, radius: float, center: float) -> float:
-        """Probability mass within ``radius`` of ``center``."""
-        mask = (self.spec.axis() - center) ** 2 <= radius**2
-        return float(np.sum(self.density()[mask]) * self.spec.dx)
-
 
 def _axis_phase(spec: GridSpec, sign: float) -> np.ndarray:
     """exp(sign * i * p x_min) over the momentum grid."""
@@ -223,57 +226,25 @@ def momentum_density(psi: GridWavefunction) -> MomentumDensity:
 
 
 @dataclass(frozen=True)
-class PotentialSpec:
-    """External potential, evaluable on any grid.
+class GaussianBarrier:
+    """External potential V(x) = height * exp(-(x - center)^2 / (2 width^2));
+    a negative height makes a well."""
 
-    gaussian_barrier: V(x) = height * exp(-|x - center|^2 / (2 width^2))
-    """
+    height: float
+    width: float
+    center: float = 0.0
 
-    kind: str
-    params: dict
-
-    @classmethod
-    def none(cls) -> "PotentialSpec":
-        return cls("none", {})
-
-    @classmethod
-    def gaussian_barrier(cls, height: float, width: float, center: float = 0.0) -> "PotentialSpec":
-        if width <= 0:
+    def __post_init__(self):
+        if not self.width > 0:
             raise InvalidInputError("barrier width must be positive")
-        return cls("gaussian_barrier", {"height": float(height), "width": float(width), "center": float(center)})
-
-    @property
-    def is_none(self) -> bool:
-        return self.kind == "none"
-
-    @property
-    def center(self) -> float:
-        return self.params.get("center", 0.0)
 
     def evaluate(self, spec: GridSpec) -> np.ndarray:
-        if self.kind == "none":
-            return np.zeros(spec.n_points)
-        if self.kind == "gaussian_barrier":
-            r2 = (spec.axis() - self.center) ** 2
-            w = self.params["width"]
-            return self.params["height"] * np.exp(-r2 / (2.0 * w**2))
-        raise InvalidInputError(f"unknown potential kind {self.kind!r}")
+        r2 = (spec.axis() - self.center) ** 2
+        return self.height * np.exp(-r2 / (2.0 * self.width**2))
 
     def interaction_radius(self) -> float:
         """Radius about ``center`` beyond which the potential is negligible."""
-        if self.kind == "gaussian_barrier":
-            return 8.0 * self.params["width"]
-        return 0.0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PotentialSpec":
-        d = dict(d)
-        kind = d.pop("kind")
-        if kind == "none":
-            return cls.none()
-        if kind == "gaussian_barrier":
-            return cls.gaussian_barrier(**d)
-        raise InvalidInputError(f"unknown potential kind {kind!r}")
+        return 8.0 * self.width
 
 
 def check_packet_fits(spec: GridSpec, x0: float, sigma0: float) -> None:
@@ -351,53 +322,69 @@ def superposed_gaussians(
     return GridWavefunction(spec, amps, 0.0, kind, mass)
 
 
+def check_split_step_stability(
+    spec: GridSpec, mass: float, potential: GaussianBarrier | None, dt: float
+) -> None:
+    """Raise ConfigurationError unless a split step of size dt keeps
+    dt * max|V| <= 0.5 and dt * p_max^2 / (2m) <= 2 pi. Free evolution is
+    exact per mode for any dt."""
+    if potential is None:
+        return
+    if dt * float(np.max(np.abs(potential.evaluate(spec)))) > 0.5:
+        raise ConfigurationError("dt * max|V| exceeds the stability bound 0.5")
+    if dt * float(np.max(spec.momentum_axis() ** 2)) / (2.0 * mass) > 2.0 * np.pi:
+        raise ConfigurationError("dt * p_max^2/(2m) exceeds the stability bound 2 pi")
+
+
 class SplitStepPropagator:
     """Strang split-step spectral stepper for the Schrodinger equation.
 
-    Documented stability bounds (checked at construction when V != 0):
-    dt * max|V| <= 0.5 and dt * p_max^2 / (2m) <= 2 pi. The free kinetic
-    factor is exact per mode for any dt.
+    The phase factors of a step size are built, and its stability
+    checked, the first time it is used.
     """
 
-    def __init__(self, spec: GridSpec, mass: float, potential: PotentialSpec, dt: float):
-        if dt <= 0:
-            raise InvalidInputError("dt must be positive")
+    def __init__(self, spec: GridSpec, mass: float, potential: GaussianBarrier | None = None):
         if mass <= 0:
             raise InvalidInputError("Schrodinger evolution needs mass > 0")
         self.spec = spec
         self.mass = mass
         self.potential = potential
-        self.dt = float(dt)
-        v = potential.evaluate(spec)
-        k2 = spec.momentum_axis() ** 2
-        p2max = float(np.max(k2))
-        if not potential.is_none:
-            if dt * float(np.max(np.abs(v))) > 0.5:
-                raise ConfigurationError("dt * max|V| exceeds the stability bound 0.5")
-            if dt * p2max / (2.0 * mass) > 2.0 * np.pi:
-                raise ConfigurationError("dt * p_max^2/(2m) exceeds the stability bound 2 pi")
-        self._exp_v_half = np.exp(-0.5j * dt * v)
-        self._exp_k = np.exp(-0.5j * dt * k2 / mass)
+        self._v = np.zeros(spec.n_points) if potential is None else potential.evaluate(spec)
+        self._k2 = spec.momentum_axis() ** 2
+        self._factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(self, amps: np.ndarray, n_steps: int) -> np.ndarray:
-        """Advance amplitudes by n_steps, fusing the inner half-kicks."""
+    def _step_factors(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """exp(-iV dt/2) and the kinetic factor exp(-iK dt) of a step of size dt."""
+        if dt not in self._factors:
+            if dt <= 0:
+                raise InvalidInputError("dt must be positive")
+            check_split_step_stability(self.spec, self.mass, self.potential, dt)
+            self._factors[dt] = (
+                np.exp(-0.5j * dt * self._v),
+                np.exp(-0.5j * dt * self._k2 / self.mass),
+            )
+        return self._factors[dt]
+
+    def step(self, amps: np.ndarray, dt: float, n_steps: int = 1) -> np.ndarray:
+        """Advance amplitudes by n_steps of size dt, fusing the inner half-kicks."""
         if n_steps == 0:
             return amps.copy()
-        amps = self._exp_v_half * amps
+        exp_v_half, exp_k = self._step_factors(dt)
+        amps = exp_v_half * amps
         for _ in range(n_steps - 1):
-            amps = np.fft.ifft(self._exp_k * np.fft.fft(amps))
-            amps = self._exp_v_half * self._exp_v_half * amps
-        amps = np.fft.ifft(self._exp_k * np.fft.fft(amps))
-        return self._exp_v_half * amps
+            amps = np.fft.ifft(exp_k * np.fft.fft(amps))
+            amps = exp_v_half * exp_v_half * amps
+        amps = np.fft.ifft(exp_k * np.fft.fft(amps))
+        return exp_v_half * amps
 
-    def advance(self, psi: GridWavefunction, n_steps: int) -> GridWavefunction:
+    def advance(self, psi: GridWavefunction, dt: float, n_steps: int = 1) -> GridWavefunction:
         """psi advanced by n_steps * dt, through the norm and leak guard."""
         if psi.kind != KIND_SCHRODINGER:
             raise InvalidInputError("split-step propagator needs a Schrodinger state")
         if n_steps < 0:
             raise InvalidInputError(f"n_steps must be >= 0, got {n_steps}")
-        amps = self.step(np.asarray(psi.amplitudes), n_steps)
-        out = psi.with_amplitudes(amps, t=psi.t + n_steps * self.dt)
+        amps = self.step(np.asarray(psi.amplitudes), dt, n_steps)
+        out = psi.with_amplitudes(amps, t=psi.t + n_steps * dt)
         _check_health(out)
         return out
 
@@ -415,16 +402,6 @@ def _check_health(psi: GridWavefunction) -> None:
             "wave packet reached the grid boundary (periodic wrap imminent)",
             {"boundary_cell_mass": leak, "t": psi.t},
         )
-
-
-def _dirac_step_factors(p: np.ndarray, mass: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode cos(Et) and sin(Et)/E of exp(-i H(p) t)."""
-    energy = np.sqrt(p**2 + mass**2)
-    c = np.cos(energy * t)
-    # sin(Et)/E with the E -> 0 limit t (only reachable for m = 0, p = 0).
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(energy > 0, np.sin(energy * t) / np.where(energy > 0, energy, 1.0), t)
-    return c, s
 
 
 def _dirac_apply_exp(
@@ -451,12 +428,20 @@ class DiracPropagator:
         self.p = spec.momentum_axis()
         self._factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
+    def _step_factors(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-mode cos(Et) and sin(Et)/E of exp(-i H(p) t)."""
+        if t not in self._factors:
+            energy = np.sqrt(self.p**2 + self.mass**2)
+            # sin(Et)/E with the E -> 0 limit t (only reachable for m = 0, p = 0).
+            with np.errstate(invalid="ignore", divide="ignore"):
+                s = np.where(energy > 0, np.sin(energy * t) / np.where(energy > 0, energy, 1.0), t)
+            self._factors[t] = (np.cos(energy * t), s)
+        return self._factors[t]
+
     def step(self, amps: np.ndarray, t_advance: float) -> np.ndarray:
         """Spinor amplitudes (2, n) advanced by t_advance, unguarded."""
-        if t_advance not in self._factors:
-            self._factors[t_advance] = _dirac_step_factors(self.p, self.mass, t_advance)
         amps_hat = np.fft.fft(amps, axis=1)
-        amps_hat = _dirac_apply_exp(amps_hat, self.p, self.mass, *self._factors[t_advance])
+        amps_hat = _dirac_apply_exp(amps_hat, self.p, self.mass, *self._step_factors(t_advance))
         return np.fft.ifft(amps_hat, axis=1)
 
     def advance(self, psi: GridWavefunction, t_advance: float) -> GridWavefunction:
@@ -482,6 +467,25 @@ def positive_energy_spinor(p: np.ndarray, mass: float) -> np.ndarray:
     upper = np.where(safe, (energy + mass) / np.sqrt(denom), 1.0)
     lower = np.where(safe, p / np.sqrt(denom), 0.0)
     return np.stack([upper, lower])
+
+
+def positive_energy_part(psi: GridWavefunction) -> np.ndarray:
+    """Amplitude of psi along the positive-energy spinor per mode of the
+    unshifted dual grid; raises InvalidInputError when the state carries
+    more negative-energy weight than NEG_ENERGY_TOL."""
+    if psi.kind != KIND_DIRAC:
+        raise InvalidInputError("the positive-energy part needs a Dirac state")
+    psi_hat = momentum_amplitudes(psi)
+    u = positive_energy_spinor(psi.spec.momentum_axis(), psi.mass)
+    amp = np.conj(u[0]) * psi_hat[0] + np.conj(u[1]) * psi_hat[1]
+    dp = psi.spec.dp
+    total = float(np.sum(np.abs(psi_hat) ** 2) * dp)
+    kept = float(np.sum(np.abs(amp) ** 2) * dp)
+    if total - kept > NEG_ENERGY_TOL:
+        raise InvalidInputError(
+            f"state carries negative-energy weight {total - kept:.2e}; project first"
+        )
+    return amp
 
 
 def project_positive_energy(psi: GridWavefunction) -> tuple[GridWavefunction, float]:
@@ -533,7 +537,7 @@ class OutgoingAsymptote:
 
 def outgoing_asymptote(
     psi0: GridWavefunction,
-    potential: PotentialSpec,
+    potential: GaussianBarrier | None,
     extraction_times: Sequence[float],
     dt: float = 0.01,
     residual_tol: float = 1e-3,
@@ -556,14 +560,14 @@ def outgoing_asymptote(
 
     p = psi0.spec.momentum_axis()
     mass = psi0.mass
+    prop = SplitStepPropagator(psi0.spec, mass, potential)
     psi = psi0
     iterates = []
     t_prev = 0.0
     for t_target in times:
         leg = t_target - t_prev
         n_steps = max(1, int(round(leg / dt)))
-        prop = SplitStepPropagator(psi.spec, mass, potential, leg / n_steps)
-        psi = prop.advance(psi, n_steps)
+        psi = prop.advance(psi, leg / n_steps, n_steps)
         t_prev = t_target
         phi_hat = np.exp(0.5j * p**2 * t_target / mass) * momentum_amplitudes(psi)
         iterates.append(phi_hat)
@@ -576,15 +580,18 @@ def outgoing_asymptote(
         ]
     )
     if residuals[-1] > residual_tol:
-        radius, center = potential.interaction_radius(), potential.center
-        weight = psi.interaction_region_weight(radius, center)
-        raise NonConvergedError(
-            f"outgoing asymptote not converged: residual {residuals[-1]:.3e} > {residual_tol:.0e}; "
-            f"weight {weight:.3f} remains within {radius:g} of x = {center:g} at t = {times[-1]:g}, "
-            "and a state with a bound part cannot converge",
-            residual_curve=residuals,
-            diagnostics={"extraction_times": times.tolist(), "interaction_region_weight": weight},
-        )
+        message = f"outgoing asymptote not converged: residual {residuals[-1]:.3e} > {residual_tol:.0e}"
+        diagnostics = {"extraction_times": times.tolist()}
+        if potential is not None:
+            radius, center = potential.interaction_radius(), potential.center
+            near = (psi.spec.axis() - center) ** 2 <= radius**2
+            weight = float(np.sum(psi.density()[near]) * psi.spec.dx)
+            message += (
+                f"; weight {weight:.3f} remains within {radius:g} of x = {center:g} at "
+                f"t = {times[-1]:g}, and a state with a bound part cannot converge"
+            )
+            diagnostics["interaction_region_weight"] = weight
+        raise NonConvergedError(message, residual_curve=residuals, diagnostics=diagnostics)
     raw = np.fft.fftshift(np.abs(iterates[-1]) ** 2)
     return OutgoingAsymptote(
         p=np.fft.fftshift(p),
@@ -593,4 +600,3 @@ def outgoing_asymptote(
         residual_curve=residuals,
         extraction_times=times,
     )
-

@@ -5,9 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bohmvel.cli import _build_state, _pipeline_params, load_config
+from bohmvel.cli import _build_state, _pipeline_params, _potential, load_config
 from bohmvel.pipeline import run_guided_pipeline
-from bohmvel.wavefunction import PotentialSpec, outgoing_asymptote
+from bohmvel.wavefunction import outgoing_asymptote
 
 ACCEPTANCE_SEED = 20260808
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -36,21 +36,21 @@ def free_gaussian_state(free_gaussian_config):
 def free_gaussian_run(free_gaussian_config):
     """n = 10^4 free-Gaussian ensemble shared by the acceptance criteria."""
     _, psi, params = free_gaussian_config
-    return run_guided_pipeline(psi, PotentialSpec.none(), params)
+    return run_guided_pipeline(psi, None, params)
 
 
 @pytest.fixture(scope="session")
 def bimodal_run():
     """n = 10^4 ensemble guided by the +-1.5 momentum superposition."""
     _, psi, params = shipped("bimodal_superposition.json")
-    return run_guided_pipeline(psi, PotentialSpec.none(), params), psi
+    return run_guided_pipeline(psi, None, params), psi
 
 
 @pytest.fixture(scope="session")
 def barrier_setup():
     """Gaussian-barrier scattering: ensemble run plus outgoing asymptote."""
     cfg, psi, params = shipped("barrier_scattering.json")
-    pot = PotentialSpec.from_dict(cfg["potential"])
+    pot = _potential(cfg)
     run = run_guided_pipeline(psi, pot, params)
     moller = cfg["moller"]
     out = outgoing_asymptote(
@@ -82,7 +82,7 @@ def dirac_params(dirac_config):
 @pytest.fixture(scope="session")
 def dirac_base_run(dirac_state, dirac_params):
     """n = 10^4 positive-energy Dirac ensemble (lab foliation)."""
-    return run_guided_pipeline(dirac_state, PotentialSpec.none(), dirac_params)
+    return run_guided_pipeline(dirac_state, None, dirac_params)
 
 
 def acceptance_line(name: str, ok: bool, detail: str) -> None:

@@ -41,7 +41,7 @@ from bohmvel.relativity import (
 from bohmvel.stats import ks_critical_value, ks_distance, ks_two_sample_1d, ks_vs_cdf_1d
 from bohmvel.wavefunction import (
     GridSpec,
-    PotentialSpec,
+    GaussianBarrier,
     SplitStepPropagator,
     gaussian_packet,
 )
@@ -271,7 +271,7 @@ def assert_time_stepping_is_a_small_share(name, psi, params, run):
     any recorded time: time stepping is a small part of the position
     error, so an RK4 that is wrong but stable cannot hide behind the
     spatial part."""
-    half = run_guided_pipeline(psi, PotentialSpec.none(), dataclasses.replace(params, dt=params.dt / 2.0))
+    half = run_guided_pipeline(psi, None, dataclasses.replace(params, dt=params.dt / 2.0))
     # Same seed and run key: the same starts.
     full_pos = run.integration.positions
     half_pos = half.integration.positions
@@ -408,8 +408,8 @@ def test_dynamics_property_suite(free_gaussian_run, dirac_base_run):
     limiting velocities and world lines inside the light cone."""
     spec = GridSpec(4096, -320.0, 320.0)
     psi = gaussian_packet(spec, 1.0, -12.0, 1.5, 2.0)
-    prop = SplitStepPropagator(spec, 1.0, PotentialSpec.gaussian_barrier(2.0, 1.0, 0.0), 0.005)
-    amps = prop.step(np.asarray(psi.amplitudes), 10_000)
+    prop = SplitStepPropagator(spec, 1.0, GaussianBarrier(2.0, 1.0, 0.0))
+    amps = prop.step(np.asarray(psi.amplitudes), 0.005, 10_000)
     drift = abs(float(np.sqrt(np.sum(np.abs(amps) ** 2) * spec.dx)) - 1.0)
 
     run = free_gaussian_run

@@ -18,9 +18,11 @@ from bohmvel.core import EmpiricalMeasure, SampledTrajectory
 from bohmvel.errors import InvalidInputError, RegularityError
 from bohmvel.guidance import EnsembleDiagnostics, IntegrationResult
 from bohmvel.stats import ks_vs_cdf_1d
+from bohmvel.relativity import boost_dirac_state
 from bohmvel.wavefunction import (
+    NEG_ENERGY_TOL,
     GridSpec,
-    PotentialSpec,
+    GridWavefunction,
     gaussian_packet,
     outgoing_asymptote,
     project_positive_energy,
@@ -248,7 +250,7 @@ class TestQuantumDistributions:
     def test_scattering_reduces_to_free_without_potential(self):
         spec = GridSpec(2048, -128.0, 128.0)
         psi = gaussian_packet(spec, 1.0, -20.0, 1.5, 1.0)
-        out = outgoing_asymptote(psi, PotentialSpec.none(), [4.0, 8.0], dt=0.01)
+        out = outgoing_asymptote(psi, None, [4.0, 8.0], dt=0.01)
         q_scatt = scattering_velocity_distribution(out, 1.0)
         q_free = free_velocity_distribution(psi)
         np.testing.assert_allclose(q_scatt.density, q_free.density, atol=1e-12)
@@ -266,6 +268,32 @@ class TestQuantumDistributions:
         q = dirac_velocity_distribution(psi)
         mean_abs = np.trapezoid(np.abs(q.v) * q.density, q.v)
         assert mean_abs < 0.05
+
+    def test_dirac_pushforward_rejects_an_unprojected_packet(self):
+        # v = p/E describes positive-energy states only.
+        spec = GridSpec(2048, -128.0, 128.0)
+        psi = gaussian_packet(spec, 1.0, 0.0, 0.75, 1.0, kind="dirac")
+        with pytest.raises(InvalidInputError, match="negative-energy weight"):
+            dirac_velocity_distribution(psi)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_pushforward_and_boost_share_the_negative_energy_tolerance(self, factor):
+        # (a, b) -> (-b, a) maps each mode's positive-energy spinor to its
+        # negative-energy one, so the mixture carries negative weight w.
+        spec = GridSpec(1024, -64.0, 64.0)
+        pos, _ = project_positive_energy(gaussian_packet(spec, 1.0, 0.0, 0.75, 1.0, kind="dirac"))
+        neg = np.stack([-pos.amplitudes[1], pos.amplitudes[0]])
+        w = factor * NEG_ENERGY_TOL
+        amps = np.sqrt(1.0 - w) * pos.amplitudes + np.sqrt(w) * neg
+        psi = GridWavefunction(spec, amps, 0.0, "dirac", 1.0)
+        if factor < 1.0:
+            dirac_velocity_distribution(psi)
+            boost_dirac_state(psi, 0.2)
+            return
+        with pytest.raises(InvalidInputError, match="negative-energy weight"):
+            dirac_velocity_distribution(psi)
+        with pytest.raises(InvalidInputError, match="negative-energy weight"):
+            boost_dirac_state(psi, 0.2)
 
     def test_sampler_matches_cdf(self):
         spec = GridSpec(2048, -128.0, 128.0)

@@ -20,13 +20,15 @@ from bohmvel.cli import (
     main,
     validate_config,
 )
+from bohmvel.core import EmpiricalMeasure
 from bohmvel.errors import ConfigurationError
 from bohmvel.guidance import NodePolicy, integrate_ensemble
 from bohmvel.pipeline import PipelineParams
 from bohmvel.relativity import foliation_sweep, verify_boost_covariance
+from bohmvel.stats import ks_two_sample_1d, wasserstein1_1d
 from bohmvel.wavefunction import (
+    GaussianBarrier,
     GridSpec,
-    PotentialSpec,
     outgoing_asymptote,
     superposed_gaussians,
 )
@@ -64,7 +66,6 @@ DRIFT_CASES = {
     "two_checkpoints": (("time", "checkpoints"), [20.0, 40.0]),
     "n_trajectories_fractional": (("ensemble", "n_trajectories"), 1.5),
     "out_dir_integer": (("out_dir",), 7),
-    "projection_flag_string": (("project_positive_energy",), "yes"),
 }
 
 # Mutations of configs/free_gaussian.json that the schema accepts but the
@@ -264,7 +265,7 @@ class TestValidation:
         ens = props["ensemble"]["properties"]
         assert params.dt == props["time"]["properties"]["dt"]["default"]
         assert params.eta_tol == props["time"]["properties"]["eta_tol"]["default"]
-        assert (params.rho_floor, params.dt_min, params.node_action) == tuple(
+        assert (params.policy.rho_floor, params.policy.dt_min, params.policy.action) == tuple(
             ens[k]["default"] for k in ("rho_floor", "dt_min", "node_action")
         )
         assert props["boosts"]["default"] == [0.0, 0.2, 0.4]
@@ -289,16 +290,11 @@ class TestValidation:
             "PipelineParams.n_trajectories": (params["n_trajectories"], ens["n_trajectories"]),
             "PipelineParams.dt": (params["dt"], time_["dt"]),
             "PipelineParams.eta_tol": (params["eta_tol"], time_["eta_tol"]),
-            "PipelineParams.rho_floor": (params["rho_floor"], ens["rho_floor"]),
-            "PipelineParams.dt_min": (params["dt_min"], ens["dt_min"]),
-            "PipelineParams.node_action": (params["node_action"], ens["node_action"]),
             "NodePolicy.rho_floor": (policy["rho_floor"], ens["rho_floor"]),
             "NodePolicy.dt_min": (policy["dt_min"], ens["dt_min"]),
             "NodePolicy.action": (policy["action"], ens["node_action"]),
             "integrate_ensemble.dt": (arg_defaults(integrate_ensemble)["dt"], time_["dt"]),
-            "gaussian_barrier.center": (
-                arg_defaults(PotentialSpec.gaussian_barrier)["center"], center
-            ),
+            "GaussianBarrier.center": (field_defaults(GaussianBarrier)["center"], center),
             "verify_boost_covariance.ks_threshold": (
                 arg_defaults(verify_boost_covariance)["ks_threshold"], ks
             ),
@@ -314,6 +310,8 @@ class TestValidation:
             if lib != schema["default"]
         }
         assert differing == {}
+        # PipelineParams states its node handling as the default NodePolicy.
+        assert params["policy"] == NodePolicy()
 
         # superposed_gaussians reads its amplitude default inline: a packet
         # that states the schema default must build the same state.
@@ -347,6 +345,60 @@ class TestValidation:
                 walk(node["items"])
 
         walk(config_schema())
+
+
+class TestGuidedStepStability:
+    """A guided RK4 step of size h advances the state by h/2 twice; a step
+    that breaks the split-step stability bound is a config error before
+    any work, in validate-config as in run, naming config.time.dt."""
+
+    KINETIC = "config.time.dt: dt * p_max^2/(2m) exceeds the stability bound 2 pi"
+
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_barrier_at_half_unit_step_exits_4(self, command, tmp_path, capsys):
+        cfg = shipped_config("barrier_scattering.json")
+        cfg["time"]["dt"] = 0.5
+        cfg["out_dir"] = str(tmp_path / "run")
+        path = write_config(tmp_path, cfg)
+        start = time.perf_counter()
+        assert main([command, "--config", path]) == EXIT_CONFIG_ERROR
+        assert time.perf_counter() - start < 1.0
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ConfigurationError", "message": self.KINETIC}
+        assert not (tmp_path / "run").exists()
+
+    def test_unstable_step_on_a_well_exits_4_before_the_quantum_side(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The packet on a Gaussian well has a bound part, so the quantum side
+        # would fail too (exit 5); the unstable guided step is found first.
+        def no_asymptote(*args, **kwargs):
+            pytest.fail("the outgoing asymptote ran before the config was rejected")
+
+        monkeypatch.setattr(cli, "outgoing_asymptote", no_asymptote)
+        cfg = {
+            "system": "potential_schrodinger",
+            "mass": 1.0,
+            "grid": {"n_points": 4096, "x_min": -256.0, "x_max": 256.0},
+            "packets": [{"x0": 30.0, "p0": 0.0, "sigma0": 1.0}],
+            "potential": {"kind": "gaussian_barrier", "height": -1.0, "width": 1.0, "center": 30.0},
+            "ensemble": {"n_trajectories": 10000},
+            "time": {"t_max": 40.0, "dt": 0.05, "checkpoints": [10.0, 20.0, 40.0]},
+            "moller": {"extraction_times": [20.0, 40.0], "dt": 0.01},
+            "seed": 1,
+            "out_dir": str(tmp_path / "well"),
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", path]) == EXIT_CONFIG_ERROR
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {"type": "ConfigurationError", "message": self.KINETIC}
+        assert not (tmp_path / "well").exists()
+
+    def test_free_system_has_no_step_bound(self):
+        # Free split steps are exact per mode, so no step is rejected.
+        cfg = shipped_config("free_gaussian.json")
+        cfg["time"]["dt"] = 0.5
+        assert validate_config(cfg) is cfg
 
 
 class TestCheckpointLadder:
@@ -431,6 +483,19 @@ class TestRunCommand:
         main(["run", "--config", path, "--out", str(tmp_path / "b")])
         for fname in ("s_plus.csv", "q_plus_samples.csv", "manifest.json", "trajectories.ndjson"):
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+    def test_written_samples_reproduce_the_verdict(self, tmp_path):
+        # The quantum sample in q_plus_samples.csv is the one the verdict
+        # compared: KS and W1 recomputed from the two CSVs are the manifest's.
+        out = tmp_path / "run"
+        path = write_config(tmp_path, small_free_config(out))
+        assert main(["run", "--config", path]) == EXIT_PASS
+        s = EmpiricalMeasure.from_csv(out / "s_plus.csv")
+        q = EmpiricalMeasure.from_csv(out / "q_plus_samples.csv")
+        comparison = json.loads((out / "manifest.json").read_text())["reports"]["comparison"]
+        assert q.n_samples == comparison["n_q"]
+        assert ks_two_sample_1d(s.samples[:, 0], s.weights, q.samples[:, 0], q.weights) == comparison["ks"]
+        assert wasserstein1_1d(s, q) == comparison["w1"]
 
     def test_impossible_threshold_fails_with_exit_2(self, tmp_path):
         cfg = small_free_config(tmp_path / "c")
@@ -630,7 +695,6 @@ class TestDiracRunCommand:
             "mass": 1.0,
             "grid": {"n_points": 512, "x_min": -64.0, "x_max": 64.0},
             "packets": [{"x0": 0.0, "p0": 0.75, "sigma0": 1.0}],
-            "project_positive_energy": True,
             "ensemble": {"n_trajectories": 400},
             "time": {"t_max": 40.0, "dt": 0.05, "checkpoints": [10.0, 20.0, 40.0]},
             "seed": 2,

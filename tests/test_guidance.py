@@ -13,7 +13,6 @@ from bohmvel.guidance import (
 from bohmvel.wavefunction import (
     GridSpec,
     GridWavefunction,
-    PotentialSpec,
     SplitStepPropagator,
     gaussian_packet,
     project_positive_energy,
@@ -41,8 +40,7 @@ def guiding_velocity(psi, x, rho_floor=1e-12):
 
 class TestVelocityAt:
     def test_free_gaussian_field_value(self, packet):
-        prop = SplitStepPropagator(packet.spec, 1.0, PotentialSpec.none(), 0.01)
-        psi_t2 = prop.advance(packet, 200)
+        psi_t2 = SplitStepPropagator(packet.spec, 1.0).advance(packet, 0.01, 200)
         v, _, ok = guiding_velocity(psi_t2, 1.0)
         assert ok
         assert v == pytest.approx(free_gaussian_velocity(1.0, 2.0), abs=1e-6)
@@ -131,7 +129,7 @@ class TestIntegrateEnsemble:
         psi = gaussian_packet(fine, 1.0, 0.0, 0.0, 1.0)
         starts = np.array([[1.0], [0.5], [-1.0]])
         res = integrate_ensemble(
-            psi, PotentialSpec.none(), starts, np.linspace(0.0, 10.0, 21), NodePolicy(), dt=0.02
+            psi, None, starts, np.linspace(0.0, 10.0, 21), NodePolicy(), dt=0.02
         )
         got = res.positions_at(10.0)[:, 0]
         expected = free_gaussian_trajectory(starts[:, 0], 10.0)
@@ -140,14 +138,14 @@ class TestIntegrateEnsemble:
     def test_center_rides_the_packet(self, grid):
         psi = gaussian_packet(grid, 1.0, 0.0, 1.0, 1.0)
         res = integrate_ensemble(
-            psi, PotentialSpec.none(), np.array([[0.0]]), np.linspace(0.0, 20.0, 11), NodePolicy()
+            psi, None, np.array([[0.0]]), np.linspace(0.0, 20.0, 11), NodePolicy()
         )
         # Start at the symmetric center: stays at x0 + p0 t / m.
         np.testing.assert_allclose(res.positions[0, :, 0], res.times, atol=2e-4)
 
     def test_zero_duration_grid(self, packet):
         starts = np.array([[0.3], [0.9]])
-        res = integrate_ensemble(packet, PotentialSpec.none(), starts, [0.0], NodePolicy())
+        res = integrate_ensemble(packet, None, starts, [0.0], NodePolicy())
         np.testing.assert_array_equal(res.positions[:, 0, :], starts)
         with pytest.raises(InvalidInputError):
             _ = res.trajectories
@@ -156,14 +154,14 @@ class TestIntegrateEnsemble:
         # An absurd density floor forces immediate aborts everywhere.
         policy = NodePolicy(rho_floor=10.0, dt_min=1e-3, action="abort")
         res = integrate_ensemble(
-            packet, PotentialSpec.none(), np.array([[0.0], [0.5]]), [0.0, 1.0], policy
+            packet, None, np.array([[0.0], [0.5]]), [0.0, 1.0], policy
         )
         assert res.diagnostics.failed_weight == 1.0
 
     def test_freeze_policy_freezes(self, packet):
         policy = NodePolicy(rho_floor=10.0, dt_min=1e-3, action="freeze_step")
         res = integrate_ensemble(
-            packet, PotentialSpec.none(), np.array([[0.4]]), [0.0, 1.0], policy, dt=0.5
+            packet, None, np.array([[0.4]]), [0.0, 1.0], policy, dt=0.5
         )
         assert res.positions[0, -1, 0] == pytest.approx(0.4)
         assert res.diagnostics.frozen_steps[0] > 0
@@ -174,7 +172,7 @@ class TestIntegrateEnsemble:
         # eventually freeze at dt_min.
         policy = NodePolicy(rho_floor=1.5e-2, dt_min=0.3, action="shrink_dt")
         res = integrate_ensemble(
-            packet, PotentialSpec.none(), np.array([[2.4]]), [0.0, 2.0, 4.0], policy, dt=1.0
+            packet, None, np.array([[2.4]]), [0.0, 2.0, 4.0], policy, dt=1.0
         )
         d = res.diagnostics
         assert d.shrink_events.sum() > 0
@@ -184,35 +182,35 @@ class TestIntegrateEnsemble:
     def test_no_crossing_on_smooth_run(self, packet):
         starts = sample_initial(packet, 400, seed=2)
         res = integrate_ensemble(
-            packet, PotentialSpec.none(), starts, np.linspace(0.0, 10.0, 6), NodePolicy()
+            packet, None, starts, np.linspace(0.0, 10.0, 6), NodePolicy()
         )
         assert count_order_violations(res) == 0
 
     def test_determinism(self, packet):
         starts = sample_initial(packet, 50, seed=13)
-        r1 = integrate_ensemble(packet, PotentialSpec.none(), starts, [0.0, 2.0, 4.0], NodePolicy())
-        r2 = integrate_ensemble(packet, PotentialSpec.none(), starts, [0.0, 2.0, 4.0], NodePolicy())
+        r1 = integrate_ensemble(packet, None, starts, [0.0, 2.0, 4.0], NodePolicy())
+        r2 = integrate_ensemble(packet, None, starts, [0.0, 2.0, 4.0], NodePolicy())
         np.testing.assert_array_equal(r1.positions, r2.positions)
 
 
 class TestEquivariance:
     def test_initial_time_noise_level(self, packet):
         starts = sample_initial(packet, 5000, seed=4)
-        res = integrate_ensemble(packet, PotentialSpec.none(), starts, [0.0, 1.0], NodePolicy())
+        res = integrate_ensemble(packet, None, starts, [0.0, 1.0], NodePolicy())
         d = check_equivariance(res, packet, 0.0)
         assert d < 0.03
 
     def test_free_gaussian_t5(self, packet):
         starts = sample_initial(packet, 10_000, seed=6)
         res = integrate_ensemble(
-            packet, PotentialSpec.none(), starts, np.array([0.0, 5.0]), NodePolicy()
+            packet, None, starts, np.array([0.0, 5.0]), NodePolicy()
         )
         d = check_equivariance(res, res.snapshots[1], 5.0)
         assert d < 0.02
 
     def test_corrupted_ensemble_detected(self, packet):
         starts = sample_initial(packet, 5000, seed=8) + 1.5
-        res = integrate_ensemble(packet, PotentialSpec.none(), starts, [0.0, 1.0], NodePolicy())
+        res = integrate_ensemble(packet, None, starts, [0.0, 1.0], NodePolicy())
         d = check_equivariance(res, res.snapshots[1], 1.0)
         assert d > 0.2
 

@@ -23,7 +23,6 @@ from bohmvel.wavefunction import (
     KIND_DIRAC,
     DiracPropagator,
     GridSpec,
-    PotentialSpec,
     SplitStepPropagator,
     gaussian_packet,
     project_positive_energy,
@@ -116,7 +115,7 @@ def test_shared_stencil_matches_per_field_loop(n):
 def _schrodinger_state():
     spec = GridSpec(4096, -256.0, 256.0)
     psi = gaussian_packet(spec, 1.0, 0.0, 0.5, 1.0)
-    return SplitStepPropagator(spec, 1.0, PotentialSpec.none(), 0.05).advance(psi, 20)
+    return SplitStepPropagator(spec, 1.0).advance(psi, 0.05, 20)
 
 
 def _dirac_state():
@@ -267,12 +266,10 @@ def test_rk4_block_matches_reference(name):
     h = 0.05
     if psi.kind == KIND_DIRAC:
         prop = DiracPropagator(psi.spec, psi.mass)
-        mid = prop.advance(psi, 0.5 * h)
-        end = prop.advance(mid, 0.5 * h)
     else:
-        prop = SplitStepPropagator(psi.spec, psi.mass, PotentialSpec.none(), 0.5 * h)
-        mid = prop.advance(psi, 1)
-        end = prop.advance(mid, 1)
+        prop = SplitStepPropagator(psi.spec, psi.mass)
+    mid = prop.advance(psi, 0.5 * h)
+    end = prop.advance(mid, 0.5 * h)
     snaps = [FieldSnapshot(s) for s in (psi, mid, end)]
     x = points.copy()
     diag = _fresh_diagnostics(len(points), failed)

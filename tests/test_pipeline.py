@@ -8,7 +8,6 @@ from bohmvel.guidance import SLOW_PATH_STUCK_SHARE, NodePolicy, integrate_ensemb
 from bohmvel.pipeline import PipelineParams, child_seed, run_guided_pipeline
 from bohmvel.wavefunction import (
     GridSpec,
-    PotentialSpec,
     gaussian_packet,
     project_positive_energy,
 )
@@ -52,19 +51,19 @@ def test_failed_weight_guard(packet):
     params = PipelineParams(
         n_trajectories=50, t_max=4.0, dt=0.5, checkpoints=(1.0, 2.0, 4.0),
         record_times=(0.0, 1.0, 2.0, 4.0), seed=3,
-        rho_floor=10.0, node_action="abort",
+        policy=NodePolicy(rho_floor=10.0, action="abort"),
     )
     with pytest.raises(RegularityError, match="validity limit"):
-        run_guided_pipeline(packet, PotentialSpec.none(), params)
+        run_guided_pipeline(packet, None, params)
 
 
 def test_run_key_changes_draws_only(packet):
     params = PipelineParams(
         n_trajectories=200, t_max=4.0, dt=0.1, checkpoints=(1.0, 2.0, 4.0), seed=5
     )
-    r0 = run_guided_pipeline(packet, PotentialSpec.none(), params)
-    r1 = run_guided_pipeline(packet, PotentialSpec.none(), params.with_run_key(1))
-    again = run_guided_pipeline(packet, PotentialSpec.none(), params)
+    r0 = run_guided_pipeline(packet, None, params)
+    r1 = run_guided_pipeline(packet, None, params.with_run_key(1))
+    again = run_guided_pipeline(packet, None, params)
     assert not np.array_equal(r0.s_plus.samples, r1.s_plus.samples)
     np.testing.assert_array_equal(r0.s_plus.samples, again.s_plus.samples)
 
@@ -78,7 +77,7 @@ def test_dirac_wraparound_fails_fast():
     params = PipelineParams(n_trajectories=200, t_max=40.0, seed=1)
     start = time.perf_counter()
     with pytest.raises(NumericalFailureError, match="grid boundary") as info:
-        run_guided_pipeline(psi, PotentialSpec.none(), params)
+        run_guided_pipeline(psi, None, params)
     assert time.perf_counter() - start < 10.0
     assert 20.0 < info.value.diagnostics["t"] < 30.0
 
@@ -93,7 +92,7 @@ def test_box_exit_fails_fast():
     starts = np.array([[0.0], [15.99]])
     start = time.perf_counter()
     res = integrate_ensemble(
-        psi, PotentialSpec.none(), starts, np.linspace(0.0, 2.0, 5),
+        psi, None, starts, np.linspace(0.0, 2.0, 5),
         NodePolicy(rho_floor=1e-300), dt=0.05,
     )
     assert time.perf_counter() - start < 5.0
@@ -115,7 +114,7 @@ def test_slow_path_budget_ends_a_stuck_run():
     start = time.perf_counter()
     with pytest.raises(NumericalFailureError, match="slow path") as info:
         integrate_ensemble(
-            psi, PotentialSpec.none(), starts, [0.0, 40.0],
+            psi, None, starts, [0.0, 40.0],
             NodePolicy(rho_floor=1e-3, action="shrink_dt"),
         )
     assert time.perf_counter() - start < 15.0
@@ -134,7 +133,7 @@ def test_one_stuck_trajectory_does_not_end_the_run():
     psi = gaussian_packet(GridSpec(4096, -256.0, 256.0), 1.0, 0.0, 0.0, 1.0)
     starts = np.append(np.linspace(-2.0, 2.0, 199), 8.0)[:, None]
     res = integrate_ensemble(
-        psi, PotentialSpec.none(), starts, [0.0, 2.0, 4.0],
+        psi, None, starts, [0.0, 2.0, 4.0],
         NodePolicy(rho_floor=1e-3, action="shrink_dt"),
     )
     diag = res.diagnostics

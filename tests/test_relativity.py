@@ -210,7 +210,6 @@ def test_boosted_straight_worldline_stays_worldline(v, u):
 @pytest.fixture(scope="module")
 def small_setup():
     from bohmvel.pipeline import PipelineParams, run_guided_pipeline
-    from bohmvel.wavefunction import PotentialSpec
 
     spec = GridSpec(1024, -128.0, 128.0)
     psi, _ = project_positive_energy(gaussian_packet(spec, 1.0, 0.0, 0.75, 1.0, kind="dirac"))
@@ -218,7 +217,7 @@ def small_setup():
         n_trajectories=1500, t_max=40.0, dt=0.05,
         checkpoints=(10.0, 20.0, 40.0), record_times=(0.0, 10.0, 20.0, 40.0), seed=99,
     )
-    base = run_guided_pipeline(psi, PotentialSpec.none(), params)
+    base = run_guided_pipeline(psi, None, params)
     return psi, params, base
 
 
@@ -237,14 +236,11 @@ class TestCovarianceMachinery:
 
     def test_negative_control_untransported_measure_fails(self, small_setup):
         from bohmvel.pipeline import run_guided_pipeline
-        from bohmvel.wavefunction import PotentialSpec
         from bohmvel.stats import ks_distance
 
         psi, params, base = small_setup
         u = 0.3
-        boosted = run_guided_pipeline(
-            boost_dirac_state(psi, u), PotentialSpec.none(), params.with_run_key(7)
-        )
+        boosted = run_guided_pipeline(boost_dirac_state(psi, u), None, params.with_run_key(7))
         # Skipping the velocity transport leaves the two ensembles a full
         # velocity-addition shift apart.
         raw_ks = float(np.max(ks_distance(base.s_plus, boosted.s_plus)))

@@ -11,7 +11,7 @@ from bohmvel.wavefunction import (
     DiracPropagator,
     GridSpec,
     GridWavefunction,
-    PotentialSpec,
+    GaussianBarrier,
     SplitStepPropagator,
     gaussian_packet,
     momentum_amplitudes,
@@ -36,7 +36,7 @@ def base_packet(line_grid):
 
 
 def evolve(psi, potential, dt, n_steps):
-    return SplitStepPropagator(psi.spec, psi.mass, potential, dt).advance(psi, n_steps)
+    return SplitStepPropagator(psi.spec, psi.mass, potential).advance(psi, dt, n_steps)
 
 
 def evolve_free_dirac(psi, t):
@@ -87,19 +87,19 @@ class TestGaussianPacket:
 
 class TestSchrodingerEvolution:
     def test_zero_steps_identity(self, base_packet):
-        out = evolve(base_packet, PotentialSpec.none(), 0.01, 0)
+        out = evolve(base_packet, None, 0.01, 0)
         np.testing.assert_array_equal(out.amplitudes, base_packet.amplitudes)
         assert out.t == base_packet.t
 
     def test_negative_steps_rejected(self, base_packet):
         # A negative count would otherwise step forward and label the
         # result with a past time.
-        prop = SplitStepPropagator(base_packet.spec, 1.0, PotentialSpec.none(), 0.01)
+        prop = SplitStepPropagator(base_packet.spec, 1.0)
         with pytest.raises(InvalidInputError, match="n_steps"):
-            prop.advance(base_packet, -3)
+            prop.advance(base_packet, 0.01, -3)
 
     def test_free_width_law(self, line_grid, base_packet):
-        out = evolve(base_packet, PotentialSpec.none(), 0.01, 200)
+        out = evolve(base_packet, None, 0.01, 200)
         x = line_grid.axis()
         std = np.sqrt(np.sum(x**2 * out.density()) * line_grid.dx)
         assert std == pytest.approx(np.sqrt(2.0), abs=1e-6)
@@ -107,12 +107,12 @@ class TestSchrodingerEvolution:
 
     def test_ehrenfest_drift(self, line_grid):
         psi = gaussian_packet(line_grid, 1.0, 0.0, 1.0, 1.0)
-        out = evolve(psi, PotentialSpec.none(), 0.01, 500)
+        out = evolve(psi, None, 0.01, 500)
         x = line_grid.axis()
         assert np.sum(x * out.density()) * line_grid.dx == pytest.approx(5.0, abs=1e-8)
 
     def test_free_evolution_matches_analytic_in_l2(self, line_grid, base_packet):
-        out = evolve(base_packet, PotentialSpec.none(), 0.01, 300)
+        out = evolve(base_packet, None, 0.01, 300)
         x = line_grid.axis()
         ref = free_gaussian_psi(x, 3.0)
         # Global phase is physical here: both conventions fix it identically.
@@ -121,13 +121,13 @@ class TestSchrodingerEvolution:
 
     def test_unitarity(self, line_grid):
         psi = gaussian_packet(line_grid, 1.0, -30.0, 1.0, 2.0)
-        pot = PotentialSpec.gaussian_barrier(1.0, 1.0, 0.0)
+        pot = GaussianBarrier(1.0, 1.0, 0.0)
         out = evolve(psi, pot, 0.01, 2000)
         assert abs(out.norm() - 1.0) < 1e-9
 
     def test_stability_bound_enforced(self, line_grid, base_packet):
         with pytest.raises(ConfigurationError):
-            evolve(base_packet, PotentialSpec.gaussian_barrier(100.0, 1.0), 0.01, 1)
+            evolve(base_packet, GaussianBarrier(100.0, 1.0), 0.01, 1)
 
 
 class TestDirac:
@@ -184,7 +184,7 @@ class TestDirac:
         assert err.value.diagnostics["boundary_cell_mass"] > 1e-12
         scalar = gaussian_packet(spec, 1.0, 0.0, 2.0, 1.0)
         with pytest.raises(NumericalFailureError, match="boundary"):
-            evolve(scalar, PotentialSpec.none(), 0.05, 1200)
+            evolve(scalar, None, 0.05, 1200)
 
     def test_group_velocity_narrow_packet(self, line_grid):
         # v = p/E = 0.6 at p0 = 0.75, m = 1; a narrow momentum spread keeps
@@ -242,7 +242,7 @@ class TestPositiveEnergyProjection:
 class TestOutgoingAsymptote:
     def test_free_case_exact(self, line_grid):
         psi = gaussian_packet(line_grid, 1.0, -20.0, 1.5, 1.0)
-        out = outgoing_asymptote(psi, PotentialSpec.none(), [4.0, 8.0], dt=0.01)
+        out = outgoing_asymptote(psi, None, [4.0, 8.0], dt=0.01)
         assert out.cauchy_residual < 1e-12
         md = momentum_density(psi)
         p0, q0 = md.p, md.values
@@ -252,7 +252,7 @@ class TestOutgoingAsymptote:
     def test_barrier_bimodal_and_monotone(self):
         spec = GridSpec(4096, -320.0, 320.0)
         psi = gaussian_packet(spec, 1.0, -12.0, 1.5, 2.0)
-        pot = PotentialSpec.gaussian_barrier(2.0, 1.0, 0.0)
+        pot = GaussianBarrier(2.0, 1.0, 0.0)
         out = outgoing_asymptote(psi, pot, [20.0, 30.0, 40.0, 60.0], dt=0.01, residual_tol=1e-2)
         assert np.all(np.diff(out.residual_curve) < 0)
         dp = out.p[1] - out.p[0]
@@ -263,7 +263,7 @@ class TestOutgoingAsymptote:
 
     def test_nonconverged_raises_with_curve(self, line_grid):
         psi = gaussian_packet(line_grid, 1.0, -20.0, 1.5, 1.0)
-        pot = PotentialSpec.gaussian_barrier(2.0, 1.0, 0.0)
+        pot = GaussianBarrier(2.0, 1.0, 0.0)
         with pytest.raises(NonConvergedError) as err:
             outgoing_asymptote(psi, pot, [2.0, 4.0], dt=0.01, residual_tol=1e-12)
         assert err.value.residual_curve is not None
@@ -274,7 +274,7 @@ class TestOutgoingAsymptote:
         # weight held around the well's own center, not around x = 0.
         spec = GridSpec(2048, -256.0, 256.0)
         psi = gaussian_packet(spec, 1.0, 30.0, 0.0, 1.0)
-        pot = PotentialSpec.gaussian_barrier(-1.0, 1.0, 30.0)
+        pot = GaussianBarrier(-1.0, 1.0, 30.0)
         with pytest.raises(NonConvergedError, match="bound part cannot converge") as err:
             outgoing_asymptote(psi, pot, [20.0, 40.0], dt=0.01)
         assert err.value.residual_curve[-1] > 0.5
