@@ -160,19 +160,19 @@ def _sha256(*chunks: bytes) -> str:
     return h.hexdigest()
 
 
-def worker() -> dict:
-    """Time every kernel of the importable bohmvel; print-ready dict."""
+def build_kernels(tmp: str) -> tuple[dict, dict]:
+    """Every kernel of the importable bohmvel as a no-argument callable, by
+    name, and the sha256 of each output; the CSV and NDJSON kernels write
+    into the directory ``tmp``."""
     import numpy as np
 
-    import bohmvel
-    from bohmvel import _interp
+    from bohmvel import _interp, guidance
     from bohmvel.asymptotics import _eta_block, estimate_asymptotic_measure, rotating_trajectory_family
     from bohmvel.core import EmpiricalMeasure, save_trajectories_ndjson
     from bohmvel.guidance import (
         EnsembleDiagnostics,
         FieldSnapshot,
         IntegrationResult,
-        NodePolicy,
         _rk4_block,
         sample_initial,
     )
@@ -202,9 +202,13 @@ def worker() -> dict:
     mid = prop.advance(dirac, half_step)
     snaps = [dirac_snap, FieldSnapshot(mid), FieldSnapshot(prop.advance(mid, half_step))]
     dirac_points = sample_initial(dirac, N_POINTS, 0)
-    policy = NodePolicy()
-    # Newer trees pass the run's slow-path budget as a last argument.
-    budget = (math.inf,) if len(inspect.signature(_rk4_block).parameters) == 8 else ()
+    if hasattr(guidance, "NodePolicy"):
+        # Older trees take a NodePolicy for the density floor, and some a
+        # slow-path budget as a last argument.
+        rho_floor = guidance.NodePolicy()
+        budget = (math.inf,) if len(inspect.signature(_rk4_block).parameters) == 8 else ()
+    else:
+        rho_floor, budget = 1e-12, ()
 
     def diagnostics(n):
         return EnsembleDiagnostics(
@@ -215,7 +219,7 @@ def worker() -> dict:
         )
 
     def rk4_step():
-        return _rk4_block(dirac_points, *snaps, 2.0 * half_step, policy, diagnostics(N_POINTS), *budget)
+        return _rk4_block(dirac_points, *snaps, 2.0 * half_step, rho_floor, diagnostics(N_POINTS), *budget)
 
     kernels["rk4_step"] = rk4_step
     digests["rk4_step"] = _sha256(rk4_step().tobytes())
@@ -264,12 +268,26 @@ def worker() -> dict:
     kernels["ks_w1"] = ks_w1
     digests["ks_w1"] = _sha256(ks_w1().tobytes())
 
+    csv_path = os.path.join(tmp, "measure.csv")
+    kernels["measure_to_csv"] = lambda: measure.to_csv(csv_path)
+    kernels["measure_to_csv"]()
+    with open(csv_path, "rb") as fh:
+        digests["measure_to_csv"] = _sha256(fh.read())
+    ndjson_path = os.path.join(tmp, "trajectories.ndjson")
+    kernels["ndjson_write"] = lambda: save_trajectories_ndjson(ensemble().trajectories, ndjson_path)
+    kernels["ndjson_write"]()
+    with open(ndjson_path, "rb") as fh:
+        digests["ndjson_write"] = _sha256(fh.read())
+    return kernels, digests
+
+
+def worker() -> dict:
+    """Time every kernel of the importable bohmvel; print-ready dict."""
+    import bohmvel
+
     times = {}
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = os.path.join(tmp, "measure.csv")
-        ndjson_path = os.path.join(tmp, "trajectories.ndjson")
-        kernels["measure_to_csv"] = lambda: measure.to_csv(csv_path)
-        kernels["ndjson_write"] = lambda: save_trajectories_ndjson(ensemble().trajectories, ndjson_path)
+        kernels, digests = build_kernels(tmp)
         for name, fn in kernels.items():
             fn()
             calls = CALLS[name]
@@ -280,10 +298,6 @@ def worker() -> dict:
                     fn()
                 per_call.append((time.perf_counter() - t0) / calls * 1e3)
             times[name] = per_call
-        with open(csv_path, "rb") as fh:
-            digests["measure_to_csv"] = _sha256(fh.read())
-        with open(ndjson_path, "rb") as fh:
-            digests["ndjson_write"] = _sha256(fh.read())
     return {
         "source_sha256": _source_digest(os.path.dirname(bohmvel.__file__)),
         "output_sha256": digests,

@@ -36,7 +36,6 @@ from .wavefunction import (
     superposed_gaussians,
 )
 from .guidance import (
-    NodePolicy,
     check_equivariance,
     integrate_ensemble,
     sample_initial,

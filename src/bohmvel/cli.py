@@ -44,7 +44,7 @@ from .errors import (
     NumericalFailureError,
     RegularityError,
 )
-from .guidance import NodePolicy, check_equivariance, count_order_violations, rk4_step_sizes
+from .guidance import check_equivariance, count_order_violations, rk4_step_sizes
 from .pipeline import PipelineParams, run_guided_pipeline
 from .relativity import foliation_label, foliation_sweep, verify_boost_covariance
 from .stats import ks_critical_value, ks_distance
@@ -53,6 +53,7 @@ from .wavefunction import (
     GridSpec,
     check_packet_fits,
     check_split_step_stability,
+    extraction_steps,
     outgoing_asymptote,
     project_positive_energy,
     superposed_gaussians,
@@ -165,7 +166,8 @@ def validate_config(cfg: dict) -> dict:
     try:
         params = _pipeline_params(cfg, 0)
     except InvalidInputError as exc:
-        raise ConfigurationError(f"config.time.checkpoints: {exc}") from None
+        # PipelineParams' messages start with the name of the time field.
+        raise ConfigurationError(f"config.time.{exc}") from None
     # Every guided RK4 step of size h advances the state by h/2 twice.
     potential, mass = _potential(cfg), float(_setting(cfg, "mass"))
     try:
@@ -173,6 +175,16 @@ def validate_config(cfg: dict) -> dict:
             check_split_step_stability(grid, mass, potential, 0.5 * h)
     except ConfigurationError as exc:
         raise ConfigurationError(f"config.time.dt: {exc}") from None
+    if system == "potential_schrodinger":
+        try:
+            steps = extraction_steps(_extraction_times(cfg), float(_setting(cfg, "moller", "dt")))
+        except InvalidInputError as exc:
+            raise ConfigurationError(f"config.moller.extraction_times: {exc}") from None
+        try:
+            for h in {h for h, _ in steps}:
+                check_split_step_stability(grid, mass, potential, h)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"config.moller.dt: {exc}") from None
     return cfg
 
 
@@ -224,13 +236,16 @@ def _pipeline_params(cfg: dict, seed: int) -> PipelineParams:
         record_times=tuple(time_cfg["record_times"]) if "record_times" in time_cfg else None,
         checkpoints=tuple(time_cfg["checkpoints"]) if "checkpoints" in time_cfg else None,
         eta_tol=float(_setting(cfg, "time", "eta_tol")),
-        policy=NodePolicy(
-            rho_floor=float(_setting(cfg, "ensemble", "rho_floor")),
-            dt_min=float(_setting(cfg, "ensemble", "dt_min")),
-            action=_setting(cfg, "ensemble", "node_action"),
-        ),
+        rho_floor=float(_setting(cfg, "ensemble", "rho_floor")),
         seed=seed,
     )
+
+
+def _extraction_times(cfg: dict) -> list[float]:
+    """The outgoing-asymptote extraction times; by default t_max/2,
+    3 t_max/4 and t_max."""
+    t_max = float(cfg["time"]["t_max"])
+    return cfg.get("moller", {}).get("extraction_times", [t_max / 2.0, 0.75 * t_max, t_max])
 
 
 def _quantum_distribution(cfg: dict, psi, potential: GaussianBarrier | None):
@@ -241,12 +256,10 @@ def _quantum_distribution(cfg: dict, psi, potential: GaussianBarrier | None):
         return free_velocity_distribution(psi), None
     if system == "free_dirac":
         return dirac_velocity_distribution(psi), None
-    t_max = float(cfg["time"]["t_max"])
-    extraction = cfg.get("moller", {}).get("extraction_times", [t_max / 2.0, 0.75 * t_max, t_max])
     out = outgoing_asymptote(
         psi,
         potential,
-        extraction,
+        _extraction_times(cfg),
         dt=float(_setting(cfg, "moller", "dt")),
         residual_tol=float(_setting(cfg, "moller", "residual_tol")),
     )

@@ -18,15 +18,13 @@ the dimension-agnostic trajectory layer downstream reads them as 1D
 configurations. The Dirac field satisfies |v| < 1 wherever rho is
 meaningfully positive, so guided spinor trajectories are world lines.
 
-Near wave-function nodes the field is stiff and the ODE may locally lose
-accuracy; the integrator reacts per NodePolicy (shrink the step towards
-dt_min, then freeze the step, or abort the trajectory). That slow path
-has a per-run budget of field evaluations: on every RK4 step, the whole
-halving chain for one trajectory plus SLOW_PATH_STUCK_SHARE of the
-ensemble; a run that uses it up raises NumericalFailureError. A trajectory
-whose step leaves the grid box is aborted at once. Aborted
-trajectories are excluded downstream with their weight recorded; the run
-is considered valid only while that weight stays below 0.1%.
+A trajectory whose RK4 step has a rejected evaluation fails, whatever
+the reason: it has left the grid box, met a density below the floor, or
+(Dirac) met an interpolated speed |j/rho| >= 1. It keeps its position
+from the start of the step, the reason of its first rejected evaluation
+is recorded, and it is excluded downstream with its weight recorded.
+Trajectories that reach a node have probability zero, so the run is
+considered valid only while the failed weight stays below 0.1%.
 
 Error budget against the closed-form free-Gaussian trajectory: the
 cubic interpolation bias of rho and j scales like (dx)^4 times their
@@ -45,7 +43,7 @@ import numpy as np
 
 from ._interp import CubicStencil
 from .core import SampledTrajectory
-from .errors import DomainError, InvalidInputError, NumericalFailureError
+from .errors import DomainError, InvalidInputError
 from .stats import _inverse_cdf, _trapezoid_cdf, ks_vs_cdf_1d
 from .wavefunction import (
     KIND_DIRAC,
@@ -56,7 +54,6 @@ from .wavefunction import (
 )
 
 __all__ = [
-    "NodePolicy",
     "FieldSnapshot",
     "sample_initial",
     "integrate_ensemble",
@@ -69,30 +66,9 @@ __all__ = [
 ]
 
 FAILED_WEIGHT_LIMIT = 1e-3
-# Share of the ensemble that may run the slow path's whole halving chain on
-# every RK4 step, on top of one trajectory; the product, summed over the
-# run's steps, is its budget of slow-path field evaluations.
-SLOW_PATH_STUCK_SHARE = 1e-3
-
-
-@dataclass(frozen=True)
-class NodePolicy:
-    """What to do when a field evaluation hits a near-node.
-
-    ``shrink_dt`` halves the step down to dt_min and then freezes;
-    ``freeze_step`` freezes immediately; ``abort`` marks the trajectory
-    failed (it is excluded downstream with recorded weight).
-    """
-
-    rho_floor: float = 1e-12
-    dt_min: float = 1e-4
-    action: str = "shrink_dt"
-
-    def __post_init__(self):
-        if self.rho_floor <= 0:
-            raise InvalidInputError("rho_floor must be positive")
-        if self.action not in ("shrink_dt", "freeze_step", "abort"):
-            raise InvalidInputError(f"unknown node action {self.action!r}")
+# Why a trajectory failed; a nonzero code c of
+# ``EnsembleDiagnostics.failure_reason`` names FAILURE_REASONS[c - 1].
+FAILURE_REASONS = ("box", "density floor", "speed bound")
 
 
 def _in_box(spec, points: np.ndarray, inside: np.ndarray | None = None) -> np.ndarray:
@@ -156,7 +132,14 @@ def sample_initial(psi0: GridWavefunction, n: int, seed: int) -> np.ndarray:
 
 @dataclass
 class EnsembleDiagnostics:
-    """Per-trajectory and aggregate integration diagnostics."""
+    """Per-trajectory and aggregate integration diagnostics.
+
+    ``failure_reason`` is 0 for a live trajectory and otherwise codes the
+    reason it failed (see FAILURE_REASONS). No step is ever shrunk or
+    frozen: ``shrink_events`` and ``frozen_steps`` stay zero, kept only
+    because the benchmark's span observer reads them and every manifest
+    carries their totals.
+    """
 
     min_rho: np.ndarray
     shrink_events: np.ndarray
@@ -164,11 +147,20 @@ class EnsembleDiagnostics:
     failed: np.ndarray
     accepted_evaluations: int = 0
     rejected_evaluations: int = 0
-    slow_path_evaluations: int = 0
+    failure_reason: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.failure_reason is None:
+            self.failure_reason = np.zeros(self.failed.shape, dtype=np.int8)
 
     @property
     def failed_weight(self) -> float:
         return float(np.mean(self.failed))
+
+    def failure_counts(self) -> dict[str, int]:
+        """Failed trajectories per reason."""
+        counts = np.bincount(self.failure_reason, minlength=len(FAILURE_REASONS) + 1)
+        return dict(zip(FAILURE_REASONS, counts[1:].tolist()))
 
     def summary(self) -> dict:
         return {
@@ -209,26 +201,6 @@ class IntegrationResult:
         return self.positions[:, idx[0], :]
 
 
-class _TimeBlendField:
-    """Linear-in-time field between the cached substep snapshots."""
-
-    def __init__(self, snaps: list[FieldSnapshot]):
-        self.snaps = snaps
-
-    def evaluate(self, t: float, points: np.ndarray, rho_floor: float):
-        ts = [s.t for s in self.snaps]
-        if t <= ts[0]:
-            return self.snaps[0].evaluate(points, rho_floor)
-        if t >= ts[-1]:
-            return self.snaps[-1].evaluate(points, rho_floor)
-        hi = int(np.searchsorted(ts, t))
-        lo = hi - 1
-        w = (t - ts[lo]) / (ts[hi] - ts[lo])
-        v0, r0, ok0 = self.snaps[lo].evaluate(points, rho_floor)
-        v1, r1, ok1 = self.snaps[hi].evaluate(points, rho_floor)
-        return (1 - w) * v0 + w * v1, (1 - w) * r0 + w * r1, ok0 & ok1
-
-
 def rk4_step_sizes(t_grid, dt: float) -> list[tuple[float, int]]:
     """(h, n) for each interval of ``t_grid``: n RK4 steps of size h cover
     it, the fewest whose h does not exceed dt (up to rounding). The
@@ -245,7 +217,7 @@ def integrate_ensemble(
     potential: GaussianBarrier | None,
     starts: np.ndarray,
     t_grid,
-    policy: NodePolicy = NodePolicy(),
+    rho_floor: float = 1e-12,
     dt: float = 0.05,
 ) -> IntegrationResult:
     """Integrate guided trajectories for every start, recording at t_grid.
@@ -254,8 +226,11 @@ def integrate_ensemble(
     wavefunction advances on an internal clock of half the trajectory
     step so every RK4 stage sees an exact snapshot. Trajectories are
     independent given the shared read-only snapshots and are advanced as
-    one vectorized block.
+    one vectorized block. An evaluation below ``rho_floor`` fails its
+    trajectory.
     """
+    if rho_floor <= 0:
+        raise InvalidInputError("rho_floor must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise InvalidInputError("t_grid must be a non-empty 1D time array")
@@ -287,7 +262,6 @@ def integrate_ensemble(
         return IntegrationResult(t_grid, positions, diag, snapshots)
 
     steps = rk4_step_sizes(t_grid, dt)
-    slow_budget = _slow_path_budget(steps, n_traj, policy.dt_min)
     x = starts.copy()
     psi = psi0
     snap_now = FieldSnapshot(psi)
@@ -297,9 +271,7 @@ def integrate_ensemble(
             psi_end = propagator.advance(psi_mid, 0.5 * h)
             snap_mid = FieldSnapshot(psi_mid)
             snap_end = FieldSnapshot(psi_end)
-            x = _rk4_block(
-                x, snap_now, snap_mid, snap_end, h, policy, diag, slow_budget
-            )
+            x = _rk4_block(x, snap_now, snap_mid, snap_end, h, rho_floor, diag)
             psi = psi_end
             snap_now = snap_end
         positions[:, seg + 1, :] = x
@@ -307,27 +279,28 @@ def integrate_ensemble(
     return IntegrationResult(t_grid, positions, diag, snapshots)
 
 
-def _rk4_block(x, snap_a, snap_b, snap_c, h, policy, diag, slow_budget):
-    """One vectorized RK4 step; flagged trajectories go to the slow path.
+def _rk4_block(x, snap_a, snap_b, snap_c, h, rho_floor, diag):
+    """One vectorized RK4 step of the live trajectories.
 
-    A trajectory with a stage point outside the grid box fails at once: it
-    has left the domain, and no smaller step can bring the stage back.
-    While no trajectory has failed and every evaluation is accepted, the
-    step works on ``x`` directly and returns the new positions without
-    the live-subset bookkeeping; the results are the same.
+    A trajectory with a rejected evaluation fails: it keeps its position
+    from the start of the step, and the reason of its first rejected
+    evaluation is recorded. While no trajectory has failed and every
+    evaluation is accepted, the step works on ``x`` directly and returns
+    the new positions without the live-subset bookkeeping; the results
+    are the same.
     """
     all_live = not diag.failed.any()
     xl = x if all_live else x[~diag.failed]
-    k1, r1, ok1 = snap_a.evaluate(xl, policy.rho_floor)
+    k1, r1, ok1 = snap_a.evaluate(xl, rho_floor)
     stage2 = np.multiply(0.5 * h, k1)
     stage2 += xl
-    k2, r2, ok2 = snap_b.evaluate(stage2, policy.rho_floor)
+    k2, r2, ok2 = snap_b.evaluate(stage2, rho_floor)
     stage3 = np.multiply(0.5 * h, k2)
     stage3 += xl
-    k3, r3, ok3 = snap_b.evaluate(stage3, policy.rho_floor)
+    k3, r3, ok3 = snap_b.evaluate(stage3, rho_floor)
     stage4 = np.multiply(h, k3)
     stage4 += xl
-    k4, r4, ok4 = snap_c.evaluate(stage4, policy.rho_floor)
+    k4, r4, ok4 = snap_c.evaluate(stage4, rho_floor)
     accepted = int(sum(np.count_nonzero(okk) for okk in (ok1, ok2, ok3, ok4)))
     diag.accepted_evaluations += accepted
     diag.rejected_evaluations += 4 * xl.shape[0] - accepted
@@ -343,106 +316,24 @@ def _rk4_block(x, snap_a, snap_b, snap_c, h, policy, diag, slow_budget):
         np.minimum(diag.min_rho, r1, out=diag.min_rho)
         return x_new
 
-    live = ~diag.failed
-    ok = ok1 & ok2 & ok3 & ok4
-    live_idx = np.flatnonzero(live)
+    live_idx = np.flatnonzero(~diag.failed)
     mins = np.minimum(diag.min_rho[live_idx], r1)
     diag.min_rho[live_idx] = np.where(ok1, mins, diag.min_rho[live_idx])
 
-    if not np.all(ok):
-        bad_local = np.flatnonzero(~ok)
-        inside = np.ones(bad_local.size, dtype=bool)
-        for stage in (xl, stage2, stage3, stage4):
-            inside &= _in_box(snap_a.spec, stage[bad_local])
-        left = bad_local[~inside]
-        diag.failed[live_idx[left]] = True
-        x_new[left] = xl[left]
-        bad_local = bad_local[inside]
-        if bad_local.size:
-            field = _TimeBlendField([snap_a, snap_b, snap_c])
-            x_new[bad_local] = _slow_path(
-                xl[bad_local], live_idx[bad_local], snap_a.t, h, field, policy, diag, slow_budget
-            )
+    bad = np.flatnonzero(~(ok1 & ok2 & ok3 & ok4))
+    if bad.size:
+        x_new[bad] = xl[bad]
+        reason = np.zeros(bad.size, dtype=np.int8)
+        for stage, rho, ok in ((xl, r1, ok1), (stage2, r2, ok2), (stage3, r3, ok3), (stage4, r4, ok4)):
+            first = (reason == 0) & ~ok[bad]
+            # Codes 1, 2, 3 name FAILURE_REASONS in order.
+            code = np.where(_in_box(snap_a.spec, stage[bad]), np.where(rho[bad] < rho_floor, 2, 3), 1)
+            reason[first] = code[first]
+        diag.failed[live_idx[bad]] = True
+        diag.failure_reason[live_idx[bad]] = reason
     x = x.copy()
     x[live_idx] = x_new
     return x
-
-
-def _halving_levels(h: float, dt_min: float) -> int:
-    """Step halvings ``_slow_path`` tries on a step of size h before it freezes."""
-    levels, n_half = 0, 1
-    while h / n_half >= dt_min:
-        n_half *= 2
-        levels += 1
-    return levels
-
-
-def _slow_path_budget(steps, n_traj: int, dt_min: float) -> int:
-    """Slow-path field evaluations a run may spend in all.
-
-    Per RK4 step of ``rk4_step_sizes``, the cost of a trajectory below the
-    density floor (each halving level fails at its first substep, 4
-    evaluations) for one trajectory plus SLOW_PATH_STUCK_SHARE of the
-    ensemble.
-    """
-    chain = sum(n_sub * 4 * _halving_levels(h, dt_min) for h, n_sub in steps)
-    return int(chain * (1.0 + SLOW_PATH_STUCK_SHARE * n_traj))
-
-
-def _slow_path(x_bad, idx, t0, h, field, policy, diag, budget):
-    """Adaptive halving (to dt_min), then freeze or abort per policy.
-
-    Raises NumericalFailureError once the run's slow-path evaluations
-    exceed ``budget``: trajectories that need the whole halving chain on
-    every step would otherwise take minutes per time unit.
-    """
-    out = x_bad.copy()
-    for row, traj_idx in enumerate(idx):
-        if policy.action == "abort":
-            diag.failed[traj_idx] = True
-            continue
-        if policy.action == "freeze_step":
-            diag.frozen_steps[traj_idx] += 1
-            continue
-        pos = x_bad[row : row + 1].copy()
-        n_half = 1
-        success = False
-        while h / n_half >= policy.dt_min:
-            n_half *= 2
-            diag.shrink_events[traj_idx] += 1
-            sub_h = h / n_half
-            trial = pos.copy()
-            clean = True
-            for j in range(n_half):
-                if diag.slow_path_evaluations >= budget:
-                    raise NumericalFailureError(
-                        f"near-node slow path used {diag.slow_path_evaluations} of its "
-                        f"{budget} evaluations at t={t0:g}, with {idx.size} trajectories "
-                        "stuck in this step",
-                        {
-                            "slow_path_evaluations": diag.slow_path_evaluations,
-                            "t": t0,
-                            "stuck_trajectories": int(idx.size),
-                        },
-                    )
-                diag.slow_path_evaluations += 4
-                tau = t0 + j * sub_h
-                v1, _, o1 = field.evaluate(tau, trial, policy.rho_floor)
-                v2, _, o2 = field.evaluate(tau + 0.5 * sub_h, trial + 0.5 * sub_h * v1, policy.rho_floor)
-                v3, _, o3 = field.evaluate(tau + 0.5 * sub_h, trial + 0.5 * sub_h * v2, policy.rho_floor)
-                v4, _, o4 = field.evaluate(tau + sub_h, trial + sub_h * v3, policy.rho_floor)
-                if not (o1 & o2 & o3 & o4).all():
-                    clean = False
-                    break
-                trial = trial + (sub_h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
-            if clean:
-                out[row] = trial[0]
-                success = True
-                break
-        if not success:
-            # Exhausted refinement: freeze this step and log it.
-            diag.frozen_steps[traj_idx] += 1
-    return out
 
 
 def check_equivariance(result: IntegrationResult, psi_t: GridWavefunction, t: float) -> float:

@@ -27,7 +27,6 @@ from .errors import InvalidInputError, RegularityError
 from .guidance import (
     FAILED_WEIGHT_LIMIT,
     IntegrationResult,
-    NodePolicy,
     integrate_ensemble,
     sample_initial,
 )
@@ -45,7 +44,9 @@ class PipelineParams:
     """Knobs of one ensemble run; record times default to a ladder under
     t_max and checkpoints to the geometric tail {t/4, t/2, t}. Checkpoints
     must form a valid extrapolation ladder ending at or before t_max; they
-    are added to the record times. ``policy`` handles near-node steps."""
+    are added to the record times, which must start at 0, increase
+    strictly and end at or before t_max; an error about either names the
+    field first. An evaluation below ``rho_floor`` fails its trajectory."""
 
     n_trajectories: int = 10_000
     t_max: float = 40.0
@@ -53,7 +54,7 @@ class PipelineParams:
     record_times: tuple[float, ...] | None = None
     checkpoints: tuple[float, ...] | None = None
     eta_tol: float = 0.05
-    policy: NodePolicy = NodePolicy()
+    rho_floor: float = 1e-12
     seed: int = 0
     run_key: int = 0
 
@@ -62,17 +63,26 @@ class PipelineParams:
             object.__setattr__(
                 self, "checkpoints", (self.t_max / 4.0, self.t_max / 2.0, self.t_max)
             )
-        # The ladder is checked before any work: the extrapolation would
-        # reject it only after the whole integration, and a checkpoint past
-        # t_max would stretch the integration beyond it.
-        _validate_checkpoints(np.asarray(self.checkpoints, dtype=float))
-        if self.checkpoints[-1] > self.t_max:
-            raise InvalidInputError(
-                f"last checkpoint {self.checkpoints[-1]:g} lies beyond t_max {self.t_max:g}"
-            )
+        # Both ladders are checked before any work: the extrapolation would
+        # reject the checkpoints only after the whole integration, and a time
+        # past t_max would stretch the integration beyond it.
+        try:
+            _validate_checkpoints(np.asarray(self.checkpoints, dtype=float))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"checkpoints: {exc}") from None
         if self.record_times is None:
             ladder = sorted({0.0, self.t_max / 8.0, *self.checkpoints})
             object.__setattr__(self, "record_times", tuple(ladder))
+        record = np.asarray(self.record_times, dtype=float)
+        if record.size == 0 or record[0] != 0.0:
+            raise InvalidInputError("record_times: the first record time must be 0")
+        if np.any(np.diff(record) <= 0):
+            raise InvalidInputError("record_times: record times must be strictly increasing")
+        for name, times in (("checkpoints", self.checkpoints), ("record_times", self.record_times)):
+            if times[-1] > self.t_max:
+                raise InvalidInputError(
+                    f"{name}: last time {times[-1]:g} lies beyond t_max {self.t_max:g}"
+                )
         missing = [c for c in self.checkpoints if c not in self.record_times]
         if missing:
             object.__setattr__(
@@ -105,9 +115,10 @@ def run_guided_pipeline(
 ) -> PipelineResult:
     """Sample, integrate, and extrapolate one ensemble.
 
-    Raises RegularityError when the aborted-trajectory weight exceeds the
-    0.1% validity limit; the convergence verdict itself is left to the
-    caller (some experiments only need the report).
+    Raises RegularityError, naming the count of failed trajectories for
+    each reason, when their weight exceeds the 0.1% validity limit; the
+    convergence verdict itself is left to the caller (some experiments
+    only need the report).
     """
     starts = sample_initial(
         psi0, params.n_trajectories, child_seed(params.seed, params.run_key, 0)
@@ -117,13 +128,16 @@ def run_guided_pipeline(
         potential,
         starts,
         np.asarray(params.record_times, dtype=float),
-        params.policy,
+        rho_floor=params.rho_floor,
         dt=params.dt,
     )
-    if integration.diagnostics.failed_weight > FAILED_WEIGHT_LIMIT:
+    diag = integration.diagnostics
+    if diag.failed_weight > FAILED_WEIGHT_LIMIT:
+        reasons = ", ".join(f"{name} {count}" for name, count in diag.failure_counts().items())
         raise RegularityError(
-            f"failed-trajectory weight {integration.diagnostics.failed_weight:.2%} "
-            f"exceeds the {FAILED_WEIGHT_LIMIT:.1%} validity limit"
+            f"failed-trajectory weight {diag.failed_weight:.2%} exceeds the "
+            f"{FAILED_WEIGHT_LIMIT:.1%} validity limit; failed trajectories by "
+            f"reason: {reasons}"
         )
     s_plus, report = estimate_asymptotic_measure(
         integration,

@@ -53,6 +53,7 @@ __all__ = [
     "superposed_gaussians",
     "SplitStepPropagator",
     "check_split_step_stability",
+    "extraction_steps",
     "DiracPropagator",
     "project_positive_energy",
     "positive_energy_spinor",
@@ -535,6 +536,20 @@ class OutgoingAsymptote:
         return float(np.sum(self.density) * dp)
 
 
+def extraction_steps(extraction_times: Sequence[float], dt: float) -> list[tuple[float, int]]:
+    """(h, n) for each leg from t = 0 through ``extraction_times``: n split
+    steps of size h = leg / n cover it, with n = max(1, round(leg / dt)).
+    The times must be positive and increasing, at least two of them."""
+    times = np.asarray(extraction_times, dtype=float)
+    if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] <= 0:
+        raise InvalidInputError("need at least two increasing positive extraction times")
+    steps = []
+    for leg in np.diff(times, prepend=0.0):
+        n_steps = max(1, int(round(leg / dt)))
+        steps.append((leg / n_steps, n_steps))
+    return steps
+
+
 def outgoing_asymptote(
     psi0: GridWavefunction,
     potential: GaussianBarrier | None,
@@ -555,20 +570,15 @@ def outgoing_asymptote(
     if psi0.kind != KIND_SCHRODINGER:
         raise InvalidInputError("asymptote extraction needs a Schrodinger state")
     times = np.asarray(extraction_times, dtype=float)
-    if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] <= 0:
-        raise InvalidInputError("need at least two increasing positive extraction times")
+    steps = extraction_steps(times, dt)
 
     p = psi0.spec.momentum_axis()
     mass = psi0.mass
     prop = SplitStepPropagator(psi0.spec, mass, potential)
     psi = psi0
     iterates = []
-    t_prev = 0.0
-    for t_target in times:
-        leg = t_target - t_prev
-        n_steps = max(1, int(round(leg / dt)))
-        psi = prop.advance(psi, leg / n_steps, n_steps)
-        t_prev = t_target
+    for t_target, (h, n_steps) in zip(times, steps):
+        psi = prop.advance(psi, h, n_steps)
         phi_hat = np.exp(0.5j * p**2 * t_target / mass) * momentum_amplitudes(psi)
         iterates.append(phi_hat)
 

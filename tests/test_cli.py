@@ -22,7 +22,7 @@ from bohmvel.cli import (
 )
 from bohmvel.core import EmpiricalMeasure
 from bohmvel.errors import ConfigurationError
-from bohmvel.guidance import NodePolicy, integrate_ensemble
+from bohmvel.guidance import integrate_ensemble
 from bohmvel.pipeline import PipelineParams
 from bohmvel.relativity import foliation_sweep, verify_boost_covariance
 from bohmvel.stats import ks_two_sample_1d, wasserstein1_1d
@@ -56,7 +56,7 @@ def mutated(base, path, value):
 DRIFT_CASES = {
     "dt_zero": (("time", "dt"), 0.0),
     "dt_negative": (("time", "dt"), -0.05),
-    "dt_min_negative": (("ensemble", "dt_min"), -1e-4),
+    "rho_floor_zero": (("ensemble", "rho_floor"), 0.0),
     "eta_tol_zero": (("time", "eta_tol"), 0.0),
     "ks_threshold_negative": (("thresholds", "ks"), -0.02),
     "sigma0_string": (("packets", 0, "sigma0"), "1"),
@@ -88,7 +88,8 @@ EDGE_CASES = {
     "interaction_radius_null": ("barrier_scattering.json", ("moller", "interaction_radius"), None, False),
     "interaction_radius_string": ("barrier_scattering.json", ("moller", "interaction_radius"), "8", False),
     "potential_soft_coulomb": ("barrier_scattering.json", ("potential", "kind"), "soft_coulomb", False),
-    "node_action_unknown": ("free_gaussian.json", ("ensemble", "node_action"), "skip", False),
+    # The near-node action is no longer a key: even a once-valid value fails.
+    "node_action_unknown": ("free_gaussian.json", ("ensemble", "node_action"), "abort", False),
     "boost_luminal": ("dirac_covariance.json", ("boosts", 1), 1.0, False),
     "boost_negative_luminal": ("dirac_covariance.json", ("boosts", 1), -1.0, False),
     "record_time_zero": ("free_gaussian.json", ("time", "record_times", 0), 0.0, True),
@@ -265,9 +266,7 @@ class TestValidation:
         ens = props["ensemble"]["properties"]
         assert params.dt == props["time"]["properties"]["dt"]["default"]
         assert params.eta_tol == props["time"]["properties"]["eta_tol"]["default"]
-        assert (params.policy.rho_floor, params.policy.dt_min, params.policy.action) == tuple(
-            ens[k]["default"] for k in ("rho_floor", "dt_min", "node_action")
-        )
+        assert params.rho_floor == ens["rho_floor"]["default"]
         assert props["boosts"]["default"] == [0.0, 0.2, 0.4]
 
     def test_library_defaults_equal_the_schema_defaults(self):
@@ -285,14 +284,13 @@ class TestValidation:
         def arg_defaults(fn):
             return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
 
-        params, policy = field_defaults(PipelineParams), field_defaults(NodePolicy)
+        params = field_defaults(PipelineParams)
         pairs = {
             "PipelineParams.n_trajectories": (params["n_trajectories"], ens["n_trajectories"]),
             "PipelineParams.dt": (params["dt"], time_["dt"]),
             "PipelineParams.eta_tol": (params["eta_tol"], time_["eta_tol"]),
-            "NodePolicy.rho_floor": (policy["rho_floor"], ens["rho_floor"]),
-            "NodePolicy.dt_min": (policy["dt_min"], ens["dt_min"]),
-            "NodePolicy.action": (policy["action"], ens["node_action"]),
+            "PipelineParams.rho_floor": (params["rho_floor"], ens["rho_floor"]),
+            "integrate_ensemble.rho_floor": (arg_defaults(integrate_ensemble)["rho_floor"], ens["rho_floor"]),
             "integrate_ensemble.dt": (arg_defaults(integrate_ensemble)["dt"], time_["dt"]),
             "GaussianBarrier.center": (field_defaults(GaussianBarrier)["center"], center),
             "verify_boost_covariance.ks_threshold": (
@@ -310,8 +308,6 @@ class TestValidation:
             if lib != schema["default"]
         }
         assert differing == {}
-        # PipelineParams states its node handling as the default NodePolicy.
-        assert params["policy"] == NodePolicy()
 
         # superposed_gaussians reads its amplitude default inline: a packet
         # that states the schema default must build the same state.
@@ -394,6 +390,24 @@ class TestGuidedStepStability:
         assert err == {"type": "ConfigurationError", "message": self.KINETIC}
         assert not (tmp_path / "well").exists()
 
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_barrier_at_half_unit_moller_step_exits_4(self, command, tmp_path, capsys):
+        # The outgoing-asymptote legs are stepped at about moller.dt; a step
+        # past the potential bound is a config error before any work.
+        cfg = shipped_config("barrier_scattering.json")
+        cfg["moller"]["dt"] = 0.5
+        cfg["out_dir"] = str(tmp_path / "run")
+        path = write_config(tmp_path, cfg)
+        start = time.perf_counter()
+        assert main([command, "--config", path]) == EXIT_CONFIG_ERROR
+        assert time.perf_counter() - start < 1.0
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err == {
+            "type": "ConfigurationError",
+            "message": "config.moller.dt: dt * max|V| exceeds the stability bound 0.5",
+        }
+        assert not (tmp_path / "run").exists()
+
     def test_free_system_has_no_step_bound(self):
         # Free split steps are exact per mode, so no step is rejected.
         cfg = shipped_config("free_gaussian.json")
@@ -425,6 +439,29 @@ class TestCheckpointLadder:
         assert err["message"].startswith("config.time.checkpoints: ")
         assert match in err["message"]
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+@pytest.mark.parametrize(
+    "record_times, match",
+    [
+        ([2.5, 5.0, 10.0, 20.0], "the first record time must be 0"),
+        ([0.0, 2.5, 2.5, 5.0, 10.0, 20.0], "record times must be strictly increasing"),
+        ([0.0, 2.5, 5.0, 10.0, 20.0, 60.0], "last time 60 lies beyond t_max 20"),
+    ],
+    ids=["no_zero", "repeated", "beyond_t_max"],
+)
+def test_bad_record_times_exit_4_fast(command, record_times, match, tmp_path, capsys):
+    cfg = shipped_config("free_gaussian.json")
+    cfg["time"]["record_times"] = record_times
+    cfg["out_dir"] = str(tmp_path / "run")
+    path = write_config(tmp_path, cfg)
+    start = time.perf_counter()
+    assert main([command, "--config", path]) == EXIT_CONFIG_ERROR
+    assert time.perf_counter() - start < 1.0
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err == {"type": "ConfigurationError", "message": f"config.time.record_times: {match}"}
+    assert not (tmp_path / "run").exists()
 
 
 class TestSchemaAgreement:
@@ -624,18 +661,25 @@ class TestFailureExitCodes:
 
         assert main(["run", "--config", path]) == EXIT_NUMERICAL_FAILURE
 
-    def test_slow_path_budget_exit_5(self, tmp_path, capsys):
-        # A density floor that a quarter of the starts sit below: the
-        # near-node slow path runs out of its budget and the run exits 5.
-        cfg = small_free_config(tmp_path / "stuck", n=200)
+    def test_density_floor_exits_3_naming_the_reasons(self, tmp_path, capsys):
+        # A density floor that a quarter of the starts sit below, and that
+        # the spreading packet's peak falls below near t = 3.4: every
+        # trajectory fails, and the run exits 3 naming the count for each
+        # reason.
+        cfg = small_free_config(tmp_path / "floor", n=200)
         cfg["ensemble"]["rho_floor"] = 0.2
         path = write_config(tmp_path, cfg)
-        from bohmvel.cli import EXIT_NUMERICAL_FAILURE
+        from bohmvel.cli import EXIT_REGULARITY_INVALID
 
-        assert main(["run", "--config", path]) == EXIT_NUMERICAL_FAILURE
+        start = time.perf_counter()
+        assert main(["run", "--config", path]) == EXIT_REGULARITY_INVALID
+        assert time.perf_counter() - start < 5.0
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error["type"] == "NumericalFailureError"
-        assert "slow path" in error["message"]
+        assert error["type"] == "RegularityError"
+        reasons = re.search(r"by reason: box (\d+), density floor (\d+), speed bound (\d+)$", error["message"])
+        box, floor, speed = map(int, reasons.groups())
+        assert (box, floor, speed) == (0, 200, 0)
+        assert not (tmp_path / "floor").exists()
 
     def test_bound_part_exits_5_before_any_integration(self, tmp_path, monkeypatch, capsys):
         # A packet resting on an attractive well has a bound part and so no
@@ -674,7 +718,7 @@ class TestFailureExitCodes:
             "mass": 1.0,
             "grid": {"n_points": 512, "x_min": -64.0, "x_max": 64.0},
             "packets": [{"x0": 0.0, "p0": 0.75, "sigma0": 1.0}],
-            "ensemble": {"n_trajectories": 40, "rho_floor": 10.0, "node_action": "abort"},
+            "ensemble": {"n_trajectories": 40, "rho_floor": 10.0},
             "time": {"t_max": 20.0, "dt": 0.5, "checkpoints": [5.0, 10.0, 20.0]},
             "boosts": [0.0, 0.2],
             "seed": 1,

@@ -4,7 +4,6 @@ import pytest
 from bohmvel.errors import InvalidInputError
 from bohmvel.guidance import (
     FieldSnapshot,
-    NodePolicy,
     check_equivariance,
     count_order_violations,
     integrate_ensemble,
@@ -129,7 +128,7 @@ class TestIntegrateEnsemble:
         psi = gaussian_packet(fine, 1.0, 0.0, 0.0, 1.0)
         starts = np.array([[1.0], [0.5], [-1.0]])
         res = integrate_ensemble(
-            psi, None, starts, np.linspace(0.0, 10.0, 21), NodePolicy(), dt=0.02
+            psi, None, starts, np.linspace(0.0, 10.0, 21), dt=0.02
         )
         got = res.positions_at(10.0)[:, 0]
         expected = free_gaussian_trajectory(starts[:, 0], 10.0)
@@ -138,79 +137,100 @@ class TestIntegrateEnsemble:
     def test_center_rides_the_packet(self, grid):
         psi = gaussian_packet(grid, 1.0, 0.0, 1.0, 1.0)
         res = integrate_ensemble(
-            psi, None, np.array([[0.0]]), np.linspace(0.0, 20.0, 11), NodePolicy()
+            psi, None, np.array([[0.0]]), np.linspace(0.0, 20.0, 11)
         )
         # Start at the symmetric center: stays at x0 + p0 t / m.
         np.testing.assert_allclose(res.positions[0, :, 0], res.times, atol=2e-4)
 
     def test_zero_duration_grid(self, packet):
         starts = np.array([[0.3], [0.9]])
-        res = integrate_ensemble(packet, None, starts, [0.0], NodePolicy())
+        res = integrate_ensemble(packet, None, starts, [0.0])
         np.testing.assert_array_equal(res.positions[:, 0, :], starts)
         with pytest.raises(InvalidInputError):
             _ = res.trajectories
 
     def test_abort_policy_marks_failed_weight(self, packet):
-        # An absurd density floor forces immediate aborts everywhere.
-        policy = NodePolicy(rho_floor=10.0, dt_min=1e-3, action="abort")
+        # An absurd density floor fails every trajectory on its first step.
         res = integrate_ensemble(
-            packet, None, np.array([[0.0], [0.5]]), [0.0, 1.0], policy
+            packet, None, np.array([[0.0], [0.5]]), [0.0, 1.0], rho_floor=10.0
         )
         assert res.diagnostics.failed_weight == 1.0
+        assert res.diagnostics.failure_counts() == {"box": 0, "density floor": 2, "speed bound": 0}
 
-    def test_freeze_policy_freezes(self, packet):
-        policy = NodePolicy(rho_floor=10.0, dt_min=1e-3, action="freeze_step")
-        res = integrate_ensemble(
-            packet, None, np.array([[0.4]]), [0.0, 1.0], policy, dt=0.5
-        )
-        assert res.positions[0, -1, 0] == pytest.approx(0.4)
-        assert res.diagnostics.frozen_steps[0] > 0
+    def test_nonpositive_rho_floor_rejected(self, packet):
+        with pytest.raises(InvalidInputError, match="rho_floor must be positive"):
+            integrate_ensemble(packet, None, np.array([[0.0]]), [0.0, 1.0], rho_floor=0.0)
 
-    def test_shrink_policy_counts_events(self, packet):
-        # The spreading packet drags the density along the trajectory
-        # below the floor mid-run; the shrink chain must engage and
-        # eventually freeze at dt_min.
-        policy = NodePolicy(rho_floor=1.5e-2, dt_min=0.3, action="shrink_dt")
-        res = integrate_ensemble(
-            packet, None, np.array([[2.4]]), [0.0, 2.0, 4.0], policy, dt=1.0
-        )
+    @pytest.mark.parametrize("reason", ["box", "density floor", "speed bound"])
+    def test_each_rejection_reason_fails_one_trajectory(self, reason):
+        """A rejected evaluation fails its trajectory, whatever the reason:
+        the trajectory keeps its start position, its reason is counted, and
+        the other trajectories run on untouched."""
+        rho_floor = 1e-12
+        starts = np.linspace(-2.0, 2.0, 199)
+        if reason == "box":
+            # The field carries a start just inside the right edge out of
+            # the box on its first step; the tiny floor keeps the edge point
+            # from being rejected as a near-node instead.
+            psi = gaussian_packet(GridSpec(256, -16.0, 16.0), 1.0, 0.0, 1.0, 1.0)
+            stuck, rho_floor = 15.99, 1e-300
+        elif reason == "density floor":
+            # 8 sigma0 out, the density stays below this floor up to t = 2.
+            psi = gaussian_packet(GridSpec(4096, -256.0, 256.0), 1.0, 0.0, 0.0, 1.0)
+            stuck, rho_floor = 8.0, 1e-3
+        else:
+            # Equal spinor components give j = rho at every grid point, so
+            # every interpolated speed is exactly 1: no start can move.
+            spec = GridSpec(512, -32.0, 32.0)
+            g = gaussian_packet(spec, 1.0, 0.0, 0.0, 1.0).amplitudes / np.sqrt(2.0)
+            psi = GridWavefunction(spec, np.stack([g, g]), 0.0, "dirac", 1.0)
+            starts = np.array([])
+            stuck = 0.5
+        starts = np.append(starts, stuck)[:, None]
+        res = integrate_ensemble(psi, None, starts, [0.0, 1.0, 2.0], rho_floor=rho_floor)
         d = res.diagnostics
-        assert d.shrink_events.sum() > 0
-        assert d.frozen_steps.sum() > 0
-        assert not d.failed.any()
+        assert d.failed.tolist() == [False] * (len(starts) - 1) + [True]
+        assert d.failure_counts() == {
+            name: int(name == reason) for name in ("box", "density floor", "speed bound")
+        }
+        assert np.all(res.positions[-1, :, 0] == stuck)
+        assert d.shrink_events.sum() == 0 and d.frozen_steps.sum() == 0
+        if len(starts) > 1:
+            alone = integrate_ensemble(psi, None, starts[:-1], [0.0, 1.0, 2.0], rho_floor=rho_floor)
+            assert res.positions[:-1].tobytes() == alone.positions.tobytes()
 
     def test_no_crossing_on_smooth_run(self, packet):
         starts = sample_initial(packet, 400, seed=2)
         res = integrate_ensemble(
-            packet, None, starts, np.linspace(0.0, 10.0, 6), NodePolicy()
+            packet, None, starts, np.linspace(0.0, 10.0, 6)
         )
         assert count_order_violations(res) == 0
 
     def test_determinism(self, packet):
         starts = sample_initial(packet, 50, seed=13)
-        r1 = integrate_ensemble(packet, None, starts, [0.0, 2.0, 4.0], NodePolicy())
-        r2 = integrate_ensemble(packet, None, starts, [0.0, 2.0, 4.0], NodePolicy())
+        r1 = integrate_ensemble(packet, None, starts, [0.0, 2.0, 4.0])
+        r2 = integrate_ensemble(packet, None, starts, [0.0, 2.0, 4.0])
         np.testing.assert_array_equal(r1.positions, r2.positions)
 
 
 class TestEquivariance:
     def test_initial_time_noise_level(self, packet):
         starts = sample_initial(packet, 5000, seed=4)
-        res = integrate_ensemble(packet, None, starts, [0.0, 1.0], NodePolicy())
+        res = integrate_ensemble(packet, None, starts, [0.0, 1.0])
         d = check_equivariance(res, packet, 0.0)
         assert d < 0.03
 
     def test_free_gaussian_t5(self, packet):
         starts = sample_initial(packet, 10_000, seed=6)
         res = integrate_ensemble(
-            packet, None, starts, np.array([0.0, 5.0]), NodePolicy()
+            packet, None, starts, np.array([0.0, 5.0])
         )
         d = check_equivariance(res, res.snapshots[1], 5.0)
         assert d < 0.02
 
     def test_corrupted_ensemble_detected(self, packet):
         starts = sample_initial(packet, 5000, seed=8) + 1.5
-        res = integrate_ensemble(packet, None, starts, [0.0, 1.0], NodePolicy())
+        res = integrate_ensemble(packet, None, starts, [0.0, 1.0])
         d = check_equivariance(res, res.snapshots[1], 1.0)
         assert d > 0.2
 

@@ -1,13 +1,13 @@
 """The shared kernels are bitwise equal to the code paths they replace:
 the padded-once stencil against the per-field loop and the old 1D path of
-the momentum-space boost, the lean RK4 block against the one it replaced,
+the momentum-space boost, the lean RK4 block against a reference that
+finds failure reasons one trajectory at a time,
 the cached norm against its formula, the cached Dirac step factors against
 the per-call formula, and the one float-CSV writer against the per-row
 loops that each table had."""
 
 import dataclasses
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +18,12 @@ from bohmvel._interp import CubicStencil
 from bohmvel.cli import _build_state, cmd_plotdata, load_config
 from bohmvel.core import _CSV_CHUNK, EmpiricalMeasure, _write_float_csv
 from bohmvel.errors import ConfigurationError, InvalidInputError
-from bohmvel.guidance import EnsembleDiagnostics, FieldSnapshot, NodePolicy, sample_initial
+from bohmvel.guidance import EnsembleDiagnostics, FieldSnapshot, sample_initial
 from bohmvel.wavefunction import (
     KIND_DIRAC,
     DiracPropagator,
     GridSpec,
+    GridWavefunction,
     SplitStepPropagator,
     gaussian_packet,
     project_positive_energy,
@@ -186,18 +187,18 @@ def test_stencil_rejects_other_sizes(shape):
         CubicStencil([np.zeros(64), np.zeros(shape)], -2.0, 0.2)
 
 
-def reference_rk4_block(x, snap_a, snap_b, snap_c, h, policy, diag):
-    """``guidance._rk4_block`` before the all-live fast path."""
+def reference_rk4_block(x, snap_a, snap_b, snap_c, h, rho_floor, diag):
+    """``guidance._rk4_block`` without the all-live fast path, its failure
+    reasons found one trajectory at a time."""
     live = ~diag.failed
     xl = x[live]
-    k1, r1, ok1 = snap_a.evaluate(xl, policy.rho_floor)
+    k1, r1, ok1 = snap_a.evaluate(xl, rho_floor)
     stage2 = xl + 0.5 * h * k1
-    k2, r2, ok2 = snap_b.evaluate(stage2, policy.rho_floor)
+    k2, r2, ok2 = snap_b.evaluate(stage2, rho_floor)
     stage3 = xl + 0.5 * h * k2
-    k3, r3, ok3 = snap_b.evaluate(stage3, policy.rho_floor)
+    k3, r3, ok3 = snap_b.evaluate(stage3, rho_floor)
     stage4 = xl + h * k3
-    k4, r4, ok4 = snap_c.evaluate(stage4, policy.rho_floor)
-    ok = ok1 & ok2 & ok3 & ok4
+    k4, r4, ok4 = snap_c.evaluate(stage4, rho_floor)
     diag.accepted_evaluations += int(ok1.sum() + ok2.sum() + ok3.sum() + ok4.sum())
     diag.rejected_evaluations += int((~ok1).sum() + (~ok2).sum() + (~ok3).sum() + (~ok4).sum())
     x_new = xl + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -205,20 +206,22 @@ def reference_rk4_block(x, snap_a, snap_b, snap_c, h, policy, diag):
     mins = np.minimum(diag.min_rho[live_idx], r1)
     diag.min_rho[live_idx] = np.where(ok1, mins, diag.min_rho[live_idx])
 
-    if not np.all(ok):
-        bad_local = np.flatnonzero(~ok)
-        inside = np.ones(bad_local.size, dtype=bool)
-        for stage in (xl, stage2, stage3, stage4):
-            inside &= guidance._in_box(snap_a.spec, stage[bad_local])
-        left = bad_local[~inside]
-        diag.failed[live_idx[left]] = True
-        x_new[left] = xl[left]
-        bad_local = bad_local[inside]
-        if bad_local.size:
-            field = guidance._TimeBlendField([snap_a, snap_b, snap_c])
-            x_new[bad_local] = guidance._slow_path(
-                xl[bad_local], live_idx[bad_local], snap_a.t, h, field, policy, diag, math.inf
-            )
+    spec = snap_a.spec
+    stages = [(xl, r1, ok1), (stage2, r2, ok2), (stage3, r3, ok3), (stage4, r4, ok4)]
+    for row, traj in enumerate(live_idx):
+        for stage, rho, ok in stages:
+            if ok[row]:
+                continue
+            if not spec.x_min <= stage[row, 0] < spec.x_max:
+                reason = "box"
+            elif rho[row] < rho_floor:
+                reason = "density floor"
+            else:
+                reason = "speed bound"
+            diag.failed[traj] = True
+            diag.failure_reason[traj] = 1 + guidance.FAILURE_REASONS.index(reason)
+            x_new[row] = xl[row]
+            break
     x = x.copy()
     x[live_idx] = x_new
     return x
@@ -236,33 +239,39 @@ def _fresh_diagnostics(n, failed=()):
 
 
 def _rk4_case(name):
-    """(psi, points, policy, failed indices) of one RK4 block."""
+    """(psi, points, rho_floor, failed indices) of one RK4 block."""
     if name in ("all_live", "one_failed", "rho_floor"):
         psi = _schrodinger_state()
+    elif name == "dirac_speed_bound":
+        # Equal spinor components: every interpolated speed is exactly 1.
+        spec = GridSpec(512, -32.0, 32.0)
+        g = gaussian_packet(spec, 1.0, 0.0, 0.0, 1.0).amplitudes / np.sqrt(2.0)
+        psi = GridWavefunction(spec, np.stack([g, g]), 0.0, KIND_DIRAC, 1.0)
     elif name.startswith("dirac"):
         psi = _dirac_state()
     else:  # box_exit: a packet moving right, one point at the right edge
         psi = gaussian_packet(GridSpec(256, -16.0, 16.0), 1.0, 0.0, 1.0, 1.0)
     points = sample_initial(psi, 2000, 5)
-    policy = NodePolicy()
+    rho_floor = 1e-12
     failed = ()
     if name in ("one_failed", "dirac_one_failed"):
         failed = (17,)
     elif name == "box_exit":
         points = np.concatenate([points, [[15.99]]])
-        policy = NodePolicy(rho_floor=1e-300)
+        rho_floor = 1e-300
     elif name == "rho_floor":
-        # One point far in the tail, below the floor: shrink, then freeze.
+        # One point far in the tail, below the floor, fails.
         points = np.concatenate([points[:100], [[-58.0]], points[100:]])
-        policy = NodePolicy(rho_floor=1e-8, dt_min=0.01)
-    return psi, points, policy, failed
+        rho_floor = 1e-8
+    return psi, points, rho_floor, failed
 
 
 @pytest.mark.parametrize(
-    "name", ["all_live", "dirac_all_live", "one_failed", "dirac_one_failed", "box_exit", "rho_floor"]
+    "name",
+    ["all_live", "dirac_all_live", "one_failed", "dirac_one_failed", "box_exit", "rho_floor", "dirac_speed_bound"],
 )
 def test_rk4_block_matches_reference(name):
-    psi, points, policy, failed = _rk4_case(name)
+    psi, points, rho_floor, failed = _rk4_case(name)
     h = 0.05
     if psi.kind == KIND_DIRAC:
         prop = DiracPropagator(psi.spec, psi.mass)
@@ -274,8 +283,8 @@ def test_rk4_block_matches_reference(name):
     x = points.copy()
     diag = _fresh_diagnostics(len(points), failed)
     diag_ref = _fresh_diagnostics(len(points), failed)
-    got = guidance._rk4_block(x, *snaps, h, policy, diag, math.inf)
-    want = reference_rk4_block(points, *snaps, h, policy, diag_ref)
+    got = guidance._rk4_block(x, *snaps, h, rho_floor, diag)
+    want = reference_rk4_block(points, *snaps, h, rho_floor, diag_ref)
     assert got is not x and x.tobytes() == points.tobytes()
     assert got.tobytes() == want.tobytes()
     for f in dataclasses.fields(EnsembleDiagnostics):
@@ -290,9 +299,12 @@ def test_rk4_block_matches_reference(name):
         assert diag.rejected_evaluations == 0 and not diag.failed.any()
     elif name == "box_exit":
         assert diag.failed.tolist() == [False] * (len(points) - 1) + [True]
+        assert diag.failure_counts()["box"] == 1
     elif name == "rho_floor":
-        assert diag.shrink_events[100] > 0 and diag.frozen_steps[100] == 1
-        assert not diag.failed.any()
+        assert np.flatnonzero(diag.failed).tolist() == [100]
+        assert diag.failure_counts()["density floor"] == 1
+    elif name == "dirac_speed_bound":
+        assert diag.failure_counts()["speed bound"] == len(points)
 
 
 @pytest.mark.parametrize("make_state", [_schrodinger_state, _dirac_state], ids=["schrodinger", "dirac"])

@@ -23,3 +23,15 @@ def test_bench_kernels_builds_its_states():
     assert schrodinger.t == 1.0 and dirac0.t == 0.0 and dirac.t == 1.0
     assert isinstance(prop, DiracPropagator)
     assert half_step == 0.5 * bench.DIRAC_DT
+
+
+def test_bench_kernels_builds_and_calls_every_kernel(tmp_path):
+    # The script reaches into private signatures (``guidance._rk4_block``
+    # among them); building and calling each kernel once here catches a
+    # signature change before a benchmark run does.
+    bench = load_script("bench_kernels")
+    kernels, digests = bench.build_kernels(str(tmp_path))
+    assert set(kernels) == set(bench.CALLS)
+    assert set(digests) <= set(kernels)
+    for fn in kernels.values():
+        fn()
