@@ -6,10 +6,11 @@ Times, in fresh single-threaded worker processes:
   snapshot of configs/free_gaussian.json (Schrodinger) and of
   configs/dirac_covariance.json (Dirac);
 - ``FieldSnapshot`` construction for both states;
-- ``stencil_build``: the periodic ghost cells of a Dirac snapshot's rho
-  and current grids, as ``_interp.CubicStencil`` builds them once per
-  snapshot (on a tree without it: the ``np.pad`` of both grids that every
-  interpolation call used to make);
+- ``stencil_build``: ``_interp.CubicStencil`` on a Dirac snapshot's rho
+  and current grids, built once per snapshot: the four Catmull-Rom cell
+  coefficient arrays of each grid (on older trees the periodic ghost
+  cells only; on a tree without it, the ``np.pad`` of both grids that
+  every interpolation call used to make);
 - ``rk4_step``: one ``guidance._rk4_block`` at 10^4 points on three
   Dirac snapshots half a step apart, the step the covariance pipelines
   repeat;

@@ -94,7 +94,7 @@ class FieldSnapshot:
         else:
             grad = np.fft.ifft(1j * self.spec.momentum_axis() * np.fft.fft(psi.amplitudes))
             self.current = np.imag(np.conj(psi.amplitudes) * grad) / psi.mass
-        # The grids never change, so their ghost cells are built once here.
+        # The grids never change, so their cell coefficients are built once here.
         self._stencil = CubicStencil([self.rho, self.current], self.spec.x_min, self.spec.dx)
 
     def evaluate(self, points: np.ndarray, rho_floor: float):

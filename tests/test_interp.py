@@ -1,10 +1,13 @@
 """The shared kernels are bitwise equal to the code paths they replace:
-the padded-once stencil against the per-field loop and the old 1D path of
-the momentum-space boost, the lean RK4 block against a reference that
-finds failure reasons one trajectory at a time,
+the coefficient stencil against a Horner reference that wraps every
+stencil offset with ``% n`` (per field, in the guiding-field evaluation
+and in the momentum-space boost), the lean RK4 block against a reference
+that finds failure reasons one trajectory at a time,
 the cached norm against its formula, the cached Dirac step factors against
 the per-call formula, and the one float-CSV writer against the per-row
-loops that each table had."""
+loops that each table had. The stencil's Horner form changed the rounding
+of the Catmull-Rom weight form it replaced, so against that form it is
+held to a tolerance instead, and to exactness at nodes and on quadratics."""
 
 import dataclasses
 import json
@@ -30,25 +33,38 @@ from bohmvel.wavefunction import (
 )
 
 
-def reference_weights(t):
+def reference_interp(values, x0, dx, xq):
+    """Catmull-Rom interpolation of one grid on the periodic line x0 + i dx
+    in Horner form, each query's coefficients taken from its four
+    neighbours with every stencil offset wrapped by ``% n``."""
+    values = np.asarray(values)
+    n = values.shape[-1]
+    pos = (np.asarray(xq, dtype=float) - x0) / dx
+    base = np.floor(pos).astype(np.int64)
+    t = pos - base
+    p_m1, p_0, p_1, p_2 = (values[(base + off) % n] for off in (-1, 0, 1, 2))
+    b = 0.5 * (p_1 - p_m1)
+    c = 0.5 * (2.0 * p_m1 - 5.0 * p_0 + 4.0 * p_1 - p_2)
+    d = 0.5 * (3.0 * (p_0 - p_1) + p_2 - p_m1)
+    return p_0 + t * (b + t * (c + t * d))
+
+
+def weight_form_interp(values, x0, dx, xq):
+    """The Catmull-Rom weight form the stencil used before its Horner form:
+    the same cubic, summed as four weighted neighbours."""
+    values = np.asarray(values)
+    n = values.shape[-1]
+    pos = (np.asarray(xq, dtype=float) - x0) / dx
+    base = np.floor(pos).astype(np.int64)
+    t = pos - base
     t2 = t * t
     t3 = t2 * t
-    return (
+    weights = (
         0.5 * (-t + 2.0 * t2 - t3),
         0.5 * (2.0 - 5.0 * t2 + 3.0 * t3),
         0.5 * (t + 4.0 * t2 - 3.0 * t3),
         0.5 * (-t2 + t3),
     )
-
-
-def reference_interp(values, x0, dx, xq):
-    """Cubic interpolation of one grid on the periodic line x0 + i dx,
-    wrapping every stencil offset with ``% n``."""
-    values = np.asarray(values)
-    n = values.shape[-1]
-    pos = (np.asarray(xq, dtype=float) - x0) / dx
-    base = np.floor(pos).astype(np.int64)
-    weights = reference_weights(pos - base)
     out = np.zeros(pos.shape, dtype=values.dtype)
     for off, w in zip((-1, 0, 1, 2), weights):
         out = out + w * values[(base + off) % n]
@@ -176,6 +192,58 @@ def test_stencil_matches_per_field_loop(n, dtype):
             assert out.tobytes() == ref.tobytes()
     for grid, old in zip(grids, kept):
         assert grid.tobytes() == old.tobytes()
+
+
+def _random_grid(rng, n, dtype):
+    grid = rng.standard_normal(n)
+    if dtype is complex:
+        grid = grid + 1j * rng.standard_normal(n)
+    return grid
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_stencil_is_exact_at_nodes(dtype):
+    """At a node t is 0, so the value is the node's grid value bit for bit,
+    also at nodes outside the line, which wrap."""
+    n = 64
+    rng = np.random.default_rng(3)
+    x_min, dx = -2.0, 0.25
+    grid = _random_grid(rng, n, dtype)
+    index = np.arange(-2 * n, 3 * n)
+    (got,) = CubicStencil([grid], x_min, dx).at(x_min + dx * index)
+    assert got.tobytes() == grid[index % n].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_stencil_reproduces_quadratics(dtype):
+    """Catmull-Rom is exact on quadratics wherever the stencil does not wrap."""
+    n = 64
+    x_min, dx = -3.0, 0.1
+    scale = 1.0 - 0.5j if dtype is complex else 1.0
+
+    def quadratic(x):
+        return scale * (2.0 + 0.7 * (x - 0.3) ** 2)
+
+    x = x_min + dx * np.arange(n)
+    # Base cells 1 .. n - 3 keep all four neighbours on the line.
+    xq = x_min + dx * np.random.default_rng(4).uniform(1.0, n - 2.0, 500)
+    (got,) = CubicStencil([quadratic(x)], x_min, dx).at(xq)
+    np.testing.assert_allclose(got, quadratic(xq), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [16, 64, 2048], ids=str)
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_stencil_matches_weight_form_to_rounding(n, dtype):
+    """The Horner form and the retired weight form are one cubic: over the
+    line, its ends and far outside it they differ by at most 8 ulp (of 1)
+    times the largest |grid| value."""
+    rng = np.random.default_rng(10 + n)
+    x_min, dx = -3.0, 0.1
+    grid = _random_grid(rng, n, dtype)
+    points = box_points(rng, x_min, dx, n)
+    (got,) = CubicStencil([grid], x_min, dx).at(points)
+    bound = 8 * np.finfo(float).eps * np.max(np.abs(grid))
+    assert np.max(np.abs(got - weight_form_interp(grid, x_min, dx, points))) <= bound
 
 
 @pytest.mark.parametrize("shape", [(48,), (12,), (16, 32), (8, 4, 16)], ids=lambda s: "x".join(map(str, s)))
