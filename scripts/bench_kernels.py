@@ -14,8 +14,9 @@ Times, in fresh single-threaded worker processes:
 - ``rk4_step``: one ``guidance._rk4_block`` at 10^4 points on three
   Dirac snapshots half a step apart, the step the covariance pipelines
   repeat;
-- ``DiracPropagator.advance`` by half an RK4 step (dt/2), the call the
-  Dirac ensemble integration repeats;
+- ``DiracPropagator.advance`` by half an RK4 step, the call the Dirac
+  ensemble integration repeats: each call advances the previous call's
+  output, as the integration does, by +dt/2 and -dt/2 in turn;
 - ``EmpiricalMeasure.to_csv`` of a 10^5-row measure into a temporary
   directory, the size of ``q_plus_samples.csv`` in ``bohmvel run``;
 - ``boost_dirac_state`` at u = 0.4 on the initial state of
@@ -188,7 +189,15 @@ def build_kernels(tmp: str) -> tuple[dict, dict]:
         digests[f"evaluate_{label}"] = _sha256(*(a.tobytes() for a in snap.evaluate(points, 1e-12)))
         kernels[f"evaluate_{label}"] = lambda snap=snap, points=points: snap.evaluate(points, 1e-12)
         kernels[f"snapshot_{label}"] = lambda psi=psi: FieldSnapshot(psi)
-    kernels["dirac_advance"] = lambda: prop.advance(dirac, half_step)
+    # Each call advances the previous call's output, as the integrator
+    # does, alternating +dt/2 and -dt/2 so the packet stays in place.
+    chain = [dirac, half_step]
+
+    def dirac_advance():
+        chain[0] = prop.advance(chain[0], chain[1])
+        chain[1] = -chain[1]
+
+    kernels["dirac_advance"] = dirac_advance
 
     dirac_snap = FieldSnapshot(dirac)
     # Older trees keep a list of currents, one per axis.

@@ -59,9 +59,20 @@ class CubicStencil:
         for g in grids:
             padded = g[ghost]
             p_m1, p_0, p_1, p_2 = padded[:n], padded[1 : n + 1], padded[2 : n + 2], padded[3:]
-            b = 0.5 * (p_1 - p_m1)
-            c = 0.5 * (2.0 * p_m1 - 5.0 * p_0 + 4.0 * p_1 - p_2)
-            d = 0.5 * (3.0 * (p_0 - p_1) + p_2 - p_m1)
+            # The formulas of the module docstring, built in place in their
+            # operation order so each coefficient rounds as the expression does.
+            b = np.subtract(p_1, p_m1)
+            b *= 0.5
+            c = 2.0 * p_m1
+            c -= 5.0 * p_0
+            c += 4.0 * p_1
+            c -= p_2
+            c *= 0.5
+            d = np.subtract(p_0, p_1)
+            d *= 3.0
+            d += p_2
+            d -= p_m1
+            d *= 0.5
             self._coeffs.append((p_0, b, c, d))
 
     def at(self, x: np.ndarray) -> list[np.ndarray]:

@@ -89,8 +89,6 @@ class SampledTrajectory:
         idx = np.searchsorted(self.times, t, side="right")
         if idx == self.times.size:
             return self.points[-1].copy()
-        if idx == 0:
-            return self.points[0].copy()
         t0, t1 = self.times[idx - 1], self.times[idx]
         w = (t - t0) / (t1 - t0)
         return (1.0 - w) * self.points[idx - 1] + w * self.points[idx]
@@ -283,8 +281,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj

@@ -108,7 +108,9 @@ class FieldSnapshot:
         rho, j = self._stencil.at(points[:, 0])
         ok = _in_box(self.spec, points, rho >= rho_floor)
         vel = np.empty_like(points)
-        np.divide(j, np.where(rho > 0, rho, 1.0), out=vel[:, 0])
+        # rho <= 0 gives inf or nan, in rows that rho_floor > 0 rejects.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(j, rho, out=vel[:, 0])
         if self.kind == KIND_DIRAC:
             ok &= np.abs(vel[:, 0]) < 1.0
         if not ok.all():
@@ -367,7 +369,4 @@ def count_order_violations(result: IntegrationResult) -> int:
     live = ~result.diagnostics.failed
     order = np.argsort(pos[live, 0, 0], kind="mergesort")
     series = pos[live][order, :, 0]
-    violations = 0
-    for j in range(series.shape[1]):
-        violations += int(np.sum(np.diff(series[:, j]) < 0))
-    return violations
+    return int(np.sum(np.diff(series, axis=0) < 0))

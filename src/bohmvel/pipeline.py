@@ -103,10 +103,6 @@ class PipelineResult:
     integration: IntegrationResult
     params: PipelineParams
 
-    @property
-    def failed_weight(self) -> float:
-        return self.integration.diagnostics.failed_weight
-
 
 def run_guided_pipeline(
     psi0: GridWavefunction,

@@ -50,12 +50,6 @@ __all__ = [
 ]
 
 
-def _merge_close(values: np.ndarray, tol: float) -> np.ndarray:
-    values = np.sort(values)
-    keep = np.concatenate([[True], np.diff(values) > tol])
-    return values[keep]
-
-
 def boost_worldline(traj: SampledTrajectory, u: float) -> SampledTrajectory:
     """Image of a sampled world line under a boost of velocity u along x.
 
@@ -77,8 +71,9 @@ def boost_worldline(traj: SampledTrajectory, u: float) -> SampledTrajectory:
             "reparameterization is not increasing; input is not a world line"
         )
     s_lo, s_hi = s_samples[0], s_samples[-1]
-    nodes = np.concatenate([np.linspace(s_lo, s_hi, 2 * times.size), s_samples])
-    nodes = _merge_close(nodes, 1e-12 * max(1.0, s_hi - s_lo))
+    # The uniform backbone and the sample images, with near-duplicates merged.
+    nodes = np.sort(np.concatenate([np.linspace(s_lo, s_hi, 2 * times.size), s_samples]))
+    nodes = nodes[np.concatenate([[True], np.diff(nodes) > 1e-12 * max(1.0, s_hi - s_lo)])]
 
     t_back = np.interp(nodes, s_samples, times)
     out = np.empty((nodes.size, traj.dim))

@@ -81,10 +81,6 @@ PACKET_TAIL_REL = 1e-12
 NEG_ENERGY_TOL = 1e-6
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic line of n_points cells on [x_min, x_max).
@@ -99,7 +95,7 @@ class GridSpec:
 
     def __post_init__(self):
         n = int(self.n_points)
-        if n < 16 or not _is_power_of_two(n):
+        if n < 16 or n & (n - 1):
             raise InvalidInputError(f"n_points must be a power of two >= 16, got {n}")
         if not float(self.x_max) > float(self.x_min):
             raise InvalidInputError("x_max must exceed x_min")
@@ -156,7 +152,7 @@ class GridWavefunction:
         self.amplitudes.setflags(write=False)
         # The amplitudes are private and read-only, so the norm is computed
         # once, here.
-        norm = float(np.sqrt(np.sum(np.abs(amps) ** 2) * self.spec.dx))
+        norm = float(np.sqrt(np.vdot(amps, amps).real * self.spec.dx))
         object.__setattr__(self, "_norm", norm)
         if abs(norm - 1.0) > NORM_TOL:
             raise InvalidInputError(f"wavefunction norm {norm} deviates from 1 beyond {NORM_TOL}")
@@ -166,9 +162,8 @@ class GridWavefunction:
 
     def density(self) -> np.ndarray:
         """Position density rho(x); spinor components are summed."""
-        if self.kind == KIND_DIRAC:
-            return np.sum(np.abs(self.amplitudes) ** 2, axis=0)
-        return np.abs(self.amplitudes) ** 2
+        dens = np.square(self.amplitudes.real) + np.square(self.amplitudes.imag)
+        return dens[0] + dens[1] if self.kind == KIND_DIRAC else dens
 
     def with_amplitudes(self, amps: np.ndarray, t: float | None = None) -> "GridWavefunction":
         return replace(
@@ -405,52 +400,59 @@ def _check_health(psi: GridWavefunction) -> None:
         )
 
 
-def _dirac_apply_exp(
-    amps_hat: np.ndarray, p: np.ndarray, mass: float, c: np.ndarray, s: np.ndarray
-) -> np.ndarray:
-    """exp(-i H(p) t) applied per mode: cos(Et) - i sin(Et)/E * H(p)."""
-    upper = c * amps_hat[0] - 1j * s * (mass * amps_hat[0] + p * amps_hat[1])
-    lower = c * amps_hat[1] - 1j * s * (p * amps_hat[0] - mass * amps_hat[1])
-    return np.stack([upper, lower])
-
-
 class DiracPropagator:
     """Exact free 1+1D Dirac evolution in momentum space.
 
-    The exact operator is periodic too, so every state it returns goes
-    through the same norm and leak guard as the split-step propagator's.
-    The step factors depend only on the advance time, which an ensemble
-    integration repeats every half step, so they are cached per time.
+    Each mode p is multiplied by the symmetric 2x2 matrix U(p) =
+    exp(-i H(p) t) = cos(Et) - i sin(Et)/E * H(p), whose entries u00,
+    u01 = u10 and u11 are cached per advance time. The spectrum of the
+    state returned last is kept: advancing that same (frozen, read-only)
+    state again costs one inverse FFT, and any other state takes the
+    forward FFT first. The exact operator is periodic too, so every state
+    it returns goes through the split-step propagator's norm and leak guard.
     """
 
     def __init__(self, spec: GridSpec, mass: float):
         self.spec = spec
         self.mass = float(mass)
         self.p = spec.momentum_axis()
-        self._factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._factors: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._last: tuple[GridWavefunction | None, np.ndarray | None] = (None, None)
 
-    def _step_factors(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-mode cos(Et) and sin(Et)/E of exp(-i H(p) t)."""
+    def _step_factors(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-mode u00, u01 = u10 and u11 of exp(-i H(p) t)."""
         if t not in self._factors:
             energy = np.sqrt(self.p**2 + self.mass**2)
-            # sin(Et)/E with the E -> 0 limit t (only reachable for m = 0, p = 0).
-            with np.errstate(invalid="ignore", divide="ignore"):
-                s = np.where(energy > 0, np.sin(energy * t) / np.where(energy > 0, energy, 1.0), t)
-            self._factors[t] = (np.cos(energy * t), s)
+            # sin(Et)/E, with its E -> 0 limit t (only reachable for m = 0, p = 0).
+            s = t * np.sinc(energy * t / np.pi)
+            c = np.cos(energy * t)
+            self._factors[t] = (c - 1j * (s * self.mass), -1j * (s * self.p), c + 1j * (s * self.mass))
         return self._factors[t]
+
+    def _apply(self, amps_hat: np.ndarray, t: float) -> np.ndarray:
+        """U(p) applied per mode to a spectrum (2, n)."""
+        u00, u01, u11 = self._step_factors(t)
+        out = np.empty_like(amps_hat)
+        np.multiply(u00, amps_hat[0], out=out[0])
+        out[0] += u01 * amps_hat[1]
+        np.multiply(u01, amps_hat[0], out=out[1])
+        out[1] += u11 * amps_hat[1]
+        return out
 
     def step(self, amps: np.ndarray, t_advance: float) -> np.ndarray:
         """Spinor amplitudes (2, n) advanced by t_advance, unguarded."""
-        amps_hat = np.fft.fft(amps, axis=1)
-        amps_hat = _dirac_apply_exp(amps_hat, self.p, self.mass, *self._step_factors(t_advance))
-        return np.fft.ifft(amps_hat, axis=1)
+        return np.fft.ifft(self._apply(np.fft.fft(amps, axis=1), t_advance), axis=1)
 
     def advance(self, psi: GridWavefunction, t_advance: float) -> GridWavefunction:
         """psi advanced by t_advance, through the norm and leak guard."""
         if psi.kind != KIND_DIRAC:
             raise InvalidInputError("Dirac propagator needs a Dirac state")
-        out = psi.with_amplitudes(self.step(psi.amplitudes, t_advance), t=psi.t + t_advance)
+        last_psi, last_hat = self._last
+        amps_hat = last_hat if last_psi is psi else np.fft.fft(psi.amplitudes, axis=1)
+        out_hat = self._apply(amps_hat, t_advance)
+        out = psi.with_amplitudes(np.fft.ifft(out_hat, axis=1), t=psi.t + t_advance)
         _check_health(out)
+        self._last = (out, out_hat)
         return out
 
 

@@ -2,15 +2,19 @@
 the coefficient stencil against a Horner reference that wraps every
 stencil offset with ``% n`` (per field, in the guiding-field evaluation
 and in the momentum-space boost), the lean RK4 block against a reference
-that finds failure reasons one trajectory at a time,
-the cached norm against its formula, the cached Dirac step factors against
-the per-call formula, and the one float-CSV writer against the per-row
-loops that each table had. The stencil's Horner form changed the rounding
-of the Catmull-Rom weight form it replaced, so against that form it is
-held to a tolerance instead, and to exactness at nodes and on quadratics."""
+that finds failure reasons one trajectory at a time, the cached norm and
+the density against their formulas, and the one float-CSV writer against
+the per-row loops that each table had. The stencil's Horner form changed
+the rounding of the Catmull-Rom weight form it replaced, so against that
+form it is held to a tolerance instead, and to exactness at nodes and on
+quadratics. The Dirac propagator's cached mode matrix and its kept
+spectrum change rounding too: they are held to 1e-13 against the per-call
+formula and a chain of cold advances, and a state it did not return last
+gets the cold advance bit for bit."""
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -158,16 +162,98 @@ def test_evaluate_matches_per_field_reference(make_state):
         assert a.tobytes() == b.tobytes()
 
 
-def test_cached_dirac_step_matches_uncached_formula():
+def _tail_state(kind):
+    """A narrow packet whose far-tail density underflows to exact zeros;
+    the Dirac one has |j| = 0.96 rho, inside the light-speed bound."""
+    spec = GridSpec(256, -32.0, 32.0)
+    g = gaussian_packet(spec, 1.0, 0.0, 1.0, 0.5).amplitudes
+    if kind == KIND_DIRAC:
+        return GridWavefunction(spec, np.stack([0.8 * g, 0.6 * g]), 0.0, KIND_DIRAC, 1.0)
+    return GridWavefunction(spec, g, 0.0, "schrodinger", 1.0)
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", KIND_DIRAC])
+def test_evaluate_rejects_nonpositive_tail_density_without_warnings(kind):
+    """Where the interpolated density is 0 or, by Catmull-Rom overshoot,
+    negative, the point is rejected with zero velocity, and the division
+    raises no warning."""
+    psi = _tail_state(kind)
+    snap = FieldSnapshot(psi)
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.uniform(15.0, 32.0, 2000), rng.uniform(-32.0, -15.0, 2000)])
+    points = x[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vel, rho, ok = snap.evaluate(points, 1e-12)
+    tail = rho <= 0.0
+    assert (rho == 0.0).any() and (rho < 0.0).any()
+    assert not ok[tail].any()
+    assert np.all(vel[tail] == 0.0)
+    for a, b in zip((vel, rho, ok), reference_evaluate(snap, points, 1e-12)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_cached_mode_matrix_matches_formula():
+    """The three cached entries of exp(-i H(p) t) are its columns, applied
+    to the unit spinors (1, 0) and (0, 1) of every mode; one cache entry
+    per step size."""
     psi = _dirac_state()
     prop = DiracPropagator(psi.spec, psi.mass)
+    n = psi.spec.n_points
+    ones, zeros = np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
     for t in (0.025, 0.7, 0.025):
-        got = prop.advance(psi, t)
-        amps_hat = np.fft.fft(psi.amplitudes, axis=1)
-        want = np.fft.ifft(reference_dirac_exp(amps_hat, prop.p, prop.mass, t), axis=1)
-        assert got.t == psi.t + t
-        assert np.array_equal(got.amplitudes, want)
+        u00, u01, u11 = prop._step_factors(t)
+        col0 = reference_dirac_exp(np.stack([ones, zeros]), prop.p, prop.mass, t)
+        col1 = reference_dirac_exp(np.stack([zeros, ones]), prop.p, prop.mass, t)
+        for got, want in ((u00, col0[0]), (u01, col0[1]), (u01, col1[0]), (u11, col1[1])):
+            assert np.max(np.abs(got - want)) <= 1e-13
     assert sorted(prop._factors) == [0.025, 0.7]
+
+
+DIRAC_CHAIN = (0.05, 0.05, 0.7, -0.3, 0.05, 0.05)
+
+
+def _cold_chain(psi, steps):
+    """psi advanced step by step, each by a fresh propagator."""
+    for t in steps:
+        psi = DiracPropagator(psi.spec, psi.mass).advance(psi, t)
+    return psi
+
+
+def test_chained_advance_matches_cold_advance(monkeypatch):
+    """Advancing each output again starts from its kept spectrum: one
+    forward FFT for the whole chain, and the result matches a chain of
+    cold advances to rounding."""
+    psi = _dirac_state()
+    want = _cold_chain(psi, DIRAC_CHAIN)
+    prop = DiracPropagator(psi.spec, psi.mass)
+    forward = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: forward.append(1) or fft(*a, **k))
+    state = psi
+    for t in DIRAC_CHAIN:
+        state = prop.advance(state, t)
+    assert len(forward) == 1
+    assert state.t == want.t
+    assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-13
+
+
+def test_advance_of_another_state_is_the_cold_advance():
+    """Only the state a propagator returned last reuses its spectrum: a
+    copy of the last one, an older output, another propagator's output
+    and the input state each take the forward FFT and give the cold
+    result bit for bit."""
+    psi = _dirac_state()
+    prop = DiracPropagator(psi.spec, psi.mass)
+    older = prop.advance(psi, 0.05)
+    last = prop.advance(older, 0.05)
+    copy = GridWavefunction(last.spec, last.amplitudes, last.t, last.kind, last.mass)
+    foreign = DiracPropagator(psi.spec, psi.mass).advance(psi, 0.3)
+    for state in (copy, older, foreign, psi):
+        got = prop.advance(state, 0.05)
+        want = _cold_chain(state, (0.05,))
+        assert got.t == want.t
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 64], ids=str)
@@ -379,9 +465,14 @@ def test_rk4_block_matches_reference(name):
 def test_cached_norm_matches_formula(make_state):
     psi = make_state()
     for state in (psi, psi.with_amplitudes(psi.amplitudes * np.exp(0.3j), t=psi.t + 1.0)):
-        want = float(np.sqrt(np.sum(np.abs(state.amplitudes) ** 2) * state.spec.dx))
+        amps = state.amplitudes
+        want = float(np.sqrt(np.vdot(amps, amps).real * state.spec.dx))
         assert type(state.norm()) is float
         assert state.norm() == want
+        dens = amps.real**2 + amps.imag**2
+        if state.kind == KIND_DIRAC:
+            dens = dens[0] + dens[1]
+        assert state.density().tobytes() == dens.tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 64, 2048])
