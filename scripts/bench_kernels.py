@@ -29,7 +29,10 @@ Times, in fresh single-threaded worker processes:
   10, 20, 40) on its rotating family;
 - ``extrapolate``: ``estimate_asymptotic_measure`` on an
   ``IntegrationResult`` of 10^4 closed-form free-Gaussian trajectories
-  (configs/free_gaussian.json: its record times, checkpoints and eta_tol);
+  (configs/free_gaussian.json: its record times, checkpoints and eta_tol),
+  with their closed-form velocities on trees whose integration results
+  record velocities, so the fit of positions and velocities is timed
+  there (the position fit on older trees);
 - ``trajectory_objects``: ``IntegrationResult.trajectories`` of that
   result, 10^4 ``SampledTrajectory`` objects, on a fresh result each call;
 - ``ndjson_write``: ``save_trajectories_ndjson`` of those trajectories,
@@ -64,6 +67,12 @@ per kernel, the ratio of the last tree to the first within each round
 (each tree's median block in that round) and the median and quartiles
 of those per-round ratios: host speed drifts between rounds, and a
 paired ratio cancels what the two workers of one round share.
+
+Every round ends with one more worker of the first tree, and
+``noise_floor`` records, per kernel, the median and quartiles of the
+per-round ratio of that repeat to the same tree's first worker: the
+paired ratio of two identical trees. A tree's paired ratio says
+something only where it lies outside that spread.
 """
 
 from __future__ import annotations
@@ -232,7 +241,9 @@ def build_kernels(tmp: str) -> tuple[dict, dict]:
         return _rk4_block(dirac_points, *snaps, 2.0 * half_step, rho_floor, diagnostics(N_POINTS), *budget)
 
     kernels["rk4_step"] = rk4_step
-    digests["rk4_step"] = _sha256(rk4_step().tobytes())
+    # Newer trees return the stage velocities k1 and k4 beside the positions.
+    step = rk4_step()
+    digests["rk4_step"] = _sha256(*(a.tobytes() for a in (step if isinstance(step, tuple) else (step,))))
 
     measure = EmpiricalMeasure.from_samples(np.random.default_rng(0).standard_normal(CSV_ROWS))
     kernels["boost_dirac_state"] = lambda: boost_dirac_state(dirac0, BOOST_U)
@@ -244,7 +255,9 @@ def build_kernels(tmp: str) -> tuple[dict, dict]:
     digests["rotating_family"] = _sha256(np.stack([t.points for t in family]).tobytes())
     ladders = [np.array([5.0]), np.array([10.0]), np.array([10.0, 20.0, 40.0])]
     kernels["eta_block_family"] = lambda: [_eta_block(family, c) for c in ladders]
-    digests["eta_block_family"] = _sha256(*(a.tobytes() for a in kernels["eta_block_family"]()))
+    # Newer trees return (k(t)/t, velocities or None).
+    etas = [out[0] if isinstance(out, tuple) else out for out in kernels["eta_block_family"]()]
+    digests["eta_block_family"] = _sha256(*(a.tobytes() for a in etas))
 
     # Exact free-Gaussian trajectories x0 sqrt(1 + (t / 2 sigma0^2)^2) of
     # configs/free_gaussian.json (m = 1, p0 = 0), from its start draw.
@@ -254,10 +267,15 @@ def build_kernels(tmp: str) -> tuple[dict, dict]:
     record = np.asarray(free_cfg["time"]["record_times"], dtype=float)
     checkpoints = np.asarray(free_cfg["time"]["checkpoints"], dtype=float)
     x0 = sample_initial(schrodinger, ENSEMBLE_N, 0)[:, 0]
-    positions = (x0[:, None] * np.sqrt(1.0 + (record / (2.0 * sigma0**2)) ** 2))[:, :, None]
+    tau = 2.0 * sigma0**2
+    width = np.sqrt(1.0 + (record / tau) ** 2)
+    positions = (x0[:, None] * width)[:, :, None]
+    extra = {}
+    if "velocities" in inspect.signature(IntegrationResult).parameters:
+        extra["velocities"] = (x0[:, None] * record / (tau**2 * width))[:, :, None]
 
     def ensemble():
-        return IntegrationResult(record, positions, diagnostics(ENSEMBLE_N))
+        return IntegrationResult(record, positions, diagnostics(ENSEMBLE_N), **extra)
 
     def extrapolate():
         return estimate_asymptotic_measure(ensemble(), checkpoints, 0.05)[0]
@@ -358,14 +376,18 @@ def main(argv=None) -> int:
 
     trees = [t.split("=", 1) for t in (args.tree or [f"current={os.path.join(REPO, 'src')}"])]
     runs: dict[str, list[dict]] = {label: [] for label, _ in trees}
+    repeats: list[dict] = []
     for r in range(ROUNDS):
-        for label, src in trees if r % 2 == 0 else trees[::-1]:
+        order = trees if r % 2 == 0 else trees[::-1]
+        for label, src in [*order, trees[0]]:
             env = {**os.environ, **SINGLE_THREAD, "PYTHONPATH": os.path.abspath(src)}
             out = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--worker"],
                 env=env, check=True, capture_output=True, text=True,
             )
-            runs[label].append(json.loads(out.stdout))
+            record = json.loads(out.stdout)
+            # The first tree's own record comes first in the round, its repeat last.
+            (repeats if len(runs[label]) > r else runs[label]).append(record)
             print(f"round {r + 1}/{ROUNDS} {label} done", file=sys.stderr)
 
     result = {"host": _host(), "points": N_POINTS, "csv_rows": CSV_ROWS, "boost_u": BOOST_U,
@@ -382,20 +404,23 @@ def main(argv=None) -> int:
                 for name in CALLS
             },
         }
-    if len(trees) > 1:
-        first, last = runs[trees[0][0]], runs[trees[-1][0]]
-
+    def paired_ratio(first, last):
         def round_median(rec, name):
             return _quantiles(rec["per_call_ms"][name])["median"]
 
-        result[f"paired_ratio_{trees[-1][0]}_over_{trees[0][0]}"] = {
+        return {
             name: _quantiles([round_median(b, name) / round_median(a, name) for a, b in zip(first, last)])
             for name in CALLS
         }
+
+    first = runs[trees[0][0]]
+    result["noise_floor"] = {"tree": trees[0][0], "ratio": paired_ratio(first, repeats)}
+    if len(trees) > 1:
+        result[f"paired_ratio_{trees[-1][0]}_over_{trees[0][0]}"] = paired_ratio(first, runs[trees[-1][0]])
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(json.dumps({k: v for k, v in result.items() if k.startswith("paired_ratio")} or result["trees"], indent=2))
+    print(json.dumps({k: v for k, v in result.items() if k.startswith(("paired_ratio", "noise_floor"))}, indent=2))
     return 0
 
 

@@ -1,12 +1,17 @@
 """Asymptotic velocities of trajectory ensembles and of quantum states.
 
-Trajectory side: the finite-time estimates k(t)/t at a geometric ladder
-of m checkpoints are extrapolated with a least-squares polynomial in 1/t
-of degree m - 2, justified by the free-dynamics expansion
-k(t) = v t + c + d/t + ...: 3 checkpoints give the affine fit, 4 add the
-1/t^2 term (the free Gaussian's leading correction). The fit residual at
-the last two checkpoints is the convergence measure, and trajectories
-above tolerance are excluded with recorded weight.
+Trajectory side: the limiting velocity is extrapolated at a geometric
+ladder of m checkpoints with a least-squares polynomial in 1/t, justified
+by the free-dynamics expansion k(t) = v t + c + d/t + e/t^2 + ...: then
+k(t)/t = v + c/t + d/t^2 + ... and the guiding velocity
+u(t) = v - d/t^2 - 2e/t^3 - ... has no 1/t term. An integrated ensemble
+records u at every recorded time, and the fit takes both rows at each
+checkpoint, as in Hermite interpolation: the columns 1, 1/t, ...,
+(1/t)^m, 2m rows and m - 1 residual degrees of freedom. A list of
+trajectories has positions only, and the fit of k(t)/t alone stays at
+degree m - 2: 3 checkpoints give the affine fit, 4 add the 1/t^2 term.
+The fit residual at the last two checkpoints is the convergence measure,
+and trajectories above tolerance are excluded with recorded weight.
 
 Quantum side: velocity distributions derived from momentum densities,
 q(v) = m |psi_hat(m v)|^2 for Schrodinger states (free or via the
@@ -101,15 +106,23 @@ def _validate_checkpoints(checkpoints: np.ndarray) -> None:
         raise InvalidInputError("checkpoints must span a factor >= 4 in time")
 
 
-def _eta_block(trajs, checkpoints: np.ndarray) -> np.ndarray:
-    """Stack k(t)/t over the ensemble: shape (n_traj, n_cp, D).
+def _eta_block(trajs, checkpoints: np.ndarray):
+    """k(t)/t and the guiding velocity u(t) at the checkpoints: two arrays
+    of shape (n_traj, n_cp, D), the second None when the ensemble records
+    no velocities.
 
-    ``trajs`` is an integration result (its failed trajectories left out)
-    or a list of trajectories that share one time grid.
+    ``trajs`` is an integration result (its failed trajectories left out;
+    it records velocities) or a list of trajectories that share one time
+    grid (positions only). Both rows are interpolated linearly between
+    recorded times, so they are exact at checkpoints that are recorded.
     """
+    vel = None
     if hasattr(trajs, "positions"):
         times = trajs.times
-        pos = trajs.positions[~trajs.diagnostics.failed]
+        live = ~trajs.diagnostics.failed
+        pos = trajs.positions[live]
+        if trajs.velocities is not None:
+            vel = trajs.velocities[live]
     else:
         trajs = list(trajs)
         times = trajs[0].times
@@ -135,28 +148,58 @@ def _eta_block(trajs, checkpoints: np.ndarray) -> np.ndarray:
     t0 = times[idx]
     t1 = times[idx + 1]
     w = np.where(t1 > t0, (checkpoints - t0) / (t1 - t0), 0.0)
-    interp = (1.0 - w)[None, :, None] * pos[:, idx, :] + w[None, :, None] * pos[:, idx + 1, :]
-    return interp / checkpoints[None, :, None]
+
+    def at_checkpoints(arr):
+        # (1 - w) a + w b, in place on the gathered copies.
+        out = arr[:, idx, :]
+        out *= (1.0 - w)[None, :, None]
+        upper = arr[:, idx + 1, :]
+        upper *= w[None, :, None]
+        out += upper
+        return out
+
+    eta = at_checkpoints(pos)
+    eta /= checkpoints[None, :, None]
+    return eta, None if vel is None else at_checkpoints(vel)
 
 
-def _fit_eta(eta: np.ndarray, checkpoints: np.ndarray):
-    """Polynomial-in-1/t fit per trajectory: (v_plus (n, D), residual (n,)).
+def _fit_eta(eta: np.ndarray, checkpoints: np.ndarray, vel: np.ndarray | None = None):
+    """Least-squares fit in 1/t per trajectory: (v_plus (n, D), residual (n,)).
 
-    A ladder of m checkpoints is fitted with the columns 1, 1/t, ...,
-    (1/t)^(m-2), so one degree of freedom is always left for the
-    residual: 3 checkpoints give the affine fit, 4 add the 1/t^2 term.
+    The model is k(t) = v t + c + d/t + e/t^2 + ..., so k(t)/t = v + c/t
+    + d/t^2 + ... and u(t) = v - d/t^2 - 2e/t^3 - ...: the row of u for
+    the column (1/t)^k is -(k - 1)/t^k, the time derivative of
+    t (1/t)^k. A ladder of m checkpoints with position rows only is
+    fitted with the columns 1, 1/t, ..., (1/t)^(m-2); with velocity rows
+    ``vel`` as well, with 1, 1/t, ..., (1/t)^m: m - 1 residual degrees
+    of freedom with velocity rows (2m rows, m + 1 unknowns), one without.
+    The residual is the largest deviation over the rows of the last
+    ``_TAIL_CHECKPOINTS`` checkpoints; k(t)/t is in velocity units, like
+    u.
     """
     inv = 1.0 / checkpoints
     columns = [np.ones_like(checkpoints)]
-    for _ in range(checkpoints.size - 2):
+    for _ in range(checkpoints.size - (2 if vel is None else 0)):
         columns.append(columns[-1] * inv)
     design = np.stack(columns, axis=1)
+    rows = eta
+    if vel is not None:
+        design = np.concatenate([design, design * (1.0 - np.arange(len(columns)))])
+        rows = np.concatenate([eta, vel], axis=1)
     pinv = np.linalg.pinv(design)
-    coef = np.einsum("kc,ncd->nkd", pinv, eta)
-    fit = np.einsum("ck,nkd->ncd", design, coef)
-    dev = np.linalg.norm(eta - fit, axis=2)
-    v_plus = coef[:, 0, :]
-    residual = np.max(dev[:, -_TAIL_CHECKPOINTS:], axis=1)
+    coef = np.einsum("kc,ncd->nkd", pinv, rows)
+    v_plus = coef[:, 0, :].copy()
+    # |rows - fit| over D, in place, each array freed once used: velocity
+    # rows double these (n, rows, D) arrays, and they set peak memory.
+    dev = np.einsum("ck,nkd->ncd", design, coef)
+    del coef
+    np.subtract(rows, dev, out=dev)
+    del rows
+    dev *= dev
+    dev = np.add.reduce(dev, axis=2)
+    np.sqrt(dev, out=dev)
+    dev = dev.reshape(dev.shape[0], -1, checkpoints.size)
+    residual = np.max(dev[:, :, -_TAIL_CHECKPOINTS:], axis=(1, 2))
     return v_plus, residual
 
 
@@ -169,8 +212,8 @@ def estimate_asymptotic_velocity(traj: SampledTrajectory, checkpoints) -> tuple[
     """
     checkpoints = np.asarray(checkpoints, dtype=float)
     _validate_checkpoints(checkpoints)
-    eta = _eta_block([traj], checkpoints)
-    v_plus, residual = _fit_eta(eta, checkpoints)
+    eta, vel = _eta_block([traj], checkpoints)
+    v_plus, residual = _fit_eta(eta, checkpoints, vel)
     return v_plus[0], float(residual[0])
 
 
@@ -187,10 +230,10 @@ def estimate_asymptotic_measure(
     """
     checkpoints = np.asarray(checkpoints, dtype=float)
     _validate_checkpoints(checkpoints)
-    eta = _eta_block(trajs, checkpoints)
+    eta, vel = _eta_block(trajs, checkpoints)
     if eta.shape[0] == 0:
         raise InvalidInputError("empty ensemble")
-    v_plus, residual = _fit_eta(eta, checkpoints)
+    v_plus, residual = _fit_eta(eta, checkpoints, vel)
     converged = residual <= tol
     n_total = eta.shape[0]
     n_conv = int(converged.sum())
@@ -226,7 +269,7 @@ def velocity_measure_at(trajs, t: float) -> EmpiricalMeasure:
     """
     if t <= 0:
         raise InvalidInputError("velocity measures are defined for t > 0")
-    eta = _eta_block(trajs, np.asarray([t], dtype=float))
+    eta, _ = _eta_block(trajs, np.asarray([t], dtype=float))
     return EmpiricalMeasure.from_samples(eta[:, 0, :])
 
 

@@ -122,6 +122,16 @@ _WEIGHT_TOL = 1e-12
 _CSV_CHUNK = 8192
 
 
+def _repr_column(values: np.ndarray) -> list[str]:
+    """``repr`` of each float of a 1D array. A column whose values all
+    share one bit pattern (a uniform weight) is formatted once; bits, not
+    values, are compared, so -0.0 and 0.0 keep their own text."""
+    bits = values.view(np.int64)
+    if values.size and (bits == bits[0]).all():
+        return [repr(float(values[0]))] * values.size
+    return list(map(repr, values.tolist()))
+
+
 def _write_float_csv(path, header, columns) -> None:
     """Write columns side by side as CSV, each value as ``repr(float)``.
 
@@ -129,12 +139,15 @@ def _write_float_csv(path, header, columns) -> None:
     one CSV column per array column).
     """
     n_rows = len(columns[0])
+    flat = []
+    for c in columns:
+        arr = np.asarray(c, dtype=float)
+        flat.extend(arr.T if arr.ndim == 2 else [arr])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, _CSV_CHUNK):
-            chunk = np.column_stack([c[start : start + _CSV_CHUNK] for c in columns])
-            rows = chunk.astype(float, copy=False).tolist()
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+            texts = [_repr_column(col[start : start + _CSV_CHUNK]) for col in flat]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 @dataclass(frozen=True)
@@ -232,9 +245,22 @@ def validate_worldline(traj: SampledTrajectory) -> WorldLineFlag:
 
 
 def save_trajectories_ndjson(trajs: Iterable[SampledTrajectory], path) -> None:
+    """One ``json.dumps(traj.to_record(), sort_keys=True)`` line per
+    trajectory, byte for byte, written without the per-trajectory dict:
+    floats as ``repr``, json's separators, and a ``times`` list shared by
+    consecutive trajectories (one object) formatted once."""
+    times, times_text = None, ""
     with open(path, "w") as fh:
         for traj in trajs:
-            fh.write(json.dumps(traj.to_record(), sort_keys=True) + "\n")
+            if traj.times is not times:
+                times = traj.times
+                times_text = ", ".join(map(repr, times.tolist()))
+            rows = traj.points.tolist()
+            if traj.dim == 1:
+                points = "], [".join(repr(x) for (x,) in rows)
+            else:
+                points = "], [".join(", ".join(map(repr, row)) for row in rows)
+            fh.write(f'{{"d": {traj.dim}, "n": 1, "points": [[{points}]], "times": [{times_text}]}}\n')
 
 
 def config_hash(config: dict) -> str:

@@ -182,13 +182,16 @@ class IntegrationResult:
 
     ``positions`` has shape (n_traj, n_times, 1); ``snapshots`` holds
     the wavefunction at each recording time for equivariance checks and
-    downstream density work.
+    downstream density work. ``velocities``, of the shape of
+    ``positions`` when recorded, holds the guiding velocity of each
+    trajectory at each recording time (see ``integrate_ensemble``).
     """
 
     times: np.ndarray
     positions: np.ndarray
     diagnostics: EnsembleDiagnostics
     snapshots: list[GridWavefunction] = field(default_factory=list)
+    velocities: np.ndarray | None = None
 
     @cached_property
     def trajectories(self) -> list[SampledTrajectory]:
@@ -230,6 +233,12 @@ def integrate_ensemble(
     independent given the shared read-only snapshots and are advanced as
     one vectorized block. An evaluation below ``rho_floor`` fails its
     trajectory.
+
+    The velocity recorded at t_i > 0 is the k4 of the RK4 step that ends
+    at t_i: the field at t_i, evaluated O(h^3) away from x(t_i). At the
+    first time it is the k1 of the first step (NaN when t_grid has one
+    time and no step runs). Both cost no extra evaluation. A trajectory
+    records 0 from the step in which it fails.
     """
     if rho_floor <= 0:
         raise InvalidInputError("rho_floor must be positive")
@@ -259,36 +268,43 @@ def integrate_ensemble(
         raise InvalidInputError("Dirac evolution here is free; potential must be None")
     positions = np.empty((n_traj, t_grid.size, dim))
     positions[:, 0, :] = starts
+    velocities = np.full((n_traj, t_grid.size, dim), np.nan)
     snapshots = [psi0]
     if t_grid.size == 1:
-        return IntegrationResult(t_grid, positions, diag, snapshots)
+        return IntegrationResult(t_grid, positions, diag, snapshots, velocities)
 
     steps = rk4_step_sizes(t_grid, dt)
     x = starts.copy()
     psi = psi0
     snap_now = FieldSnapshot(psi)
     for seg, (h, n_sub) in enumerate(steps):
-        for _ in range(n_sub):
+        for sub in range(n_sub):
             psi_mid = propagator.advance(psi, 0.5 * h)
             psi_end = propagator.advance(psi_mid, 0.5 * h)
             snap_mid = FieldSnapshot(psi_mid)
             snap_end = FieldSnapshot(psi_end)
-            x = _rk4_block(x, snap_now, snap_mid, snap_end, h, rho_floor, diag)
+            x, k1, k4 = _rk4_block(x, snap_now, snap_mid, snap_end, h, rho_floor, diag)
+            if seg == 0 and sub == 0:
+                velocities[:, 0, :] = k1
             psi = psi_end
             snap_now = snap_end
         positions[:, seg + 1, :] = x
+        velocities[:, seg + 1, :] = k4
         snapshots.append(psi)
-    return IntegrationResult(t_grid, positions, diag, snapshots)
+    return IntegrationResult(t_grid, positions, diag, snapshots, velocities)
 
 
 def _rk4_block(x, snap_a, snap_b, snap_c, h, rho_floor, diag):
-    """One vectorized RK4 step of the live trajectories.
+    """One vectorized RK4 step of the live trajectories: the new
+    positions and the stage velocities k1 and k4, each of the shape of
+    ``x``.
 
     A trajectory with a rejected evaluation fails: it keeps its position
     from the start of the step, and the reason of its first rejected
-    evaluation is recorded. While no trajectory has failed and every
-    evaluation is accepted, the step works on ``x`` directly and returns
-    the new positions without the live-subset bookkeeping; the results
+    evaluation is recorded. Failed trajectories, from this step or an
+    earlier one, get k1 = k4 = 0. While no trajectory has failed and
+    every evaluation is accepted, the step works on ``x`` directly and
+    returns its arrays without the live-subset bookkeeping; the results
     are the same.
     """
     all_live = not diag.failed.any()
@@ -316,7 +332,7 @@ def _rk4_block(x, snap_a, snap_b, snap_c, h, rho_floor, diag):
     x_new += xl
     if all_live and accepted == 4 * xl.shape[0]:
         np.minimum(diag.min_rho, r1, out=diag.min_rho)
-        return x_new
+        return x_new, k1, k4
 
     live_idx = np.flatnonzero(~diag.failed)
     mins = np.minimum(diag.min_rho[live_idx], r1)
@@ -325,6 +341,8 @@ def _rk4_block(x, snap_a, snap_b, snap_c, h, rho_floor, diag):
     bad = np.flatnonzero(~(ok1 & ok2 & ok3 & ok4))
     if bad.size:
         x_new[bad] = xl[bad]
+        k1[bad] = 0.0
+        k4[bad] = 0.0
         reason = np.zeros(bad.size, dtype=np.int8)
         for stage, rho, ok in ((xl, r1, ok1), (stage2, r2, ok2), (stage3, r3, ok3), (stage4, r4, ok4)):
             first = (reason == 0) & ~ok[bad]
@@ -335,7 +353,11 @@ def _rk4_block(x, snap_a, snap_b, snap_c, h, rho_floor, diag):
         diag.failure_reason[live_idx[bad]] = reason
     x = x.copy()
     x[live_idx] = x_new
-    return x
+    v1 = np.zeros_like(x)
+    v1[live_idx] = k1
+    v4 = np.zeros_like(x)
+    v4[live_idx] = k4
+    return x, v1, v4
 
 
 def check_equivariance(result: IntegrationResult, psi_t: GridWavefunction, t: float) -> float:

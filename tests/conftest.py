@@ -71,11 +71,11 @@ def dirac_state(dirac_config):
 
 @pytest.fixture(scope="session")
 def dirac_params(dirac_config):
-    # The spinor ensemble keeps the longer ladder (t_max 80): eta_t
-    # converges like 1/t^2, and at t_max = 40 the fit's truncation bias is
-    # still visible against the analytic velocity distribution. The `run`
-    # KS there reads 0.0285 with the affine fit on (10, 20, 40) and 0.0170
-    # with the 1/t^2 term on (5, 10, 20, 40), against 0.0099 shipped.
+    # t_max 40 on (10, 20, 40) suffices because the fit takes the recorded
+    # guiding velocities beside the positions: against the velocity oracle
+    # the median |v+ error| reads 2.3e-4, where the position fit on
+    # (20, 40, 80) read 1.3e-3. With positions alone, t_max 40 was too
+    # short: the `run` KS read 0.0285 with the affine fit on (10, 20, 40).
     return dirac_config[2]
 
 

@@ -3,8 +3,8 @@
 Everything here is derived from closed forms or from methods disjoint
 from the code paths under test (analytic Gaussian integrals, the
 time-independent transfer matrix, explicit boost formulas, the monotone
-transport map of a 1D flow), so agreement is evidence rather than
-tautology.
+transport map of a 1D flow and its limiting velocities), so agreement is
+evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -121,6 +121,25 @@ def transport_oracle_errors(integration):
     ``transport_oracle_band``; shape (n_times,)."""
     inside, oracle = transport_oracle_band(integration)
     return np.max(np.abs(integration.positions[inside, :, 0] - oracle[inside]), axis=0)
+
+
+def velocity_oracle(psi0, q_dist, starts):
+    """Oracle limiting velocities of 1D guided trajectories:
+    v+ = Q_q(F_0(x(0))).
+
+    The flow keeps the order of the trajectories, and their limiting
+    velocities are distributed by the quantum velocity distribution
+    ``q_dist``, so each trajectory's v+ is the quantile of q_dist that
+    it started at: F_0 is the refined CDF of |psi_0|^2 (``refined_cdf``)
+    and Q_q the inverse of ``q_dist.cdf`` on its velocity grid, linear
+    between grid points. ``starts`` has shape (n,) or (n, 1); returns
+    the start quantiles and the oracle velocities, both shape (n,). No
+    stencil, RK4 or fit.
+    """
+    starts = np.asarray(starts, dtype=float).reshape(-1)
+    x, cdf = refined_cdf(psi0.amplitudes, psi0.spec.x_min, psi0.spec.dx)
+    quantiles = np.interp(starts, x, cdf)
+    return quantiles, np.interp(quantiles, q_dist.cdf(q_dist.v), q_dist.v)
 
 
 def transfer_matrix_transmission(v_func, p, mass=1.0, x_lo=-8.0, x_hi=8.0, n_seg=4000):

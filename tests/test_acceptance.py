@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.stats
 
 from bohmvel import relativity
@@ -28,7 +29,7 @@ from bohmvel.asymptotics import (
 )
 from bohmvel.core import SampledTrajectory, validate_worldline
 from bohmvel.errors import RegularityError
-from bohmvel.guidance import check_equivariance, count_order_violations
+from bohmvel.guidance import FieldSnapshot, check_equivariance, count_order_violations
 from bohmvel.pipeline import run_guided_pipeline
 from bohmvel.relativity import (
     boost_dirac_state,
@@ -48,6 +49,7 @@ from bohmvel.wavefunction import (
 
 from conftest import ACCEPTANCE_SEED, acceptance_line
 from oracles import (
+    CENTRAL_BAND,
     boost_velocity_1d,
     free_gaussian_trajectory,
     random_worldline_polyline,
@@ -55,6 +57,7 @@ from oracles import (
     transport_oracle,
     transport_oracle_band,
     transport_oracle_errors,
+    velocity_oracle,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -63,8 +66,33 @@ REPO = Path(__file__).resolve().parent.parent
 # bound on the free Gaussian's closed-form error within 3 sigma0.
 POSITION_TOL = 2.5e-3
 # Largest |v+ - x0/2| of the shipped free-Gaussian run over starts within
-# 3 sigma0; the affine fit on (10, 20, 40) reads 9.2e-3 and fails it.
+# 3 sigma0; the affine position fit on (10, 20, 40) reads 9.2e-3 and fails
+# it, the shipped fit of positions and velocities on (2.5, 5, 10) 1.3e-3.
 V_PLUS_TOL = 8e-3
+# Median and largest |v+ - velocity oracle| of the Dirac base run over the
+# central band. The shipped fit of positions and velocities on (10, 20, 40)
+# reads 2.3e-4 and 9.9e-3 (largest near v = 0.9, where u(t) converges
+# slowest); the bounds leave about 2x and 1.5x headroom. The position fit
+# on (20, 40, 80) reads 1.3e-3 and 1.9e-2 and fails both.
+V_PLUS_ORACLE_MEDIAN_TOL = 5e-4
+V_PLUS_ORACLE_MAX_TOL = 1.5e-2
+# Largest |recorded velocity - field at x(t)| at the recorded times t > 0:
+# the recorded k4 is evaluated O(h^3) away from x(t). It reads 8.1e-7
+# (free Gaussian, t = 2.5) and 1.5e-8 (Dirac, t = 10); recording k2, the
+# field half a step earlier, reads 6.5e-3 and 5.6e-4 and fails.
+VELOCITY_RECORD_TOL = 1e-5
+
+
+def pipeline_v_plus(run):
+    """Extrapolated v+ of every live trajectory of a pipeline run, shape
+    (n_live,), by the fit whose converged values are the run's s_plus."""
+    integ = run.integration
+    checkpoints = np.asarray(run.params.checkpoints, dtype=float)
+    eta, vel = _eta_block(integ, checkpoints)
+    assert vel is not None
+    v_plus, residual = _fit_eta(eta, checkpoints, vel)
+    assert np.array_equal(run.s_plus.samples, v_plus[residual <= run.params.eta_tol])
+    return v_plus[:, 0]
 
 
 def load_dt_study():
@@ -234,21 +262,75 @@ def test_transport_oracle_matches_closed_form(free_gaussian_run):
 def test_free_gaussian_limiting_velocities_match_closed_form(free_gaussian_run):
     """Every extrapolated limiting velocity of the shipped free-Gaussian run
     whose start lies within 3 sigma0 is within V_PLUS_TOL of the closed
-    form x0 / (2 m sigma0^2) = x0 / 2. The 1/t^2 term of the 4-checkpoint
-    fit is what keeps the truncation bias under this bound."""
+    form x0 / (2 m sigma0^2) = x0 / 2, from the pipeline's fit of
+    positions and recorded velocities on the 3-checkpoint ladder."""
     integ = free_gaussian_run.integration
-    checkpoints = np.asarray(free_gaussian_run.params.checkpoints, dtype=float)
-    v_plus, _ = _fit_eta(_eta_block(integ, checkpoints), checkpoints)
+    v_plus = pipeline_v_plus(free_gaussian_run)
     x0 = integ.positions[~integ.diagnostics.failed, 0, 0]
     inside = np.abs(x0) <= 3.0
-    err = np.abs(v_plus[inside, 0] - x0[inside] / 2.0)
+    err = np.abs(v_plus[inside] - x0[inside] / 2.0)
     ok = float(np.max(err)) <= V_PLUS_TOL
     acceptance_line(
-        f"free gaussian v+ vs closed form (checkpoints={checkpoints.tolist()})",
+        f"free gaussian v+ vs closed form (checkpoints={list(free_gaussian_run.params.checkpoints)})",
         ok,
         f"median={np.median(err):.2e} max={np.max(err):.2e} bound={V_PLUS_TOL:.0e}",
     )
     assert ok, float(np.max(err))
+
+
+def test_velocity_oracle_matches_closed_form(free_gaussian_state, free_gaussian_run):
+    """The velocity oracle of the free Gaussian is within 5e-4 of the
+    closed form x0 / 2 for every start within 3 sigma0 (measured 1.8e-4,
+    set by the momentum grid of the quantum-side CDF)."""
+    x0 = free_gaussian_run.integration.positions[:, 0, 0]
+    inside = np.abs(x0) <= 3.0
+    _, oracle = velocity_oracle(free_gaussian_state, free_velocity_distribution(free_gaussian_state), x0)
+    err = float(np.max(np.abs(oracle[inside] - x0[inside] / 2.0)))
+    acceptance_line("velocity oracle vs closed form", err <= 5e-4, f"err={err:.2e}")
+    assert err <= 5e-4
+
+
+def test_dirac_limiting_velocities_match_velocity_oracle(dirac_state, dirac_base_run):
+    """The Dirac base run's extrapolated limiting velocities over the
+    central quantile band match v+ = Q_q(F_0(x(0))) in the median and in
+    the maximum."""
+    integ = dirac_base_run.integration
+    v_plus = pipeline_v_plus(dirac_base_run)
+    starts = integ.positions[~integ.diagnostics.failed, 0, 0]
+    quantiles, oracle = velocity_oracle(dirac_state, dirac_velocity_distribution(dirac_state), starts)
+    inside = (quantiles >= CENTRAL_BAND[0]) & (quantiles <= CENTRAL_BAND[1])
+    err = np.abs(v_plus[inside] - oracle[inside])
+    median, worst = float(np.median(err)), float(np.max(err))
+    ok = median <= V_PLUS_ORACLE_MEDIAN_TOL and worst <= V_PLUS_ORACLE_MAX_TOL
+    acceptance_line(
+        f"dirac v+ vs velocity oracle (checkpoints={list(dirac_base_run.params.checkpoints)})",
+        ok,
+        f"median={median:.2e} max={worst:.2e} bounds={V_PLUS_ORACLE_MEDIAN_TOL:.0e}/"
+        f"{V_PLUS_ORACLE_MAX_TOL:.1e} n={int(inside.sum())}",
+    )
+    assert ok, (median, worst)
+
+
+@pytest.mark.parametrize("fixture", ["free_gaussian_run", "dirac_base_run"])
+def test_recorded_velocities_are_the_guiding_field(fixture, request):
+    """Every live trajectory's recorded velocity is the guiding field at
+    its recorded position: exactly at t = 0 (the k1 of the first step),
+    within VELOCITY_RECORD_TOL at every later recorded time."""
+    run = request.getfixturevalue(fixture)
+    integ = run.integration
+    live = ~integ.diagnostics.failed
+    worst = []
+    for i, (t, psi) in enumerate(zip(integ.times, integ.snapshots)):
+        field, _, ok = FieldSnapshot(psi).evaluate(integ.positions[live, i], run.params.rho_floor)
+        assert ok.all()
+        dev = float(np.max(np.abs(integ.velocities[live, i] - field)))
+        if t == 0:
+            assert dev == 0.0
+        worst.append(dev)
+    ok = max(worst) <= VELOCITY_RECORD_TOL
+    detail = " ".join(f"t={t:g}:{d:.1e}" for t, d in zip(integ.times, worst))
+    acceptance_line(f"{fixture} recorded velocities", ok, detail)
+    assert ok, worst
 
 
 def test_dirac_positions_match_transport_oracle(dirac_base_run):

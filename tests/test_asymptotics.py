@@ -177,8 +177,8 @@ class TestFitEta:
         t = np.union1d(np.concatenate([[0.0], np.geomspace(0.5, 40.0, 200)]), [*short, 40.0])
         x0 = np.linspace(-3.0, 3.0, 13)
         trajs = [SampledTrajectory(t, free_gaussian_trajectory(x, t)[:, None]) for x in x0]
-        err_short = np.abs(_fit_eta(_eta_block(trajs, short), short)[0][:, 0] - x0 / 2.0)
-        err_long = np.abs(_fit_eta(_eta_block(trajs, CHECKPOINTS), CHECKPOINTS)[0][:, 0] - x0 / 2.0)
+        err_short = np.abs(_fit_eta(_eta_block(trajs, short)[0], short)[0][:, 0] - x0 / 2.0)
+        err_long = np.abs(_fit_eta(_eta_block(trajs, CHECKPOINTS)[0], CHECKPOINTS)[0][:, 0] - x0 / 2.0)
         assert np.max(err_short) < np.max(err_long)
         assert np.all(err_short[x0 != 0.0] < err_long[x0 != 0.0])
 
@@ -186,7 +186,8 @@ class TestFitEta:
 class TestEtaBlock:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_list_equals_integration_result(self, dim):
-        # The list path and the array path read the same positions bitwise.
+        # The list path and the array path read the same positions bitwise;
+        # neither carries velocities.
         fam = rotating_trajectory_family(0.7, [0.0, 0.6, 0.8], 300, seed=6, dim=dim)
         n = len(fam)
         result = IntegrationResult(
@@ -201,9 +202,11 @@ class TestEtaBlock:
         )
         for checkpoints in ([5.0], [3.0, 12.5, 40.0], CHECKPOINTS):
             checkpoints = np.asarray(checkpoints)
-            got = _eta_block(fam, checkpoints)
-            assert got.shape == (n, checkpoints.size, dim)
-            np.testing.assert_array_equal(got, _eta_block(result, checkpoints))
+            got, vel = _eta_block(fam, checkpoints)
+            assert got.shape == (n, checkpoints.size, dim) and vel is None
+            want, vel = _eta_block(result, checkpoints)
+            np.testing.assert_array_equal(got, want)
+            assert vel is None
 
 
 class TestVelocityMeasureAt:

@@ -447,7 +447,7 @@ class TestCheckpointLadder:
     [
         ([2.5, 5.0, 10.0, 20.0], "the first record time must be 0"),
         ([0.0, 2.5, 2.5, 5.0, 10.0, 20.0], "record times must be strictly increasing"),
-        ([0.0, 2.5, 5.0, 10.0, 20.0, 60.0], "last time 60 lies beyond t_max 20"),
+        ([0.0, 2.5, 5.0, 10.0, 20.0, 60.0], "last time 60 lies beyond t_max 10"),
     ],
     ids=["no_zero", "repeated", "beyond_t_max"],
 )

@@ -174,6 +174,21 @@ class TestSerialization:
         for traj, rec in zip(trajs, records):
             assert_record_matches(rec, traj)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_ndjson_bytes_match_json_dumps(self, tmp_path, dim):
+        # Shared and separate time grids, -0.0 and extreme magnitudes.
+        rng = np.random.default_rng(dim)
+        shared = np.array([0.0, 2.5, 5.0, 10.0])
+        points = rng.standard_normal((6, 4, dim)) * 10.0 ** rng.uniform(-300, 300, (6, 4, dim))
+        points[0, 0, 0] = -0.0
+        trajs = [SampledTrajectory(shared, p) for p in points[:3]]
+        trajs += [SampledTrajectory(shared.copy(), p) for p in points[3:5]]
+        trajs.append(SampledTrajectory(np.array([-0.0, 1e-300, 3.0, 7.5]), points[5]))
+        path = tmp_path / "trajs.ndjson"
+        save_trajectories_ndjson(trajs, path)
+        want = "".join(json.dumps(t.to_record(), sort_keys=True) + "\n" for t in trajs)
+        assert path.read_text() == want
+
     def test_ndjson_record_schema(self):
         traj = line_traj(0.5)
         rec = traj.to_record()

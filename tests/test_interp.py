@@ -343,7 +343,8 @@ def test_stencil_rejects_other_sizes(shape):
 
 def reference_rk4_block(x, snap_a, snap_b, snap_c, h, rho_floor, diag):
     """``guidance._rk4_block`` without the all-live fast path, its failure
-    reasons found one trajectory at a time."""
+    reasons found one trajectory at a time: the new positions and the
+    stage velocities k1 and k4, 0 for every failed trajectory."""
     live = ~diag.failed
     xl = x[live]
     k1, r1, ok1 = snap_a.evaluate(xl, rho_floor)
@@ -378,7 +379,13 @@ def reference_rk4_block(x, snap_a, snap_b, snap_c, h, rho_floor, diag):
             break
     x = x.copy()
     x[live_idx] = x_new
-    return x
+    v1 = np.zeros_like(x)
+    v4 = np.zeros_like(x)
+    v1[live_idx] = k1
+    v4[live_idx] = k4
+    v1[diag.failed] = 0.0
+    v4[diag.failed] = 0.0
+    return x, v1, v4
 
 
 def _fresh_diagnostics(n, failed=()):
@@ -439,8 +446,9 @@ def test_rk4_block_matches_reference(name):
     diag_ref = _fresh_diagnostics(len(points), failed)
     got = guidance._rk4_block(x, *snaps, h, rho_floor, diag)
     want = reference_rk4_block(points, *snaps, h, rho_floor, diag_ref)
-    assert got is not x and x.tobytes() == points.tobytes()
-    assert got.tobytes() == want.tobytes()
+    assert got[0] is not x and x.tobytes() == points.tobytes()
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == x.shape and a.tobytes() == b.tobytes()
     for f in dataclasses.fields(EnsembleDiagnostics):
         a, b = getattr(diag, f.name), getattr(diag_ref, f.name)
         assert type(a) is type(b), f.name
@@ -580,6 +588,21 @@ def test_residual_curve_csv_matches_row_loop(tmp_path):
     _write_float_csv(tmp_path / "new.csv", ["T", "residual"], [times[1:], residuals])
     rows = [{"T": t, "residual": r} for t, r in zip(times[1:], residuals)]
     reference_curve_csv(tmp_path / "old.csv", rows, ["T", "residual"])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [3, _CSV_CHUNK + 5])
+def test_constant_and_signed_zero_columns_match_row_loop(tmp_path, n):
+    # A uniform weight column is formatted once per chunk; -0.0 equals 0.0
+    # but must keep its own text, in a mixed column and in a constant one.
+    weights = np.full(n, 1e-5)
+    zeros = np.zeros(n)
+    zeros[1::2] = -0.0
+    _write_float_csv(tmp_path / "new.csv", ["weight", "zero"], [weights, zeros])
+    reference_density_csv(tmp_path / "old.csv", weights, zeros, ("weight", "zero"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    _write_float_csv(tmp_path / "new.csv", ["neg", "pos"], [np.full(n, -0.0), np.zeros(n)])
+    reference_density_csv(tmp_path / "old.csv", np.full(n, -0.0), np.zeros(n), ("neg", "pos"))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
