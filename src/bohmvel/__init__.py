@@ -51,7 +51,6 @@ from .asymptotics import (
     scattering_velocity_distribution,
     velocity_measure_at,
     verify_distribution_equality,
-    weak_convergence_residuals,
 )
 from .relativity import (
     boost_dirac_state,
@@ -63,8 +62,6 @@ from .relativity import (
 from .stats import (
     ks_critical_value,
     ks_distance,
-    test_function_dictionary,
-    test_function_integrals,
     wasserstein1_1d,
 )
 from .pipeline import PipelineParams, PipelineResult, run_guided_pipeline

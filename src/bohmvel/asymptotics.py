@@ -37,8 +37,6 @@ from .stats import (
     _trapezoid_cdf,
     ks_critical_value,
     ks_two_sample_1d,
-    test_function_dictionary,
-    test_function_integrals,
     wasserstein1_1d,
     GRID_SLACK,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "scattering_velocity_distribution",
     "dirac_velocity_distribution",
     "verify_distribution_equality",
-    "weak_convergence_residuals",
     "rotating_trajectory_family",
 ]
 
@@ -389,48 +386,6 @@ def verify_distribution_equality(
     }
 
 
-def weak_convergence_residuals(
-    trajs,
-    t_list,
-    checkpoints=None,
-    tol: float = 0.05,
-) -> dict:
-    """Residuals |int f dS_t - int f dS_ref| for the fixed test-function
-    dictionary, per function and per time.
-
-    The reference is the ensemble's extrapolated asymptotic measure when
-    ``checkpoints`` are supplied and enough trajectories converge, and
-    otherwise the instantaneous measure at the last listed time (flagged
-    in the output, useful for non-regular families where no asymptotic
-    measure exists).
-    """
-    t_list = np.asarray(t_list, dtype=float)
-    if t_list.size < 3:
-        raise InvalidInputError("need at least 3 monitoring times")
-    reference = None
-    if checkpoints is not None:
-        try:
-            reference, _ = estimate_asymptotic_measure(trajs, checkpoints, tol)
-            reference_kind = "asymptotic_estimate"
-        except RegularityError:
-            pass
-    if reference is None:
-        reference = velocity_measure_at(trajs, float(t_list[-1]))
-        reference_kind = "final_time"
-    dictionary = test_function_dictionary(reference.dim)
-    ref_vals = test_function_integrals(reference, dictionary)
-    rows = []
-    for t in t_list:
-        vals = test_function_integrals(velocity_measure_at(trajs, float(t)), dictionary)
-        rows.append(np.abs(vals - ref_vals))
-    return {
-        "times": t_list,
-        "names": [name for name, _ in dictionary],
-        "residuals": np.stack(rows, axis=1),
-        "reference_kind": reference_kind,
-    }
-
-
 def _rodrigues(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Rotation matrices about ``axis`` for each angle, shape (T, 3, 3)."""
     k = axis / np.linalg.norm(axis)
@@ -482,4 +437,4 @@ def rotating_trajectory_family(
         rot[:, 1, 1] = c
     # positions[n, t, :] = R(omega t) v_n * t
     pos = np.einsum("tij,nj->nti", rot, raw) * t_grid[None, :, None]
-    return [SampledTrajectory(t_grid, p) for p in pos]
+    return SampledTrajectory.from_block(t_grid, pos)

@@ -17,12 +17,29 @@ ensemble code's identity test in ``asymptotics._eta_block`` relies on.
 Writing through a writable base array therefore reaches them: after
 ``trajs = [SampledTrajectory(t, p) for p in pos]``, ``pos[0, 1, 0] = nan``
 changes ``trajs[0].points``. EnsembleRun is a plain mutable record.
+
+Checked once: ``SampledTrajectory.from_block`` checks an (n, T, d) block
+of trajectories on one time grid as a whole and freezes it, and each
+trajectory's constructor then skips a check whose input has already
+passed it. Two slots, each a weak reference (so no array is kept alive
+and a reused ``id`` cannot match), remember the last time grid and the
+last block that ``from_block`` checked. A check is skipped only for the
+array in its slot (``times``), or an aligned view of it (``points``),
+and only while that array is read-only. A slot only takes an array that
+owns its data: such an array cannot change while it is read-only, and
+numpy refuses to make a view of it writable. A slot is only a hint: when
+another thread replaces it first, a trajectory runs the check again.
+Caveat: re-enabling writes on a frozen array, changing it and freezing
+it again defeats the skip; that is the same tampering that already
+changes an existing trajectory under its checks, and the slots open no
+other way to it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -43,9 +60,46 @@ __all__ = [
 
 def _finite_array(x, name: str, dtype=float) -> np.ndarray:
     arr = np.asarray(x, dtype=dtype)
+    _require_finite(arr, name)
+    return arr
+
+
+def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
-    return arr
+
+
+def _require_time_grid(times: np.ndarray) -> None:
+    if times.ndim != 1 or times.size < 2:
+        raise InvalidInputError("a trajectory needs at least 2 samples")
+    # On finite times, t[i+1] <= t[i] exactly when t[i+1] - t[i] <= 0.
+    if (times[1:] <= times[:-1]).any():
+        raise InvalidInputError("times must be strictly increasing")
+
+
+class _CheckedSlot:
+    """The last array that passed a check, held by weak reference."""
+
+    __slots__ = ("_ref",)
+
+    def __init__(self):
+        self._ref = None
+
+    def holds(self, arr) -> bool:
+        """Whether ``arr`` is the array in the slot and still read-only."""
+        ref = self._ref
+        return arr is not None and ref is not None and ref() is arr and not arr.flags.writeable
+
+    def take(self, arr: np.ndarray) -> None:
+        """Remember ``arr`` if it owns its data and is read-only."""
+        if arr.base is None and not arr.flags.writeable:
+            self._ref = weakref.ref(arr)
+
+
+# The last time grid and the last block that SampledTrajectory.from_block
+# checked.
+_checked_times = _CheckedSlot()
+_checked_block = _CheckedSlot()
 
 
 @dataclass(frozen=True)
@@ -54,27 +108,63 @@ class SampledTrajectory:
 
     ``points`` has shape (n_samples, dim); values between samples are
     defined by linear interpolation.
+
+    Every check runs on every trajectory, except one whose input has
+    already passed it in ``from_block`` (see the module docstring): the
+    times checks when ``times`` is the last grid it checked, and the
+    finiteness of ``points`` when it is an aligned view of the last
+    block it checked; in both cases only while that array is
+    read-only. The shape check always runs. An array made writable,
+    changed and frozen again is not checked again; such tampering also
+    changes an existing trajectory after its checks.
     """
 
     times: np.ndarray
     points: np.ndarray
 
     def __post_init__(self):
-        times = _finite_array(self.times, "times")
-        points = _finite_array(self.points, "points")
-        if times.ndim != 1 or times.size < 2:
-            raise InvalidInputError("a trajectory needs at least 2 samples")
-        # On finite times, t[i+1] <= t[i] exactly when t[i+1] - t[i] <= 0.
-        if (times[1:] <= times[:-1]).any():
-            raise InvalidInputError("times must be strictly increasing")
+        times = np.asarray(self.times, dtype=float)
+        points = np.asarray(self.points, dtype=float)
+        times_checked = _checked_times.holds(times)
+        if not times_checked:
+            _require_finite(times, "times")
+        if not (points.flags.aligned and _checked_block.holds(points.base)):
+            _require_finite(points, "points")
+        if not times_checked:
+            _require_time_grid(times)
         if points.ndim != 2 or points.shape[0] != times.size:
             raise InvalidInputError(
                 f"points has shape {points.shape}, expected ({times.size}, dim)"
             )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
-        self.times.setflags(write=False)
-        self.points.setflags(write=False)
+        times.setflags(write=False)
+        points.setflags(write=False)
+
+    @classmethod
+    def from_block(cls, times, block) -> list["SampledTrajectory"]:
+        """One trajectory per row of an (n, T, d) block on one time grid.
+
+        Runs every check of the constructor on the whole block once, in
+        the same order and with the same messages, then freezes ``times``
+        and the block and builds ``[cls(times, p) for p in block]``; the
+        trajectories share the block's memory, so each constructor skips
+        the checks already done here (see the module docstring).
+        """
+        times = np.asarray(times, dtype=float)
+        block = np.asarray(block, dtype=float)
+        _require_finite(times, "times")
+        _require_finite(block, "points")
+        _require_time_grid(times)
+        if block.ndim != 3 or block.shape[1] != times.size:
+            raise InvalidInputError(
+                f"points has shape {block.shape[1:]}, expected ({times.size}, dim)"
+            )
+        times.setflags(write=False)
+        block.setflags(write=False)
+        _checked_times.take(times)
+        _checked_block.take(block)
+        return [cls(times, p) for p in block]
 
     @property
     def dim(self) -> int:

@@ -197,7 +197,8 @@ class IntegrationResult:
     def trajectories(self) -> list[SampledTrajectory]:
         if self.times.size < 2:
             raise InvalidInputError("need at least two recorded times for trajectories")
-        return [SampledTrajectory(self.times, pos) for pos in self.positions]
+        # from_block freezes the block it is given; positions stay writable.
+        return SampledTrajectory.from_block(self.times, self.positions.copy())
 
     def positions_at(self, t: float) -> np.ndarray:
         idx = np.flatnonzero(np.isclose(self.times, t))

@@ -1,4 +1,4 @@
-"""Distribution-comparison and weak-convergence metrics.
+"""Distribution-comparison metrics.
 
 All metrics are deterministic for fixed inputs. Kolmogorov-Smirnov
 distances support weighted samples in both two-sample and sample-vs-CDF
@@ -9,7 +9,7 @@ two weighted atom sets.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,8 +22,6 @@ __all__ = [
     "ks_vs_cdf_1d",
     "wasserstein1_1d",
     "ks_critical_value",
-    "test_function_dictionary",
-    "test_function_integrals",
     "GRID_SLACK",
 ]
 
@@ -124,42 +122,3 @@ def ks_critical_value(n_a: int, n_b: int | None = None, alpha: float = 0.01) -> 
     if n_b is None:
         return c / math.sqrt(n_a)
     return c * math.sqrt((n_a + n_b) / (n_a * n_b))
-
-
-def _gaussian_bump(center: np.ndarray, width: float) -> Callable[[np.ndarray], np.ndarray]:
-    def f(v: np.ndarray) -> np.ndarray:
-        d2 = np.sum((v - center) ** 2, axis=-1)
-        return np.exp(-d2 / (2.0 * width**2))
-
-    return f
-
-
-def test_function_dictionary(dim: int) -> list[tuple[str, Callable]]:
-    """Fixed dictionary of bounded continuous test functions: tanh of each
-    coordinate, Gaussian bumps (width 0.25) at axis-aligned centers
-    stepping 0.5 through [-1.5, 1.5], and one radial bump at |v| = 1
-    (rotation-invariant probe).
-    """
-    fns: list[tuple[str, Callable]] = []
-    for i in range(dim):
-        fns.append((f"tanh_v{i}", lambda v, i=i: np.tanh(v[..., i])))
-    width = 0.25
-    for i in range(dim):
-        for c in np.arange(-1.5, 1.5001, 0.5):
-            center = np.zeros(dim)
-            center[i] = c
-            fns.append((f"bump_v{i}_{c:+.1f}", _gaussian_bump(center, width)))
-    fns.append(
-        (
-            "bump_radial_1",
-            lambda v: np.exp(-((np.linalg.norm(v, axis=-1) - 1.0) ** 2) / (2.0 * width**2)),
-        )
-    )
-    return fns
-
-
-def test_function_integrals(
-    measure: EmpiricalMeasure, dictionary: Sequence[tuple[str, Callable]]
-) -> np.ndarray:
-    """Weighted sums integral(f d mu) for every f in the dictionary."""
-    return np.asarray([float(measure.weights @ f(measure.samples)) for _, f in dictionary])

@@ -12,12 +12,11 @@ from bohmvel.asymptotics import (
     scattering_velocity_distribution,
     velocity_measure_at,
     verify_distribution_equality,
-    weak_convergence_residuals,
 )
 from bohmvel.core import EmpiricalMeasure, SampledTrajectory
 from bohmvel.errors import InvalidInputError, RegularityError
 from bohmvel.guidance import EnsembleDiagnostics, IntegrationResult
-from bohmvel.stats import ks_vs_cdf_1d
+from bohmvel.stats import ks_distance, ks_vs_cdf_1d
 from bohmvel.relativity import boost_dirac_state
 from bohmvel.wavefunction import (
     NEG_ENERGY_TOL,
@@ -325,12 +324,20 @@ class TestVerifyDistributionEquality:
         assert not rep["pass"]
 
 
+def integral(measure, f) -> float:
+    return float(measure.weights @ f(measure.samples))
+
+
 class TestWeakConvergence:
+    """The instantaneous velocity measure S_t against the asymptotic one."""
+
     def test_straight_lines_zero_residual(self):
         trajs = [straight(v) for v in np.linspace(-0.8, 0.8, 40)]
-        out = weak_convergence_residuals(trajs, [5.0, 10.0, 20.0], checkpoints=CHECKPOINTS)
-        assert out["reference_kind"] == "asymptotic_estimate"
-        assert np.max(out["residuals"]) < 1e-12
+        s_plus, _ = estimate_asymptotic_measure(trajs, CHECKPOINTS, 0.05)
+        for t in (5.0, 10.0, 20.0):
+            np.testing.assert_allclose(
+                velocity_measure_at(trajs, t).samples, s_plus.samples, rtol=0, atol=1e-12
+            )
 
     def test_rotating_family_dichotomy(self):
         # A direction cloud concentrated near +x, rigidly rotating: the
@@ -354,16 +361,26 @@ class TestWeakConvergence:
         )
         pos = np.einsum("tij,nj->nti", rot, dirs) * times[None, :, None]
         fam = [SampledTrajectory(times, pos[i]) for i in range(dirs.shape[0])]
-        out = weak_convergence_residuals(fam, times[1:], checkpoints=CHECKPOINTS)
-        assert out["reference_kind"] == "final_time"
-        names = out["names"]
-        res = out["residuals"]
-        bump = res[names.index("bump_v0_+1.0")]
-        radial = res[names.index("bump_radial_1")]
-        assert bump.max() > 0.2
+        # No trajectory converges, so the reference is the last measure.
+        with pytest.raises(RegularityError):
+            estimate_asymptotic_measure(fam, CHECKPOINTS, 0.05)
+        reference = velocity_measure_at(fam, float(times[-1]))
+
+        def bump(v):
+            return np.exp(-np.sum((v - [1.0, 0.0, 0.0]) ** 2, axis=1) / (2.0 * 0.25**2))
+
+        def radial(v):
+            return np.exp(-((np.linalg.norm(v, axis=1) - 1.0) ** 2) / (2.0 * 0.25**2))
+
+        def residuals(f):
+            ref = integral(reference, f)
+            return np.array([abs(integral(velocity_measure_at(fam, t), f) - ref) for t in times[1:]])
+
+        swing = residuals(bump)
+        assert swing.max() > 0.2
         # No decay: the tail of the curve still swings as high as the head.
-        assert bump[-8:].max() > 0.5 * bump.max()
-        assert radial.max() < 1e-9
+        assert swing[-8:].max() > 0.5 * swing.max()
+        assert residuals(radial).max() < 1e-9
 
     def test_free_gaussian_residual_decreases(self):
         t = np.concatenate([[0.0], np.geomspace(0.25, 40.0, 200)])
@@ -372,9 +389,9 @@ class TestWeakConvergence:
             SampledTrajectory(t, free_gaussian_trajectory(x0, t)[:, None])
             for x0 in rng.normal(size=200)
         ]
-        out = weak_convergence_residuals(trajs, [2.5, 10.0, 40.0], checkpoints=CHECKPOINTS)
-        worst = out["residuals"].max(axis=0)
-        assert worst[-1] < worst[0]
+        s_plus, _ = estimate_asymptotic_measure(trajs, CHECKPOINTS, 0.05)
+        ks = [ks_distance(velocity_measure_at(trajs, tt), s_plus)[0] for tt in (2.5, 10.0, 40.0)]
+        assert ks[2] < ks[1] < ks[0]
 
 
 class TestRotatingFamily:

@@ -1,6 +1,10 @@
+import gc
 import importlib
 import inspect
 import json
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from bohmvel.core import (
     validate_worldline,
 )
 from bohmvel.errors import InvalidInputError
+from bohmvel.guidance import EnsembleDiagnostics, IntegrationResult
 from bohmvel.relativity import transform_velocity_block
 
 from oracles import free_gaussian_trajectory
@@ -94,6 +99,137 @@ class TestSampledTrajectory:
         assert trajs[0].times is trajs[1].times is t
         pos[0, 1, 0] = np.nan
         assert np.isnan(trajs[0].points[1, 0])
+
+
+class TestFromBlock:
+    """``SampledTrajectory.from_block`` checks a block once; each
+    trajectory then skips only the checks whose input already passed."""
+
+    @pytest.mark.parametrize("case", sorted(REJECTIONS))
+    def test_rejection_message(self, case):
+        times, points, message = REJECTIONS[case]
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            SampledTrajectory.from_block(np.asarray(times), np.asarray(points)[None])
+
+    def test_same_trajectories_as_one_by_one(self):
+        t = np.linspace(0.0, 4.0, 5)
+        pos = np.random.default_rng(0).normal(size=(3, 5, 2))
+        want = [SampledTrajectory(t.copy(), p) for p in pos.copy()]
+        got = SampledTrajectory.from_block(t, pos)
+        assert all(g.times is t and g.points.base is pos for g in got)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.times, w.times)
+            np.testing.assert_array_equal(g.points, w.points)
+        assert not t.flags.writeable and not pos.flags.writeable
+
+    def test_nan_in_one_row_of_a_large_block(self):
+        pos = np.zeros((1000, 4, 1))
+        pos[617, 2, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="^points contains non-finite entries"):
+            SampledTrajectory.from_block(np.arange(4.0), pos)
+
+    def test_grid_made_writable_again_is_checked_again(self):
+        t = np.arange(4.0)
+        SampledTrajectory.from_block(t, np.zeros((2, 4, 1)))
+        t.setflags(write=True)
+        t[2] = t[1]
+        with pytest.raises(InvalidInputError, match="^times must be strictly increasing"):
+            SampledTrajectory(t, np.zeros((4, 1)))
+        with pytest.raises(InvalidInputError, match="^times must be strictly increasing"):
+            SampledTrajectory.from_block(t, np.zeros((2, 4, 1)))
+
+    def test_row_of_a_writable_block_is_checked(self):
+        t = np.arange(4.0)
+        pos = np.zeros((3, 4, 1))
+        SampledTrajectory.from_block(t, pos)
+        pos.setflags(write=True)
+        pos[1, 2, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="^points contains non-finite entries"):
+            SampledTrajectory(t, pos[1])
+
+    def test_row_of_a_writable_view_block_is_checked(self):
+        # The view is frozen, but its owner is not: rows of it are checked.
+        t = np.arange(4.0)
+        owner = np.zeros((3, 4, 1))
+        SampledTrajectory.from_block(t, owner[:2])
+        owner[1, 2, 0] = np.inf
+        with pytest.raises(InvalidInputError, match="^points contains non-finite entries"):
+            SampledTrajectory(t, owner[:2][1])
+
+    def test_row_of_a_block_on_a_foreign_buffer_is_checked(self):
+        # A read-only array over a bytearray still changes with the bytes.
+        buf = bytearray(2 * 4 * 8)
+        block = np.ndarray((2, 4, 1), float, buffer=buf)
+        SampledTrajectory.from_block(np.arange(4.0), block)
+        assert block[1].base is block and not block.flags.writeable
+        buf[-8:] = np.array([np.nan]).tobytes()
+        with pytest.raises(InvalidInputError, match="^points contains non-finite entries"):
+            SampledTrajectory(np.arange(4.0), block[1])
+
+    def test_misaligned_view_of_a_checked_block_is_checked(self):
+        # Read 4 bytes off, a finite block decodes to a NaN in its first
+        # element: the high half of element 1 is the high half of a NaN.
+        block = np.zeros((1, 4, 1))
+        block.view(np.int64)[0, 1, 0] = 0x3FF000007FF80000
+        SampledTrajectory.from_block(np.arange(4.0), block)
+        shifted = np.ndarray((3, 1), float, buffer=block, offset=4)
+        assert shifted.base is block and np.isnan(shifted[0, 0])
+        with pytest.raises(InvalidInputError, match="^points contains non-finite entries"):
+            SampledTrajectory(np.arange(3.0), shifted)
+
+    def test_slots_keep_no_array_alive(self):
+        t, pos = np.arange(4.0), np.zeros((2, 4, 1))
+        refs = [weakref.ref(t), weakref.ref(pos)]
+        trajs = SampledTrajectory.from_block(t, pos)
+        del t, pos, trajs
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    def test_threads_sharing_the_slots(self):
+        # Each thread checks blocks of its own, then writes a NaN into one
+        # after making it writable again: whatever the other threads leave
+        # in the slots, that row must be rejected.
+        def work(k, errors):
+            try:
+                t = np.arange(4.0) + k
+                for _ in range(100):
+                    block = np.full((3, 4, 1), float(k))
+                    assert len(SampledTrajectory.from_block(t, block)) == 3
+                    block.setflags(write=True)
+                    block[1, 2, 0] = np.nan
+                    with pytest.raises(InvalidInputError, match="^points contains non-finite"):
+                        SampledTrajectory(t, block[1])
+            except BaseException as exc:
+                errors.append(exc)
+
+        errors = []
+        threads = [threading.Thread(target=work, args=(k, errors)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+
+    def test_trajectories_leave_positions_writable(self):
+        positions = np.zeros((3, 2, 1))
+        diag = EnsembleDiagnostics(
+            min_rho=np.ones(3),
+            shrink_events=np.zeros(3, dtype=np.int64),
+            frozen_steps=np.zeros(3, dtype=np.int64),
+            failed=np.zeros(3, dtype=bool),
+        )
+        result = IntegrationResult(np.array([0.0, 1.0]), positions, diag)
+        trajs = result.trajectories
+        assert len(trajs) == 3 and not trajs[0].points.flags.writeable
+        assert positions.flags.writeable
+        positions[0, 1, 0] = 5.0
+        assert trajs[0].points[1, 0] == 0.0
 
 
 def velocity_estimate(traj, t):

@@ -11,8 +11,6 @@ from bohmvel.stats import (
     ks_distance,
     ks_two_sample_1d,
     ks_vs_cdf_1d,
-    test_function_dictionary as fn_dictionary,
-    test_function_integrals as fn_integrals,
     wasserstein1_1d,
 )
 
@@ -109,35 +107,6 @@ def test_wasserstein_translation_identity(c):
     a = uniform_measure(vals)
     b = uniform_measure(vals + c)
     assert wasserstein1_1d(a, b) == pytest.approx(abs(c), abs=1e-12)
-
-
-class TestTestFunctions:
-    def test_constant_normalization(self):
-        m = uniform_measure(np.linspace(-1, 1, 11))
-        vals = fn_integrals(m, [("one", lambda v: np.ones(v.shape[0]))])
-        assert vals[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_odd_function_on_symmetric_measure(self):
-        vals = np.array([-2.0, -1.0, 1.0, 2.0])
-        m = uniform_measure(vals)
-        d = [(n, f) for n, f in fn_dictionary(1) if n == "tanh_v0"]
-        assert fn_integrals(m, d)[0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_gaussian_bump_against_closed_form(self):
-        # integral exp(-(v-c)^2 / 2 s^2) dN(mu, sig^2) has a closed form.
-        rng = np.random.default_rng(21)
-        mu, sig = 0.3, 0.8
-        m = uniform_measure(rng.normal(mu, sig, 200_000))
-        s, c = 0.25, 0.5
-        d = [(n, f) for n, f in fn_dictionary(1) if n == "bump_v0_+0.5"]
-        got = fn_integrals(m, d)[0]
-        expected = s / np.sqrt(s**2 + sig**2) * np.exp(-((c - mu) ** 2) / (2 * (s**2 + sig**2)))
-        assert got == pytest.approx(expected, abs=0.005)
-
-    def test_dictionary_is_fixed(self):
-        names = [name for name, _ in fn_dictionary(1)]
-        bumps = ["-1.5", "-1.0", "-0.5", "+0.0", "+0.5", "+1.0", "+1.5"]
-        assert names == ["tanh_v0", *[f"bump_v0_{c}" for c in bumps], "bump_radial_1"]
 
 
 class TestCompareMeasures:
