@@ -19,7 +19,8 @@ u = 0.2 and 0.4, keyed by their run keys) records:
 - the pipeline's wall time;
 
 and per run the command's wall time, exit code, every covariance check KS
-and every foliation-sweep KS entry.
+and every foliation-sweep KS entry. The config's time block apart from
+the step (``t_max``, checkpoints, record times) is recorded as ``time``.
 
 The rule, fixed before the study ran: a step passes when, on every seed
 and every pipeline, its time-stepping part is at most SHARE of the
@@ -29,7 +30,7 @@ study chooses the largest step that passes. It writes BENCH_dt_study.json
 at the repository root; the shipped ``time.dt`` is recorded beside the
 choice, and setting it is a separate, deliberate config change.
 
-Usage (about 4 minutes on 2 vCPUs):
+Usage (about 1.5 minutes on 2 vCPUs):
 
     PYTHONPATH=src python scripts/dt_study.py
 """
@@ -83,11 +84,12 @@ def _recorded_pipelines(log: list):
         cli.run_guided_pipeline = relativity.run_guided_pipeline = inner
 
 
-def covariance_run(cfg: dict, dt: float, seed: int) -> tuple[dict, dict]:
-    """One ``bohmvel covariance`` run at step dt: its record and its
-    pipeline results by run key."""
+def covariance_run(cfg: dict, time_block: dict, seed: int) -> tuple[dict, dict]:
+    """One ``bohmvel covariance`` run with the keys of ``time_block`` set
+    in the config's ``time`` block: its record, which carries those keys,
+    and its pipeline results by run key."""
     cfg = copy.deepcopy(cfg)
-    cfg["time"]["dt"] = dt
+    cfg["time"].update(time_block)
     log: list = []
     with tempfile.TemporaryDirectory() as out_dir, _recorded_pipelines(log):
         t0 = time.perf_counter()
@@ -98,7 +100,7 @@ def covariance_run(cfg: dict, dt: float, seed: int) -> tuple[dict, dict]:
             report = json.load(fh)
     record = {
         "seed": seed,
-        "dt": dt,
+        **time_block,
         "wall_s": wall,
         "exit_code": code,
         "covariance_checks": [
@@ -167,6 +169,12 @@ def apply_rule(runs: list[dict]) -> dict:
     return {"per_dt": verdicts, "chosen_dt": max(passing) if passing else None}
 
 
+def horizon(cfg: dict) -> dict:
+    """The config's time block without its step: the horizon every run of
+    the study shares."""
+    return {k: cfg["time"][k] for k in ("t_max", "checkpoints", "record_times")}
+
+
 def _host() -> dict:
     cpu = platform.processor()
     try:
@@ -183,7 +191,7 @@ def main() -> int:
     runs = []
     for seed in SEEDS:
         for dt in DTS:
-            record, results = covariance_run(cfg, dt, seed)
+            record, results = covariance_run(cfg, {"dt": dt}, seed)
             if dt == REFERENCE_DT:
                 reference = {k: res for k, (res, _) in results.items()}
             record["pipelines"] = [
@@ -196,6 +204,7 @@ def main() -> int:
     study = {
         "config": os.path.relpath(CONFIG, REPO),
         "shipped_dt": cfg["time"]["dt"],
+        "time": horizon(cfg),
         "n_trajectories": cfg["ensemble"]["n_trajectories"],
         "dts": list(DTS),
         "reference_dt": REFERENCE_DT,

@@ -64,6 +64,11 @@ __all__ = [
 
 # The convergence residual is measured at this many trailing checkpoints.
 _TAIL_CHECKPOINTS = 2
+# An integration result is fitted this many trajectories at a time, so the
+# gathered rows and deviations of the fit stay this size however large the
+# ensemble. Each trajectory's fit is its own, so the result is bitwise the
+# fit of the whole ensemble at once.
+_FIT_BLOCK = 1024
 
 REGULARITY_FRACTION = 0.999
 HARD_FAILURE_FRACTION = 0.5
@@ -103,20 +108,26 @@ def _validate_checkpoints(checkpoints: np.ndarray) -> None:
         raise InvalidInputError("checkpoints must span a factor >= 4 in time")
 
 
-def _eta_block(trajs, checkpoints: np.ndarray):
+def _eta_block(trajs, checkpoints: np.ndarray, live=None):
     """k(t)/t and the guiding velocity u(t) at the checkpoints: two arrays
     of shape (n_traj, n_cp, D), the second None when the ensemble records
     no velocities.
 
     ``trajs`` is an integration result (its failed trajectories left out;
     it records velocities) or a list of trajectories that share one time
-    grid (positions only). Both rows are interpolated linearly between
-    recorded times, so they are exact at checkpoints that are recorded.
+    grid (positions only). ``live`` (indices or a slice) picks the live
+    trajectories of an integration result to read, by default all of
+    them. Both rows are interpolated linearly between recorded times, so
+    they are exact at checkpoints that are recorded.
     """
     vel = None
     if hasattr(trajs, "positions"):
         times = trajs.times
-        live = ~trajs.diagnostics.failed
+        if live is None:
+            # The interpolation below gathers copies, so the arrays are read
+            # as they are unless some trajectory failed.
+            failed = trajs.diagnostics.failed
+            live = np.flatnonzero(~failed) if failed.any() else slice(None)
         pos = trajs.positions[live]
         if trajs.velocities is not None:
             vel = trajs.velocities[live]
@@ -187,7 +198,7 @@ def _fit_eta(eta: np.ndarray, checkpoints: np.ndarray, vel: np.ndarray | None = 
     coef = np.einsum("kc,ncd->nkd", pinv, rows)
     v_plus = coef[:, 0, :].copy()
     # |rows - fit| over D, in place, each array freed once used: velocity
-    # rows double these (n, rows, D) arrays, and they set peak memory.
+    # rows double these (n, rows, D) arrays.
     dev = np.einsum("ck,nkd->ncd", design, coef)
     del coef
     np.subtract(rows, dev, out=dev)
@@ -195,9 +206,33 @@ def _fit_eta(eta: np.ndarray, checkpoints: np.ndarray, vel: np.ndarray | None = 
     dev *= dev
     dev = np.add.reduce(dev, axis=2)
     np.sqrt(dev, out=dev)
-    dev = dev.reshape(dev.shape[0], -1, checkpoints.size)
+    dev = dev.reshape(dev.shape[0], dev.shape[1] // checkpoints.size, checkpoints.size)
     residual = np.max(dev[:, :, -_TAIL_CHECKPOINTS:], axis=(1, 2))
     return v_plus, residual
+
+
+def _fit_trajectories(trajs, checkpoints: np.ndarray):
+    """``_fit_eta`` on ``_eta_block``: (v_plus (n, D), residual (n,)) of
+    every trajectory that ``_eta_block`` reads, the live trajectories of
+    an integration result in blocks of ``_FIT_BLOCK``."""
+    if not hasattr(trajs, "positions"):
+        eta, vel = _eta_block(trajs, checkpoints)
+        return _fit_eta(eta, checkpoints, vel)
+    live = np.flatnonzero(~trajs.diagnostics.failed)
+    bounds = [0, *range(_FIT_BLOCK, live.size, _FIT_BLOCK), live.size]
+    # A block of one trajectory would change the fit's last bits: einsum
+    # then loops over another axis innermost and sums in another order.
+    # So a remainder of one joins the block before it.
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    # With nothing failed the blocks are views, not copies.
+    whole = live.size == trajs.diagnostics.failed.size
+    fits = []
+    for a, b in zip(bounds, bounds[1:]):
+        eta, vel = _eta_block(trajs, checkpoints, slice(a, b) if whole else live[a:b])
+        fits.append(_fit_eta(eta, checkpoints, vel))
+    v_plus, residual = zip(*fits)
+    return np.concatenate(v_plus), np.concatenate(residual)
 
 
 def estimate_asymptotic_velocity(traj: SampledTrajectory, checkpoints) -> tuple[np.ndarray, float]:
@@ -209,8 +244,7 @@ def estimate_asymptotic_velocity(traj: SampledTrajectory, checkpoints) -> tuple[
     """
     checkpoints = np.asarray(checkpoints, dtype=float)
     _validate_checkpoints(checkpoints)
-    eta, vel = _eta_block([traj], checkpoints)
-    v_plus, residual = _fit_eta(eta, checkpoints, vel)
+    v_plus, residual = _fit_trajectories([traj], checkpoints)
     return v_plus[0], float(residual[0])
 
 
@@ -227,12 +261,11 @@ def estimate_asymptotic_measure(
     """
     checkpoints = np.asarray(checkpoints, dtype=float)
     _validate_checkpoints(checkpoints)
-    eta, vel = _eta_block(trajs, checkpoints)
-    if eta.shape[0] == 0:
+    v_plus, residual = _fit_trajectories(trajs, checkpoints)
+    if residual.size == 0:
         raise InvalidInputError("empty ensemble")
-    v_plus, residual = _fit_eta(eta, checkpoints, vel)
     converged = residual <= tol
-    n_total = eta.shape[0]
+    n_total = residual.size
     n_conv = int(converged.sum())
     fraction = n_conv / n_total
     quantiles = {

@@ -19,6 +19,7 @@ the spawn-key scheme in the pipeline module.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import operator
@@ -382,7 +383,9 @@ def cmd_covariance(cfg: dict, out_dir: str, seed: int | None) -> int:
     threshold = float(_setting(cfg, "thresholds", "covariance_ks"))
 
     try:
-        base = run_guided_pipeline(psi, None, params)
+        # The checks and the sweep read only the base run's measure and
+        # report, so its integration is let go before they run theirs.
+        base = dataclasses.replace(run_guided_pipeline(psi, None, params), integration=None)
         if not base.regularity.verdict:
             raise RegularityError("base run failed the regularity verdict", base.regularity)
 

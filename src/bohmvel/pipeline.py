@@ -95,12 +95,13 @@ class PipelineParams:
 
 @dataclass
 class PipelineResult:
-    """One run's asymptotic measure with its provenance."""
+    """One run's asymptotic measure with its provenance; ``integration``
+    is None where a caller that needs only the measure has let it go."""
 
     psi0: GridWavefunction
     s_plus: EmpiricalMeasure
     regularity: RegularityReport
-    integration: IntegrationResult
+    integration: IntegrationResult | None
     params: PipelineParams
 
 

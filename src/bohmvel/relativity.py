@@ -269,6 +269,8 @@ def foliation_sweep(
             )
         measures.append(res.s_plus.transport(lambda s: transform_velocity_block(s, -u)))
         reports.append(res.regularity.to_dict())
+        # Let this run's integration go before the next one starts.
+        del res
 
     n = len(measures)
     matrix = np.zeros((n, n))

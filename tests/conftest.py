@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from bohmvel.cli import _build_state, _pipeline_params, _potential, load_config
 from bohmvel.pipeline import run_guided_pipeline
+from bohmvel.relativity import boost_dirac_state
 from bohmvel.wavefunction import outgoing_asymptote
 
 ACCEPTANCE_SEED = 20260808
@@ -71,11 +72,16 @@ def dirac_state(dirac_config):
 
 @pytest.fixture(scope="session")
 def dirac_params(dirac_config):
-    # t_max 40 on (10, 20, 40) suffices because the fit takes the recorded
-    # guiding velocities beside the positions: against the velocity oracle
-    # the median |v+ error| reads 2.3e-4, where the position fit on
-    # (20, 40, 80) read 1.3e-3. With positions alone, t_max 40 was too
-    # short: the `run` KS read 0.0285 with the affine fit on (10, 20, 40).
+    # t_max 30 on (7.5, 10, 15, 20, 30) is the choice of
+    # scripts/horizon_study.py (BENCH_horizon_study.json). The fit takes the
+    # recorded guiding velocities beside the positions: against the velocity
+    # oracle the |v+ error| of the five covariance pipelines reads a median
+    # of 2.0e-4 to 3.2e-4 and a max of 5.0e-3 to 7.2e-3 (seeds 20260808, 101
+    # and 202). On (10, 20, 40) at t_max 40 it read 1.7e-4 to 2.3e-4 and
+    # 9.5e-3 to 1.04e-2; the 3-point ladder (7.5, 15, 30) reads a max of
+    # 1.6e-2 to 1.8e-2, and every ladder ending at 25 or sooner a median of
+    # 4.4e-4 or more. With positions alone, t_max 40 was too short: the
+    # `run` KS read 0.0285 with the affine fit on (10, 20, 40).
     return dirac_config[2]
 
 
@@ -83,6 +89,17 @@ def dirac_params(dirac_config):
 def dirac_base_run(dirac_state, dirac_params):
     """n = 10^4 positive-energy Dirac ensemble (lab foliation)."""
     return run_guided_pipeline(dirac_state, None, dirac_params)
+
+
+@pytest.fixture(scope="session")
+def dirac_sweep_fast_run(dirac_state, dirac_params):
+    """The foliation sweep's u = 0.4 pipeline of ``bohmvel covariance`` on
+    the shipped config (run key 100 + its index in ``boosts``)."""
+    cfg = load_config(str(CONFIGS / "dirac_covariance.json"))
+    idx = cfg["boosts"].index(0.4)
+    return run_guided_pipeline(
+        boost_dirac_state(dirac_state, 0.4), None, dirac_params.with_run_key(100 + idx)
+    )
 
 
 def acceptance_line(name: str, ok: bool, detail: str) -> None:

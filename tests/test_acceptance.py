@@ -69,11 +69,15 @@ POSITION_TOL = 2.5e-3
 # 3 sigma0; the affine position fit on (10, 20, 40) reads 9.2e-3 and fails
 # it, the shipped fit of positions and velocities on (2.5, 5, 10) 1.3e-3.
 V_PLUS_TOL = 8e-3
-# Median and largest |v+ - velocity oracle| of the Dirac base run over the
-# central band. The shipped fit of positions and velocities on (10, 20, 40)
-# reads 2.3e-4 and 9.9e-3 (largest near v = 0.9, where u(t) converges
-# slowest); the bounds leave about 2x and 1.5x headroom. The position fit
-# on (20, 40, 80) reads 1.3e-3 and 1.9e-2 and fails both.
+# Median and largest |v+ - velocity oracle| of a Dirac run over the central
+# band, gated on the base run and the sweep's u = 0.4 run. The shipped fit
+# of positions and velocities on (7.5, 10, 15, 20, 30) reads 3.1e-4 and
+# 7.0e-3 (base) and 2.1e-4 and 5.6e-3 (u = 0.4) at the shipped seed; the
+# largest errors sit in the fast tail, where u(t) converges slowest.
+# scripts/horizon_study.py chooses the shortest ladder within 0.7 of both
+# bounds on every pipeline and seed. The fit on (10, 20, 40) at t_max 40
+# read 2.3e-4 and 9.9e-3 (base); the position fit on (20, 40, 80) read
+# 1.3e-3 and 1.9e-2 and fails both.
 V_PLUS_ORACLE_MEDIAN_TOL = 5e-4
 V_PLUS_ORACLE_MAX_TOL = 1.5e-2
 # Largest |recorded velocity - field at x(t)| at the recorded times t > 0:
@@ -95,9 +99,9 @@ def pipeline_v_plus(run):
     return v_plus[:, 0]
 
 
-def load_dt_study():
-    """scripts/dt_study.py as a module: the Dirac step's rule and its share."""
-    spec = importlib.util.spec_from_file_location("dt_study", REPO / "scripts" / "dt_study.py")
+def load_study(name):
+    """scripts/<name>.py as a module: a study's rule and its constants."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -290,25 +294,37 @@ def test_velocity_oracle_matches_closed_form(free_gaussian_state, free_gaussian_
     assert err <= 5e-4
 
 
-def test_dirac_limiting_velocities_match_velocity_oracle(dirac_state, dirac_base_run):
-    """The Dirac base run's extrapolated limiting velocities over the
-    central quantile band match v+ = Q_q(F_0(x(0))) in the median and in
-    the maximum."""
-    integ = dirac_base_run.integration
-    v_plus = pipeline_v_plus(dirac_base_run)
+def assert_v_plus_matches_velocity_oracle(name, run):
+    """The run's extrapolated limiting velocities over the central quantile
+    band match v+ = Q_q(F_0(x(0))) of its initial state in the median and
+    in the maximum."""
+    integ = run.integration
+    v_plus = pipeline_v_plus(run)
     starts = integ.positions[~integ.diagnostics.failed, 0, 0]
-    quantiles, oracle = velocity_oracle(dirac_state, dirac_velocity_distribution(dirac_state), starts)
+    quantiles, oracle = velocity_oracle(run.psi0, dirac_velocity_distribution(run.psi0), starts)
     inside = (quantiles >= CENTRAL_BAND[0]) & (quantiles <= CENTRAL_BAND[1])
     err = np.abs(v_plus[inside] - oracle[inside])
     median, worst = float(np.median(err)), float(np.max(err))
     ok = median <= V_PLUS_ORACLE_MEDIAN_TOL and worst <= V_PLUS_ORACLE_MAX_TOL
     acceptance_line(
-        f"dirac v+ vs velocity oracle (checkpoints={list(dirac_base_run.params.checkpoints)})",
+        f"{name} v+ vs velocity oracle (checkpoints={list(run.params.checkpoints)})",
         ok,
         f"median={median:.2e} max={worst:.2e} bounds={V_PLUS_ORACLE_MEDIAN_TOL:.0e}/"
         f"{V_PLUS_ORACLE_MAX_TOL:.1e} n={int(inside.sum())}",
     )
     assert ok, (median, worst)
+
+
+def test_dirac_limiting_velocities_match_velocity_oracle(dirac_base_run):
+    """The Dirac base run's limiting velocities match the velocity oracle."""
+    assert_v_plus_matches_velocity_oracle("dirac", dirac_base_run)
+
+
+def test_dirac_sweep_limiting_velocities_match_velocity_oracle(dirac_sweep_fast_run):
+    """So do those of the foliation sweep's u = 0.4 pipeline: the most
+    boosted state, whose v+ error reached the largest max of the five
+    covariance pipelines on (10, 20, 40)."""
+    assert_v_plus_matches_velocity_oracle("dirac sweep u=0.4", dirac_sweep_fast_run)
 
 
 @pytest.mark.parametrize("fixture", ["free_gaussian_run", "dirac_base_run"])
@@ -362,7 +378,7 @@ def assert_time_stepping_is_a_small_share(name, psi, params, run):
     inside &= ~half.integration.diagnostics.failed
     stepping = float(np.max(np.abs(full_pos[inside, :, 0] - half_pos[inside, :, 0])))
     oracle = float(np.max(transport_oracle_errors(half.integration)))
-    share = load_dt_study().SHARE
+    share = load_study("dt_study").SHARE
     ok = stepping <= share * oracle
     acceptance_line(
         f"{name} time-stepping share (dt={params.dt:g})",
@@ -384,8 +400,9 @@ def test_free_gaussian_time_stepping_error_is_a_small_share(free_gaussian_config
 def test_shipped_dirac_step_is_the_study_choice(dirac_config):
     """The Dirac config steps at the dt that BENCH_dt_study.json chooses
     when the study's rule is applied again to its records, and the study
-    covers every seed and step it names at the config's ensemble size."""
-    dt_study = load_dt_study()
+    covers every seed and step it names at the config's ensemble size and
+    time block."""
+    dt_study = load_study("dt_study")
     with open(REPO / "BENCH_dt_study.json") as fh:
         study = json.load(fh)
     cfg = dirac_config[0]
@@ -395,12 +412,42 @@ def test_shipped_dirac_step_is_the_study_choice(dirac_config):
     )
     assert all(len(r["pipelines"]) == 5 for r in runs)
     assert study["n_trajectories"] == cfg["ensemble"]["n_trajectories"]
+    assert study["time"] == dt_study.horizon(cfg)
     verdict = dt_study.apply_rule(runs)
     ok = cfg["time"]["dt"] == verdict["chosen_dt"]
     acceptance_line(
         "dirac step = study choice", ok, f"config dt={cfg['time']['dt']:g} chosen={verdict['chosen_dt']}"
     )
     assert verdict == {"per_dt": study["per_dt"], "chosen_dt": study["chosen_dt"]}
+    assert ok
+
+
+def test_shipped_dirac_ladder_is_the_study_choice(dirac_config):
+    """The Dirac config's time block (t_max, checkpoints, record times) is
+    the one BENCH_horizon_study.json chooses when the study's rule is
+    applied again to its records; the study covers every seed and ladder
+    it names at the config's ensemble size, step and eta_tol, and its
+    bounds are the tier-1 v+ oracle bounds."""
+    horizon_study = load_study("horizon_study")
+    with open(REPO / "BENCH_horizon_study.json") as fh:
+        study = json.load(fh)
+    cfg, _, params = dirac_config
+    runs = study["runs"]
+    want = itertools.product(horizon_study.SEEDS, map(list, horizon_study.LADDERS))
+    assert sorted((r["seed"], r["checkpoints"]) for r in runs) == sorted(want)
+    for r in runs:
+        ran = {k: r[k] for k in ("t_max", "checkpoints", "record_times")}
+        assert ran == horizon_study.time_block(r["checkpoints"])
+    assert all(len(r["pipelines"]) == 5 for r in runs)
+    assert study["n_trajectories"] == cfg["ensemble"]["n_trajectories"]
+    assert (study["dt"], study["eta_tol"]) == (params.dt, params.eta_tol)
+    assert horizon_study.V_PLUS_MEDIAN_BOUND == V_PLUS_ORACLE_MEDIAN_TOL
+    assert horizon_study.V_PLUS_MAX_BOUND == V_PLUS_ORACLE_MAX_TOL
+    verdict = horizon_study.apply_rule(runs)
+    shipped = horizon_study.horizon(cfg)
+    ok = shipped == verdict["chosen"]
+    acceptance_line("dirac ladder = study choice", ok, f"config={shipped} chosen={verdict['chosen']}")
+    assert verdict == {"per_ladder": study["per_ladder"], "chosen": study["chosen"]}
     assert ok
 
 

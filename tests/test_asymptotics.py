@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from bohmvel import asymptotics
 from bohmvel.asymptotics import (
     _eta_block,
     _fit_eta,
+    _fit_trajectories,
     dirac_velocity_distribution,
     estimate_asymptotic_measure,
     estimate_asymptotic_velocity,
@@ -206,6 +208,66 @@ class TestEtaBlock:
             want, vel = _eta_block(result, checkpoints)
             np.testing.assert_array_equal(got, want)
             assert vel is None
+
+
+def integration_result(n, n_failed=0, velocities=True, seed=8):
+    """An integration result of n random 1D trajectories on the shipped
+    Dirac record times, n_failed of them failed."""
+    rng = np.random.default_rng(seed)
+    times = np.array([0.0, 7.5, 10.0, 15.0, 20.0, 30.0])
+    failed = np.zeros(n, dtype=bool)
+    failed[rng.choice(n, n_failed, replace=False)] = True
+    return IntegrationResult(
+        times,
+        rng.normal(size=(n, times.size, 1)),
+        EnsembleDiagnostics(
+            min_rho=np.full(n, np.inf),
+            shrink_events=np.zeros(n, dtype=np.int64),
+            frozen_steps=np.zeros(n, dtype=np.int64),
+            failed=failed,
+        ),
+        velocities=rng.normal(size=(n, times.size, 1)) if velocities else None,
+    )
+
+
+class TestFitBlocks:
+    """The fit reads an integration result block by block; its result is
+    bitwise the one-shot fit of every live trajectory."""
+
+    LADDER = np.array([7.5, 10.0, 15.0, 20.0, 30.0])
+
+    # 1000 trajectories: no block size below divides them, and blocks of
+    # 333 leave a remainder of one, as blocks of 7 do of the 995 live ones.
+    @pytest.mark.parametrize("block", [2, 7, 64, 333])
+    @pytest.mark.parametrize("n_failed", [0, 5])
+    @pytest.mark.parametrize("velocities", [True, False])
+    def test_blockwise_fit_is_the_one_shot_fit(self, monkeypatch, block, n_failed, velocities):
+        result = integration_result(1000, n_failed, velocities)
+        eta, vel = _eta_block(result, self.LADDER)
+        assert eta.shape[0] == 1000 - n_failed and (vel is None) != velocities
+        want = _fit_eta(eta, self.LADDER, vel)
+        monkeypatch.setattr(asymptotics, "_FIT_BLOCK", block)
+        got = _fit_trajectories(result, self.LADDER)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        measure, report = estimate_asymptotic_measure(result, self.LADDER, 0.5)
+        assert report.n_total == 1000 - n_failed
+        np.testing.assert_array_equal(measure.samples, want[0][want[1] <= 0.5])
+
+    def test_unmasked_rows_are_the_masked_copy(self):
+        # With nothing failed the arrays are read as they are; the rows and
+        # the fit are bitwise those of the copy through the live mask.
+        result = integration_result(500)
+        live = np.flatnonzero(~result.diagnostics.failed)
+        eta, vel = _eta_block(result, self.LADDER)
+        eta_copy, vel_copy = _eta_block(result, self.LADDER, live)
+        assert eta.tobytes() == eta_copy.tobytes() and vel.tobytes() == vel_copy.tobytes()
+        for g, w in zip(_fit_eta(eta, self.LADDER, vel), _fit_eta(eta_copy, self.LADDER, vel_copy)):
+            assert g.tobytes() == w.tobytes()
+
+    def test_all_failed_is_an_empty_ensemble(self):
+        with pytest.raises(InvalidInputError, match="empty ensemble"):
+            estimate_asymptotic_measure(integration_result(5, n_failed=5), self.LADDER, 0.5)
 
 
 class TestVelocityMeasureAt:
