@@ -3,13 +3,14 @@
 Every state lives on one uniform periodic grid in one space dimension
 (``GridSpec``): a scalar Schrodinger amplitude or a free 1+1D Dirac
 2-spinor. Schrodinger states evolve by Strang-split spectral stepping
-(exp(-iV dt/2) . exp(-iK dt) . exp(-iV dt/2) per step); Dirac states
-evolve exactly per momentum mode through the 2x2 matrix exponential of
-H(p) = alpha p + beta m.
+(exp(-iV dt/2) . exp(-iK dt) . exp(-iV dt/2) per step; free evolution is
+exp(-iK dt) alone, exact per mode); Dirac states evolve exactly per
+momentum mode through the 2x2 matrix exponential of H(p) = alpha p + beta m.
 
 A potential is a ``GaussianBarrier``; free evolution passes None. Both
 propagators are built once per run and cache per step size what
-``advance(psi, dt)`` needs.
+``advance(psi, dt)`` needs. On free evolution each keeps the spectrum of
+the state it returned last (``spectrum``).
 
 Dirac matrix convention (fixed for reproducibility of spinor-level
 values): alpha = sigma_x, beta = diag(1, -1), so
@@ -336,7 +337,11 @@ class SplitStepPropagator:
     """Strang split-step spectral stepper for the Schrodinger equation.
 
     The phase factors of a step size are built, and its stability
-    checked, the first time it is used.
+    checked, the first time it is used. Free evolution (no potential) is
+    the kinetic factor alone, applied in momentum space, and keeps the
+    spectrum of the state it returned last: advancing that same (frozen,
+    read-only) state again costs one inverse FFT, and any other state
+    takes the forward FFT first.
     """
 
     def __init__(self, spec: GridSpec, mass: float, potential: GaussianBarrier | None = None):
@@ -348,6 +353,13 @@ class SplitStepPropagator:
         self._v = np.zeros(spec.n_points) if potential is None else potential.evaluate(spec)
         self._k2 = spec.momentum_axis() ** 2
         self._factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._last: tuple[GridWavefunction | None, np.ndarray | None] = (None, None)
+
+    def spectrum(self, psi: GridWavefunction) -> np.ndarray | None:
+        """``np.fft.fft(psi.amplitudes)`` up to rounding when psi is the
+        free state this propagator returned last, else None."""
+        last_psi, last_hat = self._last
+        return last_hat if last_psi is psi else None
 
     def _step_factors(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """exp(-iV dt/2) and the kinetic factor exp(-iK dt) of a step of size dt."""
@@ -379,9 +391,21 @@ class SplitStepPropagator:
             raise InvalidInputError("split-step propagator needs a Schrodinger state")
         if n_steps < 0:
             raise InvalidInputError(f"n_steps must be >= 0, got {n_steps}")
-        amps = self.step(np.asarray(psi.amplitudes), dt, n_steps)
+        free = self.potential is None and n_steps > 0
+        if free:
+            _, exp_k = self._step_factors(dt)
+            out_hat = self.spectrum(psi)
+            if out_hat is None:
+                out_hat = np.fft.fft(psi.amplitudes)
+            for _ in range(n_steps):
+                out_hat = exp_k * out_hat
+            amps = np.fft.ifft(out_hat)
+        else:
+            amps = self.step(np.asarray(psi.amplitudes), dt, n_steps)
         out = psi.with_amplitudes(amps, t=psi.t + n_steps * dt)
         _check_health(out)
+        if free:
+            self._last = (out, out_hat)
         return out
 
 
@@ -419,6 +443,12 @@ class DiracPropagator:
         self._factors: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._last: tuple[GridWavefunction | None, np.ndarray | None] = (None, None)
 
+    def spectrum(self, psi: GridWavefunction) -> np.ndarray | None:
+        """``np.fft.fft(psi.amplitudes, axis=1)`` up to rounding when psi is
+        the state this propagator returned last, else None."""
+        last_psi, last_hat = self._last
+        return last_hat if last_psi is psi else None
+
     def _step_factors(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-mode u00, u01 = u10 and u11 of exp(-i H(p) t)."""
         if t not in self._factors:
@@ -447,8 +477,9 @@ class DiracPropagator:
         """psi advanced by t_advance, through the norm and leak guard."""
         if psi.kind != KIND_DIRAC:
             raise InvalidInputError("Dirac propagator needs a Dirac state")
-        last_psi, last_hat = self._last
-        amps_hat = last_hat if last_psi is psi else np.fft.fft(psi.amplitudes, axis=1)
+        amps_hat = self.spectrum(psi)
+        if amps_hat is None:
+            amps_hat = np.fft.fft(psi.amplitudes, axis=1)
         out_hat = self._apply(amps_hat, t_advance)
         out = psi.with_amplitudes(np.fft.ifft(out_hat, axis=1), t=psi.t + t_advance)
         _check_health(out)

@@ -81,9 +81,10 @@ V_PLUS_TOL = 8e-3
 V_PLUS_ORACLE_MEDIAN_TOL = 5e-4
 V_PLUS_ORACLE_MAX_TOL = 1.5e-2
 # Largest |recorded velocity - field at x(t)| at the recorded times t > 0:
-# the recorded k4 is evaluated O(h^3) away from x(t). It reads 8.1e-7
-# (free Gaussian, t = 2.5) and 1.5e-8 (Dirac, t = 10); recording k2, the
-# field half a step earlier, reads 6.5e-3 and 5.6e-4 and fails.
+# the recorded k4 is evaluated O(h^3) away from x(t). It reads 2.7e-6
+# (free Gaussian at dt 0.08, t = 2.5; 8.1e-7 at dt 0.05) and 4.4e-8
+# (Dirac, t = 7.5); recording k2, the field half a step earlier, read
+# 6.5e-3 and 5.6e-4 (free Gaussian at dt 0.05, Dirac) and fails.
 VELOCITY_RECORD_TOL = 1e-5
 
 
@@ -397,29 +398,42 @@ def test_free_gaussian_time_stepping_error_is_a_small_share(free_gaussian_config
     assert_time_stepping_is_a_small_share("free gaussian", psi, params, free_gaussian_run)
 
 
-def test_shipped_dirac_step_is_the_study_choice(dirac_config):
-    """The Dirac config steps at the dt that BENCH_dt_study.json chooses
+def assert_step_is_the_study_choice(name, study_name, bench, cfg, n_pipelines):
+    """The config steps at the dt that the committed study file chooses
     when the study's rule is applied again to its records, and the study
     covers every seed and step it names at the config's ensemble size and
     time block."""
     dt_study = load_study("dt_study")
-    with open(REPO / "BENCH_dt_study.json") as fh:
-        study = json.load(fh)
-    cfg = dirac_config[0]
-    runs = study["runs"]
+    study = dt_study.STUDIES[study_name]
+    with open(REPO / bench) as fh:
+        record = json.load(fh)
+    runs = record["runs"]
     assert sorted((r["seed"], r["dt"]) for r in runs) == sorted(
-        itertools.product(dt_study.SEEDS, dt_study.DTS)
+        itertools.product(dt_study.SEEDS, study.dts)
     )
-    assert all(len(r["pipelines"]) == 5 for r in runs)
-    assert study["n_trajectories"] == cfg["ensemble"]["n_trajectories"]
-    assert study["time"] == dt_study.horizon(cfg)
-    verdict = dt_study.apply_rule(runs)
+    assert all(len(r["pipelines"]) == n_pipelines for r in runs)
+    assert record["n_trajectories"] == cfg["ensemble"]["n_trajectories"]
+    assert record["time"] == dt_study.horizon(cfg)
+    verdict = dt_study.apply_rule(runs, study)
     ok = cfg["time"]["dt"] == verdict["chosen_dt"]
     acceptance_line(
-        "dirac step = study choice", ok, f"config dt={cfg['time']['dt']:g} chosen={verdict['chosen_dt']}"
+        f"{name} step = study choice", ok, f"config dt={cfg['time']['dt']:g} chosen={verdict['chosen_dt']}"
     )
-    assert verdict == {"per_dt": study["per_dt"], "chosen_dt": study["chosen_dt"]}
+    assert verdict == {"per_dt": record["per_dt"], "chosen_dt": record["chosen_dt"]}
     assert ok
+
+
+def test_shipped_dirac_step_is_the_study_choice(dirac_config):
+    """The Dirac config steps at the dt that BENCH_dt_study.json chooses."""
+    assert_step_is_the_study_choice("dirac", "dirac", "BENCH_dt_study.json", dirac_config[0], 5)
+
+
+def test_shipped_free_gaussian_step_is_the_study_choice(free_gaussian_config):
+    """The free-Gaussian config steps at the dt that
+    BENCH_dt_study_free_gaussian.json chooses."""
+    assert_step_is_the_study_choice(
+        "free gaussian", "free_gaussian", "BENCH_dt_study_free_gaussian.json", free_gaussian_config[0], 1
+    )
 
 
 def test_shipped_dirac_ladder_is_the_study_choice(dirac_config):

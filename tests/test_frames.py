@@ -23,17 +23,18 @@ BIMODAL = "bimodal_superposition.json"
 # (config, relation, bound): the measured maximum and the headroom.
 GATES = [
     # 16 cells moves the field by whole lattice cells: equal to rounding.
-    # Measured 3.1e-13 (free Gaussian), 9.6e-14 (Dirac), 8.8e-10
-    # (barrier) and 1.1e-10 (bimodal): 30x, 100x, 11x and 9x.
+    # Measured 9.9e-14 (free Gaussian), 9.6e-14 (Dirac), 8.8e-10
+    # (barrier) and 1.1e-10 (bimodal): 100x, 100x, 11x and 9x.
     (FREE, {"shift": cells(FREE, 16)}, 1e-11),
     (DIRAC, {"shift": cells(DIRAC, 16)}, 1e-11),
     (BARRIER, {"shift": cells(BARRIER, 16)}, 1e-8),
     (BIMODAL, {"shift": cells(BIMODAL, 16)}, 1e-9),
     # Half a cell: the interpolation error where the lattice sits.
-    # Measured 2.72e-4 and 1.00e-3, 1.5x.
+    # Measured 2.72e-4 (free Gaussian, at dt 0.05 and 0.08) and 1.00e-3, 1.5x.
     (FREE, {"shift": cells(FREE, 0.5)}, 4e-4),
     (DIRAC, {"shift": cells(DIRAC, 0.5)}, 1.5e-3),
-    # Galilean boost by k = 0.5: measured 2.21e-4, 1.6x.
+    # Galilean boost by k = 0.5: measured 2.80e-4 at the free Gaussian's
+    # dt 0.08 (2.21e-4 at dt 0.05), 1.25x.
     (FREE, {"boost": 0.5}, 3.5e-4),
 ]
 

@@ -10,7 +10,9 @@ form it is held to a tolerance instead, and to exactness at nodes and on
 quadratics. The Dirac propagator's cached mode matrix and its kept
 spectrum change rounding too: they are held to 1e-13 against the per-call
 formula and a chain of cold advances, and a state it did not return last
-gets the cold advance bit for bit."""
+gets the cold advance bit for bit. The same holds for the split-step
+propagator's kept spectrum on free evolution; with a potential it keeps
+none, and each step is the Strang step written out, bit for bit."""
 
 import dataclasses
 import json
@@ -29,6 +31,7 @@ from bohmvel.guidance import EnsembleDiagnostics, FieldSnapshot, sample_initial
 from bohmvel.wavefunction import (
     KIND_DIRAC,
     DiracPropagator,
+    GaussianBarrier,
     GridSpec,
     GridWavefunction,
     SplitStepPropagator,
@@ -254,6 +257,132 @@ def test_advance_of_another_state_is_the_cold_advance():
         want = _cold_chain(state, (0.05,))
         assert got.t == want.t
         assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+SPLIT_CHAIN = (0.04, 0.04, 0.7, 0.04, 0.3, 0.04)
+
+
+def _cold_split_chain(psi, steps, potential=None):
+    """psi advanced step by step, each by a fresh split-step propagator."""
+    for dt in steps:
+        psi = SplitStepPropagator(psi.spec, psi.mass, potential).advance(psi, dt)
+    return psi
+
+
+def reference_strang_step(spec, mass, potential, amps, dt, n_steps):
+    """n_steps Strang steps exp(-iV dt/2) exp(-iK dt) exp(-iV dt/2), the
+    inner half kicks fused, with every factor built on the call."""
+    v = potential.evaluate(spec)
+    exp_v_half = np.exp(-0.5j * dt * v)
+    exp_k = np.exp(-0.5j * dt * spec.momentum_axis() ** 2 / mass)
+    amps = exp_v_half * amps
+    for _ in range(n_steps - 1):
+        amps = np.fft.ifft(exp_k * np.fft.fft(amps))
+        amps = exp_v_half * exp_v_half * amps
+    amps = np.fft.ifft(exp_k * np.fft.fft(amps))
+    return exp_v_half * amps
+
+
+def _count_transforms(monkeypatch):
+    """Calls of np.fft.fft and np.fft.ifft from here on, by name."""
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        inner = getattr(np.fft, name)
+
+        def counted(*a, _name=name, _inner=inner, **k):
+            calls[_name] += 1
+            return _inner(*a, **k)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_free_split_chain_matches_cold_advance(monkeypatch):
+    """On free evolution, advancing each output again starts from its kept
+    spectrum: one forward FFT for the whole chain, multi-step advances
+    included, and the result matches a chain of cold advances to rounding."""
+    psi = _schrodinger_state()
+    steps = SPLIT_CHAIN + (0.04, 0.04, 0.04)
+    want = _cold_split_chain(psi, steps)
+    prop = SplitStepPropagator(psi.spec, psi.mass)
+    calls = _count_transforms(monkeypatch)
+    state = psi
+    for dt in SPLIT_CHAIN:
+        state = prop.advance(state, dt)
+    state = prop.advance(state, 0.04, 3)
+    assert calls == {"fft": 1, "ifft": len(SPLIT_CHAIN) + 1}
+    assert state.t == pytest.approx(want.t, abs=1e-12)
+    assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-13
+    assert np.max(np.abs(prop.spectrum(state) - np.fft.fft(state.amplitudes))) <= 1e-12
+
+
+def test_free_split_advance_of_another_state_is_the_cold_advance():
+    """Only the state a free split-step propagator returned last reuses
+    its spectrum: a copy of the last one, an older output, another
+    propagator's output and the input state each take the forward FFT
+    and give the cold result bit for bit."""
+    psi = _schrodinger_state()
+    prop = SplitStepPropagator(psi.spec, psi.mass)
+    older = prop.advance(psi, 0.04)
+    last = prop.advance(older, 0.04)
+    copy = GridWavefunction(last.spec, last.amplitudes, last.t, last.kind, last.mass)
+    foreign = SplitStepPropagator(psi.spec, psi.mass).advance(psi, 0.3)
+    for state in (copy, older, foreign, psi):
+        assert prop.spectrum(state) is None
+        got = prop.advance(state, 0.04)
+        want = _cold_split_chain(state, (0.04,))
+        assert got.t == want.t
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+def test_split_step_with_a_barrier_keeps_no_spectrum():
+    """With a potential every advance is the Strang step written out, bit
+    for bit, chained or cold, and no spectrum is kept. The steps respect
+    the stability bound of the test grid (dt <= 0.0199)."""
+    psi = _schrodinger_state()
+    barrier = GaussianBarrier(2.0, 1.0, 3.0)
+    prop = SplitStepPropagator(psi.spec, psi.mass, barrier)
+    state = psi
+    for dt, n_steps in ((0.01, 1), (0.01, 1), (0.005, 7), (0.015, 1)):
+        want = reference_strang_step(psi.spec, psi.mass, barrier, state.amplitudes, dt, n_steps)
+        state = prop.advance(state, dt, n_steps)
+        assert prop.spectrum(state) is None
+        assert state.amplitudes.tobytes() == want.tobytes()
+    chain = (0.01, 0.01, 0.015, 0.005, 0.01)
+    cold = _cold_split_chain(psi, chain, barrier)
+    chained = psi
+    for dt in chain:
+        chained = prop.advance(chained, dt)
+    assert chained.amplitudes.tobytes() == cold.amplitudes.tobytes()
+
+
+def test_snapshot_from_the_kept_spectrum_matches_the_cold_snapshot():
+    """A Schrodinger snapshot given the kept spectrum has the rho of the
+    cold snapshot bit for bit and its current to rounding; given the FFT
+    of the amplitudes it is the cold snapshot bit for bit."""
+    psi = _schrodinger_state()
+    prop = SplitStepPropagator(psi.spec, psi.mass)
+    state = prop.advance(prop.advance(psi, 0.04), 0.04)
+    cold = FieldSnapshot(state)
+    kept = FieldSnapshot(state, prop.spectrum(state))
+    same = FieldSnapshot(state, np.fft.fft(state.amplitudes))
+    assert kept.rho.tobytes() == cold.rho.tobytes()
+    assert np.max(np.abs(kept.current - cold.current)) <= 1e-13
+    assert same.current.tobytes() == cold.current.tobytes()
+
+
+def test_free_integration_takes_four_transforms_per_step(monkeypatch):
+    """A free Schrodinger RK4 step takes 4 transforms: one inverse FFT per
+    half-step advance and one per snapshot. The first step adds the
+    forward FFT of psi0 for its advance and an FFT pair for its snapshot."""
+    psi = _schrodinger_state()
+    starts = sample_initial(psi, 50, 3)
+    t_grid = psi.t + np.array([0.0, 0.4, 1.0])
+    n_steps = sum(n for _, n in guidance.rk4_step_sizes(t_grid, 0.08))
+    calls = _count_transforms(monkeypatch)
+    guidance.integrate_ensemble(psi, None, starts, t_grid, dt=0.08)
+    assert n_steps == 13
+    assert calls == {"fft": 2, "ifft": 4 * n_steps + 1}
 
 
 @pytest.mark.parametrize("n", [16, 64], ids=str)
