@@ -7,8 +7,9 @@ Times, in fresh single-threaded worker processes:
   configs/dirac_covariance.json (Dirac);
 - ``FieldSnapshot`` construction for both states;
 - ``stencil_build``: ``_interp.CubicStencil`` on a Dirac snapshot's rho
-  and current grids, built once per snapshot: the four Catmull-Rom cell
-  coefficient arrays of each grid (on older trees the periodic ghost
+  and current grids, built once per snapshot: the spectral spline
+  prefilter and the four cubic-spline cell coefficient arrays of each
+  grid (on older trees the four Catmull-Rom arrays, or the periodic ghost
   cells only; on a tree without it, the ``np.pad`` of both grids that
   every interpolation call used to make);
 - ``rk4_step``: one ``guidance._rk4_block`` at 10^4 points on three

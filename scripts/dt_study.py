@@ -38,7 +38,7 @@ study chooses the largest step that passes, and writes its file at the
 repository root; the shipped ``time.dt`` is recorded beside the choice,
 and setting it is a separate, deliberate config change.
 
-Usage (about 1.5 minutes for dirac and 10 seconds for free_gaussian on 2
+Usage (about 40 seconds for dirac and 10 seconds for free_gaussian on 2
 vCPUs):
 
     PYTHONPATH=src python scripts/dt_study.py [dirac|free_gaussian]
@@ -68,7 +68,7 @@ from bohmvel.guidance import count_order_violations  # noqa: E402
 
 CONFIG = os.path.join(REPO, "configs", "dirac_covariance.json")
 OUT = os.path.join(REPO, "BENCH_dt_study.json")
-DTS = (0.05, 0.1, 0.2, 0.4)
+DTS = (0.05, 0.1, 0.125, 0.15, 0.175, 0.2, 0.4)
 REFERENCE_DT = 0.05
 SEEDS = (20260808, 101, 202)
 SHARE = 0.1
@@ -178,7 +178,7 @@ STUDIES = {
         os.path.join(REPO, "configs", "free_gaussian.json"),
         single_run,
         _run_verdicts,
-        (0.025, 0.05, 0.0625, 0.08, 0.1),
+        (0.025, 0.05, 0.0625, 0.08, 0.1, 0.125, 0.16, 0.2),
         0.025,
         os.path.join(REPO, "BENCH_dt_study_free_gaussian.json"),
     ),

@@ -33,7 +33,7 @@ It writes BENCH_horizon_study.json at the repository root; the shipped
 time block is recorded beside the choice, and setting it is a separate,
 deliberate config change.
 
-Usage (about 2 minutes on 2 vCPUs):
+Usage (about 40 seconds on 2 vCPUs):
 
     PYTHONPATH=src python scripts/horizon_study.py
 """

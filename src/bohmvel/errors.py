@@ -35,7 +35,7 @@ class ConfigurationError(BohmvelError):
 
 
 class NumericalFailureError(BohmvelError):
-    """A numerical guard tripped (norm drift, boundary leak, ...)."""
+    """A numerical guard tripped (boundary leak, non-converged asymptote, ...)."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)

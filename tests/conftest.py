@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -8,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from bohmvel.cli import _build_state, _pipeline_params, _potential, load_config
 from bohmvel.pipeline import run_guided_pipeline
 from bohmvel.relativity import boost_dirac_state
-from bohmvel.wavefunction import outgoing_asymptote
+from bohmvel.wavefunction import GridSpec, GridWavefunction, outgoing_asymptote
 
 ACCEPTANCE_SEED = 20260808
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -100,6 +101,22 @@ def dirac_sweep_fast_run(dirac_state, dirac_params):
     return run_guided_pipeline(
         boost_dirac_state(dirac_state, 0.4), None, dirac_params.with_run_key(100 + idx)
     )
+
+
+@pytest.fixture(scope="session")
+def edge_packet():
+    """A packet moving right whose density at the right edge of its box,
+    about 1.3e-15, stands far above the spline prefilter's rounding (about
+    1e-17 of the peak 0.1), so a point just inside the edge fails for
+    leaving the box, not on a near-zero density floor. Its momentum pi / 2
+    is a lattice momentum of the 64-long line, so its phase is periodic.
+    Built without ``gaussian_packet``, whose fit check asks for a negligible
+    edge; its boundary-cell mass stays below the leak guard up to t = 2."""
+    spec = GridSpec(512, -32.0, 32.0)
+    x = spec.axis()
+    amp = np.exp(-(x**2) / 64.0 + 0.5j * np.pi * x)
+    amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * spec.dx)
+    return GridWavefunction(spec, amp, 0.0, "schrodinger", 1.0)
 
 
 def acceptance_line(name: str, ok: bool, detail: str) -> None:

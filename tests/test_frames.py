@@ -4,10 +4,11 @@ Each gate runs a config and its image under one relation from matched
 starts at n = 2000 and bounds the largest per-trajectory mismatch over
 the recorded times. The bounds come from values measured at the shipped
 horizons, with the headroom stated beside each. A whole-cell translation
-is gated on every config. The sub-cell relations are gated on the free
-Gaussian and Dirac runs only: on the barrier and bimodal runs they hold
-only up to time-stepping and interpolation errors that can send a
-trajectory to the other side of the barrier.
+is gated on every config, and the sub-cell relations on the free
+Gaussian and Dirac runs. On the barrier and bimodal runs, whose stiff
+trajectories still cross (ROADMAP item 1), the half-cell translation is
+gated on the trajectory counts instead: a few trajectories may miss by
+more than 1e-2, but none may change branch.
 """
 
 import pytest
@@ -30,13 +31,24 @@ GATES = [
     (BARRIER, {"shift": cells(BARRIER, 16)}, 1e-8),
     (BIMODAL, {"shift": cells(BIMODAL, 16)}, 1e-9),
     # Half a cell: the interpolation error where the lattice sits.
-    # Measured 2.72e-4 (free Gaussian, at dt 0.05 and 0.08) and 1.00e-3, 1.5x.
+    # Measured 1.9e-5 (free Gaussian, dt 0.16) and 2.1e-5 (Dirac, dt 0.175)
+    # on the cubic-spline field, 20x and 70x; the Catmull-Rom field read
+    # 2.72e-4 and 1.00e-3 at dt 0.08 and 0.1, 1.5x.
     (FREE, {"shift": cells(FREE, 0.5)}, 4e-4),
     (DIRAC, {"shift": cells(DIRAC, 0.5)}, 1.5e-3),
-    # Galilean boost by k = 0.5: measured 2.80e-4 at the free Gaussian's
-    # dt 0.08 (2.21e-4 at dt 0.05), 1.25x.
+    # Galilean boost by k = 0.5: measured 1.3e-5 at the free Gaussian's
+    # dt 0.16 on the cubic-spline field (2.80e-4 on Catmull-Rom at dt 0.08).
     (FREE, {"boost": 0.5}, 3.5e-4),
 ]
+
+# Half a cell on the barrier and bimodal runs (dt 0.05): the trajectories
+# that miss by more than 1e-2, and the largest miss. Measured 3 and 0.110
+# (barrier) and 4 and 0.133 (bimodal) on the cubic-spline field; the
+# Catmull-Rom field read 26 and 1.8, and 286 and 5.1, with trajectories
+# sent to the other side of the barrier or to the other packet. A miss of
+# 0.5 stays far below the distances between the branches.
+BRANCH_MISSES = 10
+BRANCH_MAX = 0.5
 
 
 @pytest.mark.parametrize(
@@ -57,3 +69,12 @@ def test_frame_relation(name, relation, bound):
     assert (out.failed_base, out.failed_moved) == (0, 0)
     assert out.mismatch.size == N
     assert out.mismatch.max() < bound
+
+
+@pytest.mark.parametrize("name", [BARRIER, BIMODAL], ids=["barrier-half-cell", "bimodal-half-cell"])
+def test_half_cell_translation_keeps_every_branch(name):
+    out = frame_mismatch(name, N, shift=cells(name, 0.5))
+    assert (out.failed_base, out.failed_moved) == (0, 0)
+    assert out.mismatch.size == N
+    assert int((out.mismatch > 1e-2).sum()) <= BRANCH_MISSES
+    assert out.mismatch.max() <= BRANCH_MAX

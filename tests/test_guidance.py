@@ -162,7 +162,7 @@ class TestIntegrateEnsemble:
             integrate_ensemble(packet, None, np.array([[0.0]]), [0.0, 1.0], rho_floor=0.0)
 
     @pytest.mark.parametrize("reason", ["box", "density floor", "speed bound"])
-    def test_each_rejection_reason_fails_one_trajectory(self, reason):
+    def test_each_rejection_reason_fails_one_trajectory(self, reason, edge_packet):
         """A rejected evaluation fails its trajectory, whatever the reason:
         the trajectory keeps its start position, its reason is counted, and
         the other trajectories run on untouched."""
@@ -172,8 +172,8 @@ class TestIntegrateEnsemble:
             # The field carries a start just inside the right edge out of
             # the box on its first step; the tiny floor keeps the edge point
             # from being rejected as a near-node instead.
-            psi = gaussian_packet(GridSpec(256, -16.0, 16.0), 1.0, 0.0, 1.0, 1.0)
-            stuck, rho_floor = 15.99, 1e-300
+            psi = edge_packet
+            stuck, rho_floor = 31.99, 1e-300
         elif reason == "density floor":
             # 8 sigma0 out, the density stays below this floor up to t = 2.
             psi = gaussian_packet(GridSpec(4096, -256.0, 256.0), 1.0, 0.0, 0.0, 1.0)

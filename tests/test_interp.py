@@ -1,18 +1,20 @@
 """The shared kernels are bitwise equal to the code paths they replace:
-the coefficient stencil against a Horner reference that wraps every
-stencil offset with ``% n`` (per field, in the guiding-field evaluation
-and in the momentum-space boost), the lean RK4 block against a reference
-that finds failure reasons one trajectory at a time, the cached norm and
-the density against their formulas, and the one float-CSV writer against
-the per-row loops that each table had. The stencil's Horner form changed
-the rounding of the Catmull-Rom weight form it replaced, so against that
-form it is held to a tolerance instead, and to exactness at nodes and on
-quadratics. The Dirac propagator's cached mode matrix and its kept
-spectrum change rounding too: they are held to 1e-13 against the per-call
-formula and a chain of cold advances, and a state it did not return last
-gets the cold advance bit for bit. The same holds for the split-step
-propagator's kept spectrum on free evolution; with a potential it keeps
-none, and each step is the Strang step written out, bit for bit."""
+the spline stencil against a Horner reference that prefilters each grid
+on its own and wraps every stencil offset with ``% n`` (per field, in the
+guiding-field evaluation and in the momentum-space boost), the lean RK4
+block against a reference that finds failure reasons one trajectory at a
+time, the cached norm and the density against their formulas, and the
+one float-CSV writer against the per-row loops that each table had. The
+stencil is also held to independent properties of the periodic cubic
+spline: SciPy's periodic ``CubicSpline``, the B-spline weight form,
+exactness at nodes and on quadratics away from the periodic seam,
+fourth-order convergence and C2 continuity across cells. The Dirac
+propagator's cached mode matrix and its kept spectrum change rounding:
+they are held to 1e-13 against the per-call formula and a chain of cold
+advances, and a state it did not return last gets the cold advance bit
+for bit. The same holds for the split-step propagator's kept spectrum on
+free evolution; with a potential it keeps none, and each step is the
+Strang step written out, bit for bit."""
 
 import dataclasses
 import json
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from bohmvel import guidance, relativity
 from bohmvel._interp import CubicStencil
@@ -40,41 +43,54 @@ from bohmvel.wavefunction import (
 )
 
 
-def reference_interp(values, x0, dx, xq):
-    """Catmull-Rom interpolation of one grid on the periodic line x0 + i dx
-    in Horner form, each query's coefficients taken from its four
-    neighbours with every stencil offset wrapped by ``% n``."""
+def spline_coefficients(values):
+    """B-spline coefficients of one grid on its periodic line: its Fourier
+    transform divided by the sampling filter (4 + 2 cos(2 pi k / n)) / 6."""
     values = np.asarray(values)
     n = values.shape[-1]
+    prefilter = 6.0 / (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
+    if np.iscomplexobj(values):
+        return np.fft.ifft(np.fft.fft(values) * prefilter)
+    return np.fft.irfft(np.fft.rfft(values) * prefilter[: n // 2 + 1], n)
+
+
+def reference_interp(values, x0, dx, xq):
+    """Periodic cubic-spline interpolation of one grid on the periodic line
+    x0 + i dx in Horner form, each query's coefficients taken from the four
+    neighbouring B-spline coefficients with every stencil offset wrapped by
+    ``% n``."""
+    values = np.asarray(values)
+    n = values.shape[-1]
+    coeffs = spline_coefficients(values)
     pos = (np.asarray(xq, dtype=float) - x0) / dx
     base = np.floor(pos).astype(np.int64)
     t = pos - base
-    p_m1, p_0, p_1, p_2 = (values[(base + off) % n] for off in (-1, 0, 1, 2))
-    b = 0.5 * (p_1 - p_m1)
-    c = 0.5 * (2.0 * p_m1 - 5.0 * p_0 + 4.0 * p_1 - p_2)
-    d = 0.5 * (3.0 * (p_0 - p_1) + p_2 - p_m1)
-    return p_0 + t * (b + t * (c + t * d))
+    c_m1, c_0, c_1, c_2 = (coeffs[(base + off) % n] for off in (-1, 0, 1, 2))
+    b = 0.5 * (c_1 - c_m1)
+    c = 0.5 * (c_m1 - 2.0 * c_0 + c_1)
+    d = (3.0 * (c_0 - c_1) + c_2 - c_m1) / 6.0
+    return values[base % n] + t * (b + t * (c + t * d))
 
 
 def weight_form_interp(values, x0, dx, xq):
-    """The Catmull-Rom weight form the stencil used before its Horner form:
-    the same cubic, summed as four weighted neighbours."""
+    """The periodic cubic spline in B-spline weight form: the four
+    neighbouring coefficients, each times its cubic B-spline weight."""
     values = np.asarray(values)
     n = values.shape[-1]
+    coeffs = spline_coefficients(values)
     pos = (np.asarray(xq, dtype=float) - x0) / dx
     base = np.floor(pos).astype(np.int64)
     t = pos - base
-    t2 = t * t
-    t3 = t2 * t
+    s = 1.0 - t
     weights = (
-        0.5 * (-t + 2.0 * t2 - t3),
-        0.5 * (2.0 - 5.0 * t2 + 3.0 * t3),
-        0.5 * (t + 4.0 * t2 - 3.0 * t3),
-        0.5 * (-t2 + t3),
+        s**3 / 6.0,
+        (4.0 - 6.0 * t**2 + 3.0 * t**3) / 6.0,
+        (4.0 - 6.0 * s**2 + 3.0 * s**3) / 6.0,
+        t**3 / 6.0,
     )
-    out = np.zeros(pos.shape, dtype=values.dtype)
+    out = np.zeros(pos.shape, dtype=coeffs.dtype)
     for off, w in zip((-1, 0, 1, 2), weights):
-        out = out + w * values[(base + off) % n]
+        out = out + w * coeffs[(base + off) % n]
     return out
 
 
@@ -119,21 +135,23 @@ def box_points(rng, x_min, dx, n):
 
 @pytest.mark.parametrize("n", [64], ids=["d1"])
 def test_shared_stencil_matches_per_field_loop(n):
+    """Each grid of a shared stencil, real or complex, is prefiltered on its
+    own row: it gets the bytes of the per-field reference and of a stencil
+    of that grid alone, whatever grids share its stencil."""
     rng = np.random.default_rng(1)
     x_min, dx = -3.0, 0.25
     points = box_points(rng, x_min, dx, n)
-    grids = [
-        rng.standard_normal(n),
-        rng.random(n),
-        rng.standard_normal(n) + 1j * rng.standard_normal(n),
-    ]
-    outs = CubicStencil(grids, x_min, dx).at(points)
-    assert len(outs) == len(grids)
-    for grid, out in zip(grids, outs):
-        ref = reference_interp(grid, x_min, dx, points)
-        assert out.dtype == ref.dtype
-        assert np.array_equal(out, ref)
-        assert out.tobytes() == ref.tobytes()
+    real = [rng.standard_normal(n), rng.random(n)]
+    cplx = [rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.random(n) + 0j]
+    for grids in (real, real[::-1], cplx, cplx[::-1]):
+        outs = CubicStencil(grids, x_min, dx).at(points)
+        assert len(outs) == len(grids)
+        for grid, out in zip(grids, outs):
+            ref = reference_interp(grid, x_min, dx, points)
+            (alone,) = CubicStencil([grid], x_min, dx).at(points)
+            assert out.dtype == ref.dtype
+            assert np.array_equal(out, ref)
+            assert out.tobytes() == ref.tobytes() == alone.tobytes()
 
 
 def _schrodinger_state():
@@ -177,13 +195,15 @@ def _tail_state(kind):
 
 @pytest.mark.parametrize("kind", ["schrodinger", KIND_DIRAC])
 def test_evaluate_rejects_nonpositive_tail_density_without_warnings(kind):
-    """Where the interpolated density is 0 or, by Catmull-Rom overshoot,
-    negative, the point is rejected with zero velocity, and the division
-    raises no warning."""
+    """Where the interpolated density is 0 (at a tail node, where the
+    stencil returns the node's exact zero) or, by the prefilter's rounding
+    between nodes, negative, the point is rejected with zero velocity, and
+    the division raises no warning."""
     psi = _tail_state(kind)
     snap = FieldSnapshot(psi)
     rng = np.random.default_rng(11)
-    x = np.concatenate([rng.uniform(15.0, 32.0, 2000), rng.uniform(-32.0, -15.0, 2000)])
+    zeros = psi.spec.axis()[psi.density() == 0.0]
+    x = np.concatenate([rng.uniform(15.0, 32.0, 2000), rng.uniform(-32.0, -15.0, 2000), zeros])
     points = x[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -283,9 +303,15 @@ def reference_strang_step(spec, mass, potential, amps, dt, n_steps):
     return exp_v_half * amps
 
 
+FFT_ENTRY_POINTS = (
+    "fft", "ifft", "rfft", "irfft", "hfft", "ihfft",
+    "fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn",
+)
+
+
 def _count_transforms(monkeypatch):
-    """Calls of np.fft.fft and np.fft.ifft from here on, by name."""
-    calls = {"fft": 0, "ifft": 0}
+    """Calls of every np.fft transform from here on, by name."""
+    calls = dict.fromkeys(FFT_ENTRY_POINTS, 0)
     for name in calls:
         inner = getattr(np.fft, name)
 
@@ -295,6 +321,11 @@ def _count_transforms(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def _called(calls):
+    """The transforms of ``_count_transforms`` that were called, by name."""
+    return {name: count for name, count in calls.items() if count}
 
 
 def test_free_split_chain_matches_cold_advance(monkeypatch):
@@ -310,7 +341,7 @@ def test_free_split_chain_matches_cold_advance(monkeypatch):
     for dt in SPLIT_CHAIN:
         state = prop.advance(state, dt)
     state = prop.advance(state, 0.04, 3)
-    assert calls == {"fft": 1, "ifft": len(SPLIT_CHAIN) + 1}
+    assert _called(calls) == {"fft": 1, "ifft": len(SPLIT_CHAIN) + 1}
     assert state.t == pytest.approx(want.t, abs=1e-12)
     assert np.max(np.abs(state.amplitudes - want.amplitudes)) <= 1e-13
     assert np.max(np.abs(prop.spectrum(state) - np.fft.fft(state.amplitudes))) <= 1e-12
@@ -372,9 +403,12 @@ def test_snapshot_from_the_kept_spectrum_matches_the_cold_snapshot():
 
 
 def test_free_integration_takes_four_transforms_per_step(monkeypatch):
-    """A free Schrodinger RK4 step takes 4 transforms: one inverse FFT per
-    half-step advance and one per snapshot. The first step adds the
-    forward FFT of psi0 for its advance and an FFT pair for its snapshot."""
+    """A free Schrodinger RK4 step takes 4 complex transforms: one inverse
+    FFT per half-step advance and one per snapshot. Each of its 2
+    snapshots adds the real transform pair of its spline prefilter, which
+    transforms rho and j in one call each. The first step adds the forward
+    FFT of psi0 for its advance and, for the snapshot of psi0, an FFT pair
+    and a prefilter pair. Every np.fft entry point is counted."""
     psi = _schrodinger_state()
     starts = sample_initial(psi, 50, 3)
     t_grid = psi.t + np.array([0.0, 0.4, 1.0])
@@ -382,7 +416,12 @@ def test_free_integration_takes_four_transforms_per_step(monkeypatch):
     calls = _count_transforms(monkeypatch)
     guidance.integrate_ensemble(psi, None, starts, t_grid, dt=0.08)
     assert n_steps == 13
-    assert calls == {"fft": 2, "ifft": 4 * n_steps + 1}
+    assert _called(calls) == {
+        "fft": 2,
+        "ifft": 4 * n_steps + 1,
+        "rfft": 2 * n_steps + 1,
+        "irfft": 2 * n_steps + 1,
+    }
 
 
 @pytest.mark.parametrize("n", [16, 64], ids=str)
@@ -431,8 +470,11 @@ def test_stencil_is_exact_at_nodes(dtype):
 
 @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
 def test_stencil_reproduces_quadratics(dtype):
-    """Catmull-Rom is exact on quadratics wherever the stencil does not wrap."""
-    n = 64
+    """The cubic spline is exact on quadratics away from the periodic seam,
+    where the quadratic's jump wraps: its influence on the coefficients
+    decays by 2 - sqrt(3) per cell, below 1e-13 of the jump 24 cells
+    away."""
+    n = 128
     x_min, dx = -3.0, 0.1
     scale = 1.0 - 0.5j if dtype is complex else 1.0
 
@@ -440,18 +482,76 @@ def test_stencil_reproduces_quadratics(dtype):
         return scale * (2.0 + 0.7 * (x - 0.3) ** 2)
 
     x = x_min + dx * np.arange(n)
-    # Base cells 1 .. n - 3 keep all four neighbours on the line.
-    xq = x_min + dx * np.random.default_rng(4).uniform(1.0, n - 2.0, 500)
+    xq = x_min + dx * np.random.default_rng(4).uniform(24.0, n - 24.0, 500)
     (got,) = CubicStencil([quadratic(x)], x_min, dx).at(xq)
     np.testing.assert_allclose(got, quadratic(xq), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_stencil_converges_at_fourth_order(dtype):
+    """On a smooth periodic function the largest error falls by about 16
+    each time the spacing halves: at least 12 at every halving here,
+    where a third-order interpolant (Catmull-Rom) gains only about 8."""
+    scale = 1.0 + 0.5j if dtype is complex else 1.0
+
+    def smooth(x):
+        return scale * np.exp(np.sin(x) + 0.5 * np.cos(2.0 * x))
+
+    xq = 2.0 * np.pi * np.random.default_rng(5).random(4000)
+    errors = []
+    for n in (32, 64, 128, 256):
+        dx = 2.0 * np.pi / n
+        (got,) = CubicStencil([smooth(dx * np.arange(n))], 0.0, dx).at(xq)
+        errors.append(np.max(np.abs(got - smooth(xq))))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all(ratios >= 12.0), ratios
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_stencil_is_c2_across_cells(dtype):
+    """The cubic of every cell meets the next cell's at their shared node
+    with the same value, slope and curvature, the last cell meeting the
+    first across the seam, up to rounding of the coefficients."""
+    n = 64
+    rng = np.random.default_rng(6)
+    ((a, b, c, d),) = CubicStencil([_random_grid(rng, n, dtype)], -2.0, 0.25)._coeffs
+    nxt = np.roll(np.arange(n), -1)
+    bound = 64 * np.finfo(float).eps * np.max(np.abs(a))
+    assert np.max(np.abs(a + b + c + d - a[nxt])) <= bound
+    assert np.max(np.abs(b + 2.0 * c + 3.0 * d - b[nxt])) <= bound
+    assert np.max(np.abs(2.0 * c + 6.0 * d - 2.0 * c[nxt])) <= bound
+
+
+@pytest.mark.parametrize("n", [16, 64, 2048], ids=str)
+@pytest.mark.parametrize("kind", ["real", "complex", "paired"])
+def test_stencil_matches_scipy_periodic_spline(n, kind):
+    """An independent oracle: SciPy's periodic CubicSpline through the grid
+    values, over the line and at its nodes, both ends included, for a real
+    grid, a complex one, and two real grids of one stencil (as rho and j
+    share one). Agreement is to the rounding of both solvers: 1e-12 times
+    the largest |grid| value. (Far outside the line the stencil wraps as
+    the byte-level reference does.)"""
+    rng = np.random.default_rng(20 + n)
+    x_min, dx = -3.0, 0.1
+    grids = [_random_grid(rng, n, complex if kind == "complex" else float)]
+    if kind == "paired":
+        grids.append(rng.random(n))
+    nodes = x_min + dx * np.arange(n + 1)
+    points = np.concatenate([x_min + n * dx * rng.random(2000), nodes])
+    for grid, got in zip(grids, CubicStencil(grids, x_min, dx).at(points), strict=True):
+        oracle = CubicSpline(nodes, np.append(grid, grid[0]), bc_type="periodic")
+        assert got.dtype == grid.dtype
+        assert np.max(np.abs(got - oracle(points))) <= 1e-12 * np.max(np.abs(grid))
 
 
 @pytest.mark.parametrize("n", [16, 64, 2048], ids=str)
 @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
 def test_stencil_matches_weight_form_to_rounding(n, dtype):
-    """The Horner form and the retired weight form are one cubic: over the
+    """The Horner form and the B-spline weight form are one cubic: over the
     line, its ends and far outside it they differ by at most 8 ulp (of 1)
-    times the largest |grid| value."""
+    times the largest |grid| value. The Horner form's constant term is the
+    grid value, which the weight form's sum matches to the prefilter's
+    rounding."""
     rng = np.random.default_rng(10 + n)
     x_min, dx = -3.0, 0.1
     grid = _random_grid(rng, n, dtype)
@@ -468,6 +568,12 @@ def test_stencil_rejects_other_sizes(shape):
         CubicStencil([np.zeros(shape)], -2.0, 0.2)
     with pytest.raises(InvalidInputError):
         CubicStencil([np.zeros(64), np.zeros(shape)], -2.0, 0.2)
+
+
+def test_stencil_rejects_real_and_complex_grids_together():
+    """One stencil prefilters its grids as one real or one complex block."""
+    with pytest.raises(InvalidInputError, match="all real or all complex"):
+        CubicStencil([np.zeros(64), np.zeros(64, dtype=complex)], -2.0, 0.2)
 
 
 def reference_rk4_block(x, snap_a, snap_b, snap_c, h, rho_floor, diag):
@@ -528,7 +634,7 @@ def _fresh_diagnostics(n, failed=()):
     return diag
 
 
-def _rk4_case(name):
+def _rk4_case(name, edge_packet):
     """(psi, points, rho_floor, failed indices) of one RK4 block."""
     if name in ("all_live", "one_failed", "rho_floor"):
         psi = _schrodinger_state()
@@ -540,14 +646,14 @@ def _rk4_case(name):
     elif name.startswith("dirac"):
         psi = _dirac_state()
     else:  # box_exit: a packet moving right, one point at the right edge
-        psi = gaussian_packet(GridSpec(256, -16.0, 16.0), 1.0, 0.0, 1.0, 1.0)
+        psi = edge_packet
     points = sample_initial(psi, 2000, 5)
     rho_floor = 1e-12
     failed = ()
     if name in ("one_failed", "dirac_one_failed"):
         failed = (17,)
     elif name == "box_exit":
-        points = np.concatenate([points, [[15.99]]])
+        points = np.concatenate([points, [[31.99]]])
         rho_floor = 1e-300
     elif name == "rho_floor":
         # One point far in the tail, below the floor, fails.
@@ -560,8 +666,8 @@ def _rk4_case(name):
     "name",
     ["all_live", "dirac_all_live", "one_failed", "dirac_one_failed", "box_exit", "rho_floor", "dirac_speed_bound"],
 )
-def test_rk4_block_matches_reference(name):
-    psi, points, rho_floor, failed = _rk4_case(name)
+def test_rk4_block_matches_reference(name, edge_packet):
+    psi, points, rho_floor, failed = _rk4_case(name, edge_packet)
     h = 0.05
     if psi.kind == KIND_DIRAC:
         prop = DiracPropagator(psi.spec, psi.mass)

@@ -84,14 +84,13 @@ def test_dirac_wraparound_fails_fast():
     assert 20.0 < info.value.diagnostics["t"] < 30.0
 
 
-def test_box_exit_fails_fast():
+def test_box_exit_fails_fast(edge_packet):
     # The second start sits just inside the right edge of the box and the
-    # field carries it out on the first step. The packet stays far from the
-    # edges, so no health check trips; the near-zero density floor keeps the
-    # edge point from being rejected as a near-node instead.
-    spec = GridSpec(256, -16.0, 16.0)
-    psi = gaussian_packet(spec, 1.0, 0.0, 1.0, 1.0)
-    starts = np.array([[0.0], [15.99]])
+    # field carries it out on the first step. The packet's edge mass stays
+    # below the leak guard, so no health check trips; the near-zero density
+    # floor keeps the edge point from being rejected as a near-node instead.
+    psi = edge_packet
+    starts = np.array([[0.0], [31.99]])
     start = time.perf_counter()
     res = integrate_ensemble(
         psi, None, starts, np.linspace(0.0, 2.0, 5), rho_floor=1e-300, dt=0.05,
@@ -103,5 +102,5 @@ def test_box_exit_fails_fast():
     assert diag.failure_counts()["box"] == 1
     assert diag.shrink_events.sum() == 0 and diag.frozen_steps.sum() == 0
     # The failed trajectory keeps the last position it reached in the box.
-    assert np.all(res.positions[1, :, 0] == 15.99)
+    assert np.all(res.positions[1, :, 0] == 31.99)
     assert res.positions[0, -1, 0] > 1.0

@@ -129,6 +129,35 @@ class TestSchrodingerEvolution:
         with pytest.raises(ConfigurationError):
             evolve(base_packet, GaussianBarrier(100.0, 1.0), 0.01, 1)
 
+    def test_free_steps_build_only_the_kinetic_factor(self, base_packet):
+        """Free evolution keeps no potential and caches no exp(-iV dt/2);
+        its unguarded ``step`` is the guarded advance's amplitudes."""
+        prop = SplitStepPropagator(base_packet.spec, 1.0)
+        out = prop.advance(base_packet, 0.01, 3)
+        assert prop._v is None
+        assert list(prop._factors) == [0.01] and prop._factors[0.01][0] is None
+        stepped = prop.step(np.asarray(base_packet.amplitudes), 0.01, 3)
+        assert stepped.tobytes() == out.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("system", ["free", "barrier", "dirac"])
+def test_norm_drift_during_evolution_is_refused(line_grid, system):
+    """A propagated state whose norm is off by 1e-8 raises InvalidInputError:
+    the state constructor holds every evolved state to NORM_TOL (1e-9). A
+    cached step factor scaled by 1 + 1e-8 stands in for the drift."""
+    scale = 1.0 + 1e-8
+    if system == "dirac":
+        psi, _ = project_positive_energy(gaussian_packet(line_grid, 1.0, 0.0, 0.75, 1.0, kind="dirac"))
+        prop = DiracPropagator(line_grid, 1.0)
+        prop._factors[0.01] = tuple(u * scale for u in prop._step_factors(0.01))
+    else:
+        psi = gaussian_packet(line_grid, 1.0, 0.0, 0.5, 1.0)
+        prop = SplitStepPropagator(line_grid, 1.0, GaussianBarrier(1.0, 1.0, 20.0) if system == "barrier" else None)
+        exp_v_half, exp_k = prop._step_factors(0.01)
+        prop._factors[0.01] = (exp_v_half, exp_k * scale)
+    with pytest.raises(InvalidInputError, match="norm"):
+        prop.advance(psi, 0.01)
+
 
 class TestDirac:
     def test_zero_time_identity(self, line_grid):
@@ -184,7 +213,7 @@ class TestDirac:
         assert err.value.diagnostics["boundary_cell_mass"] > 1e-12
         scalar = gaussian_packet(spec, 1.0, 0.0, 2.0, 1.0)
         with pytest.raises(NumericalFailureError, match="boundary"):
-            evolve(scalar, None, 0.05, 1200)
+            evolve(scalar, None, 0.01, 1200)
 
     def test_group_velocity_narrow_packet(self, line_grid):
         # v = p/E = 0.6 at p0 = 0.75, m = 1; a narrow momentum spread keeps
