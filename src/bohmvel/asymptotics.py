@@ -345,13 +345,12 @@ class VelocityDistribution:
         return EmpiricalMeasure.from_samples(self.sample(n, seed))
 
 
-def free_velocity_distribution(psi0: GridWavefunction, mass: float | None = None) -> VelocityDistribution:
+def free_velocity_distribution(psi0: GridWavefunction) -> VelocityDistribution:
     """Velocity distribution of a free Schrodinger state: q(v) = m |psi_hat(m v)|^2."""
     if psi0.kind != KIND_SCHRODINGER:
         raise InvalidInputError("free velocity distribution needs a Schrodinger state")
-    m = psi0.mass if mass is None else float(mass)
     md = momentum_density(psi0)
-    return VelocityDistribution(md.p / m, md.values * m)
+    return VelocityDistribution(md.p / psi0.mass, md.values * psi0.mass)
 
 
 def scattering_velocity_distribution(out: OutgoingAsymptote, mass: float) -> VelocityDistribution:

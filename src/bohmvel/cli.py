@@ -45,7 +45,7 @@ from .errors import (
     NumericalFailureError,
     RegularityError,
 )
-from .guidance import check_equivariance, count_order_violations, rk4_step_sizes
+from .guidance import check_equivariance, count_order_violations
 from .pipeline import PipelineParams, run_guided_pipeline
 from .relativity import foliation_label, foliation_sweep, verify_boost_covariance
 from .stats import ks_critical_value, ks_distance
@@ -54,9 +54,9 @@ from .wavefunction import (
     GridSpec,
     check_packet_fits,
     check_split_step_stability,
-    extraction_steps,
     outgoing_asymptote,
     project_positive_energy,
+    rk4_step_sizes,
     superposed_gaussians,
 )
 
@@ -169,23 +169,20 @@ def validate_config(cfg: dict) -> dict:
     except InvalidInputError as exc:
         # PipelineParams' messages start with the name of the time field.
         raise ConfigurationError(f"config.time.{exc}") from None
-    # Every guided RK4 step of size h advances the state by h/2 twice.
+    # Every guided RK4 step of size h advances the state by h/2 twice, and
+    # the outgoing-asymptote legs take the same half steps.
+    layouts = [params.record_times]
+    if system == "potential_schrodinger":
+        times = _extraction_times(cfg)
+        _expect(all(a < b for a, b in zip(times, times[1:])),
+                "config.moller.extraction_times must increase strictly")
+        layouts.append([0.0, *times])
     potential, mass = _potential(cfg), float(_setting(cfg, "mass"))
     try:
-        for h in {h for h, _ in rk4_step_sizes(params.record_times, params.dt)}:
+        for h in {h for layout in layouts for h, _ in rk4_step_sizes(layout, params.dt)}:
             check_split_step_stability(grid, mass, potential, 0.5 * h)
     except ConfigurationError as exc:
         raise ConfigurationError(f"config.time.dt: {exc}") from None
-    if system == "potential_schrodinger":
-        try:
-            steps = extraction_steps(_extraction_times(cfg), float(_setting(cfg, "moller", "dt")))
-        except InvalidInputError as exc:
-            raise ConfigurationError(f"config.moller.extraction_times: {exc}") from None
-        try:
-            for h in {h for h, _ in steps}:
-                check_split_step_stability(grid, mass, potential, h)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"config.moller.dt: {exc}") from None
     return cfg
 
 
@@ -261,7 +258,7 @@ def _quantum_distribution(cfg: dict, psi, potential: GaussianBarrier | None):
         psi,
         potential,
         _extraction_times(cfg),
-        dt=float(_setting(cfg, "moller", "dt")),
+        dt=float(_setting(cfg, "time", "dt")),
         residual_tol=float(_setting(cfg, "moller", "residual_tol")),
     )
     return scattering_velocity_distribution(out, psi.mass), out

@@ -53,13 +53,13 @@ from .wavefunction import (
     GaussianBarrier,
     GridWavefunction,
     SplitStepPropagator,
+    rk4_step_sizes,
 )
 
 __all__ = [
     "FieldSnapshot",
     "sample_initial",
     "integrate_ensemble",
-    "rk4_step_sizes",
     "IntegrationResult",
     "EnsembleDiagnostics",
     "check_equivariance",
@@ -215,17 +215,6 @@ class IntegrationResult:
         if idx.size == 0:
             raise DomainError(f"t={t} is not a recorded time")
         return self.positions[:, idx[0], :]
-
-
-def rk4_step_sizes(t_grid, dt: float) -> list[tuple[float, int]]:
-    """(h, n) for each interval of ``t_grid``: n RK4 steps of size h cover
-    it, the fewest whose h does not exceed dt (up to rounding). The
-    wavefunction advances by h/2 twice per step."""
-    steps = []
-    for seg_len in np.diff(np.asarray(t_grid, dtype=float)):
-        n_sub = max(1, int(np.ceil(seg_len / dt - 1e-12)))
-        steps.append((seg_len / n_sub, n_sub))
-    return steps
 
 
 def integrate_ensemble(

@@ -44,6 +44,15 @@ def _inverse_cdf(u: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return np.interp(u, cdf[keep], x[keep])
 
 
+def _merged_cdf_difference(a_values, a_weights, b_values, b_weights):
+    """The two samples merged and stably sorted, and along them the running
+    sum of a's weights minus b's."""
+    values = np.concatenate([a_values, b_values])
+    deltas = np.concatenate([a_weights, -b_weights])
+    order = np.argsort(values, kind="mergesort")
+    return values[order], np.cumsum(deltas[order])
+
+
 def ks_two_sample_1d(
     a_values: np.ndarray,
     a_weights: np.ndarray,
@@ -55,11 +64,9 @@ def ks_two_sample_1d(
     b_values = np.asarray(b_values, dtype=float)
     if a_values.size == 0 or b_values.size == 0:
         raise InvalidInputError("empty sample in KS computation")
-    values = np.concatenate([a_values, b_values])
-    deltas = np.concatenate([a_weights / a_weights.sum(), -b_weights / b_weights.sum()])
-    order = np.argsort(values, kind="mergesort")
-    values = values[order]
-    cdf_diff = np.cumsum(deltas[order])
+    values, cdf_diff = _merged_cdf_difference(
+        a_values, a_weights / a_weights.sum(), b_values, b_weights / b_weights.sum()
+    )
     # At tied values the CDF difference is only meaningful after the whole
     # tie group has been accumulated.
     distinct = np.ones(values.size, dtype=bool)
@@ -106,13 +113,7 @@ def wasserstein1_1d(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """
     if a.dim != 1 or b.dim != 1:
         raise InvalidInputError("wasserstein1_1d requires 1D measures (apply per axis)")
-    va, wa = a.samples[:, 0], a.weights
-    vb, wb = b.samples[:, 0], b.weights
-    values = np.concatenate([va, vb])
-    deltas = np.concatenate([wa, -wb])
-    order = np.argsort(values, kind="mergesort")
-    values = values[order]
-    cdf_diff = np.cumsum(deltas[order])
+    values, cdf_diff = _merged_cdf_difference(a.samples[:, 0], a.weights, b.samples[:, 0], b.weights)
     return float(np.sum(np.abs(cdf_diff[:-1]) * np.diff(values)))
 
 

@@ -54,7 +54,7 @@ __all__ = [
     "superposed_gaussians",
     "SplitStepPropagator",
     "check_split_step_stability",
-    "extraction_steps",
+    "rk4_step_sizes",
     "DiracPropagator",
     "project_positive_energy",
     "positive_energy_spinor",
@@ -332,6 +332,17 @@ def check_split_step_stability(
         raise ConfigurationError("dt * p_max^2/(2m) exceeds the stability bound 2 pi")
 
 
+def rk4_step_sizes(t_grid, dt: float) -> list[tuple[float, int]]:
+    """(h, n) for each interval of ``t_grid``: n RK4 steps of size h cover
+    it, the fewest whose h does not exceed dt (up to rounding). The
+    wavefunction advances by h/2 twice per step."""
+    steps = []
+    for seg_len in np.diff(np.asarray(t_grid, dtype=float)):
+        n_sub = max(1, int(np.ceil(seg_len / dt - 1e-12)))
+        steps.append((seg_len / n_sub, n_sub))
+    return steps
+
+
 class SplitStepPropagator:
     """Strang split-step spectral stepper for the Schrodinger equation.
 
@@ -573,49 +584,38 @@ class OutgoingAsymptote:
         return float(np.sum(self.density) * dp)
 
 
-def extraction_steps(extraction_times: Sequence[float], dt: float) -> list[tuple[float, int]]:
-    """(h, n) for each leg from t = 0 through ``extraction_times``: n split
-    steps of size h = leg / n cover it, with n = max(1, round(leg / dt)).
-    The times must be positive and increasing, at least two of them."""
-    times = np.asarray(extraction_times, dtype=float)
-    if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] <= 0:
-        raise InvalidInputError("need at least two increasing positive extraction times")
-    steps = []
-    for leg in np.diff(times, prepend=0.0):
-        n_steps = max(1, int(round(leg / dt)))
-        steps.append((leg / n_steps, n_steps))
-    return steps
-
-
 def outgoing_asymptote(
     psi0: GridWavefunction,
     potential: GaussianBarrier | None,
     extraction_times: Sequence[float],
-    dt: float = 0.01,
+    dt: float,
     residual_tol: float = 1e-3,
 ) -> OutgoingAsymptote:
     """Free outgoing asymptote via iterates exp(+i H0 T) exp(-i H T) psi0.
 
-    The listed times must be increasing and cover the regime in which the
-    packet has cleared the (short-range) interaction region; the Cauchy
-    residual is the L2 distance between the last two iterates and must
-    fall below ``residual_tol``, otherwise a NonConvergedError carrying
-    the whole residual curve is raised. Its diagnostics name the weight
-    left within the potential's interaction radius of its center, which
-    stays large for a state with a bound part.
+    The listed times must be positive and increasing, at least two of
+    them, and cover the regime in which the packet has cleared the
+    (short-range) interaction region. Each leg takes the half steps that
+    guided RK4 steps of at most ``dt`` take on it (``rk4_step_sizes``).
+    The Cauchy residual is the L2 distance between the last two iterates
+    and must fall below ``residual_tol``, otherwise a NonConvergedError
+    carrying the whole residual curve is raised. Its diagnostics name the
+    weight left within the potential's interaction radius of its center,
+    which stays large for a state with a bound part.
     """
     if psi0.kind != KIND_SCHRODINGER:
         raise InvalidInputError("asymptote extraction needs a Schrodinger state")
     times = np.asarray(extraction_times, dtype=float)
-    steps = extraction_steps(times, dt)
+    if times.size < 2 or np.any(np.diff(times) <= 0) or times[0] <= 0:
+        raise InvalidInputError("need at least two increasing positive extraction times")
 
     p = psi0.spec.momentum_axis()
     mass = psi0.mass
     prop = SplitStepPropagator(psi0.spec, mass, potential)
     psi = psi0
     iterates = []
-    for t_target, (h, n_steps) in zip(times, steps):
-        psi = prop.advance(psi, h, n_steps)
+    for t_target, (h, n_steps) in zip(times, rk4_step_sizes(np.insert(times, 0, 0.0), dt)):
+        psi = prop.advance(psi, 0.5 * h, 2 * n_steps)
         phi_hat = np.exp(0.5j * p**2 * t_target / mass) * momentum_amplitudes(psi)
         iterates.append(phi_hat)
 

@@ -56,7 +56,7 @@ def barrier_setup():
     run = run_guided_pipeline(psi, pot, params)
     moller = cfg["moller"]
     out = outgoing_asymptote(
-        psi, pot, moller["extraction_times"], dt=moller["dt"], residual_tol=moller["residual_tol"]
+        psi, pot, moller["extraction_times"], dt=params.dt, residual_tol=moller["residual_tol"]
     )
     return psi, pot, run, out
 

@@ -380,7 +380,8 @@ class TestVerifyDistributionEquality:
     def test_wrong_mass_detected(self):
         spec = GridSpec(2048, -128.0, 128.0)
         psi = gaussian_packet(spec, 1.0, 0.0, 0.0, 1.0)
-        q_wrong = free_velocity_distribution(psi, mass=2.0)
+        # The same packet taken at mass 2: its velocities are halved.
+        q_wrong = free_velocity_distribution(gaussian_packet(spec, 2.0, 0.0, 0.0, 1.0))
         s = EmpiricalMeasure.from_samples(free_velocity_distribution(psi).sample(10_000, 57))
         rep = verify_distribution_equality(s, q_wrong, seed=58)
         assert not rep["pass"]

@@ -68,13 +68,22 @@ DRIFT_CASES = {
     "out_dir_integer": (("out_dir",), 7),
 }
 
-# Mutations of configs/free_gaussian.json that the schema accepts but the
-# grid rules reject, with the config path the error must name.
+# Mutations of shipped configs that the schema accepts but the grid rules
+# or the extraction-times rule reject, with the config path the error must
+# name.
 GRID_CASES = {
-    "n_points_48": (("grid", "n_points"), 48, r"config\.grid\.n_points must be a power of two"),
-    "center_outside_grid": (("grid", "x_min"), 10.0, r"config\.packets\[0\]: packet center 0 outside"),
-    "tail_clipped": (("grid", "x_max"), 8.0, r"config\.packets\[0\]: packet tail"),
-    "empty_grid": (("grid", "x_max"), -256.0, r"config\.grid\.x_max must exceed x_min"),
+    "n_points_48": (
+        "free_gaussian.json", ("grid", "n_points"), 48, r"config\.grid\.n_points must be a power of two"
+    ),
+    "center_outside_grid": (
+        "free_gaussian.json", ("grid", "x_min"), 10.0, r"config\.packets\[0\]: packet center 0 outside"
+    ),
+    "tail_clipped": ("free_gaussian.json", ("grid", "x_max"), 8.0, r"config\.packets\[0\]: packet tail"),
+    "empty_grid": ("free_gaussian.json", ("grid", "x_max"), -256.0, r"config\.grid\.x_max must exceed x_min"),
+    "extraction_times_decreasing": (
+        "barrier_scattering.json", ("moller", "extraction_times"), [40.0, 20.0],
+        r"config\.moller\.extraction_times",
+    ),
 }
 
 # Type and range edges, both ways, for the cross-check against jsonschema.
@@ -90,6 +99,9 @@ EDGE_CASES = {
     "potential_soft_coulomb": ("barrier_scattering.json", ("potential", "kind"), "soft_coulomb", False),
     # The near-node action is no longer a key: even a once-valid value fails.
     "node_action_unknown": ("free_gaussian.json", ("ensemble", "node_action"), "abort", False),
+    # The outgoing asymptote steps on time.dt, so the moller object has no
+    # step of its own: even the once-default value fails.
+    "moller_dt_unknown": ("barrier_scattering.json", ("moller", "dt"), 0.01, False),
     "boost_luminal": ("dirac_covariance.json", ("boosts", 1), 1.0, False),
     "boost_negative_luminal": ("dirac_covariance.json", ("boosts", 1), -1.0, False),
     "record_time_zero": ("free_gaussian.json", ("time", "record_times", 0), 0.0, True),
@@ -103,8 +115,8 @@ def drift_config(case):
 
 
 def grid_config(case):
-    path, value, _ = GRID_CASES[case]
-    return mutated(shipped_config("free_gaussian.json"), path, value)
+    name, path, value, _ = GRID_CASES[case]
+    return mutated(shipped_config(name), path, value)
 
 
 def edge_config(case):
@@ -208,7 +220,7 @@ class TestValidation:
         assert '"valid"' not in captured.out
         err = json.loads(captured.err.strip())["error"]
         assert err["type"] == "ConfigurationError"
-        assert re.match(GRID_CASES[case][2], err["message"])
+        assert re.match(GRID_CASES[case][3], err["message"])
         assert not (tmp_path / "run").exists()
 
     def test_error_names_the_path(self):
@@ -234,8 +246,8 @@ class TestValidation:
 
     def test_moller_only_for_potential_system(self):
         cfg = small_free_config("x")
-        cfg["moller"] = {"dt": 0.01}
-        with pytest.raises(ConfigurationError, match="config.moller"):
+        cfg["moller"] = {"residual_tol": 1e-3}
+        with pytest.raises(ConfigurationError, match="config.moller requires the potential system"):
             validate_config(cfg)
 
     def test_boosts_only_for_dirac(self):
@@ -298,10 +310,9 @@ class TestValidation:
             ),
             "foliation_sweep.ks_threshold": (arg_defaults(foliation_sweep)["ks_threshold"], ks),
         }
-        for name in ("dt", "residual_tol"):
-            pairs[f"outgoing_asymptote.{name}"] = (
-                arg_defaults(outgoing_asymptote)[name], moller[name]
-            )
+        pairs["outgoing_asymptote.residual_tol"] = (
+            arg_defaults(outgoing_asymptote)["residual_tol"], moller["residual_tol"]
+        )
         differing = {
             name: (lib, schema["default"])
             for name, (lib, schema) in pairs.items()
@@ -380,7 +391,7 @@ class TestGuidedStepStability:
             "potential": {"kind": "gaussian_barrier", "height": -1.0, "width": 1.0, "center": 30.0},
             "ensemble": {"n_trajectories": 10000},
             "time": {"t_max": 40.0, "dt": 0.05, "checkpoints": [10.0, 20.0, 40.0]},
-            "moller": {"extraction_times": [20.0, 40.0], "dt": 0.01},
+            "moller": {"extraction_times": [20.0, 40.0]},
             "seed": 1,
             "out_dir": str(tmp_path / "well"),
         }
@@ -391,22 +402,30 @@ class TestGuidedStepStability:
         assert not (tmp_path / "well").exists()
 
     @pytest.mark.parametrize("command", ["validate-config", "run"])
-    def test_barrier_at_half_unit_moller_step_exits_4(self, command, tmp_path, capsys):
-        # The outgoing-asymptote legs are stepped at about moller.dt; a step
-        # past the potential bound is a config error before any work.
+    def test_unstable_extraction_leg_exits_4(self, command, tmp_path, capsys):
+        # At dt 0.09 the guided steps on the 0.1-long record intervals are
+        # 0.05 long, within the kinetic bound (h/2 <= 0.0311 on this grid),
+        # but each 0.09-long extraction leg is one step of 0.09: the
+        # outgoing-asymptote legs are checked as well, naming time.dt.
         cfg = shipped_config("barrier_scattering.json")
-        cfg["moller"]["dt"] = 0.5
+        cfg["time"] = {
+            "t_max": 0.4,
+            "dt": 0.09,
+            "checkpoints": [0.1, 0.2, 0.4],
+            "record_times": [0.0, 0.1, 0.2, 0.3, 0.4],
+        }
+        cfg["moller"]["extraction_times"] = [0.09, 0.18]
         cfg["out_dir"] = str(tmp_path / "run")
         path = write_config(tmp_path, cfg)
         start = time.perf_counter()
         assert main([command, "--config", path]) == EXIT_CONFIG_ERROR
         assert time.perf_counter() - start < 1.0
         err = json.loads(capsys.readouterr().err.strip())["error"]
-        assert err == {
-            "type": "ConfigurationError",
-            "message": "config.moller.dt: dt * max|V| exceeds the stability bound 0.5",
-        }
+        assert err == {"type": "ConfigurationError", "message": self.KINETIC}
         assert not (tmp_path / "run").exists()
+        # The same times without the extraction legs pass.
+        cfg["moller"]["extraction_times"] = [0.1, 0.2]
+        assert validate_config(cfg) is cfg
 
     def test_free_system_has_no_step_bound(self):
         # Free split steps are exact per mode, so no step is rejected.
@@ -697,7 +716,7 @@ class TestFailureExitCodes:
             "potential": {"kind": "gaussian_barrier", "height": -1.0, "width": 1.0, "center": 30.0},
             "ensemble": {"n_trajectories": 200},
             "time": {"t_max": 40.0, "dt": 0.05, "checkpoints": [10.0, 20.0, 40.0]},
-            "moller": {"extraction_times": [20.0, 40.0], "dt": 0.01},
+            "moller": {"extraction_times": [20.0, 40.0]},
             "seed": 1,
             "out_dir": str(tmp_path / "bound"),
         }

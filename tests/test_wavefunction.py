@@ -19,6 +19,7 @@ from bohmvel.wavefunction import (
     outgoing_asymptote,
     positive_energy_spinor,
     project_positive_energy,
+    rk4_step_sizes,
     superposed_gaussians,
 )
 
@@ -282,7 +283,7 @@ class TestOutgoingAsymptote:
         spec = GridSpec(4096, -320.0, 320.0)
         psi = gaussian_packet(spec, 1.0, -12.0, 1.5, 2.0)
         pot = GaussianBarrier(2.0, 1.0, 0.0)
-        out = outgoing_asymptote(psi, pot, [20.0, 30.0, 40.0, 60.0], dt=0.01, residual_tol=1e-2)
+        out = outgoing_asymptote(psi, pot, [20.0, 30.0, 40.0, 60.0], dt=0.05, residual_tol=1e-2)
         assert np.all(np.diff(out.residual_curve) < 0)
         dp = out.p[1] - out.p[0]
         transmitted = np.sum(out.density[out.p > 0]) * dp
@@ -294,7 +295,7 @@ class TestOutgoingAsymptote:
         psi = gaussian_packet(line_grid, 1.0, -20.0, 1.5, 1.0)
         pot = GaussianBarrier(2.0, 1.0, 0.0)
         with pytest.raises(NonConvergedError) as err:
-            outgoing_asymptote(psi, pot, [2.0, 4.0], dt=0.01, residual_tol=1e-12)
+            outgoing_asymptote(psi, pot, [2.0, 4.0], dt=0.02, residual_tol=1e-12)
         assert err.value.residual_curve is not None
 
     def test_bound_part_fails_naming_the_weight_at_the_center(self):
@@ -305,9 +306,31 @@ class TestOutgoingAsymptote:
         psi = gaussian_packet(spec, 1.0, 30.0, 0.0, 1.0)
         pot = GaussianBarrier(-1.0, 1.0, 30.0)
         with pytest.raises(NonConvergedError, match="bound part cannot converge") as err:
-            outgoing_asymptote(psi, pot, [20.0, 40.0], dt=0.01)
+            outgoing_asymptote(psi, pot, [20.0, 40.0], dt=0.05)
         assert err.value.residual_curve[-1] > 0.5
         assert err.value.diagnostics["interaction_region_weight"] > 0.5
+
+    def test_legs_take_the_guided_half_steps(self, monkeypatch):
+        # The extraction runs on the guided chain's clock: each leg takes
+        # the half steps of the RK4 steps that rk4_step_sizes lays on it.
+        # At dt 0.4 the 1.0-long leg takes the ceiling of 2.5, 3 steps,
+        # where rounding would take 2.
+        calls = []
+        advance = SplitStepPropagator.advance
+
+        def spy(self, psi, dt, n_steps=1):
+            calls.append((dt, n_steps))
+            return advance(self, psi, dt, n_steps)
+
+        monkeypatch.setattr(SplitStepPropagator, "advance", spy)
+        # dx 0.5 keeps a half step of 0.2 within the kinetic bound.
+        psi = gaussian_packet(GridSpec(256, -64.0, 64.0), 1.0, -20.0, 1.5, 1.0)
+        pot = GaussianBarrier(2.0, 1.0, 0.0)
+        times, dt = [2.0, 3.0, 4.5], 0.4
+        outgoing_asymptote(psi, pot, times, dt=dt, residual_tol=10.0)
+        legs = rk4_step_sizes([0.0, *times], dt)
+        assert [n for _, n in legs] == [5, 3, 4]
+        assert calls == [(0.5 * h, 2 * n) for h, n in legs]
 
 
 class TestSuperposition:
