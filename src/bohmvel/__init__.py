@@ -8,13 +8,7 @@ state itself, including under Lorentz boosts and across flat foliations.
 Natural units hbar = c = 1 throughout.
 """
 
-from .core import (
-    EmpiricalMeasure,
-    EnsembleRun,
-    SampledTrajectory,
-    WorldLineFlag,
-    validate_worldline,
-)
+from .core import EmpiricalMeasure, EnsembleRun, SampledTrajectory
 from .errors import (
     BohmvelError,
     ConfigurationError,
@@ -45,7 +39,6 @@ from .asymptotics import (
     VelocityDistribution,
     dirac_velocity_distribution,
     estimate_asymptotic_measure,
-    estimate_asymptotic_velocity,
     free_velocity_distribution,
     rotating_trajectory_family,
     scattering_velocity_distribution,
@@ -54,8 +47,6 @@ from .asymptotics import (
 )
 from .relativity import (
     boost_dirac_state,
-    boost_worldline,
-    check_boost_velocity_consistency,
     foliation_sweep,
     verify_boost_covariance,
 )

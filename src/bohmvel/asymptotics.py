@@ -52,7 +52,6 @@ from .wavefunction import (
 __all__ = [
     "RegularityReport",
     "VelocityDistribution",
-    "estimate_asymptotic_velocity",
     "estimate_asymptotic_measure",
     "velocity_measure_at",
     "free_velocity_distribution",
@@ -233,19 +232,6 @@ def _fit_trajectories(trajs, checkpoints: np.ndarray):
         fits.append(_fit_eta(eta, checkpoints, vel))
     v_plus, residual = zip(*fits)
     return np.concatenate(v_plus), np.concatenate(residual)
-
-
-def estimate_asymptotic_velocity(traj: SampledTrajectory, checkpoints) -> tuple[np.ndarray, float]:
-    """Limiting velocity of one trajectory from its checkpoint ladder.
-
-    Returns (v_plus, residual): the extrapolated velocity, shape (d,),
-    and the fit residual at the trailing checkpoints; the trajectory
-    counts as converged at tolerance tol when residual <= tol.
-    """
-    checkpoints = np.asarray(checkpoints, dtype=float)
-    _validate_checkpoints(checkpoints)
-    v_plus, residual = _fit_trajectories([traj], checkpoints)
-    return v_plus[0], float(residual[0])
 
 
 def estimate_asymptotic_measure(

@@ -492,6 +492,18 @@ def cmd_plotdata(run_dir: str, out_dir: str | None) -> int:
     missing = [f for f in expected if not os.path.exists(os.path.join(run_dir, f))]
     if missing:
         raise ConfigurationError(f"run directory incomplete, missing: {', '.join(missing)}")
+    expected_extras = ["q_plus_density.csv"]
+    cfg_path = os.path.join(run_dir, "config.json")
+    if os.path.exists(cfg_path):
+        try:
+            with open(cfg_path) as fh:
+                cfg = json.load(fh)
+        except ValueError:
+            cfg = None
+        if not isinstance(cfg, dict):
+            raise InvalidInputError(f"malformed run config {cfg_path}: not a JSON object")
+        if cfg.get("system") == "potential_schrodinger":
+            expected_extras.append("moller_residuals.csv")
     os.makedirs(out_dir, exist_ok=True)
     partial = []
     for name in sorted(os.listdir(run_dir)):
@@ -512,12 +524,6 @@ def cmd_plotdata(run_dir: str, out_dir: str | None) -> int:
             ["left", "right", "mass"],
             [edges[:-1], edges[1:], hist],
         )
-    expected_extras = ["q_plus_density.csv"]
-    cfg_path = os.path.join(run_dir, "config.json")
-    if os.path.exists(cfg_path):
-        with open(cfg_path) as fh:
-            if json.load(fh).get("system") == "potential_schrodinger":
-                expected_extras.append("moller_residuals.csv")
     for extra in expected_extras:
         src = os.path.join(run_dir, extra)
         if os.path.exists(src):

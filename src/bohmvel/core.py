@@ -8,7 +8,7 @@ Conventions used everywhere in this package:
   between samples; no higher-order dense output is attempted,
 * empirical measures are weighted sample clouds over velocity space,
 * a Lorentz boost is not a type: it is its speed u along x, and the
-  relativity module applies it to world lines, velocities and states.
+  relativity module applies it to velocities and states.
 
 SampledTrajectory and EmpiricalMeasure are frozen and mark their arrays
 read-only, but they share the arrays they are given instead of copying
@@ -45,14 +45,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import InvalidInputError
 
 __all__ = [
     "SampledTrajectory",
-    "WorldLineFlag",
     "EmpiricalMeasure",
     "EnsembleRun",
-    "validate_worldline",
     "save_trajectories_ndjson",
     "config_hash",
 ]
@@ -170,40 +168,6 @@ class SampledTrajectory:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def position_at(self, t: float) -> np.ndarray:
-        """Linear interpolation of the polyline at time t (in range)."""
-        if t < self.times[0] or t > self.times[-1]:
-            raise DomainError(
-                f"t={t} outside sampled range [{self.times[0]}, {self.times[-1]}]"
-            )
-        idx = np.searchsorted(self.times, t, side="right")
-        if idx == self.times.size:
-            return self.points[-1].copy()
-        t0, t1 = self.times[idx - 1], self.times[idx]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.points[idx - 1] + w * self.points[idx]
-
-    def to_record(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "points": self.points.tolist(),
-            "n": 1,
-            "d": self.dim,
-        }
-
-
-@dataclass(frozen=True)
-class WorldLineFlag:
-    """Result of a causal-speed check on a sampled trajectory.
-
-    The flag certifies the world-line condition at sampling resolution
-    only; between samples the polyline model is linear, so chords of an
-    accepted trajectory are sub-luminal as well.
-    """
-
-    is_worldline: bool
-    max_speed_observed: float
-
 
 _WEIGHT_TOL = 1e-12
 
@@ -302,42 +266,25 @@ class EmpiricalMeasure:
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalMeasure":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            ncol = len(header)
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        data = np.asarray([[float(x) for x in r] for r in rows])
-        if data.shape[1] != ncol:
+        """The measure ``to_csv`` wrote; a file without a sample column,
+        without rows, with ragged rows or with non-numeric entries raises
+        InvalidInputError."""
+        try:
+            with open(path) as fh:
+                ncol = len(fh.readline().split(","))
+                data = np.array([[float(x) for x in line.split(",")] for line in fh if line.strip()])
+        except ValueError:
+            data = None
+        if data is None or ncol < 2 or data.ndim != 2 or data.shape[1] != ncol:
             raise InvalidInputError(f"malformed measure CSV {path}")
         return cls(data[:, :-1], data[:, -1])
 
 
-def validate_worldline(traj: SampledTrajectory) -> WorldLineFlag:
-    """Check the causal condition (t-s)^2 - |k(t)-k(s)|^2 >= -eps on all
-    O(n^2) sample pairs, and report the max adjacent-pair speed.
-
-    The checked quantity has units of time^2, so eps scales with the
-    squared time span (floored at 1 to keep short fixtures meaningful).
-    """
-    times, points = traj.times, traj.points
-    eps = 1e-9 * max(1.0, float(times[-1] - times[0])) ** 2
-    step = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    max_speed = float(np.max(step / np.diff(times)))
-
-    # Chunk the pairwise check to bound peak memory on long records.
-    chunk = max(1, int(2**22 // times.size))
-    for start in range(0, times.size, chunk):
-        dts = times[start : start + chunk, None] - times[None, :]
-        diffs = points[start : start + chunk, None, :] - points[None, :, :]
-        if not np.all(dts**2 - np.sum(diffs**2, axis=2) >= -eps):
-            return WorldLineFlag(False, max_speed)
-    return WorldLineFlag(True, max_speed)
-
-
 def save_trajectories_ndjson(trajs: Iterable[SampledTrajectory], path) -> None:
-    """One ``json.dumps(traj.to_record(), sort_keys=True)`` line per
-    trajectory, byte for byte, written without the per-trajectory dict:
-    floats as ``repr``, json's separators, and a ``times`` list shared by
+    """One line per trajectory, byte for byte ``json.dumps(record,
+    sort_keys=True)`` of the record ``{"times": [...], "points": [[...],
+    ...], "n": 1, "d": dim}``, written without the dict: floats as
+    ``repr``, json's separators, and a ``times`` list shared by
     consecutive trajectories (one object) formatted once."""
     times, times_text = None, ""
     with open(path, "w") as fh:

@@ -222,8 +222,8 @@ def integrate_ensemble(
     potential: GaussianBarrier | None,
     starts: np.ndarray,
     t_grid,
-    rho_floor: float = 1e-12,
-    dt: float = 0.05,
+    rho_floor: float,
+    dt: float,
 ) -> IntegrationResult:
     """Integrate guided trajectories for every start, recording at t_grid.
 

@@ -1,15 +1,13 @@
-"""Lorentz boosts of world lines, velocities and spinor states, and the
-covariance experiments.
+"""Lorentz boosts of velocities and spinor states, and the covariance
+experiments.
 
-A boost is its speed u along x (|u| < 1); the paper's covariance
-statement is about exactly these maps. Boosting by u2 and then by u1 is
-the boost by (u1 + u2) / (1 + u1 u2), and the inverse of u is -u.
+A boost is its speed u along x (|u| < 1). The paper's covariance
+statement is about the distribution of asymptotic velocities, which
+these maps carry between frames; the trajectories themselves depend on
+the foliation. Boosting by u2 and then by u1 is the boost by
+(u1 + u2) / (1 + u1 u2), and the inverse of u is -u.
 
-A boost of velocity u maps the graph of a one-particle world line k to
-the graph of another world line gk through the reparameterization
-s(t) = gamma (t - u k_x(t)), which is strictly increasing whenever k is
-causal; gk is read off the graph at the new time nodes. Velocities are
-plain (n, d) sample arrays; they transform by lifting to
+Velocities are plain (n, d) sample arrays; they transform by lifting to
 future-directed four-vectors (1, v), applying the Lorentz matrix, and
 dividing out the time component, which reduces to the familiar addition
 law (v - u) / (1 - u v) for collinear motion.
@@ -26,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._interp import CubicStencil
-from .core import SampledTrajectory
 from .errors import ConfigurationError, InvalidInputError, RegularityError
 from .pipeline import PipelineParams, PipelineResult, run_guided_pipeline
 from .stats import ks_distance
@@ -37,50 +34,14 @@ from .wavefunction import (
     positive_energy_part,
     positive_energy_spinor,
 )
-from .asymptotics import estimate_asymptotic_velocity
 
 __all__ = [
-    "boost_worldline",
     "transform_velocity_block",
-    "check_boost_velocity_consistency",
     "boost_dirac_state",
     "foliation_label",
     "verify_boost_covariance",
     "foliation_sweep",
 ]
-
-
-def boost_worldline(traj: SampledTrajectory, u: float) -> SampledTrajectory:
-    """Image of a sampled world line under a boost of velocity u along x.
-
-    The new time s = gamma (t - u x(t)) must increase along the samples,
-    which holds whenever the input is causal and |u| < 1; inverting it is
-    linear between samples, the exact inverse under the polyline model.
-    The output time grid is a uniform backbone of twice the input sample
-    count over the s-range, augmented with the images of the input sample
-    times, so polyline kinks survive exactly and a reverse boost returns
-    the input to floating-point accuracy.
-    """
-    if not -1.0 < u < 1.0:
-        raise InvalidInputError("boost speed must satisfy |u| < 1")
-    gamma = 1.0 / np.sqrt(1.0 - u * u)
-    times, points = traj.times, traj.points
-    s_samples = gamma * (times - u * points[:, 0])
-    if np.any(np.diff(s_samples) <= 0):
-        raise InvalidInputError(
-            "reparameterization is not increasing; input is not a world line"
-        )
-    s_lo, s_hi = s_samples[0], s_samples[-1]
-    # The uniform backbone and the sample images, with near-duplicates merged.
-    nodes = np.sort(np.concatenate([np.linspace(s_lo, s_hi, 2 * times.size), s_samples]))
-    nodes = nodes[np.concatenate([[True], np.diff(nodes) > 1e-12 * max(1.0, s_hi - s_lo)])]
-
-    t_back = np.interp(nodes, s_samples, times)
-    out = np.empty((nodes.size, traj.dim))
-    for a in range(traj.dim):
-        coord = np.interp(t_back, times, points[:, a])
-        out[:, a] = gamma * (coord - u * t_back) if a == 0 else coord
-    return SampledTrajectory(nodes, out)
 
 
 def _boost_matrix(u: float, dim: int) -> np.ndarray:
@@ -109,39 +70,6 @@ def transform_velocity_block(samples: np.ndarray, u: float) -> np.ndarray:
     lam = _boost_matrix(u, samples.shape[1])
     four = np.concatenate([np.ones((samples.shape[0], 1)), samples], axis=1) @ lam.T
     return four[:, 1:] / four[:, :1]
-
-
-def check_boost_velocity_consistency(
-    traj: SampledTrajectory,
-    u: float,
-    checkpoints,
-    tol: float,
-) -> tuple[bool, float]:
-    """Does boosting commute with taking the limiting velocity?
-
-    Compares the extrapolated velocity of the trajectory boosted by u
-    along x (at the images of the checkpoints) against the transformed
-    extrapolated velocity of the original. Returns (pass, residual).
-    """
-    checkpoints = np.asarray(checkpoints, dtype=float)
-
-    v_plus, _ = estimate_asymptotic_velocity(traj, checkpoints)
-    expected = transform_velocity_block(v_plus[None, :], u)[0]
-
-    boosted = boost_worldline(traj, u)
-    gamma = 1.0 / np.sqrt(1.0 - u * u)
-    # Checkpoint ladder in boosted time: anchor the last checkpoint at its
-    # image and keep the original geometric ratios (the raw images can
-    # compress below the factor-4 span the extrapolation requires).
-    s_last = gamma * (
-        checkpoints[-1]
-        - u * float(np.interp(checkpoints[-1], traj.times, traj.points[:, 0]))
-    )
-    s_check = s_last * checkpoints / checkpoints[-1]
-    v_boosted, _ = estimate_asymptotic_velocity(boosted, s_check)
-
-    residual = float(np.linalg.norm(v_boosted - expected))
-    return residual <= tol, residual
 
 
 def boost_dirac_state(psi: GridWavefunction, u: float) -> GridWavefunction:
@@ -206,7 +134,8 @@ def verify_boost_covariance(
     params: PipelineParams,
     base: PipelineResult,
     run_key: int = 1,
-    ks_threshold: float = 0.03,
+    *,
+    ks_threshold: float,
 ) -> dict:
     """Compare the asymptotic measure of psi (the pipeline result
     ``base``), transported by the boost u along x, against the asymptotic
@@ -242,7 +171,7 @@ def foliation_sweep(
     boosts: list[float],
     params: PipelineParams,
     base: PipelineResult,
-    ks_threshold: float = 0.03,
+    ks_threshold: float,
 ) -> dict:
     """Asymptotic measures of the foliations boosted by each u in
     ``boosts`` (along x), transported back to the lab frame by -u,

@@ -589,7 +589,7 @@ def outgoing_asymptote(
     potential: GaussianBarrier | None,
     extraction_times: Sequence[float],
     dt: float,
-    residual_tol: float = 1e-3,
+    residual_tol: float,
 ) -> OutgoingAsymptote:
     """Free outgoing asymptote via iterates exp(+i H0 T) exp(-i H T) psi0.
 

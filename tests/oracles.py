@@ -2,14 +2,22 @@
 
 Everything here is derived from closed forms or from methods disjoint
 from the code paths under test (analytic Gaussian integrals, the
-time-independent transfer matrix, explicit boost formulas, the monotone
-transport map of a 1D flow and its limiting velocities), so agreement is
-evidence rather than tautology.
+time-independent transfer matrix, explicit boost formulas for velocities
+and sampled world lines, the causal condition on sampled world lines, the
+monotone transport map of a 1D flow and its limiting velocities), so
+agreement is evidence rather than tautology. The one exception is
+``boost_residual``: it runs the package's limiting-velocity fit on both
+sides of the independent world-line boost, because what it tests is that
+the fit commutes with the boost.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from bohmvel.asymptotics import estimate_asymptotic_measure
+from bohmvel.core import SampledTrajectory
+from bohmvel.relativity import transform_velocity_block
 
 
 def gaussian_width(t, m=1.0, sigma0=1.0):
@@ -201,3 +209,77 @@ def random_worldline_polyline(rng, dim=3, max_speed=0.9, n_interior=8, t_interio
     steps = vels * np.diff(times)[:, None]
     points = np.concatenate([x0[None, :], x0 + np.cumsum(steps, axis=0)])
     return times, points
+
+
+def position_at(times, points, t):
+    """Position of the polyline (times, points) at time(s) t, linear
+    between samples: shape (d,) for a scalar t, (m, d) for m times."""
+    return np.stack([np.interp(t, times, col) for col in np.transpose(points)], axis=-1)
+
+
+def ndjson_record(times, points) -> dict:
+    """The NDJSON record of one trajectory; its line in the file is
+    ``json.dumps(record, sort_keys=True)``."""
+    return {"times": times.tolist(), "points": points.tolist(), "n": 1, "d": points.shape[1]}
+
+
+def is_worldline(times, points) -> bool:
+    """Causal condition dt^2 - |dk|^2 >= -eps on adjacent samples of one
+    polyline, points (T, d), or of a block on one time grid, (n, T, d).
+
+    For a polyline the condition on every pair of samples follows from
+    the adjacent ones by the triangle inequality. The checked quantity has
+    units of time^2, so eps is 1e-9 times the squared time span (floored
+    at 1 to keep short fixtures meaningful).
+    """
+    eps = 1e-9 * max(1.0, float(times[-1] - times[0])) ** 2
+    gap = np.diff(times) ** 2 - np.sum(np.diff(points, axis=-2) ** 2, axis=-1)
+    return bool(np.all(gap >= -eps))
+
+
+def boost_worldline(times, points, u):
+    """Image (times, points) of a sampled world line under the boost of
+    speed u along x.
+
+    The new time s = gamma (t - u x(t)) must increase along the samples
+    (ValueError otherwise); inverting it is linear between samples, the
+    exact inverse under the polyline model. The new grid is a uniform
+    backbone of twice the sample count over the s-range merged with the
+    images of the samples, so kinks survive and the reverse boost returns
+    the input to rounding.
+    """
+    gamma = 1.0 / np.sqrt(1.0 - u * u)
+    s = gamma * (times - u * points[:, 0])
+    if np.any(np.diff(s) <= 0):
+        raise ValueError("reparameterization is not increasing; input is not a world line")
+    nodes = np.sort(np.concatenate([np.linspace(s[0], s[-1], 2 * times.size), s]))
+    nodes = nodes[np.concatenate([[True], np.diff(nodes) > 1e-12 * max(1.0, s[-1] - s[0])])]
+    t_back = np.interp(nodes, s, times)
+    out = position_at(times, points, t_back)
+    out[:, 0] = gamma * (out[:, 0] - u * t_back)
+    return nodes, out
+
+
+def fitted_velocity(traj, checkpoints):
+    """(v+ of shape (d,), fit residual) of one trajectory, from the
+    package's ensemble fit at an infinite tolerance."""
+    measure, report = estimate_asymptotic_measure([traj], checkpoints, tol=np.inf)
+    return measure.samples[0], report.residual_quantiles["max"]
+
+
+def boost_residual(times, points, u, checkpoints) -> float:
+    """|v+ of the world line (times, points) boosted by u - the boost of
+    its v+|: zero when boosting commutes with taking the limiting
+    velocity.
+
+    The boosted ladder anchors the last checkpoint at its image and keeps
+    the geometric ratios (the raw images can compress below the factor-4
+    span the fit requires).
+    """
+    checkpoints = np.asarray(checkpoints, dtype=float)
+    v_plus, _ = fitted_velocity(SampledTrajectory(times, points), checkpoints)
+    gamma = 1.0 / np.sqrt(1.0 - u * u)
+    s_last = gamma * (checkpoints[-1] - u * np.interp(checkpoints[-1], times, points[:, 0]))
+    boosted = SampledTrajectory(*boost_worldline(times, points, u))
+    v_boosted, _ = fitted_velocity(boosted, s_last * checkpoints / checkpoints[-1])
+    return float(np.linalg.norm(v_boosted - transform_velocity_block(v_plus[None, :], u)[0]))

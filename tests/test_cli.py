@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import inspect
 import json
 import os
 import re
@@ -22,14 +21,11 @@ from bohmvel.cli import (
 )
 from bohmvel.core import EmpiricalMeasure
 from bohmvel.errors import ConfigurationError
-from bohmvel.guidance import integrate_ensemble
 from bohmvel.pipeline import PipelineParams
-from bohmvel.relativity import foliation_sweep, verify_boost_covariance
 from bohmvel.stats import ks_two_sample_1d, wasserstein1_1d
 from bohmvel.wavefunction import (
     GaussianBarrier,
     GridSpec,
-    outgoing_asymptote,
     superposed_gaussians,
 )
 
@@ -283,18 +279,14 @@ class TestValidation:
 
     def test_library_defaults_equal_the_schema_defaults(self):
         """Every library default that restates a schema default equals it,
-        so ``PipelineParams()`` and a CLI run of the same config agree."""
+        so ``PipelineParams()`` and a CLI run of the same config agree.
+        ``PipelineParams`` is the one library holder of config defaults."""
         props = config_schema()["properties"]
         ens, time_ = props["ensemble"]["properties"], props["time"]["properties"]
-        moller = props["moller"]["properties"]
         center = props["potential"]["properties"]["center"]
-        ks = props["thresholds"]["properties"]["covariance_ks"]
 
         def field_defaults(cls):
             return {f.name: f.default for f in dataclasses.fields(cls)}
-
-        def arg_defaults(fn):
-            return {k: p.default for k, p in inspect.signature(fn).parameters.items()}
 
         params = field_defaults(PipelineParams)
         pairs = {
@@ -302,17 +294,8 @@ class TestValidation:
             "PipelineParams.dt": (params["dt"], time_["dt"]),
             "PipelineParams.eta_tol": (params["eta_tol"], time_["eta_tol"]),
             "PipelineParams.rho_floor": (params["rho_floor"], ens["rho_floor"]),
-            "integrate_ensemble.rho_floor": (arg_defaults(integrate_ensemble)["rho_floor"], ens["rho_floor"]),
-            "integrate_ensemble.dt": (arg_defaults(integrate_ensemble)["dt"], time_["dt"]),
             "GaussianBarrier.center": (field_defaults(GaussianBarrier)["center"], center),
-            "verify_boost_covariance.ks_threshold": (
-                arg_defaults(verify_boost_covariance)["ks_threshold"], ks
-            ),
-            "foliation_sweep.ks_threshold": (arg_defaults(foliation_sweep)["ks_threshold"], ks),
         }
-        pairs["outgoing_asymptote.residual_tol"] = (
-            arg_defaults(outgoing_asymptote)["residual_tol"], moller["residual_tol"]
-        )
         differing = {
             name: (lib, schema["default"])
             for name, (lib, schema) in pairs.items()
@@ -667,6 +650,33 @@ class TestPlotdataCommand:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["plotdata", "--run", str(empty)]) == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("s_plus.csv", "v0,weight\n"),
+            ("s_plus.csv", "weight\n1.0\n"),
+            ("s_plus.csv", "v0,weight\n0.1,0.5\n0.2\n"),
+            ("s_plus.csv", "v0,weight\n0.1,0.5\n0.2,half\n"),
+            ("config.json", '{"system": '),
+            ("config.json", '["potential_schrodinger"]'),
+        ],
+        ids=[
+            "empty_measure", "no_sample_column", "ragged_measure", "non_numeric_measure",
+            "invalid_config", "config_not_object",
+        ],
+    )
+    def test_malformed_input_exits_4_naming_the_file(self, name, text, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "manifest.json").write_text("{}")
+        (run / "s_plus.csv").write_text("v0,weight\n0.1,0.5\n0.2,0.5\n")
+        (run / "config.json").write_text('{"system": "free_schrodinger"}')
+        (run / name).write_text(text)
+        assert main(["plotdata", "--run", str(run)]) == EXIT_CONFIG_ERROR
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["type"] == "InvalidInputError"
+        assert str(run / name) in err["message"]
 
 
 class TestFailureExitCodes:

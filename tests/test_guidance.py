@@ -128,7 +128,7 @@ class TestIntegrateEnsemble:
         psi = gaussian_packet(fine, 1.0, 0.0, 0.0, 1.0)
         starts = np.array([[1.0], [0.5], [-1.0]])
         res = integrate_ensemble(
-            psi, None, starts, np.linspace(0.0, 10.0, 21), dt=0.02
+            psi, None, starts, np.linspace(0.0, 10.0, 21), rho_floor=1e-12, dt=0.02
         )
         got = res.positions_at(10.0)[:, 0]
         expected = free_gaussian_trajectory(starts[:, 0], 10.0)
@@ -137,14 +137,14 @@ class TestIntegrateEnsemble:
     def test_center_rides_the_packet(self, grid):
         psi = gaussian_packet(grid, 1.0, 0.0, 1.0, 1.0)
         res = integrate_ensemble(
-            psi, None, np.array([[0.0]]), np.linspace(0.0, 20.0, 11)
+            psi, None, np.array([[0.0]]), np.linspace(0.0, 20.0, 11), rho_floor=1e-12, dt=0.05
         )
         # Start at the symmetric center: stays at x0 + p0 t / m.
         np.testing.assert_allclose(res.positions[0, :, 0], res.times, atol=2e-4)
 
     def test_zero_duration_grid(self, packet):
         starts = np.array([[0.3], [0.9]])
-        res = integrate_ensemble(packet, None, starts, [0.0])
+        res = integrate_ensemble(packet, None, starts, [0.0], rho_floor=1e-12, dt=0.05)
         np.testing.assert_array_equal(res.positions[:, 0, :], starts)
         with pytest.raises(InvalidInputError):
             _ = res.trajectories
@@ -152,14 +152,14 @@ class TestIntegrateEnsemble:
     def test_abort_policy_marks_failed_weight(self, packet):
         # An absurd density floor fails every trajectory on its first step.
         res = integrate_ensemble(
-            packet, None, np.array([[0.0], [0.5]]), [0.0, 1.0], rho_floor=10.0
+            packet, None, np.array([[0.0], [0.5]]), [0.0, 1.0], rho_floor=10.0, dt=0.05
         )
         assert res.diagnostics.failed_weight == 1.0
         assert res.diagnostics.failure_counts() == {"box": 0, "density floor": 2, "speed bound": 0}
 
     def test_nonpositive_rho_floor_rejected(self, packet):
         with pytest.raises(InvalidInputError, match="rho_floor must be positive"):
-            integrate_ensemble(packet, None, np.array([[0.0]]), [0.0, 1.0], rho_floor=0.0)
+            integrate_ensemble(packet, None, np.array([[0.0]]), [0.0, 1.0], rho_floor=0.0, dt=0.05)
 
     @pytest.mark.parametrize("reason", ["box", "density floor", "speed bound"])
     def test_each_rejection_reason_fails_one_trajectory(self, reason, edge_packet):
@@ -187,7 +187,7 @@ class TestIntegrateEnsemble:
             starts = np.array([])
             stuck = 0.5
         starts = np.append(starts, stuck)[:, None]
-        res = integrate_ensemble(psi, None, starts, [0.0, 1.0, 2.0], rho_floor=rho_floor)
+        res = integrate_ensemble(psi, None, starts, [0.0, 1.0, 2.0], rho_floor=rho_floor, dt=0.05)
         d = res.diagnostics
         assert d.failed.tolist() == [False] * (len(starts) - 1) + [True]
         assert d.failure_counts() == {
@@ -196,41 +196,41 @@ class TestIntegrateEnsemble:
         assert np.all(res.positions[-1, :, 0] == stuck)
         assert d.shrink_events.sum() == 0 and d.frozen_steps.sum() == 0
         if len(starts) > 1:
-            alone = integrate_ensemble(psi, None, starts[:-1], [0.0, 1.0, 2.0], rho_floor=rho_floor)
+            alone = integrate_ensemble(psi, None, starts[:-1], [0.0, 1.0, 2.0], rho_floor=rho_floor, dt=0.05)
             assert res.positions[:-1].tobytes() == alone.positions.tobytes()
 
     def test_no_crossing_on_smooth_run(self, packet):
         starts = sample_initial(packet, 400, seed=2)
         res = integrate_ensemble(
-            packet, None, starts, np.linspace(0.0, 10.0, 6)
+            packet, None, starts, np.linspace(0.0, 10.0, 6), rho_floor=1e-12, dt=0.05
         )
         assert count_order_violations(res) == 0
 
     def test_determinism(self, packet):
         starts = sample_initial(packet, 50, seed=13)
-        r1 = integrate_ensemble(packet, None, starts, [0.0, 2.0, 4.0])
-        r2 = integrate_ensemble(packet, None, starts, [0.0, 2.0, 4.0])
+        r1 = integrate_ensemble(packet, None, starts, [0.0, 2.0, 4.0], rho_floor=1e-12, dt=0.05)
+        r2 = integrate_ensemble(packet, None, starts, [0.0, 2.0, 4.0], rho_floor=1e-12, dt=0.05)
         np.testing.assert_array_equal(r1.positions, r2.positions)
 
 
 class TestEquivariance:
     def test_initial_time_noise_level(self, packet):
         starts = sample_initial(packet, 5000, seed=4)
-        res = integrate_ensemble(packet, None, starts, [0.0, 1.0])
+        res = integrate_ensemble(packet, None, starts, [0.0, 1.0], rho_floor=1e-12, dt=0.05)
         d = check_equivariance(res, packet, 0.0)
         assert d < 0.03
 
     def test_free_gaussian_t5(self, packet):
         starts = sample_initial(packet, 10_000, seed=6)
         res = integrate_ensemble(
-            packet, None, starts, np.array([0.0, 5.0])
+            packet, None, starts, np.array([0.0, 5.0]), rho_floor=1e-12, dt=0.05
         )
         d = check_equivariance(res, res.snapshots[1], 5.0)
         assert d < 0.02
 
     def test_corrupted_ensemble_detected(self, packet):
         starts = sample_initial(packet, 5000, seed=8) + 1.5
-        res = integrate_ensemble(packet, None, starts, [0.0, 1.0])
+        res = integrate_ensemble(packet, None, starts, [0.0, 1.0], rho_floor=1e-12, dt=0.05)
         d = check_equivariance(res, res.snapshots[1], 1.0)
         assert d > 0.2
 

@@ -414,7 +414,7 @@ def test_free_integration_takes_four_transforms_per_step(monkeypatch):
     t_grid = psi.t + np.array([0.0, 0.4, 1.0])
     n_steps = sum(n for _, n in guidance.rk4_step_sizes(t_grid, 0.08))
     calls = _count_transforms(monkeypatch)
-    guidance.integrate_ensemble(psi, None, starts, t_grid, dt=0.08)
+    guidance.integrate_ensemble(psi, None, starts, t_grid, rho_floor=1e-12, dt=0.08)
     assert n_steps == 13
     assert _called(calls) == {
         "fft": 2,

@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohmvel.core import SampledTrajectory, validate_worldline
 from bohmvel.errors import ConfigurationError, InvalidInputError
-from bohmvel.relativity import (
-    boost_dirac_state,
-    boost_worldline,
-    check_boost_velocity_consistency,
-    transform_velocity_block,
-)
+from bohmvel.relativity import boost_dirac_state, transform_velocity_block
 from bohmvel.asymptotics import dirac_velocity_distribution
 from bohmvel.stats import ks_two_sample_1d
 from bohmvel.wavefunction import (
@@ -20,7 +14,15 @@ from bohmvel.wavefunction import (
     project_positive_energy,
 )
 
-from oracles import boost_velocity_1d, random_worldline_polyline
+from oracles import (
+    boost_residual,
+    boost_velocity_1d,
+    boost_worldline,
+    free_gaussian_trajectory,
+    is_worldline,
+    position_at,
+    random_worldline_polyline,
+)
 
 
 def transform(v, u):
@@ -30,50 +32,48 @@ def transform(v, u):
 
 
 def line_traj(v, c=0.0):
+    """(times, points) of a straight line on t in [0, 10]."""
     t = np.linspace(0.0, 10.0, 21)
-    pts = np.outer(t, np.atleast_1d(v)) + np.atleast_1d(c)
-    return SampledTrajectory(t, pts)
+    return t, np.outer(t, np.atleast_1d(v)) + np.atleast_1d(c)
 
 
 class TestBoostWorldline:
+    """The world-line boost oracle that the kinematics checks rest on."""
+
     def test_identity_boost(self):
-        traj = line_traj(0.8)
-        out = boost_worldline(traj, 0.0)
-        for s in out.times[1:-1]:
-            assert out.position_at(s)[0] == pytest.approx(traj.position_at(s)[0], abs=1e-12)
+        times, pts = line_traj(0.8)
+        out_t, out = boost_worldline(times, pts, 0.0)
+        s = out_t[1:-1]
+        np.testing.assert_allclose(position_at(out_t, out, s), position_at(times, pts, s), rtol=0, atol=1e-12)
 
     def test_straight_line_slope(self):
-        out = boost_worldline(line_traj(0.8), 0.5)
-        slope = (out.points[-1, 0] - out.points[0, 0]) / (out.times[-1] - out.times[0])
+        out_t, out = boost_worldline(*line_traj(0.8), 0.5)
+        slope = (out[-1, 0] - out[0, 0]) / (out_t[-1] - out_t[0])
         assert slope == pytest.approx(boost_velocity_1d(0.8, 0.5), abs=1e-12)
         assert slope == pytest.approx(0.5, abs=1e-12)
 
     def test_static_trajectory(self):
-        out = boost_worldline(line_traj(0.0), 0.5)
-        mid = out.times.size // 2
-        assert out.points[mid, 0] / out.times[mid] == pytest.approx(-0.5, abs=1e-12)
+        out_t, out = boost_worldline(*line_traj(0.0), 0.5)
+        mid = out_t.size // 2
+        assert out[mid, 0] / out_t[mid] == pytest.approx(-0.5, abs=1e-12)
 
     def test_superluminal_rejected(self):
         # u v > 1 makes the reparameterization non-monotone.
-        with pytest.raises(InvalidInputError):
-            boost_worldline(line_traj(1.5), 0.8)
+        with pytest.raises(ValueError, match="not a world line"):
+            boost_worldline(*line_traj(1.5), 0.8)
 
     def test_worldline_preserved(self):
         rng = np.random.default_rng(14)
         times, pts = random_worldline_polyline(rng, dim=3)
-        traj = SampledTrajectory(times, pts)
-        assert validate_worldline(traj).is_worldline
-        out = boost_worldline(traj, 0.6)
-        assert validate_worldline(out).is_worldline
+        assert is_worldline(times, pts)
+        assert is_worldline(*boost_worldline(times, pts, 0.6))
 
     def test_round_trip_exact_on_polylines(self):
         rng = np.random.default_rng(15)
         times, pts = random_worldline_polyline(rng, dim=2)
-        traj = SampledTrajectory(times, pts)
-        back = boost_worldline(boost_worldline(traj, 0.45), -0.45)
-        inside = (times >= back.times[0]) & (times <= back.times[-1])
-        for t in times[inside]:
-            np.testing.assert_allclose(back.position_at(t), traj.position_at(t), atol=1e-9)
+        back_t, back = boost_worldline(*boost_worldline(times, pts, 0.45), -0.45)
+        inside = (times >= back_t[0]) & (times <= back_t[-1])
+        np.testing.assert_allclose(position_at(back_t, back, times[inside]), pts[inside], atol=1e-9)
 
 
 class TestTransformVelocity:
@@ -112,36 +112,26 @@ def test_unit_ball_invariance(vx, u):
 
 
 class TestBoostVelocityConsistency:
+    """The package's limiting-velocity fit commutes with the world-line
+    boost oracle."""
+
     def test_straight_line_exact_in_range(self):
         t = np.linspace(0.0, 40.0, 81)
-        traj = SampledTrajectory(t, (0.6 * t + 1.0)[:, None])
-        ok, residual = check_boost_velocity_consistency(
-            traj, 0.3, [10.0, 20.0, 40.0], 1e-9
-        )
-        assert ok
+        residual = boost_residual(t, (0.6 * t + 1.0)[:, None], 0.3, [10.0, 20.0, 40.0])
         assert residual < 1e-12
 
     def test_free_gaussian_path(self):
-        from oracles import free_gaussian_trajectory
-
         t = np.concatenate([[0.0], np.geomspace(0.25, 40.0, 600)])
         x = free_gaussian_trajectory(1.0, t)
-        traj = SampledTrajectory(t, x[:, None])
-        ok, residual = check_boost_velocity_consistency(
-            traj, 0.3, [10.0, 20.0, 40.0], 5e-3
-        )
-        assert ok
+        residual = boost_residual(t, x[:, None], 0.3, [10.0, 20.0, 40.0])
         assert residual < 5e-3
 
     def test_random_polylines_pass(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
             times, pts = random_worldline_polyline(rng, dim=3)
-            traj = SampledTrajectory(times, pts)
-            ok, residual = check_boost_velocity_consistency(
-                traj, 0.4, [40.0, 80.0, 160.0], 1e-2
-            )
-            assert ok, residual
+            residual = boost_residual(times, pts, 0.4, [40.0, 80.0, 160.0])
+            assert residual <= 1e-2, residual
 
 
 @pytest.fixture(scope="module")
@@ -201,10 +191,9 @@ class TestBoostDiracState:
 @given(v=st.floats(-0.99, 0.99), u=st.floats(-0.9, 0.9))
 @settings(max_examples=60, deadline=None)
 def test_boosted_straight_worldline_stays_worldline(v, u):
-    traj = line_traj(v)
-    assert validate_worldline(traj).is_worldline
-    out = boost_worldline(traj, u)
-    assert validate_worldline(out).is_worldline
+    times, pts = line_traj(v)
+    assert is_worldline(times, pts)
+    assert is_worldline(*boost_worldline(times, pts, u))
 
 
 @pytest.fixture(scope="module")
