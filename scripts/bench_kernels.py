@@ -25,9 +25,10 @@ Times, in fresh single-threaded worker processes:
 - ``rotating_family``: ``rotating_trajectory_family(1.0, None, 100000, 0,
   dim=2)``, the 10^5 trajectory objects that
   ``bohmvel counterexample --n 100000 --dim 2`` builds;
-- ``eta_block_family``: the three ``asymptotics._eta_block`` calls of
-  that command (k(t)/t at t = 5, at t = 10, and on the checkpoint ladder
-  10, 20, 40) on its rotating family;
+- ``rotating_estimator``: the three estimator calls of that command on
+  its rotating family: ``velocity_measure_at`` at t = 5 and at t = 10,
+  and ``estimate_asymptotic_measure`` on the checkpoint ladder 10, 20, 40
+  at tol 0.1 (which raises ``RegularityError``: no trajectory converges);
 - ``extrapolate``: ``estimate_asymptotic_measure`` on an
   ``IntegrationResult`` of 10^4 closed-form free-Gaussian trajectories
   (configs/free_gaussian.json: its record times, checkpoints and eta_tol),
@@ -38,13 +39,15 @@ Times, in fresh single-threaded worker processes:
   result, 10^4 ``SampledTrajectory`` objects, on a fresh result each call;
 - ``ndjson_write``: ``save_trajectories_ndjson`` of those trajectories,
   built on a fresh result each call, into a temporary directory;
-- ``ks_w1``: ``ks_two_sample_1d`` plus ``wasserstein1_1d`` between
-  10^4 and 10^5 weighted samples.
+- ``ks_w1``: KS and W1 between 10^4 and 10^5 weighted samples, as
+  ``verify_distribution_equality`` computes them: ``stats.ks_w1_1d`` on
+  trees that have it, ``ks_two_sample_1d`` plus ``wasserstein1_1d`` on
+  older ones.
 
 The two Dirac step kernels step by the fixed DIRAC_DT = 0.05, not by the
 config's ``time.dt``, so a step change in the config does not change what
 they time and their figures stay comparable across result files.
-``rotating_family`` and ``eta_block_family`` time the two parts of the
+``rotating_family`` and ``rotating_estimator`` time the two parts of the
 benchmark's ``rotating`` workload that its speed-ups rest on. The inputs
 of the four kernels after them are built only through calls whose
 signatures older trees share.
@@ -61,9 +64,10 @@ blocks of calls per kernel. The result file records the median and
 quartiles of the per-call time over all blocks, a sha256 of each kernel's
 output where there is one (the evaluate arrays, the CSV bytes, the
 boosted amplitudes, the RK4 positions, the stacked family points, the
-stacked k(t)/t, the extrapolated measure, the NDJSON bytes, the KS and W1
-values; equal digests mean bitwise-equal results), and the host: nproc,
-CPU, Python and numpy versions. With two or more trees it also records,
+two velocity measures and the regularity report, the extrapolated
+measure, the NDJSON bytes, the KS and W1 values; equal digests mean
+bitwise-equal results), and the host: nproc, CPU, Python and numpy
+versions. With two or more trees it also records,
 per kernel, the ratio of the last tree to the first within each round
 (each tree's median block in that round) and the median and quartiles
 of those per-round ratios: host speed drifts between rounds, and a
@@ -74,6 +78,11 @@ Every round ends with one more worker of the first tree, and
 per-round ratio of that repeat to the same tree's first worker: the
 paired ratio of two identical trees. A tree's paired ratio says
 something only where it lies outside that spread.
+
+After its timed blocks each worker calls every kernel once more, untimed,
+under ``tracemalloc``: ``peak_alloc_mb`` records, per tree and kernel, the
+median over workers of the peak of the memory that call allocated (what
+it returns included), a figure that does not depend on host load.
 """
 
 from __future__ import annotations
@@ -89,6 +98,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 N_POINTS = 10_000
@@ -113,7 +123,7 @@ CALLS = {
     "measure_to_csv": 1,
     "boost_dirac_state": 100,
     "rotating_family": 1,
-    "eta_block_family": 1,
+    "rotating_estimator": 1,
     "extrapolate": 50,
     "trajectory_objects": 1,
     "ndjson_write": 1,
@@ -178,9 +188,14 @@ def build_kernels(tmp: str) -> tuple[dict, dict]:
     into the directory ``tmp``."""
     import numpy as np
 
-    from bohmvel import _interp, guidance
-    from bohmvel.asymptotics import _eta_block, estimate_asymptotic_measure, rotating_trajectory_family
+    from bohmvel import _interp, guidance, stats
+    from bohmvel.asymptotics import (
+        estimate_asymptotic_measure,
+        rotating_trajectory_family,
+        velocity_measure_at,
+    )
     from bohmvel.core import EmpiricalMeasure, save_trajectories_ndjson
+    from bohmvel.errors import RegularityError
     from bohmvel.guidance import (
         EnsembleDiagnostics,
         FieldSnapshot,
@@ -254,11 +269,20 @@ def build_kernels(tmp: str) -> tuple[dict, dict]:
     kernels["rotating_family"] = lambda: rotating_trajectory_family(1.0, None, FAMILY_N, 0, dim=2)
     family = kernels["rotating_family"]()
     digests["rotating_family"] = _sha256(np.stack([t.points for t in family]).tobytes())
-    ladders = [np.array([5.0]), np.array([10.0]), np.array([10.0, 20.0, 40.0])]
-    kernels["eta_block_family"] = lambda: [_eta_block(family, c) for c in ladders]
-    # Newer trees return (k(t)/t, velocities or None).
-    etas = [out[0] if isinstance(out, tuple) else out for out in kernels["eta_block_family"]()]
-    digests["eta_block_family"] = _sha256(*(a.tobytes() for a in etas))
+
+    def rotating_estimator():
+        s_a, s_b = (velocity_measure_at(family, t) for t in (5.0, 10.0))
+        try:
+            _, report = estimate_asymptotic_measure(family, np.array([10.0, 20.0, 40.0]), 0.1)
+        except RegularityError as exc:
+            report = exc.report
+        return s_a, s_b, report
+
+    kernels["rotating_estimator"] = rotating_estimator
+    s_a, s_b, report = rotating_estimator()
+    digests["rotating_estimator"] = _sha256(
+        s_a.samples.tobytes(), s_b.samples.tobytes(), json.dumps(report.to_dict(), sort_keys=True).encode()
+    )
 
     # Exact free-Gaussian trajectories x0 sqrt(1 + (t / 2 sigma0^2)^2) of
     # configs/free_gaussian.json (m = 1, p0 = 0), from its start draw.
@@ -291,6 +315,8 @@ def build_kernels(tmp: str) -> tuple[dict, dict]:
                   for n in KS_N)
 
     def ks_w1():
+        if hasattr(stats, "ks_w1_1d"):
+            return np.array(stats.ks_w1_1d(ks_a, ks_b))
         ks = ks_two_sample_1d(ks_a.samples[:, 0], ks_a.weights, ks_b.samples[:, 0], ks_b.weights)
         return np.array([ks, wasserstein1_1d(ks_a, ks_b)])
 
@@ -327,10 +353,17 @@ def worker() -> dict:
                     fn()
                 per_call.append((time.perf_counter() - t0) / calls * 1e3)
             times[name] = per_call
+        peaks = {}
+        for name, fn in kernels.items():
+            tracemalloc.start()
+            fn()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
+            tracemalloc.stop()
     return {
         "source_sha256": _source_digest(os.path.dirname(bohmvel.__file__)),
         "output_sha256": digests,
         "per_call_ms": times,
+        "peak_alloc_mb": peaks,
     }
 
 
@@ -402,6 +435,10 @@ def main(argv=None) -> int:
             "output_sha256": recs[0]["output_sha256"],
             "kernels": {
                 name: _quantiles([x for rec in recs for x in rec["per_call_ms"][name]])
+                for name in CALLS
+            },
+            "peak_alloc_mb": {
+                name: _quantiles([rec["peak_alloc_mb"][name] for rec in recs])["median"]
                 for name in CALLS
             },
         }

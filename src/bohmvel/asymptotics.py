@@ -26,7 +26,7 @@ while no single trajectory has a limiting velocity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,8 +36,7 @@ from .stats import (
     _inverse_cdf,
     _trapezoid_cdf,
     ks_critical_value,
-    ks_two_sample_1d,
-    wasserstein1_1d,
+    ks_w1_1d,
     GRID_SLACK,
 )
 from .wavefunction import (
@@ -63,10 +62,8 @@ __all__ = [
 
 # The convergence residual is measured at this many trailing checkpoints.
 _TAIL_CHECKPOINTS = 2
-# An integration result is fitted this many trajectories at a time, so the
-# gathered rows and deviations of the fit stay this size however large the
-# ensemble. Each trajectory's fit is its own, so the result is bitwise the
-# fit of the whole ensemble at once.
+# An ensemble is read this many trajectories at a time, so what the fit
+# gathers stays this size however large the ensemble.
 _FIT_BLOCK = 1024
 
 REGULARITY_FRACTION = 0.999
@@ -89,13 +86,7 @@ class RegularityReport:
     n_converged: int
 
     def to_dict(self) -> dict:
-        return {
-            "fraction_converged": self.fraction_converged,
-            "residual_quantiles": self.residual_quantiles,
-            "verdict": self.verdict,
-            "n_total": self.n_total,
-            "n_converged": self.n_converged,
-        }
+        return asdict(self)
 
 
 def _validate_checkpoints(checkpoints: np.ndarray) -> None:
@@ -107,47 +98,56 @@ def _validate_checkpoints(checkpoints: np.ndarray) -> None:
         raise InvalidInputError("checkpoints must span a factor >= 4 in time")
 
 
-def _eta_block(trajs, checkpoints: np.ndarray, live=None):
-    """k(t)/t and the guiding velocity u(t) at the checkpoints: two arrays
-    of shape (n_traj, n_cp, D), the second None when the ensemble records
-    no velocities.
-
-    ``trajs`` is an integration result (its failed trajectories left out;
-    it records velocities) or a list of trajectories that share one time
-    grid (positions only). ``live`` (indices or a slice) picks the live
-    trajectories of an integration result to read, by default all of
-    them. Both rows are interpolated linearly between recorded times, so
-    they are exact at checkpoints that are recorded.
-    """
-    vel = None
+def _blocks(trajs):
+    """(times, positions (b, T, D), velocities (b, T, D) or None) of each
+    block of ``_FIT_BLOCK`` trajectories: the live ones of an integration
+    result, or a list on one time grid (positions only; the grid is checked
+    once over the whole list). A block of one would change the fit's last
+    bits, as einsum then sums in another order, so a remainder of one
+    joins the block before it."""
     if hasattr(trajs, "positions"):
-        times = trajs.times
-        if live is None:
-            # The interpolation below gathers copies, so the arrays are read
-            # as they are unless some trajectory failed.
-            failed = trajs.diagnostics.failed
-            live = np.flatnonzero(~failed) if failed.any() else slice(None)
-        pos = trajs.positions[live]
-        if trajs.velocities is not None:
-            vel = trajs.velocities[live]
+        times, vel = trajs.times, trajs.velocities
+        failed = trajs.diagnostics.failed
+        live = np.flatnonzero(~failed)
+        n = live.size
+
+        def block(a, b):
+            # With nothing failed the blocks are views, not copies.
+            rows = slice(a, b) if n == failed.size else live[a:b]
+            return trajs.positions[rows], None if vel is None else vel[rows]
     else:
         trajs = list(trajs)
+        n = len(trajs)
         times = trajs[0].times
+        dim = trajs[0].dim
         # Ensembles built together share one times object; the identity
         # test spares comparing 10^5 equal grids element by element.
         if not all(t.times is times or np.array_equal(t.times, times) for t in trajs):
             raise InvalidInputError("the trajectories must share one time grid")
-        # Every points array has one row per time, so only the dimension
-        # can differ; one concatenate copies what np.stack would, without
-        # its per-array expanded views.
-        try:
-            pos = np.concatenate([t.points for t in trajs])
-        except ValueError:
-            dims = ", ".join(map(str, sorted({t.dim for t in trajs})))
-            raise InvalidInputError(
-                f"the trajectories must share one dimension, found dimensions {dims}"
-            ) from None
-        pos = pos.reshape(len(trajs), times.size, pos.shape[1])
+
+        def block(a, b):
+            # Only the dimension can differ (every points array has one row
+            # per time), and then the concatenate or the reshape raises.
+            try:
+                pos = np.concatenate([t.points for t in trajs[a:b]])
+                return pos.reshape(b - a, times.size, dim), None
+            except ValueError:
+                dims = ", ".join(map(str, sorted({t.dim for t in trajs})))
+                raise InvalidInputError(
+                    f"the trajectories must share one dimension, found dimensions {dims}"
+                ) from None
+    bounds = [0, *range(_FIT_BLOCK, n, _FIT_BLOCK), n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    for a, b in zip(bounds, bounds[1:]):
+        yield (times, *block(a, b))
+
+
+def _eta_block(times, pos, vel, checkpoints: np.ndarray):
+    """k(t)/t and u(t) at the checkpoints of one block of ``_blocks``: two
+    arrays of shape (b, n_cp, D), the second None when ``vel`` is None.
+    Both are interpolated linearly between the recorded ``times``, so they
+    are exact at checkpoints that are recorded."""
     if checkpoints[0] < times[0] - 1e-12 or checkpoints[-1] > times[-1] + 1e-12:
         raise InvalidInputError("checkpoints outside the recorded time range")
     idx = np.searchsorted(times, checkpoints, side="right") - 1
@@ -211,24 +211,11 @@ def _fit_eta(eta: np.ndarray, checkpoints: np.ndarray, vel: np.ndarray | None = 
 
 
 def _fit_trajectories(trajs, checkpoints: np.ndarray):
-    """``_fit_eta`` on ``_eta_block``: (v_plus (n, D), residual (n,)) of
-    every trajectory that ``_eta_block`` reads, the live trajectories of
-    an integration result in blocks of ``_FIT_BLOCK``."""
-    if not hasattr(trajs, "positions"):
-        eta, vel = _eta_block(trajs, checkpoints)
-        return _fit_eta(eta, checkpoints, vel)
-    live = np.flatnonzero(~trajs.diagnostics.failed)
-    bounds = [0, *range(_FIT_BLOCK, live.size, _FIT_BLOCK), live.size]
-    # A block of one trajectory would change the fit's last bits: einsum
-    # then loops over another axis innermost and sums in another order.
-    # So a remainder of one joins the block before it.
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    # With nothing failed the blocks are views, not copies.
-    whole = live.size == trajs.diagnostics.failed.size
+    """``_fit_eta`` of each block of ``_blocks``: (v_plus (n, D), residual
+    (n,)), bitwise the fit of all blocks at once, as each fit is its own."""
     fits = []
-    for a, b in zip(bounds, bounds[1:]):
-        eta, vel = _eta_block(trajs, checkpoints, slice(a, b) if whole else live[a:b])
+    for times, pos, vel in _blocks(trajs):
+        eta, vel = _eta_block(times, pos, vel, checkpoints)
         fits.append(_fit_eta(eta, checkpoints, vel))
     v_plus, residual = zip(*fits)
     return np.concatenate(v_plus), np.concatenate(residual)
@@ -285,8 +272,9 @@ def velocity_measure_at(trajs, t: float) -> EmpiricalMeasure:
     """
     if t <= 0:
         raise InvalidInputError("velocity measures are defined for t > 0")
-    eta, _ = _eta_block(trajs, np.asarray([t], dtype=float))
-    return EmpiricalMeasure.from_samples(eta[:, 0, :])
+    t = np.asarray([t], dtype=float)
+    samples = [_eta_block(times, pos, None, t)[0][:, 0] for times, pos, _ in _blocks(trajs)]
+    return EmpiricalMeasure.from_samples(np.concatenate(samples))
 
 
 @dataclass(frozen=True)
@@ -382,10 +370,7 @@ def verify_distribution_equality(
     n_s = s_measure.n_samples
     n_q = min(10 * n_s, _N_Q_MAX)
     q_measure = q_dist.as_measure(n_q, np.random.SeedSequence(entropy=seed, spawn_key=(17,)))
-    ks = ks_two_sample_1d(
-        s_measure.samples[:, 0], s_measure.weights, q_measure.samples[:, 0], q_measure.weights
-    )
-    w1 = wasserstein1_1d(s_measure, q_measure)
+    ks, w1 = ks_w1_1d(s_measure, q_measure)
     if ks_threshold is None:
         ks_threshold = ks_critical_value(n_s, n_q, _KS_ALPHA) + GRID_SLACK
     if w1_threshold is None:
@@ -454,5 +439,6 @@ def rotating_trajectory_family(
         rot[:, 1, 0] = s
         rot[:, 1, 1] = c
     # positions[n, t, :] = R(omega t) v_n * t
-    pos = np.einsum("tij,nj->nti", rot, raw) * t_grid[None, :, None]
+    pos = np.einsum("tij,nj->nti", rot, raw)
+    pos *= t_grid[None, :, None]
     return SampledTrajectory.from_block(t_grid, pos)

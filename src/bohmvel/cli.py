@@ -504,13 +504,22 @@ def cmd_plotdata(run_dir: str, out_dir: str | None) -> int:
             raise InvalidInputError(f"malformed run config {cfg_path}: not a JSON object")
         if cfg.get("system") == "potential_schrodinger":
             expected_extras.append("moller_residuals.csv")
+    # Every input is parsed before anything is written: no partial bundle.
+    measures = {
+        name[:-4]: EmpiricalMeasure.from_csv(os.path.join(run_dir, name))
+        for name in sorted(os.listdir(run_dir))
+        if name.endswith(".csv") and name.startswith(("s_", "q_plus_samples"))
+    }
+    extras, partial = {}, []
+    for extra in expected_extras:
+        src = os.path.join(run_dir, extra)
+        if os.path.exists(src):
+            with open(src) as fh:
+                extras[extra] = fh.read()
+        else:
+            partial.append(extra)
     os.makedirs(out_dir, exist_ok=True)
-    partial = []
-    for name in sorted(os.listdir(run_dir)):
-        if not name.endswith(".csv") or not (name.startswith("s_") or name.startswith("q_plus_samples")):
-            continue
-        measure = EmpiricalMeasure.from_csv(os.path.join(run_dir, name))
-        stem = name[:-4]
+    for stem, measure in measures.items():
         values = measure.samples[:, 0]
         order = np.argsort(values, kind="mergesort")
         _write_float_csv(
@@ -524,15 +533,9 @@ def cmd_plotdata(run_dir: str, out_dir: str | None) -> int:
             ["left", "right", "mass"],
             [edges[:-1], edges[1:], hist],
         )
-    for extra in expected_extras:
-        src = os.path.join(run_dir, extra)
-        if os.path.exists(src):
-            with open(src) as fh:
-                data = fh.read()
-            with open(os.path.join(out_dir, extra), "w") as fh:
-                fh.write(data)
-        else:
-            partial.append(extra)
+    for extra, data in extras.items():
+        with open(os.path.join(out_dir, extra), "w") as fh:
+            fh.write(data)
     if partial:
         print(json.dumps({"out_dir": out_dir, "skipped_missing": partial}, sort_keys=True))
     else:

@@ -13,7 +13,7 @@ Conventions used everywhere in this package:
 SampledTrajectory and EmpiricalMeasure are frozen and mark their arrays
 read-only, but they share the arrays they are given instead of copying
 them: trajectories built together keep one ``times`` object, which the
-ensemble code's identity test in ``asymptotics._eta_block`` relies on.
+time-grid check of ``asymptotics._blocks`` tests by identity first.
 Writing through a writable base array therefore reaches them: after
 ``trajs = [SampledTrajectory(t, p) for p in pos]``, ``pos[0, 1, 0] = nan``
 changes ``trajs[0].points``. EnsembleRun is a plain mutable record.
@@ -100,7 +100,7 @@ _checked_times = _CheckedSlot()
 _checked_block = _CheckedSlot()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampledTrajectory:
     """A time-stamped polyline approximating one particle's trajectory k(t).
 

@@ -21,6 +21,7 @@ __all__ = [
     "ks_two_sample_1d",
     "ks_vs_cdf_1d",
     "wasserstein1_1d",
+    "ks_w1_1d",
     "ks_critical_value",
     "GRID_SLACK",
 ]
@@ -44,13 +45,25 @@ def _inverse_cdf(u: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return np.interp(u, cdf[keep], x[keep])
 
 
-def _merged_cdf_difference(a_values, a_weights, b_values, b_weights):
-    """The two samples merged and stably sorted, and along them the running
-    sum of a's weights minus b's."""
+def _merged_cdf_differences(a_values, b_values, *weights):
+    """The two samples merged and stably sorted, and along them, for each
+    (a_weights, b_weights) pair, the running sum of a's weights minus b's."""
     values = np.concatenate([a_values, b_values])
-    deltas = np.concatenate([a_weights, -b_weights])
     order = np.argsort(values, kind="mergesort")
-    return values[order], np.cumsum(deltas[order])
+    diffs = [np.concatenate([a_w, -b_w])[order] for a_w, b_w in weights]
+    return values[order], [np.cumsum(d, out=d) for d in diffs]
+
+
+def _ks_sup(values, cdf_diff) -> float:
+    # At tied values the CDF difference is only meaningful after the whole
+    # tie group has been accumulated. |cdf_diff| is taken in place.
+    distinct = np.ones(values.size, dtype=bool)
+    np.greater(values[1:], values[:-1], out=distinct[:-1])
+    return float(np.max(np.abs(cdf_diff, out=cdf_diff), where=distinct, initial=0.0))
+
+
+def _w1(values, cdf_diff) -> float:
+    return float(np.sum(np.abs(cdf_diff[:-1]) * np.diff(values)))
 
 
 def ks_two_sample_1d(
@@ -64,14 +77,10 @@ def ks_two_sample_1d(
     b_values = np.asarray(b_values, dtype=float)
     if a_values.size == 0 or b_values.size == 0:
         raise InvalidInputError("empty sample in KS computation")
-    values, cdf_diff = _merged_cdf_difference(
-        a_values, a_weights / a_weights.sum(), b_values, b_weights / b_weights.sum()
+    values, (cdf_diff,) = _merged_cdf_differences(
+        a_values, b_values, (a_weights / a_weights.sum(), b_weights / b_weights.sum())
     )
-    # At tied values the CDF difference is only meaningful after the whole
-    # tie group has been accumulated.
-    distinct = np.ones(values.size, dtype=bool)
-    distinct[:-1] = values[1:] > values[:-1]
-    return float(np.max(np.abs(cdf_diff[distinct])))
+    return _ks_sup(values, cdf_diff)
 
 
 def ks_vs_cdf_1d(
@@ -113,8 +122,20 @@ def wasserstein1_1d(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """
     if a.dim != 1 or b.dim != 1:
         raise InvalidInputError("wasserstein1_1d requires 1D measures (apply per axis)")
-    values, cdf_diff = _merged_cdf_difference(a.samples[:, 0], a.weights, b.samples[:, 0], b.weights)
-    return float(np.sum(np.abs(cdf_diff[:-1]) * np.diff(values)))
+    values, (cdf_diff,) = _merged_cdf_differences(a.samples[:, 0], b.samples[:, 0], (a.weights, b.weights))
+    return _w1(values, cdf_diff)
+
+
+def ks_w1_1d(a: EmpiricalMeasure, b: EmpiricalMeasure) -> tuple[float, float]:
+    """``ks_two_sample_1d`` and ``wasserstein1_1d`` of two measures on the
+    line, bitwise, from one sort of the merged sample."""
+    if a.dim != 1 or b.dim != 1:
+        raise InvalidInputError("ks_w1_1d requires 1D measures (apply per axis)")
+    ks_weights = (a.weights / a.weights.sum(), b.weights / b.weights.sum())
+    values, (ks_diff, w1_diff) = _merged_cdf_differences(
+        a.samples[:, 0], b.samples[:, 0], ks_weights, (a.weights, b.weights)
+    )
+    return _ks_sup(values, ks_diff), _w1(values, w1_diff)
 
 
 def ks_critical_value(n_a: int, n_b: int | None = None, alpha: float = 0.01) -> float:

@@ -95,7 +95,8 @@ def pipeline_v_plus(run):
     (n_live,), by the fit whose converged values are the run's s_plus."""
     integ = run.integration
     checkpoints = np.asarray(run.params.checkpoints, dtype=float)
-    eta, vel = _eta_block(integ, checkpoints)
+    live = ~integ.diagnostics.failed
+    eta, vel = _eta_block(integ.times, integ.positions[live], integ.velocities[live], checkpoints)
     assert vel is not None
     v_plus, residual = _fit_eta(eta, checkpoints, vel)
     assert np.array_equal(run.s_plus.samples, v_plus[residual <= run.params.eta_tol])

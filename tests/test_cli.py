@@ -678,6 +678,19 @@ class TestPlotdataCommand:
         assert err["type"] == "InvalidInputError"
         assert str(run / name) in err["message"]
 
+    def test_a_later_malformed_measure_writes_nothing(self, tmp_path, capsys):
+        # s_plus.csv sorts before the ragged s_t_10.csv: every input is
+        # parsed before the bundle directory is made.
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "manifest.json").write_text("{}")
+        (run / "s_plus.csv").write_text("v0,weight\n0.1,0.5\n0.2,0.5\n")
+        (run / "s_t_10.csv").write_text("v0,weight\n0.1,0.5\n0.2\n")
+        assert main(["plotdata", "--run", str(run)]) == EXIT_CONFIG_ERROR
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert str(run / "s_t_10.csv") in err["message"]
+        assert not (run / "plotdata").exists()
+
 
 class TestFailureExitCodes:
     def test_numerical_failure_exit_5(self, tmp_path):

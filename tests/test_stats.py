@@ -11,6 +11,7 @@ from bohmvel.stats import (
     ks_distance,
     ks_two_sample_1d,
     ks_vs_cdf_1d,
+    ks_w1_1d,
     wasserstein1_1d,
 )
 
@@ -97,6 +98,22 @@ class TestWasserstein:
         ours = wasserstein1_1d(uniform_measure(a), uniform_measure(b))
         ref = scipy.stats.wasserstein_distance(a, b)
         assert ours == pytest.approx(ref, abs=1e-10)
+
+
+class TestKsW1:
+    def test_one_sort_is_bitwise_the_two_metrics(self):
+        # Rounded draws tie within and across the samples; the weights are
+        # uneven and do not sum to one before normalization.
+        rng = np.random.default_rng(14)
+        a = EmpiricalMeasure.from_samples(np.round(rng.normal(size=3000), 1), rng.uniform(0.5, 1.5, 3000))
+        b = EmpiricalMeasure.from_samples(np.round(rng.normal(0.2, 1.0, 7000), 1), rng.uniform(0.5, 1.5, 7000))
+        ks, w1 = ks_w1_1d(a, b)
+        assert ks == ks_two_sample_1d(a.samples[:, 0], a.weights, b.samples[:, 0], b.weights)
+        assert w1 == wasserstein1_1d(a, b)
+
+    def test_needs_1d_measures(self):
+        with pytest.raises(InvalidInputError, match="1D measures"):
+            ks_w1_1d(uniform_measure(np.zeros((3, 2))), uniform_measure([0.0]))
 
 
 @given(c=st.floats(-3.0, 3.0))
