@@ -29,6 +29,9 @@ Times, in fresh single-threaded worker processes:
   its rotating family: ``velocity_measure_at`` at t = 5 and at t = 10,
   and ``estimate_asymptotic_measure`` on the checkpoint ladder 10, 20, 40
   at tol 0.1 (which raises ``RegularityError``: no trajectory converges);
+- ``rotating_ks``: ``ks_distance`` of those two velocity measures, the
+  per-axis two-sample KS that command computes (2 x 10^5 merged values
+  per axis);
 - ``extrapolate``: ``estimate_asymptotic_measure`` on an
   ``IntegrationResult`` of 10^4 closed-form free-Gaussian trajectories
   (configs/free_gaussian.json: its record times, checkpoints and eta_tol),
@@ -47,8 +50,8 @@ Times, in fresh single-threaded worker processes:
 The two Dirac step kernels step by the fixed DIRAC_DT = 0.05, not by the
 config's ``time.dt``, so a step change in the config does not change what
 they time and their figures stay comparable across result files.
-``rotating_family`` and ``rotating_estimator`` time the two parts of the
-benchmark's ``rotating`` workload that its speed-ups rest on. The inputs
+``rotating_family``, ``rotating_estimator`` and ``rotating_ks`` time the
+parts of the benchmark's ``rotating`` workload that its speed-ups rest on. The inputs
 of the four kernels after them are built only through calls whose
 signatures older trees share.
 
@@ -64,7 +67,7 @@ blocks of calls per kernel. The result file records the median and
 quartiles of the per-call time over all blocks, a sha256 of each kernel's
 output where there is one (the evaluate arrays, the CSV bytes, the
 boosted amplitudes, the RK4 positions, the stacked family points, the
-two velocity measures and the regularity report, the extrapolated
+two velocity measures and the regularity report, their KS, the extrapolated
 measure, the NDJSON bytes, the KS and W1 values; equal digests mean
 bitwise-equal results), and the host: nproc, CPU, Python and numpy
 versions. With two or more trees it also records,
@@ -124,6 +127,7 @@ CALLS = {
     "boost_dirac_state": 100,
     "rotating_family": 1,
     "rotating_estimator": 1,
+    "rotating_ks": 5,
     "extrapolate": 50,
     "trajectory_objects": 1,
     "ndjson_write": 1,
@@ -283,6 +287,8 @@ def build_kernels(tmp: str) -> tuple[dict, dict]:
     digests["rotating_estimator"] = _sha256(
         s_a.samples.tobytes(), s_b.samples.tobytes(), json.dumps(report.to_dict(), sort_keys=True).encode()
     )
+    kernels["rotating_ks"] = lambda: stats.ks_distance(s_a, s_b)
+    digests["rotating_ks"] = _sha256(kernels["rotating_ks"]().tobytes())
 
     # Exact free-Gaussian trajectories x0 sqrt(1 + (t / 2 sigma0^2)^2) of
     # configs/free_gaussian.json (m = 1, p0 = 0), from its start draw.

@@ -18,28 +18,25 @@ Writing through a writable base array therefore reaches them: after
 ``trajs = [SampledTrajectory(t, p) for p in pos]``, ``pos[0, 1, 0] = nan``
 changes ``trajs[0].points``. EnsembleRun is a plain mutable record.
 
-Checked once: ``SampledTrajectory.from_block`` checks an (n, T, d) block
-of trajectories on one time grid as a whole and freezes it, and each
-trajectory's constructor then skips a check whose input has already
-passed it. Two slots, each a weak reference (so no array is kept alive
-and a reused ``id`` cannot match), remember the last time grid and the
-last block that ``from_block`` checked. A check is skipped only for the
-array in its slot (``times``), or an aligned view of it (``points``),
-and only while that array is read-only. A slot only takes an array that
-owns its data: such an array cannot change while it is read-only, and
-numpy refuses to make a view of it writable. A slot is only a hint: when
-another thread replaces it first, a trajectory runs the check again.
-Caveat: re-enabling writes on a frozen array, changing it and freezing
-it again defeats the skip; that is the same tampering that already
-changes an existing trajectory under its checks, and the slots open no
-other way to it.
+Built once: ``SampledTrajectory.from_block`` checks an (n, T, d) block
+of trajectories on one time grid as a whole, freezes the grid and the
+block, and then builds one trajectory per row. While it builds, a
+private window holds that grid and that block, and a constructor whose
+``times`` is the grid and whose ``points`` is a view of the block
+returns without checking again. The window is open only for a block
+that owns its data, and ``from_block`` closes it before it returns, so a
+trajectory built anywhere else, or later, runs every check. There is
+one window per process: threads that overlap in ``from_block`` replace
+or close each other's window, and the trajectories built meanwhile run
+every check. Caveat: a view of the block other than a row (a column,
+say), built with the window's grid from another thread while the window
+is open, would skip the checks too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -75,29 +72,9 @@ def _require_time_grid(times: np.ndarray) -> None:
         raise InvalidInputError("times must be strictly increasing")
 
 
-class _CheckedSlot:
-    """The last array that passed a check, held by weak reference."""
-
-    __slots__ = ("_ref",)
-
-    def __init__(self):
-        self._ref = None
-
-    def holds(self, arr) -> bool:
-        """Whether ``arr`` is the array in the slot and still read-only."""
-        ref = self._ref
-        return arr is not None and ref is not None and ref() is arr and not arr.flags.writeable
-
-    def take(self, arr: np.ndarray) -> None:
-        """Remember ``arr`` if it owns its data and is read-only."""
-        if arr.base is None and not arr.flags.writeable:
-            self._ref = weakref.ref(arr)
-
-
-# The last time grid and the last block that SampledTrajectory.from_block
-# checked.
-_checked_times = _CheckedSlot()
-_checked_block = _CheckedSlot()
+# The (times, block) that SampledTrajectory.from_block is building
+# trajectories from, or None outside it.
+_window = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,29 +84,24 @@ class SampledTrajectory:
     ``points`` has shape (n_samples, dim); values between samples are
     defined by linear interpolation.
 
-    Every check runs on every trajectory, except one whose input has
-    already passed it in ``from_block`` (see the module docstring): the
-    times checks when ``times`` is the last grid it checked, and the
-    finiteness of ``points`` when it is an aligned view of the last
-    block it checked; in both cases only while that array is
-    read-only. The shape check always runs. An array made writable,
-    changed and frozen again is not checked again; such tampering also
-    changes an existing trajectory after its checks.
+    Every check runs on every trajectory, except one that
+    ``from_block`` builds from a block it has just checked (see the
+    module docstring).
     """
 
     times: np.ndarray
     points: np.ndarray
 
     def __post_init__(self):
+        # A row that from_block is building: the block passed every check.
+        window = _window
+        if window is not None and self.times is window[0] and getattr(self.points, "base", None) is window[1]:
+            return
         times = np.asarray(self.times, dtype=float)
         points = np.asarray(self.points, dtype=float)
-        times_checked = _checked_times.holds(times)
-        if not times_checked:
-            _require_finite(times, "times")
-        if not (points.flags.aligned and _checked_block.holds(points.base)):
-            _require_finite(points, "points")
-        if not times_checked:
-            _require_time_grid(times)
+        _require_finite(times, "times")
+        _require_finite(points, "points")
+        _require_time_grid(times)
         if points.ndim != 2 or points.shape[0] != times.size:
             raise InvalidInputError(
                 f"points has shape {points.shape}, expected ({times.size}, dim)"
@@ -145,10 +117,12 @@ class SampledTrajectory:
 
         Runs every check of the constructor on the whole block once, in
         the same order and with the same messages, then freezes ``times``
-        and the block and builds ``[cls(times, p) for p in block]``; the
-        trajectories share the block's memory, so each constructor skips
-        the checks already done here (see the module docstring).
+        and the block and builds ``[cls(times, p) for p in block]``. The
+        trajectories share the block's memory. When the block owns its
+        data, the constructors run inside the window and skip the checks
+        done here (see the module docstring); otherwise each runs them all.
         """
+        global _window
         times = np.asarray(times, dtype=float)
         block = np.asarray(block, dtype=float)
         _require_finite(times, "times")
@@ -160,9 +134,12 @@ class SampledTrajectory:
             )
         times.setflags(write=False)
         block.setflags(write=False)
-        _checked_times.take(times)
-        _checked_block.take(block)
-        return [cls(times, p) for p in block]
+        if block.base is None:
+            _window = (times, block)
+        try:
+            return [cls(times, p) for p in block]
+        finally:
+            _window = None
 
     @property
     def dim(self) -> int:

@@ -45,13 +45,27 @@ def _inverse_cdf(u: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return np.interp(u, cdf[keep], x[keep])
 
 
+def _stable_order(values):
+    """The stable ascending order of ``values`` and the values in it.
+
+    numpy's default sort is much faster than its stable one. Where its
+    result is strictly increasing, the sorted permutation is unique and
+    so is the stable one; otherwise (ties, 0.0 against -0.0, NaN) the
+    stable sort is redone."""
+    order = np.argsort(values)
+    ranked = values[order]
+    if not (ranked[1:] > ranked[:-1]).all():
+        order = np.argsort(values, kind="mergesort")
+        ranked = values[order]
+    return order, ranked
+
+
 def _merged_cdf_differences(a_values, b_values, *weights):
     """The two samples merged and stably sorted, and along them, for each
     (a_weights, b_weights) pair, the running sum of a's weights minus b's."""
-    values = np.concatenate([a_values, b_values])
-    order = np.argsort(values, kind="mergesort")
+    order, ranked = _stable_order(np.concatenate([a_values, b_values]))
     diffs = [np.concatenate([a_w, -b_w])[order] for a_w, b_w in weights]
-    return values[order], [np.cumsum(d, out=d) for d in diffs]
+    return ranked, [np.cumsum(d, out=d) for d in diffs]
 
 
 def _ks_sup(values, cdf_diff) -> float:
@@ -92,8 +106,7 @@ def ks_vs_cdf_1d(
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise InvalidInputError("empty sample in KS computation")
-    order = np.argsort(values, kind="mergesort")
-    values = values[order]
+    order, values = _stable_order(values)
     w = np.asarray(weights, dtype=float)[order]
     w = w / w.sum()
     emp_after = np.cumsum(w)

@@ -4,8 +4,9 @@ Everything here is derived from closed forms or from methods disjoint
 from the code paths under test (analytic Gaussian integrals, the
 time-independent transfer matrix, explicit boost formulas for velocities
 and sampled world lines, the causal condition on sampled world lines, the
-monotone transport map of a 1D flow and its limiting velocities), so
-agreement is evidence rather than tautology. The one exception is
+monotone transport map of a 1D flow and its limiting velocities, the
+KS and W1 sums along an always-stable sort), so agreement is evidence
+rather than tautology. The one exception is
 ``boost_residual``: it runs the package's limiting-velocity fit on both
 sides of the independent world-line boost, because what it tests is that
 the fit commutes with the boost.
@@ -283,3 +284,39 @@ def boost_residual(times, points, u, checkpoints) -> float:
     boosted = SampledTrajectory(*boost_worldline(times, points, u))
     v_boosted, _ = fitted_velocity(boosted, s_last * checkpoints / checkpoints[-1])
     return float(np.linalg.norm(v_boosted - transform_velocity_block(v_plus[None, :], u)[0]))
+
+
+def stable_merged_cdf(a_values, a_weights, b_values, b_weights):
+    """The merged sample in ``kind="mergesort"`` order, which keeps ties
+    in input order (a before b), and along it the running sum of a's
+    weights minus b's."""
+    values = np.concatenate([a_values, b_values])
+    order = np.argsort(values, kind="mergesort")
+    return values[order], np.cumsum(np.concatenate([a_weights, -b_weights])[order])
+
+
+def stable_ks_two_sample(a_values, a_weights, b_values, b_weights) -> float:
+    """Two-sample KS of weighted samples (each normalized to total 1),
+    read at the last position of each tie group."""
+    values, diff = stable_merged_cdf(
+        a_values, a_weights / a_weights.sum(), b_values, b_weights / b_weights.sum()
+    )
+    group_end = np.append(values[1:] > values[:-1], True)
+    return float(np.abs(diff)[group_end].max())
+
+
+def stable_w1(a_values, a_weights, b_values, b_weights) -> float:
+    """W1 of two weighted samples: the integral of |F_a - F_b|, summed as
+    np.sum over the gaps between merged values."""
+    values, diff = stable_merged_cdf(a_values, a_weights, b_values, b_weights)
+    return float(np.sum(np.abs(diff[:-1]) * np.diff(values)))
+
+
+def stable_ks_vs_cdf(values, weights, cdf) -> float:
+    """KS of a weighted sample against a CDF, on either side of each atom."""
+    order = np.argsort(values, kind="mergesort")
+    w = weights[order]
+    w = w / w.sum()
+    after = np.cumsum(w)
+    target = cdf(values[order])
+    return float(max(np.abs(after - target).max(), np.abs(after - w - target).max()))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bohmvel
+from bohmvel import core
 from bohmvel.asymptotics import velocity_measure_at
 from bohmvel.core import (
     EmpiricalMeasure,
@@ -234,6 +235,73 @@ class TestFromBlock:
         assert positions.flags.writeable
         positions[0, 1, 0] = 5.0
         assert trajs[0].points[1, 0] == 0.0
+
+    @staticmethod
+    def count_finite_checks(monkeypatch):
+        """Record the name of each finiteness check from here on."""
+        names = []
+        check = core._require_finite
+
+        def counted(arr, name):
+            names.append(name)
+            check(arr, name)
+
+        monkeypatch.setattr(core, "_require_finite", counted)
+        return names
+
+    def test_window_is_closed_after_from_block(self, monkeypatch):
+        names = self.count_finite_checks(monkeypatch)
+        trajs = SampledTrajectory.from_block(np.arange(4.0), np.zeros((3, 4, 1)))
+        # The block is checked once; its rows are built inside the window.
+        assert len(trajs) == 3 and names == ["times", "points"]
+        assert core._window is None
+
+    def test_a_rejected_block_leaves_the_window_closed(self):
+        t = np.arange(4.0)
+        good = np.zeros((3, 4, 1))
+        SampledTrajectory.from_block(t, good)
+        bad = np.zeros((3, 4, 1))
+        bad[1, 2, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="^points contains non-finite entries"):
+            SampledTrajectory.from_block(t, bad)
+        assert core._window is None
+        good.setflags(write=True)
+        good[1, 2, 0] = np.nan
+        for row in (good[1], bad[1]):
+            with pytest.raises(InvalidInputError, match="^points contains non-finite entries"):
+                SampledTrajectory(t, row)
+
+    def test_a_build_cut_short_leaves_the_window_closed(self):
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        class CutShort(SampledTrajectory):
+            __slots__ = ()
+
+            def __post_init__(self):
+                if len(seen) == 2:
+                    raise Stop
+                seen.append(core._window)
+                super().__post_init__()
+
+        t, pos = np.arange(4.0), np.zeros((3, 4, 1))
+        with pytest.raises(Stop):
+            CutShort.from_block(t, pos)
+        assert seen == [(t, pos)] * 2 and core._window is None
+
+    def test_a_view_block_is_checked_row_by_row(self, monkeypatch):
+        t = np.linspace(0.0, 3.0, 4)
+        owner = np.random.default_rng(2).normal(size=(5, 4, 2))
+        want = [SampledTrajectory(t.copy(), p) for p in owner[1:4].copy()]
+        names = self.count_finite_checks(monkeypatch)
+        got = SampledTrajectory.from_block(t, owner[1:4])
+        assert names == ["times", "points"] + ["times", "points"] * 3
+        for g, w in zip(got, want):
+            assert g.times is t and g.points.base is owner
+            np.testing.assert_array_equal(g.times, w.times)
+            np.testing.assert_array_equal(g.points, w.points)
 
 
 def velocity_estimate(traj, t):

@@ -15,6 +15,8 @@ from bohmvel.stats import (
     wasserstein1_1d,
 )
 
+from oracles import stable_ks_two_sample, stable_ks_vs_cdf, stable_w1
+
 
 def uniform_measure(values):
     return EmpiricalMeasure.from_samples(np.asarray(values, dtype=float))
@@ -114,6 +116,67 @@ class TestKsW1:
     def test_needs_1d_measures(self):
         with pytest.raises(InvalidInputError, match="1D measures"):
             ks_w1_1d(uniform_measure(np.zeros((3, 2))), uniform_measure([0.0]))
+
+
+def _sort_cases():
+    rng = np.random.default_rng(41)
+    normal = rng.normal(size=3000), rng.normal(0.1, 1.0, 5000)
+    ones = np.ones(3000), np.ones(5000)
+    uneven = rng.uniform(0.5, 1.5, 3000), rng.uniform(0.5, 1.5, 5000)
+    # Values on a coarse lattice tie within and across the samples; the
+    # lattice holds 0.0, negated in b, so 0.0 meets -0.0.
+    coarse = np.round(rng.normal(size=3000), 1), -np.round(rng.normal(size=5000), 1)
+    return {
+        "no_ties": (normal[0], ones[0], normal[1], ones[1]),
+        "no_ties_uneven_weights": (normal[0], uneven[0], normal[1], uneven[1]),
+        "ties_across": (coarse[0], ones[0], coarse[1], ones[1]),
+        "ties_across_uneven_weights": (coarse[0], uneven[0], coarse[1], uneven[1]),
+        "signed_zeros": (
+            np.array([0.0, -0.0, 1.0, 0.0]), np.array([1.0, 2.0, 3.0, 4.0]),
+            np.array([-0.0, 0.0, -1.0]), np.array([3.0, 1.0, 2.0]),
+        ),
+        # Found by a search over small integer samples: numpy 2.4's default
+        # argsort (AVX-512) orders both tie groups unlike the stable sort,
+        # and KS and W1 then differ in their last bit from the stable sums.
+        "default_order_differs": (
+            np.array([2.0, 0.0, 0.0]), np.array([2.0, 3.0, 2.0]),
+            np.array([2.0, 0.0, 0.0]), np.array([3.0, 1.0, 2.0]),
+        ),
+    }
+
+
+SORT_CASES = _sort_cases()
+
+
+def _bits(*xs):
+    return np.array(xs, dtype=float).tobytes()
+
+
+class TestStableSort:
+    """Every metric reads the same bits as sums along the stable
+    (mergesort) order, whichever sort finds that order."""
+
+    @pytest.mark.parametrize("case", sorted(SORT_CASES))
+    def test_two_sample_metrics(self, case):
+        a_v, a_w, b_v, b_w = SORT_CASES[case]
+        a = EmpiricalMeasure.from_samples(a_v, a_w)
+        b = EmpiricalMeasure.from_samples(b_v, b_w)
+        ks = stable_ks_two_sample(a_v, a_w, b_v, b_w)
+        assert _bits(ks_two_sample_1d(a_v, a_w, b_v, b_w)) == _bits(ks)
+        want = (stable_ks_two_sample(a_v, a.weights, b_v, b.weights), stable_w1(a_v, a.weights, b_v, b.weights))
+        assert _bits(wasserstein1_1d(a, b)) == _bits(want[1])
+        assert _bits(*ks_w1_1d(a, b)) == _bits(*want)
+
+    @pytest.mark.parametrize("case", sorted(SORT_CASES))
+    def test_sample_against_a_cdf(self, case):
+        a_v, a_w, b_v, b_w = SORT_CASES[case]
+        values, weights = np.concatenate([a_v, b_v]), np.concatenate([a_w, b_w])
+
+        def logistic(x):
+            return 1.0 / (1.0 + np.exp(-x))
+
+        got = ks_vs_cdf_1d(values, weights, logistic)
+        assert _bits(got) == _bits(stable_ks_vs_cdf(values, weights, logistic))
 
 
 @given(c=st.floats(-3.0, 3.0))
