@@ -19,7 +19,8 @@ Times, in fresh single-threaded worker processes:
   ensemble integration repeats: each call advances the previous call's
   output, as the integration does, by +dt/2 and -dt/2 in turn;
 - ``EmpiricalMeasure.to_csv`` of a 10^5-row measure into a temporary
-  directory, the size of ``q_plus_samples.csv`` in ``bohmvel run``;
+  directory, the size of the quantum-side sample that the comparison of
+  a 10^4-trajectory ``bohmvel run`` draws;
 - ``boost_dirac_state`` at u = 0.4 on the initial state of
   configs/dirac_covariance.json, as ``bohmvel covariance`` boosts it;
 - ``rotating_family``: ``rotating_trajectory_family(1.0, None, 100000, 0,
@@ -45,14 +46,19 @@ Times, in fresh single-threaded worker processes:
 - ``ks_w1``: KS and W1 between 10^4 and 10^5 weighted samples, as
   ``verify_distribution_equality`` computes them: ``stats.ks_w1_1d`` on
   trees that have it, ``ks_two_sample_1d`` plus ``wasserstein1_1d`` on
-  older ones.
+  older ones;
+- ``free_gaussian_run``: ``cli.cmd_run`` on configs/free_gaussian.json at
+  its seed into a temporary directory, stdout suppressed: the whole
+  command but the process start and the imports. Its digest covers every
+  file the run writes but ``q_plus_samples.csv``, which older trees also
+  write (manifest.json, trajectories.ndjson and the CSVs among them).
 
 The two Dirac step kernels step by the fixed DIRAC_DT = 0.05, not by the
 config's ``time.dt``, so a step change in the config does not change what
 they time and their figures stay comparable across result files.
 ``rotating_family``, ``rotating_estimator`` and ``rotating_ks`` time the
 parts of the benchmark's ``rotating`` workload that its speed-ups rest on. The inputs
-of the four kernels after them are built only through calls whose
+of the five kernels after them are built only through calls whose
 signatures older trees share.
 
 Usage:
@@ -91,7 +97,9 @@ it returns included), a figure that does not depend on host load.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import inspect
 import json
 import math
@@ -132,6 +140,7 @@ CALLS = {
     "trajectory_objects": 1,
     "ndjson_write": 1,
     "ks_w1": 5,
+    "free_gaussian_run": 1,
 }
 SINGLE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -192,7 +201,7 @@ def build_kernels(tmp: str) -> tuple[dict, dict]:
     into the directory ``tmp``."""
     import numpy as np
 
-    from bohmvel import _interp, guidance, stats
+    from bohmvel import _interp, cli, guidance, stats
     from bohmvel.asymptotics import (
         estimate_asymptotic_measure,
         rotating_trajectory_family,
@@ -339,6 +348,22 @@ def build_kernels(tmp: str) -> tuple[dict, dict]:
     kernels["ndjson_write"]()
     with open(ndjson_path, "rb") as fh:
         digests["ndjson_write"] = _sha256(fh.read())
+
+    run_dir = os.path.join(tmp, "free_gaussian_run")
+    run_cfg = cli.load_config(os.path.join(REPO, "configs", "free_gaussian.json"))
+
+    def free_gaussian_run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.cmd_run(run_cfg, run_dir, None)
+
+    kernels["free_gaussian_run"] = free_gaussian_run
+    free_gaussian_run()
+    run_files = sorted(name for name in os.listdir(run_dir) if name != "q_plus_samples.csv")
+    chunks = []
+    for name in run_files:
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            chunks += [name.encode(), fh.read()]
+    digests["free_gaussian_run"] = _sha256(*chunks)
     return kernels, digests
 
 

@@ -34,6 +34,7 @@ from .core import EmpiricalMeasure, SampledTrajectory
 from .errors import InvalidInputError, RegularityError
 from .stats import (
     _inverse_cdf,
+    _quantiles,
     _trapezoid_cdf,
     ks_critical_value,
     ks_w1_1d,
@@ -241,15 +242,10 @@ def estimate_asymptotic_measure(
     n_total = residual.size
     n_conv = int(converged.sum())
     fraction = n_conv / n_total
-    quantiles = {
-        "q50": float(np.quantile(residual, 0.5)),
-        "q90": float(np.quantile(residual, 0.9)),
-        "q99": float(np.quantile(residual, 0.99)),
-        "max": float(np.max(residual)),
-    }
+    q50, q90, q99 = _quantiles(residual, (0.5, 0.9, 0.99))
     report = RegularityReport(
         fraction_converged=fraction,
-        residual_quantiles=quantiles,
+        residual_quantiles={"q50": q50, "q90": q90, "q99": q99, "max": float(np.max(residual))},
         verdict=bool(fraction >= REGULARITY_FRACTION),
         n_total=n_total,
         n_converged=n_conv,
@@ -351,6 +347,12 @@ def dirac_velocity_distribution(psi: GridWavefunction) -> VelocityDistribution:
     return VelocityDistribution(v, q)
 
 
+def _quantum_sample(q_dist: VelocityDistribution, n_q: int, seed: int) -> EmpiricalMeasure:
+    """The quantum side of ``verify_distribution_equality``: n_q draws of
+    ``q_dist`` from spawn key (17,) of ``seed``."""
+    return q_dist.as_measure(n_q, np.random.SeedSequence(entropy=seed, spawn_key=(17,)))
+
+
 def verify_distribution_equality(
     s_measure: EmpiricalMeasure,
     q_dist: VelocityDistribution,
@@ -361,15 +363,15 @@ def verify_distribution_equality(
     """Measure-to-measure test of the trajectory ensemble against the
     quantum velocity distribution, via the latter's sampler.
 
-    The quantum side draws 10 samples per ensemble sample, at most
-    ``_N_Q_MAX``, from spawn key (17,) of ``seed``; the report carries
-    that sample as ``q_measure``.
+    The quantum side is ``_quantum_sample`` of 10 samples per ensemble
+    sample, at most ``_N_Q_MAX``; the report's ``n_q`` and the seed
+    rebuild it (``cli.quantum_comparison_sample``).
     """
     if s_measure.dim != 1:
         raise InvalidInputError("distribution comparison is 1D")
     n_s = s_measure.n_samples
     n_q = min(10 * n_s, _N_Q_MAX)
-    q_measure = q_dist.as_measure(n_q, np.random.SeedSequence(entropy=seed, spawn_key=(17,)))
+    q_measure = _quantum_sample(q_dist, n_q, seed)
     ks, w1 = ks_w1_1d(s_measure, q_measure)
     if ks_threshold is None:
         ks_threshold = ks_critical_value(n_s, n_q, _KS_ALPHA) + GRID_SLACK
@@ -385,7 +387,6 @@ def verify_distribution_equality(
         "w1_threshold": float(w1_threshold),
         "n_s": n_s,
         "n_q": n_q,
-        "q_measure": q_measure,
     }
 
 

@@ -29,6 +29,8 @@ import sys
 import numpy as np
 
 from .asymptotics import (
+    VelocityDistribution,
+    _quantum_sample,
     dirac_velocity_distribution,
     estimate_asymptotic_measure,
     free_velocity_distribution,
@@ -37,7 +39,7 @@ from .asymptotics import (
     velocity_measure_at,
     verify_distribution_equality,
 )
-from .core import EmpiricalMeasure, EnsembleRun, _write_float_csv, config_hash
+from .core import EmpiricalMeasure, EnsembleRun, _read_float_csv, _write_float_csv, config_hash
 from .errors import (
     BohmvelError,
     ConfigurationError,
@@ -270,13 +272,42 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _json_object(path: str, what: str) -> dict:
+    """The JSON object in ``path``; anything else raises InvalidInputError naming ``what``."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except ValueError:
+        obj = None
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"malformed {what} {path}: not a JSON object")
+    return obj
+
+
+def quantum_comparison_sample(run_dir: str) -> EmpiricalMeasure | None:
+    """The quantum sample that ``bohmvel run`` compared s_plus with, rebuilt bit
+    for bit from q_plus_density.csv (written with ``repr``) and manifest.json's
+    seed and ``reports.comparison.n_q``; None without the density or the comparison."""
+    path = os.path.join(run_dir, "manifest.json")
+    manifest = _json_object(path, "run manifest")
+    density_path = os.path.join(run_dir, "q_plus_density.csv")
+    try:
+        comparison = manifest.get("reports", {}).get("comparison")
+        if comparison is None or not os.path.exists(density_path):
+            return None
+        n_q, seed = int(comparison["n_q"]), int(manifest["seed"])
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise InvalidInputError(f"malformed run manifest {path}: no comparison n_q or seed") from None
+    v, density = _read_float_csv(density_path, "density CSV").T
+    return _quantum_sample(VelocityDistribution(v, density), n_q, seed)
+
+
 # ---------------------------------------------------------------------------
 # Commands.
 
 def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
     seed = int(_setting(cfg, "seed")) if seed is None else seed
-    cfg = dict(cfg)
-    cfg["seed"] = seed
+    cfg = {**cfg, "seed": seed}
     psi, projection_info = _build_state(cfg)
     params = _pipeline_params(cfg, seed)
     potential = _potential(cfg)
@@ -296,13 +327,12 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
         ks_threshold=thr.get("ks"),
         w1_threshold=thr.get("w1"),
     )
-    q_measure = comparison.pop("q_measure")
 
-    equivariance = {}
     eq_threshold = thr.get("equivariance_ks")
-    for snap, t in zip(result.integration.snapshots, result.integration.times):
-        if t > 0:
-            equivariance[f"{t:g}"] = check_equivariance(result.integration, snap, float(t))
+    equivariance = {
+        f"{t:g}": check_equivariance(result.integration, snap, float(t))
+        for snap, t in zip(result.integration.snapshots, result.integration.times) if t > 0
+    }
     order_violations = count_order_violations(result.integration)
 
     reports = {
@@ -318,7 +348,6 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
             moller_extraction_times=outgoing.extraction_times.tolist(),
             cauchy_residual=outgoing.cauchy_residual,
         )
-    os.makedirs(out_dir, exist_ok=True)
     run = EnsembleRun(
         config=cfg,
         seed=seed,
@@ -329,28 +358,20 @@ def cmd_run(cfg: dict, out_dir: str, seed: int | None) -> int:
     )
     run.save(out_dir)
 
-    q_measure.to_csv(os.path.join(out_dir, "q_plus_samples.csv"))
-    # Trapezoid normalization: integral of the density over this grid is
-    # the continuous mass (see the measures docs).
-    _write_float_csv(
-        os.path.join(out_dir, "q_plus_density.csv"), ["v", "density"], [q_dist.v, q_dist.density]
-    )
+    # Trapezoid normalization: the density's integral over its grid is the continuous mass.
+    tables = {"q_plus_density.csv": (["v", "density"], [q_dist.v, q_dist.density])}
+    if outgoing is not None:
+        tables["out_momentum_density.csv"] = (["p", "density"], [outgoing.p, outgoing.density])
+        tables["moller_residuals.csv"] = (
+            ["T", "residual"], [outgoing.extraction_times[1:], outgoing.residual_curve]
+        )
+    for name, (header, columns) in tables.items():
+        _write_float_csv(os.path.join(out_dir, name), header, columns)
     for t in result.integration.times:
         if t > 0:
             velocity_measure_at(result.integration, float(t)).to_csv(
                 os.path.join(out_dir, f"s_t_{t:g}.csv")
             )
-    if outgoing is not None:
-        _write_float_csv(
-            os.path.join(out_dir, "out_momentum_density.csv"),
-            ["p", "density"],
-            [outgoing.p, outgoing.density],
-        )
-        _write_float_csv(
-            os.path.join(out_dir, "moller_residuals.csv"),
-            ["T", "residual"],
-            [outgoing.extraction_times[1:], outgoing.residual_curve],
-        )
 
     ok = comparison["pass"] and result.regularity.verdict
     if eq_threshold is not None:
@@ -372,8 +393,7 @@ def cmd_covariance(cfg: dict, out_dir: str, seed: int | None) -> int:
     if cfg["system"] != "free_dirac":
         raise ConfigurationError("covariance runs need system = free_dirac")
     seed = int(_setting(cfg, "seed")) if seed is None else seed
-    cfg = dict(cfg)
-    cfg["seed"] = seed
+    cfg = {**cfg, "seed": seed}
     psi, projection_info = _build_state(cfg)
     params = _pipeline_params(cfg, seed)
     boosts = [float(u) for u in _setting(cfg, "boosts")]
@@ -391,9 +411,7 @@ def cmd_covariance(cfg: dict, out_dir: str, seed: int | None) -> int:
             rep = verify_boost_covariance(
                 psi, u, params, base=base, run_key=k + 1, ks_threshold=threshold
             )
-            rep.pop("transported_measure", None)
-            rep.pop("boosted_measure", None)
-            per_boost.append(rep)
+            per_boost.append({key: v for key, v in rep.items() if not key.endswith("_measure")})
 
         sweep = foliation_sweep(psi, boosts, params, base, ks_threshold=threshold)
     except RegularityError as exc:
@@ -495,21 +513,17 @@ def cmd_plotdata(run_dir: str, out_dir: str | None) -> int:
     expected_extras = ["q_plus_density.csv"]
     cfg_path = os.path.join(run_dir, "config.json")
     if os.path.exists(cfg_path):
-        try:
-            with open(cfg_path) as fh:
-                cfg = json.load(fh)
-        except ValueError:
-            cfg = None
-        if not isinstance(cfg, dict):
-            raise InvalidInputError(f"malformed run config {cfg_path}: not a JSON object")
-        if cfg.get("system") == "potential_schrodinger":
+        if _json_object(cfg_path, "run config").get("system") == "potential_schrodinger":
             expected_extras.append("moller_residuals.csv")
     # Every input is parsed before anything is written: no partial bundle.
     measures = {
         name[:-4]: EmpiricalMeasure.from_csv(os.path.join(run_dir, name))
         for name in sorted(os.listdir(run_dir))
-        if name.endswith(".csv") and name.startswith(("s_", "q_plus_samples"))
+        if name.endswith(".csv") and name.startswith("s_")
     }
+    q_sample = quantum_comparison_sample(run_dir)
+    if q_sample is not None:
+        measures["q_plus_samples"] = q_sample
     extras, partial = {}, []
     for extra in expected_extras:
         src = os.path.join(run_dir, extra)
@@ -536,20 +550,12 @@ def cmd_plotdata(run_dir: str, out_dir: str | None) -> int:
     for extra, data in extras.items():
         with open(os.path.join(out_dir, extra), "w") as fh:
             fh.write(data)
-    if partial:
-        print(json.dumps({"out_dir": out_dir, "skipped_missing": partial}, sort_keys=True))
-    else:
-        print(json.dumps({"out_dir": out_dir}, sort_keys=True))
+    summary = {"out_dir": out_dir, "skipped_missing": partial} if partial else {"out_dir": out_dir}
+    print(json.dumps(summary, sort_keys=True))
     return EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
-
-def _error_payload(exc: Exception) -> str:
-    return json.dumps(
-        {"error": {"type": type(exc).__name__, "message": str(exc)}}, sort_keys=True
-    )
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -603,18 +609,12 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg, out, args.seed)
         return cmd_covariance(cfg, out, args.seed)
-    except ConfigurationError as exc:
-        print(_error_payload(exc), file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except RegularityError as exc:
-        print(_error_payload(exc), file=sys.stderr)
-        return EXIT_REGULARITY_INVALID
-    except NumericalFailureError as exc:
-        print(_error_payload(exc), file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
     except BohmvelError as exc:
-        print(_error_payload(exc), file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
+        if isinstance(exc, RegularityError):
+            return EXIT_REGULARITY_INVALID
+        return EXIT_NUMERICAL_FAILURE if isinstance(exc, NumericalFailureError) else EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -51,12 +52,6 @@ __all__ = [
     "save_trajectories_ndjson",
     "config_hash",
 ]
-
-
-def _finite_array(x, name: str, dtype=float) -> np.ndarray:
-    arr = np.asarray(x, dtype=dtype)
-    _require_finite(arr, name)
-    return arr
 
 
 def _require_finite(arr: np.ndarray, name: str) -> None:
@@ -192,10 +187,12 @@ class EmpiricalMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        samples = _finite_array(self.samples, "samples")
+        samples = np.asarray(self.samples, dtype=float)
+        _require_finite(samples, "samples")
         if samples.ndim == 1:
             samples = samples[:, None]
-        weights = _finite_array(self.weights, "weights")
+        weights = np.asarray(self.weights, dtype=float)
+        _require_finite(weights, "weights")
         if samples.shape[0] == 0:
             raise InvalidInputError("empirical measure needs at least one sample")
         if weights.shape != (samples.shape[0],):
@@ -243,18 +240,23 @@ class EmpiricalMeasure:
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalMeasure":
-        """The measure ``to_csv`` wrote; a file without a sample column,
-        without rows, with ragged rows or with non-numeric entries raises
-        InvalidInputError."""
-        try:
-            with open(path) as fh:
-                ncol = len(fh.readline().split(","))
-                data = np.array([[float(x) for x in line.split(",")] for line in fh if line.strip()])
-        except ValueError:
-            data = None
-        if data is None or ncol < 2 or data.ndim != 2 or data.shape[1] != ncol:
-            raise InvalidInputError(f"malformed measure CSV {path}")
+        """The measure ``to_csv`` wrote (see ``_read_float_csv``)."""
+        data = _read_float_csv(path, "measure CSV")
         return cls(data[:, :-1], data[:, -1])
+
+
+def _read_float_csv(path, what: str) -> np.ndarray:
+    """The table of two or more columns that ``_write_float_csv`` wrote, bit for
+    bit; any other file raises InvalidInputError naming ``what`` and the path."""
+    try:
+        with open(path) as fh:
+            ncol = len(fh.readline().split(","))
+            data = np.array([[float(x) for x in line.split(",")] for line in fh if line.strip()])
+    except ValueError:
+        data = None
+    if data is None or ncol < 2 or data.ndim != 2 or data.shape[1] != ncol:
+        raise InvalidInputError(f"malformed {what} {path}")
+    return data
 
 
 def save_trajectories_ndjson(trajs: Iterable[SampledTrajectory], path) -> None:
@@ -285,7 +287,7 @@ def config_hash(config: dict) -> str:
 
 @dataclass
 class EnsembleRun:
-    """Full record of one experiment, reproducible from (config, seed)."""
+    """Full record of one experiment, reproducible from (config, seed); dicts hold JSON values."""
 
     config: dict
     seed: int
@@ -295,8 +297,6 @@ class EnsembleRun:
     reports: dict = field(default_factory=dict)
 
     def save(self, out_dir) -> None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "config.json"), "w") as fh:
             json.dump(self.config, fh, sort_keys=True, indent=2)
@@ -308,19 +308,8 @@ class EnsembleRun:
             "seed": self.seed,
             "n_trajectories": len(self.trajectories),
             "measures": sorted(self.measures),
-            "diagnostics": _jsonable(self.diagnostics),
-            "reports": _jsonable(self.reports),
+            "diagnostics": self.diagnostics,
+            "reports": self.reports,
         }
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj

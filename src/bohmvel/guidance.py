@@ -128,15 +128,13 @@ class FieldSnapshot:
         return vel, rho, ok
 
 
-def sample_initial(psi0: GridWavefunction, n: int, seed: int) -> np.ndarray:
+def sample_initial(psi0: GridWavefunction, n: int, seed: int | np.random.SeedSequence) -> np.ndarray:
     """Draw n i.i.d. positions from rho_0 = |psi_0|^2, deterministically.
 
     Inverse-CDF draws on the grid; the result has shape (n, 1).
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    if isinstance(seed, (int, np.integer)):
-        seed = np.random.SeedSequence(int(seed))
     rng = np.random.default_rng(seed)
     x = psi0.spec.axis()
     return _inverse_cdf(rng.random(n), x, _trapezoid_cdf(x, psi0.density()))[:, None]

@@ -6,9 +6,10 @@ bookkeeping together.
 All randomness flows from one root seed through numpy SeedSequence
 spawn keys: (run_key, 0) draws the initial configurations, and (17,) the
 quantum sample that ``verify_distribution_equality`` compares (and
-``bohmvel run`` writes). Distinct runs inside one experiment get
-distinct run keys, so results are reproducible and order-independent.
-The potential is a ``GaussianBarrier``, or None for free evolution.
+``cli.quantum_comparison_sample`` rebuilds). Distinct runs inside one
+experiment get distinct run keys, so results are reproducible and
+order-independent. The potential is a ``GaussianBarrier``, or None for
+free evolution.
 """
 
 from __future__ import annotations

@@ -3,9 +3,12 @@ experiments.
 
 A boost is its speed u along x (|u| < 1). The paper's covariance
 statement is about the distribution of asymptotic velocities, which
-these maps carry between frames; the trajectories themselves depend on
-the foliation. Boosting by u2 and then by u1 is the boost by
-(u1 + u2) / (1 + u1 u2), and the inverse of u is -u.
+these maps carry between frames. One-particle Bohm-Dirac world lines
+(dx/dt = j^1/j^0 of a conserved four-current) do not depend on the
+foliation, which enters the law only for entangled particles (Duerr,
+Goldstein, Muench-Berndl & Zanghi, Phys. Rev. A 60, 2729 (1999)), so
+``foliation_sweep`` checks the boosts alone. Boosting by u2 and then by
+u1 is the boost by (u1 + u2) / (1 + u1 u2), and the inverse of u is -u.
 
 Velocities are plain (n, d) sample arrays; they transform by lifting to
 future-directed four-vectors (1, v), applying the Lorentz matrix, and

@@ -45,6 +45,20 @@ def _inverse_cdf(u: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return np.interp(u, cdf[keep], x[keep])
 
 
+def _quantiles(values: np.ndarray, qs) -> list[float]:
+    """``np.quantile(values, q)`` for each q of ``qs``, bitwise, by numpy's linear rule
+    on one partition of finite 1D ``values``; np.quantile imports numpy.ma (~10 ms)."""
+    pos = [(values.size - 1) * q for q in qs]
+    lo = [math.floor(p) for p in pos]
+    hi = [min(i + 1, values.size - 1) for i in lo]
+    part = np.partition(values, sorted({0, -1, *lo, *hi}))
+    out = []
+    for p, i, j in zip(pos, lo, hi):
+        a, b, g = float(part[i]), float(part[j]), p - i
+        out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return out
+
+
 def _stable_order(values):
     """The stable ascending order of ``values`` and the values in it.
 

@@ -302,15 +302,12 @@ def superposed_gaussians(
     """
     if not components:
         raise InvalidInputError("need at least one packet component")
-    if len(components) == 1:
-        comp = components[0]
-        return gaussian_packet(
-            spec, mass, comp["x0"], comp["p0"], comp["sigma0"], kind=kind
-        )
     parts = [
         gaussian_packet(spec, mass, comp["x0"], comp["p0"], comp["sigma0"], kind=kind)
         for comp in components
     ]
+    if len(parts) == 1:
+        return parts[0]
     amps = np.zeros_like(parts[0].amplitudes)
     for comp, part in zip(components, parts):
         amps = amps + complex(comp.get("amplitude", 1.0)) * part.amplitudes
@@ -458,11 +455,8 @@ class DiracPropagator:
         self._factors: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._last: tuple[GridWavefunction | None, np.ndarray | None] = (None, None)
 
-    def spectrum(self, psi: GridWavefunction) -> np.ndarray | None:
-        """``np.fft.fft(psi.amplitudes, axis=1)`` up to rounding when psi is
-        the state this propagator returned last, else None."""
-        last_psi, last_hat = self._last
-        return last_hat if last_psi is psi else None
+    # np.fft.fft(psi.amplitudes, axis=1) when psi is the state returned last.
+    spectrum = SplitStepPropagator.spectrum
 
     def _step_factors(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-mode u00, u01 = u10 and u11 of exp(-i H(p) t)."""

@@ -253,6 +253,48 @@ def test_boost_covariance_and_foliation_independence(
     assert crossings == [0] * 5
 
 
+def paired_foliation_errors(psi, params, base, u):
+    """|v+'_i - T_u(v+_i)| over the trajectories live in both runs whose
+    start lies in the central band, and the count of those trajectories.
+
+    ``base`` is the pipeline run of psi on ``params``; the boosted state
+    runs on the same run key, so both runs draw their starts from the same
+    uniforms, and by flux conservation the i-th starts lie on one world
+    line. T_u is the velocity transform of the boost u."""
+    boosted = run_guided_pipeline(boost_dirac_state(psi, u), None, params)
+    v_plus = []
+    for run in (base, boosted):
+        failed = run.integration.diagnostics.failed
+        v = np.full(failed.size, np.nan)
+        v[~failed] = pipeline_v_plus(run)
+        v_plus.append(v)
+    lab, moved = v_plus
+    starts = base.integration.positions[:, 0, 0]
+    quantiles, _ = velocity_oracle(psi, dirac_velocity_distribution(psi), starts)
+    inside = (quantiles >= CENTRAL_BAND[0]) & (quantiles <= CENTRAL_BAND[1])
+    inside &= ~np.isnan(lab) & ~np.isnan(moved)
+    err = np.abs(moved[inside] - transform_velocity_block(lab[inside, None], u)[:, 0])
+    return err, int(inside.sum())
+
+
+@pytest.mark.parametrize("u", [0.2, 0.4])
+def test_boosted_run_retraces_the_lab_world_lines(dirac_state, dirac_params, dirac_base_run, u):
+    """One-particle Bohm-Dirac world lines do not depend on the foliation
+    (Duerr, Goldstein, Muench-Berndl & Zanghi, Phys. Rev. A 60, 2729
+    (1999)): the boosted state, run on the lab run's key, retraces the
+    lab world lines start by start, so each boosted v+ is the boost of
+    its lab v+ to within the v+ oracle bounds. The sweep's KS against an
+    independent draw cannot see this; the paired check can."""
+    err, n = paired_foliation_errors(dirac_state, dirac_params, dirac_base_run, u)
+    median, worst = float(np.median(err)), float(np.max(err))
+    ok = median <= V_PLUS_ORACLE_MEDIAN_TOL and worst <= V_PLUS_ORACLE_MAX_TOL
+    acceptance_line(
+        f"dirac u={u} v+ vs boosted lab v+, paired", ok, f"median={median:.2e} max={worst:.2e} n={n}"
+    )
+    assert n > 0.99 * dirac_params.n_trajectories
+    assert ok, (median, worst)
+
+
 def test_transport_oracle_matches_closed_form(free_gaussian_run):
     """The monotone-transport oracle, from the free Gaussian's recorded
     snapshots, is within 1e-4 of the closed-form trajectory at the last

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from bohmvel import cli
+from bohmvel.asymptotics import free_velocity_distribution
 from bohmvel.cli import (
     EXIT_COMPARISON_FAIL,
     EXIT_CONFIG_ERROR,
@@ -520,21 +523,50 @@ class TestRunCommand:
         path = write_config(tmp_path, cfg)
         main(["run", "--config", path, "--out", str(tmp_path / "a")])
         main(["run", "--config", path, "--out", str(tmp_path / "b")])
-        for fname in ("s_plus.csv", "q_plus_samples.csv", "manifest.json", "trajectories.ndjson"):
+        for fname in ("s_plus.csv", "manifest.json", "trajectories.ndjson"):
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
-    def test_written_samples_reproduce_the_verdict(self, tmp_path):
-        # The quantum sample in q_plus_samples.csv is the one the verdict
-        # compared: KS and W1 recomputed from the two CSVs are the manifest's.
+    def test_rebuilt_sample_reproduces_the_verdict(self, tmp_path):
+        # The sample rebuilt from the run directory is, byte for byte in
+        # CSV form, the quantum sample the verdict compared: the draw of
+        # spawn key (17,) of the seed from the velocity distribution of the
+        # state, built here from the config. KS and W1 recomputed from it
+        # and s_plus.csv are the manifest's.
         out = tmp_path / "run"
-        path = write_config(tmp_path, small_free_config(out))
+        cfg = small_free_config(out)
+        path = write_config(tmp_path, cfg)
         assert main(["run", "--config", path]) == EXIT_PASS
-        s = EmpiricalMeasure.from_csv(out / "s_plus.csv")
-        q = EmpiricalMeasure.from_csv(out / "q_plus_samples.csv")
+        q = cli.quantum_comparison_sample(str(out))
         comparison = json.loads((out / "manifest.json").read_text())["reports"]["comparison"]
-        assert q.n_samples == comparison["n_q"]
+        assert q.n_samples == comparison["n_q"] == 6000
+        psi, _ = cli._build_state(cfg)
+        written = free_velocity_distribution(psi).as_measure(
+            comparison["n_q"], np.random.SeedSequence(entropy=cfg["seed"], spawn_key=(17,))
+        )
+        written.to_csv(tmp_path / "written.csv")
+        q.to_csv(tmp_path / "rebuilt.csv")
+        assert (tmp_path / "rebuilt.csv").read_bytes() == (tmp_path / "written.csv").read_bytes()
+        s = EmpiricalMeasure.from_csv(out / "s_plus.csv")
         assert ks_two_sample_1d(s.samples[:, 0], s.weights, q.samples[:, 0], q.weights) == comparison["ks"]
         assert wasserstein1_1d(s, q) == comparison["w1"]
+
+    def test_run_does_not_write_the_quantum_sample(self, tmp_path):
+        out = tmp_path / "run"
+        path = write_config(tmp_path, small_free_config(out, n=200))
+        assert main(["run", "--config", path]) == EXIT_PASS
+        assert not (out / "q_plus_samples.csv").exists()
+        assert (out / "q_plus_density.csv").exists()
+
+    def test_rebuild_needs_a_density_and_a_comparison(self, tmp_path):
+        out = tmp_path / "run"
+        path = write_config(tmp_path, small_free_config(out, n=200))
+        assert main(["run", "--config", path]) == EXIT_PASS
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["reports"]["comparison"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.quantum_comparison_sample(str(out)) is None
+        os.remove(out / "q_plus_density.csv")
+        assert cli.quantum_comparison_sample(str(out)) is None
 
     def test_impossible_threshold_fails_with_exit_2(self, tmp_path):
         cfg = small_free_config(tmp_path / "c")
@@ -574,6 +606,20 @@ class TestCounterexampleCommand:
         assert summary["pass"] is False
         assert code == EXIT_COMPARISON_FAIL
 
+    @pytest.mark.parametrize("seed, code", [(0, EXIT_PASS), (50, EXIT_COMPARISON_FAIL)])
+    def test_benchmark_draw_at_a_passing_and_a_failing_seed(self, seed, code, tmp_path, capsys):
+        # The benchmark's rotating workload, n = 10^5 in 2D. Its
+        # stationarity check is a KS test at level 0.01, so about 1% of
+        # seeds fail by design: of seeds 0-299, 50, 137 and 184 do. A
+        # change to the family's draw or to the KS shows here first.
+        out = tmp_path / "ce"
+        argv = ["counterexample", "--n", "100000", "--dim", "2", "--seed", str(seed), "--out", str(out)]
+        assert main(argv) == code
+        report = json.loads((out / "counterexample_report.json").read_text())
+        assert report["fraction_converged"] == 0.0
+        assert report["stationary"] is (code == EXIT_PASS)
+        assert (max(report["s_t_ks_per_axis"]) > report["ks_critical_alpha_0.01"]) is (code != EXIT_PASS)
+
     def test_degenerate_control(self, tmp_path):
         out = tmp_path / "ce0"
         code = main([
@@ -592,6 +638,26 @@ class TestCounterexampleCommand:
         ]) == EXIT_PASS
         report = json.loads((out / "counterexample_report.json").read_text())
         assert "note" in report
+
+
+@pytest.mark.parametrize("command", ["run", "counterexample"])
+def test_commands_leave_numpy_ma_unimported(command, tmp_path):
+    # np.quantile imports numpy.ma (through np.unique), which costs every
+    # process about 10 ms and 1 MB; no command needs it.
+    if command == "run":
+        argv = ["run", "--config", write_config(tmp_path, small_free_config(tmp_path / "out", n=200))]
+    else:
+        argv = ["counterexample", "--n", "2000", "--seed", "5", "--out", str(tmp_path / "out")]
+    code = (
+        "import sys\n"
+        "from bohmvel.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestRejectedArguments:
@@ -636,6 +702,34 @@ class TestPlotdataCommand:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert "skipped_missing" not in summary
 
+    def test_bundle_holds_the_rebuilt_quantum_sample(self, tmp_path, capsys):
+        # The run writes no q_plus_samples.csv; plotdata rebuilds the sample
+        # and writes its tables, equal to those of the same sample read
+        # back from a CSV.
+        out = tmp_path / "run"
+        path = write_config(tmp_path, small_free_config(out, n=200))
+        main(["run", "--config", path])
+        assert main(["plotdata", "--run", str(out)]) == EXIT_PASS
+        reference = tmp_path / "reference"
+        reference.mkdir()
+        (reference / "manifest.json").write_text("{}")
+        cli.quantum_comparison_sample(str(out)).to_csv(reference / "s_plus.csv")
+        assert main(["plotdata", "--run", str(reference)]) == EXIT_PASS
+        for table in ("cdf", "hist"):
+            got = (out / "plotdata" / f"q_plus_samples_{table}.csv").read_bytes()
+            assert got == (reference / "plotdata" / f"s_plus_{table}.csv").read_bytes()
+
+    def test_bundle_skips_the_quantum_sample_without_a_comparison(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        path = write_config(tmp_path, small_free_config(out, n=200))
+        main(["run", "--config", path])
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["reports"]["comparison"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["plotdata", "--run", str(out)]) == EXIT_PASS
+        assert (out / "plotdata" / "s_plus_cdf.csv").exists()
+        assert not (out / "plotdata" / "q_plus_samples_cdf.csv").exists()
+
     def test_partial_bundle_warns(self, tmp_path, capsys):
         out = tmp_path / "run"
         path = write_config(tmp_path, small_free_config(out, n=200))
@@ -660,16 +754,22 @@ class TestPlotdataCommand:
             ("s_plus.csv", "v0,weight\n0.1,0.5\n0.2,half\n"),
             ("config.json", '{"system": '),
             ("config.json", '["potential_schrodinger"]'),
+            ("manifest.json", '{"seed": '),
+            ("manifest.json", '{"reports": {"comparison": {"n_q": 10}}}'),
+            ("manifest.json", '{"seed": 1, "reports": {"comparison": {}}}'),
+            ("q_plus_density.csv", "v,density\n0.1,0.5\n0.2\n"),
         ],
         ids=[
             "empty_measure", "no_sample_column", "ragged_measure", "non_numeric_measure",
-            "invalid_config", "config_not_object",
+            "invalid_config", "config_not_object", "invalid_manifest", "manifest_without_seed",
+            "comparison_without_n_q", "ragged_density",
         ],
     )
     def test_malformed_input_exits_4_naming_the_file(self, name, text, tmp_path, capsys):
         run = tmp_path / "run"
         run.mkdir()
-        (run / "manifest.json").write_text("{}")
+        (run / "manifest.json").write_text('{"seed": 1, "reports": {"comparison": {"n_q": 10}}}')
+        (run / "q_plus_density.csv").write_text("v,density\n0.0,1.0\n1.0,1.0\n")
         (run / "s_plus.csv").write_text("v0,weight\n0.1,0.5\n0.2,0.5\n")
         (run / "config.json").write_text('{"system": "free_schrodinger"}')
         (run / name).write_text(text)

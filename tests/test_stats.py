@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bohmvel.core import EmpiricalMeasure
 from bohmvel.errors import InvalidInputError
 from bohmvel.stats import (
+    _quantiles,
     ks_critical_value,
     ks_distance,
     ks_two_sample_1d,
@@ -206,3 +207,32 @@ class TestCompareMeasures:
 def test_critical_value_shapes():
     assert ks_critical_value(10_000, 10_000, 0.01) == pytest.approx(0.02302, abs=1e-4)
     assert ks_critical_value(10_000, alpha=0.01) == pytest.approx(0.01628, abs=1e-4)
+
+
+QUANTILE_LEVELS = (0.5, 0.9, 0.99)
+
+
+def _quantile_cases():
+    rng = np.random.default_rng(37)
+    cases = {
+        "n1": np.array([0.3]),
+        "n2": np.array([0.7, 0.2]),
+        "ties": rng.integers(0, 4, 57).astype(float),
+        # (n - 1) q is an integer at every level: 100 (n - 1) = 9900 q.
+        "integer_index": rng.random(101),
+        "integer_index_with_ties": np.repeat(rng.random(11), 91)[:1001],
+        "tiny_scale": 1e-12 * rng.random(333),
+        "large_scale": 10.0 * rng.standard_normal(2999),
+        "signed_zeros": np.array([0.0, -0.0, 0.0, 1.0, -0.0]),
+    }
+    cases.update({f"random_{n}": rng.exponential(size=n) for n in rng.integers(1, 3000, 12)})
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_quantile_cases()))
+def test_quantiles_are_bitwise_numpy_quantile(name):
+    values = _quantile_cases()[name]
+    got = _quantiles(values.copy(), QUANTILE_LEVELS)
+    want = [float(np.quantile(values, q)) for q in QUANTILE_LEVELS]
+    assert _bits(*got) == _bits(*want)
+    assert all(type(x) is float for x in got)
